@@ -7,6 +7,10 @@ by op name.  Keeping forward rules in the same registry lets ``recompute``
 re-evaluate the whole graph after a parameter has been perturbed in place,
 which is what the finite-difference checker needs.
 
+Ops are coarse where it pays: ``lstm`` runs a whole recurrent sweep over the
+rows of a matrix as one node and keeps its gate activations in ``ctx`` for
+the backward pass, and batched consumers gather rows with ``lookup``.
+
 Supported shapes are scalars, vectors and matrices; no broadcasting beyond
 the bias row in ``affine`` and no GPU paths.
 """
@@ -74,6 +78,16 @@ def _bk(name):
     return deco
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large |x|."""
+    out = np.empty_like(x)
+    np.exp(-np.abs(x), out=out)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + out[pos])
+    out[~pos] = out[~pos] / (1.0 + out[~pos])
+    return out
+
+
 # --- forward rules ---------------------------------------------------------
 
 @_op("input")
@@ -116,29 +130,10 @@ def _f_concat_cols(node):
     return np.concatenate([p.value for p in node.parents], axis=1)
 
 
-@_op("stack_rows")
-def _f_stack_rows(node):
-    return np.stack([p.value for p in node.parents])
-
-
-@_op("tile_rows")
-def _f_tile_rows(node):
-    (x,) = node.parents
-    return np.tile(x.value, (node.ctx, 1))
-
-
 @_op("add")
 def _f_add(node):
     a, b = node.parents
     return a.value + b.value
-
-
-@_op("add_n")
-def _f_add_n(node):
-    out = node.parents[0].value.copy()
-    for p in node.parents[1:]:
-        out += p.value
-    return out
 
 
 @_op("sub")
@@ -166,13 +161,7 @@ def _f_tanh(node):
 
 @_op("sigmoid")
 def _f_sigmoid(node):
-    x = node.parents[0].value
-    out = np.empty_like(x)
-    np.exp(-np.abs(x), out=out)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + out[pos])
-    out[~pos] = out[~pos] / (1.0 + out[~pos])
-    return out
+    return _sigmoid(node.parents[0].value)
 
 
 @_op("abs")
@@ -183,11 +172,6 @@ def _f_abs(node):
 @_op("sum")
 def _f_sum(node):
     return np.asarray(node.parents[0].value.sum())
-
-
-@_op("row_sums")
-def _f_row_sums(node):
-    return node.parents[0].value.sum(axis=1)
 
 
 @_op("inner")
@@ -219,27 +203,44 @@ def _f_transpose(node):
     return node.parents[0].value.T
 
 
-@_op("flatten")
-def _f_flatten(node):
-    return node.parents[0].value.reshape(-1)
-
-
-@_op("col_sums")
-def _f_col_sums(node):
-    return node.parents[0].value.sum(axis=0)
-
-
-@_op("gather_entries")
-def _f_gather_entries(node):
-    (x,) = node.parents
-    rows, cols = node.ctx
-    return x.value[rows, cols]
-
-
 @_op("softplus")
 def _f_softplus(node):
     x = node.parents[0].value
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _lstm_steps(n: int, reverse: bool) -> range:
+    return range(n - 1, -1, -1) if reverse else range(n)
+
+
+@_op("lstm")
+def _f_lstm(node):
+    """Scan the rows of x; the input projection is one GEMM up front.  The
+    sigmoid gates are computed as (1 + tanh(z/2)) / 2, so one tanh covers
+    all four gates; halving the weights and bias is exact."""
+    x, w, b = (p.value for p in node.parents)
+    n, dx = x.shape
+    dh = w.shape[1] // 4
+    half = np.ones(4 * dh)
+    half[:3 * dh] = 0.5
+    zx = (x @ w[:dx] + b) * half
+    w_h = w[dx:] * half
+    acts = np.empty((n, 4 * dh))  # input, forget, output, candidate
+    cells = np.empty((n, dh))
+    tanh_c = np.empty((n, dh))
+    out = np.empty((n, dh))
+    h = np.zeros(dh)
+    c = np.zeros(dh)
+    for t in _lstm_steps(n, node.ctx["reverse"]):
+        a = np.tanh(zx[t] + h @ w_h)
+        a[:3 * dh] += 1.0
+        a[:3 * dh] *= 0.5
+        c = a[dh:2 * dh] * c + a[:dh] * a[3 * dh:]
+        tanh_c[t] = np.tanh(c)
+        h = a[2 * dh:3 * dh] * tanh_c[t]
+        acts[t], cells[t], out[t] = a, c, h
+    node.ctx["cache"] = (acts, cells, tanh_c)
+    return out
 
 
 # --- backward rules --------------------------------------------------------
@@ -297,27 +298,10 @@ def _b_concat_cols(node):
         off += k
 
 
-@_bk("stack_rows")
-def _b_stack_rows(node):
-    for i, p in enumerate(node.parents):
-        accumulate(p, node.grad[i])
-
-
-@_bk("tile_rows")
-def _b_tile_rows(node):
-    accumulate(node.parents[0], node.grad.sum(axis=0))
-
-
 @_bk("add")
 def _b_add(node):
     accumulate(node.parents[0], node.grad)
     accumulate(node.parents[1], node.grad)
-
-
-@_bk("add_n")
-def _b_add_n(node):
-    for p in node.parents:
-        accumulate(p, node.grad)
 
 
 @_bk("sub")
@@ -358,12 +342,6 @@ def _b_abs(node):
 def _b_sum(node):
     x = node.parents[0]
     accumulate(x, np.full_like(x.value, float(node.grad)))
-
-
-@_bk("row_sums")
-def _b_row_sums(node):
-    x = node.parents[0]
-    accumulate(x, np.repeat(node.grad[:, None], x.value.shape[1], axis=1))
 
 
 @_bk("inner")
@@ -407,36 +385,44 @@ def _b_transpose(node):
     accumulate(node.parents[0], node.grad.T)
 
 
-@_bk("flatten")
-def _b_flatten(node):
-    x = node.parents[0]
-    accumulate(x, node.grad.reshape(x.value.shape))
-
-
-@_bk("col_sums")
-def _b_col_sums(node):
-    x = node.parents[0]
-    accumulate(x, np.repeat(node.grad[None, :], x.value.shape[0], axis=0))
-
-
-@_bk("gather_entries")
-def _b_gather_entries(node):
-    (x,) = node.parents
-    rows, cols = node.ctx
-    if x.grad is None:
-        x.grad = np.zeros_like(x.value)
-    np.add.at(x.grad, (rows, cols), node.grad)
-
-
 @_bk("softplus")
 def _b_softplus(node):
-    x = node.parents[0].value
-    out = np.empty_like(x)
-    np.exp(-np.abs(x), out=out)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + out[pos])
-    out[~pos] = out[~pos] / (1.0 + out[~pos])
-    accumulate(node.parents[0], node.grad * out)
+    accumulate(node.parents[0], node.grad * _sigmoid(node.parents[0].value))
+
+
+@_bk("lstm")
+def _b_lstm(node):
+    """Backpropagation through time.  Only the recurrence runs per step; the
+    gradients of x, w and b are one GEMM each over all steps."""
+    x, w, b = node.parents
+    acts, cells, tanh_c = node.ctx["cache"]
+    n, dx = x.value.shape
+    dh = w.value.shape[1] // 4
+    steps = _lstm_steps(n, node.ctx["reverse"])
+    h_prev = np.zeros_like(node.value)
+    c_prev = np.zeros_like(cells)
+    h_prev[steps[1:]] = node.value[steps[:-1]]
+    c_prev[steps[1:]] = cells[steps[:-1]]
+    i, f, o, cand = (acts[:, k * dh:(k + 1) * dh] for k in range(4))
+    sig = acts[:, :3 * dh]
+    # dz = coef * (dc, dc, dh, dc) row by row, dc and dh being the
+    # gradients of the step's cell and hidden state
+    coef = np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=1)
+    coef *= np.concatenate((cand, c_prev, tanh_c, i), axis=1)
+    h_to_c = o * (1.0 - tanh_c * tanh_c)
+    w_h = w.value[dx:]
+    dz = np.empty_like(acts)
+    dh_next = np.zeros(dh)
+    dc_next = np.zeros(dh)
+    for t in reversed(steps):
+        d_h = node.grad[t] + dh_next
+        d_c = dc_next + d_h * h_to_c[t]
+        dz[t] = coef[t] * np.concatenate((d_c, d_c, d_h, d_c))
+        dc_next = d_c * f[t]
+        dh_next = w_h @ dz[t]
+    accumulate(x, dz @ w.value[:dx].T)
+    accumulate(w, np.concatenate((x.value, h_prev), axis=1).T @ dz)
+    accumulate(b, dz.sum(axis=0))
 
 
 class Graph:
@@ -495,26 +481,10 @@ class Graph:
                              f"{[x.shape for x in xs]}")
         return self._push("concat_cols", tuple(xs))
 
-    def stack_rows(self, xs: Sequence[Node]) -> Node:
-        shapes = {x.value.shape for x in xs}
-        if len(shapes) != 1 or any(x.value.ndim != 1 for x in xs):
-            raise ShapeError(f"stack_rows needs equal-length vectors, got {shapes}")
-        return self._push("stack_rows", tuple(xs))
-
-    def tile_rows(self, x: Node, m: int) -> Node:
-        if x.value.ndim != 1:
-            raise ShapeError(f"tile_rows needs a vector, got {x.shape}")
-        return self._push("tile_rows", (x,), int(m))
-
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add: {a.shape} vs {b.shape}")
         return self._push("add", (a, b))
-
-    def add_n(self, xs: Sequence[Node]) -> Node:
-        if len({x.value.shape for x in xs}) != 1:
-            raise ShapeError("add_n: mismatched shapes")
-        return self._push("add_n", tuple(xs))
 
     def sub(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
@@ -540,11 +510,6 @@ class Graph:
 
     def sum(self, x: Node) -> Node:
         return self._push("sum", (x,))
-
-    def row_sums(self, x: Node) -> Node:
-        if x.value.ndim != 2:
-            raise ShapeError(f"row_sums needs a matrix, got {x.shape}")
-        return self._push("row_sums", (x,))
 
     def inner(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape or a.value.ndim != 1:
@@ -572,27 +537,19 @@ class Graph:
             raise ShapeError(f"transpose needs a matrix, got {x.shape}")
         return self._push("transpose", (x,))
 
-    def flatten(self, x: Node) -> Node:
-        if x.value.ndim != 2:
-            raise ShapeError(f"flatten needs a matrix, got {x.shape}")
-        return self._push("flatten", (x,))
-
-    def col_sums(self, x: Node) -> Node:
-        if x.value.ndim != 2:
-            raise ShapeError(f"col_sums needs a matrix, got {x.shape}")
-        return self._push("col_sums", (x,))
-
-    def gather_entries(self, x: Node, pairs: Sequence[tuple[int, int]]) -> Node:
-        """Pick entries x[i, j] for each (i, j) in ``pairs`` as a vector.
-        Repeated pairs are fine; their gradients accumulate."""
-        if x.value.ndim != 2:
-            raise ShapeError(f"gather_entries needs a matrix, got {x.shape}")
-        rows = np.fromiter((p[0] for p in pairs), dtype=int, count=len(pairs))
-        cols = np.fromiter((p[1] for p in pairs), dtype=int, count=len(pairs))
-        return self._push("gather_entries", (x,), (rows, cols))
-
     def softplus(self, x: Node) -> Node:
         return self._push("softplus", (x,))
+
+    def lstm(self, x: Node, w: Node, b: Node, reverse: bool = False) -> Node:
+        """One LSTM sweep over the rows of ``x`` (n, dim_x), last row first
+        when ``reverse``; the (n, dim_h) hidden states as one node.  ``w``
+        is (dim_x + dim_h, 4*dim_h), gate order input/forget/output/
+        candidate; the initial state is zero."""
+        if x.value.ndim != 2 or w.value.ndim != 2 or w.value.shape[1] % 4 \
+                or w.value.shape[0] != x.value.shape[1] + w.value.shape[1] // 4 \
+                or b.value.shape != (w.value.shape[1],):
+            raise ShapeError(f"lstm: x{x.shape} w{w.shape} b{b.shape}")
+        return self._push("lstm", (x, w, b), {"reverse": bool(reverse)})
 
     def apply(self, op: str, parents: Sequence[Node], ctx=None) -> Node:
         """Entry point for ops installed with ``register_op``."""
@@ -675,43 +632,30 @@ class ParameterStore:
             g[...] = 0.0
 
     def grad_norm(self) -> float:
-        total = 0.0
-        for g in self.grads.values():
-            total += float((g * g).sum())
-        return math.sqrt(total)
-
-    def scale_grads(self, c: float) -> None:
-        for g in self.grads.values():
-            g *= c
+        return math.sqrt(sum(float(np.vdot(g, g)) for g in self.grads.values()))
 
 
 def clip_and_step(store: ParameterStore, learning_rate: float) -> None:
     """Clip the global gradient norm to ``store.clip``, take an SGD step with
-    the ℓ2 penalty folded in, and zero the accumulators."""
-    for name, g in store.grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
+    the ℓ2 penalty folded in, and zero the accumulators.
+
+    Same update as ``w -= lr * (clip(g) + 2λw)``, done in place.  A NaN or
+    inf entry makes the norm non-finite, so only then are the parameters
+    scanned to name the offending one."""
     norm = store.grad_norm()
-    if norm > store.clip > 0:
-        store.scale_grads(store.clip / norm)
+    if not math.isfinite(norm):
+        for name, g in store.grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradient(
+                    f"non-finite gradient for parameter {name!r}")
+    scale = store.clip / norm if norm > store.clip > 0 else 1.0
+    decay = 1.0 - 2.0 * learning_rate * store.l2
     for name, w in store.values.items():
-        w -= learning_rate * (store.grads[name] + 2.0 * store.l2 * w)
-    store.zero_grads()
-
-
-def lstm_cell(g: Graph, x: Node, h_prev: Node, c_prev: Node,
-              w: Node, b: Node) -> tuple[Node, Node]:
-    """One LSTM step.  ``w`` has shape (dim_x + dim_h, 4*dim_h), gate order
-    input/forget/output/candidate; forget bias starts at 0 like the rest."""
-    hdim = h_prev.value.shape[0]
-    z = g.affine(g.concat(x, h_prev), w, b)
-    i = g.sigmoid(g.slice_cols(z, 0, hdim))
-    f = g.sigmoid(g.slice_cols(z, hdim, 2 * hdim))
-    o = g.sigmoid(g.slice_cols(z, 2 * hdim, 3 * hdim))
-    cand = g.tanh(g.slice_cols(z, 3 * hdim, 4 * hdim))
-    c = g.add(g.mul(f, c_prev), g.mul(i, cand))
-    h = g.mul(o, g.tanh(c))
-    return h, c
+        g = store.grads[name]
+        g *= learning_rate * scale
+        w *= decay
+        w -= g
+        g.fill(0.0)
 
 
 def collect_grads(store: ParameterStore) -> dict[str, np.ndarray]:

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .autodiff import Graph, Node, ParameterStore, ShapeError
-from .autodiff import lstm_cell
 from .parts import Sentence, Target
 
 UNK = "<unk>"
@@ -159,35 +158,26 @@ class Encoder:
 
     # --- BiLSTM -------------------------------------------------------------
 
-    def _sweep(self, g: Graph, rows: list[Node], layer: int,
-               direction: str) -> list[Node]:
-        half = self.bilstm_dim // 2
-        w = g.param(self.store, f"{self.prefix}.lstm{layer}.{direction}.w")
-        b = g.param(self.store, f"{self.prefix}.lstm{layer}.{direction}.b")
-        h = g.input(np.zeros(half))
-        c = g.input(np.zeros(half))
-        order = range(len(rows)) if direction == "fw" else reversed(range(len(rows)))
-        out: dict[int, Node] = {}
-        for t in order:
-            h, c = lstm_cell(g, rows[t], h, c, w, b)
-            out[t] = h
-        return [out[t] for t in range(len(rows))]
+    def _sweep(self, g: Graph, x: Node, layer: int, direction: str) -> Node:
+        name = f"{self.prefix}.lstm{layer}.{direction}"
+        return g.lstm(x, g.param(self.store, f"{name}.w"),
+                      g.param(self.store, f"{name}.b"),
+                      reverse=direction == "bw")
 
-    def bilstm(self, g: Graph, rows: list[Node]) -> list[Node]:
-        """Stacked bidirectional pass over per-token vectors."""
+    def bilstm(self, g: Graph, x: Node) -> Node:
+        """Stacked bidirectional pass over the rows of an (n, d) matrix."""
         for layer in range(self.bilstm_layers):
-            fw = self._sweep(g, rows, layer, "fw")
-            bw = self._sweep(g, rows, layer, "bw")
-            rows = [g.concat(f, w) for f, w in zip(fw, bw)]
-        return rows
+            x = g.concat_cols(self._sweep(g, x, layer, "fw"),
+                              self._sweep(g, x, layer, "bw"))
+        return x
 
     def encode(self, g: Graph, sentence: Sentence,
                rng: Optional[np.random.Generator] = None,
-               training: bool = False) -> list[Node]:
-        """Contextualized token vectors h_i, one node per token."""
-        emb = self.embed(g, sentence, rng=rng, training=training)
-        rows = [g.select_row(emb, i) for i in range(len(sentence))]
-        return self.bilstm(g, rows)
+               training: bool = False) -> Node:
+        """Contextualized token vectors as an (n, bilstm_dim) matrix node;
+        row i is h_i."""
+        return self.bilstm(g, self.embed(g, sentence, rng=rng,
+                                         training=training))
 
     # --- representations ----------------------------------------------------
 
@@ -196,23 +186,26 @@ class Encoder:
         h1 = g.tanh(g.affine(x, p("w1"), p("b1")))
         return g.tanh(g.affine(h1, p("w2"), p("b2")))
 
-    def span_representation(self, g: Graph, hs: list[Node],
+    def span_representation(self, g: Graph, hs: Node,
                             span: tuple[int, int], target_start: int) -> Node:
         i, j = span
-        x = g.concat(hs[i], hs[j], g.input(discrete_features(span, target_start)))
+        x = g.concat(g.select_row(hs, i), g.select_row(hs, j),
+                     g.input(discrete_features(span, target_start)))
         return self._mlp(g, x, "span")
 
-    def span_representations(self, g: Graph, hs: list[Node],
+    def span_representations(self, g: Graph, hs: Node,
                              spans: Sequence[tuple[int, int]],
                              target_start: int) -> Node:
         """All spans at once as a (len(spans), mlp_dim) matrix node."""
-        xs = [g.concat(hs[i], hs[j],
-                       g.input(discrete_features((i, j), target_start)))
-              for i, j in spans]
-        return self._mlp(g, g.stack_rows(xs), "span")
+        feats = [discrete_features(span, target_start) for span in spans]
+        x = g.concat_cols(g.lookup(hs, [i for i, _ in spans]),
+                          g.lookup(hs, [j for _, j in spans]),
+                          g.input(np.reshape(feats, (len(spans), 3))))
+        return self._mlp(g, x, "span")
 
-    def target_representation(self, g: Graph, hs: list[Node],
+    def target_representation(self, g: Graph, hs: Node,
                               target: Target) -> Node:
         length = np.array([math.log2(target.end - target.start + 2)])
-        x = g.concat(hs[target.start], hs[target.end], g.input(length))
+        x = g.concat(g.select_row(hs, target.start),
+                     g.select_row(hs, target.end), g.input(length))
         return self._mlp(g, x, "tgt")

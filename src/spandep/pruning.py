@@ -194,7 +194,8 @@ class PrunerModel:
                    rng: Optional[np.random.Generator] = None,
                    training: bool = False) -> Node:
         hs = self.encoder.encode(g, sentence, rng=rng, training=training)
-        x = g.stack_rows([g.concat(hs[h], hs[d]) for h, d in pairs])
+        x = g.concat_cols(g.lookup(hs, [h for h, _ in pairs]),
+                          g.lookup(hs, [d for _, d in pairs]))
 
         def p(name: str) -> Node:
             return g.param(self.store, name)

@@ -121,26 +121,30 @@ class Scorers:
         h1 = g.tanh(g.affine(x, self._p(g, f"{tag}.w1"), self._p(g, f"{tag}.b1")))
         return g.tanh(g.affine(h1, self._p(g, f"{tag}.w2"), self._p(g, f"{tag}.b2")))
 
-    def arc_representation(self, g: Graph, hs: list[Node], head: int,
+    def arc_representation(self, g: Graph, hs: Node, head: int,
                            dep: int) -> Node:
         """g^ua for one ordered (head, dep) token pair."""
-        return self._mlp(g, g.concat(hs[head], hs[dep]), "ua")
+        return self._mlp(g, g.concat(g.select_row(hs, head),
+                                     g.select_row(hs, dep)), "ua")
 
-    def score_head(self, g: Graph, hs: list[Node], token: int) -> Node:
-        return g.inner(self._mlp(g, hs[token], "head"), self._p(g, "head.w"))
+    def score_head(self, g: Graph, hs: Node, token: int) -> Node:
+        return g.inner(self._mlp(g, g.select_row(hs, token), "head"),
+                       self._p(g, "head.w"))
 
-    def score_unlabeled(self, g: Graph, hs: list[Node], head: int,
+    def score_unlabeled(self, g: Graph, hs: Node, head: int,
                         dep: int) -> Node:
         return g.inner(self.arc_representation(g, hs, head, dep),
                        self._p(g, "ua.w"))
 
-    def score_labeled(self, g: Graph, hs: list[Node], head: int, dep: int,
+    def score_labeled(self, g: Graph, hs: Node, head: int, dep: int,
                       label: str) -> Node:
-        x = g.concat(hs[head], hs[dep], self.label_vec(g, label))
+        x = g.concat(g.select_row(hs, head), g.select_row(hs, dep),
+                     self.label_vec(g, label))
         return g.inner(self._mlp(g, x, "lab"), self._p(g, "lab.w"))
 
-    def score_top(self, g: Graph, hs: list[Node], dep: int) -> Node:
-        return g.inner(self._mlp(g, hs[dep], "top"), self._p(g, "top.w"))
+    def score_top(self, g: Graph, hs: Node, dep: int) -> Node:
+        return g.inner(self._mlp(g, g.select_row(hs, dep), "top"),
+                       self._p(g, "top.w"))
 
     # --- batched paths ------------------------------------------------------
 
@@ -183,14 +187,15 @@ class Scorers:
                       g.matvec(self._p(g, "v1"), self._p(g, "ua.w")))
         return g.matvec(prod, fixed)
 
-    def head_scores(self, g: Graph, hs: list[Node],
+    def head_scores(self, g: Graph, hs: Node,
                     tokens: Sequence[int]) -> Node:
-        x = g.stack_rows([hs[t] for t in tokens])
-        return g.matvec(self._mlp(g, x, "head"), self._p(g, "head.w"))
+        return g.matvec(self._mlp(g, g.lookup(hs, tokens), "head"),
+                        self._p(g, "head.w"))
 
-    def arc_representations(self, g: Graph, hs: list[Node],
+    def arc_representations(self, g: Graph, hs: Node,
                             pairs: Sequence[tuple[int, int]]) -> Node:
-        x = g.stack_rows([g.concat(hs[h], hs[d]) for h, d in pairs])
+        x = g.concat_cols(g.lookup(hs, [h for h, _ in pairs]),
+                          g.lookup(hs, [d for _, d in pairs]))
         return self._mlp(g, x, "ua")
 
     def unlabeled_scores(self, g: Graph, arc_rows: Node) -> Node:
@@ -198,19 +203,19 @@ class Scorers:
         can reuse the same rows."""
         return g.matvec(arc_rows, self._p(g, "ua.w"))
 
-    def labeled_scores(self, g: Graph, hs: list[Node],
+    def labeled_scores(self, g: Graph, hs: Node,
                        triples: Sequence[tuple[int, int, str]]) -> Node:
-        label_tbl = self._p(g, "emb.label")
-        rows = []
-        for h, d, label in triples:
+        for _, _, label in triples:
             if label not in self.label_ix:
                 raise SpandepError(f"unknown label: {label!r}")
-            rows.append(g.concat(hs[h], hs[d],
-                                 g.select_row(label_tbl, self.label_ix[label])))
-        return g.matvec(self._mlp(g, g.stack_rows(rows), "lab"),
-                        self._p(g, "lab.w"))
+        x = g.concat_cols(
+            g.lookup(hs, [h for h, _, _ in triples]),
+            g.lookup(hs, [d for _, d, _ in triples]),
+            g.lookup(self._p(g, "emb.label"),
+                     [self.label_ix[label] for _, _, label in triples]))
+        return g.matvec(self._mlp(g, x, "lab"), self._p(g, "lab.w"))
 
-    def top_scores(self, g: Graph, hs: list[Node],
+    def top_scores(self, g: Graph, hs: Node,
                    tokens: Sequence[int]) -> Node:
-        x = g.stack_rows([hs[t] for t in tokens])
-        return g.matvec(self._mlp(g, x, "top"), self._p(g, "top.w"))
+        return g.matvec(self._mlp(g, g.lookup(hs, tokens), "top"),
+                        self._p(g, "top.w"))

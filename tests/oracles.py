@@ -10,6 +10,35 @@ import math
 import numpy as np
 
 
+def lstm_cell(g, x, h_prev, c_prev, w, b):
+    """One LSTM step built from elementary graph ops: the per-step reference
+    for the fused ``lstm`` op.  ``w`` has shape (dim_x + dim_h, 4*dim_h),
+    gate order input/forget/output/candidate."""
+    hdim = h_prev.value.shape[0]
+    z = g.affine(g.concat(x, h_prev), w, b)
+    i = g.sigmoid(g.slice_cols(z, 0, hdim))
+    f = g.sigmoid(g.slice_cols(z, hdim, 2 * hdim))
+    o = g.sigmoid(g.slice_cols(z, 2 * hdim, 3 * hdim))
+    cand = g.tanh(g.slice_cols(z, 3 * hdim, 4 * hdim))
+    c = g.add(g.mul(f, c_prev), g.mul(i, cand))
+    h = g.mul(o, g.tanh(c))
+    return h, c
+
+
+def lstm_by_cells(g, rows, w, b, reverse=False):
+    """A whole sweep over the vector nodes ``rows`` with ``lstm_cell``; the
+    hidden states in row order."""
+    hdim = w.value.shape[1] // 4
+    h = g.input(np.zeros(hdim))
+    c = g.input(np.zeros(hdim))
+    order = range(len(rows) - 1, -1, -1) if reverse else range(len(rows))
+    out = {}
+    for t in order:
+        h, c = lstm_cell(g, rows[t], h, c, w, b)
+        out[t] = h
+    return [out[t] for t in range(len(rows))]
+
+
 def enumerate_segmentations(spans, n, max_len):
     """Yield every feasible index subset (as a tuple) of non-overlapping
     spans obeying the length cap, including the empty tuple."""

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from spandep.autodiff import (
     ShapeError,
     clip_and_step,
     grad_check,
-    lstm_cell,
 )
+
+from .oracles import lstm_by_cells, lstm_cell
 
 RNG = np.random.default_rng(7)
 
@@ -149,20 +151,18 @@ def test_grad_check_every_op():
     h = g.matmul(h, g.param(store, "m"))
     r0 = g.select_row(h, 1)
     sl = g.slice_cols(h, 1, 3)
-    stacked = g.stack_rows([r0, g.param(store, "v")])
-    tiled = g.tile_rows(r0, 3)
     parts = [
         g.sum(g.mul(h, h)),
-        g.sum(g.row_sums(g.sigmoid(h))),
+        g.sum(g.sigmoid(h)),
         g.sum(g.abs(sl)),
         g.inner(r0, g.param(store, "v")),
-        g.sum(g.sub(stacked, g.scale(stacked, 0.25))),
-        g.sum(tiled),
+        g.sum(g.sub(h, g.scale(h, 0.25))),
+        g.sum(g.tanh(g.lookup(h, [3, 0, 3]))),
         g.sum(g.concat(r0, g.param(store, "v"))),
         g.sum(g.concat_cols(h, g.scale(h, 2.0))),
         g.sum(g.matvec(g.param(store, "m"), r0)),
     ]
-    loss = g.add_n([*parts])
+    loss = reduce(g.add, parts)
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=25)
     assert report["pass"], report
 
@@ -171,38 +171,37 @@ def test_grad_check_reshaping_ops():
     rng = np.random.default_rng(17)
     store = ParameterStore()
     store.add("m", (3, 4), rng=rng)
-    store.add("v", (12,), init=rng.normal(size=12))
     g = Graph()
     m = g.param(store, "m")
-    pairs = [(0, 1), (2, 3), (0, 1), (1, 0)]
     parts = [
-        g.inner(g.flatten(m), g.param(store, "v")),
-        g.sum(g.col_sums(g.tanh(m))),
+        g.sum(g.tanh(g.transpose(m))),
         g.sum(g.transpose(g.mul(m, m))),
-        g.sum(g.gather_entries(m, pairs)),
+        g.sum(g.mul(g.lookup(g.transpose(m), [1, 3, 1]),
+                    g.lookup(g.transpose(m), [0, 2, 2]))),
+        g.sum(g.matmul(g.transpose(m), m)),
         g.sum(g.softplus(m)),
     ]
-    loss = g.add_n([*parts])
+    loss = reduce(g.add, parts)
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=12)
     assert report["pass"], report
 
 
-def test_transpose_flatten_values():
+def test_transpose_values():
     g = Graph()
     m = g.input([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(g.transpose(m).value, [[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(g.flatten(m).value, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(g.col_sums(m).value, [4.0, 6.0])
 
 
-def test_gather_entries_accumulates_repeats():
+def test_lookup_accumulates_repeats():
     store = ParameterStore()
-    store.add("m", (2, 2), init=np.array([[1.0, 2.0], [3.0, 4.0]]))
+    store.add("m", (3, 2), init=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     g = Graph()
-    picked = g.gather_entries(g.param(store, "m"), [(0, 1), (0, 1), (1, 0)])
-    np.testing.assert_array_equal(picked.value, [2.0, 2.0, 3.0])
+    picked = g.lookup(g.param(store, "m"), [2, 0, 2])
+    np.testing.assert_array_equal(picked.value, [[5.0, 6.0], [1.0, 2.0],
+                                                 [5.0, 6.0]])
     g.backward(g.sum(picked))
-    np.testing.assert_array_equal(store.grads["m"], [[0.0, 2.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(store.grads["m"],
+                                  [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
 def test_softplus_stable_at_extremes():
@@ -239,6 +238,54 @@ def test_lstm_cell_grad_check():
     loss = g.inner(h2, g.param(store, "v"))
     report = grad_check(g, loss, store, tolerance=1e-4)
     assert report["pass"], report
+
+
+def _lstm_problem(n, seed, dx=5, dh=4):
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    store.add("x", (n, dx), init=rng.normal(size=(n, dx)))
+    # weights large enough that some gates saturate
+    store.add("w", (dx + dh, 4 * dh), init=2.0 * rng.normal(size=(dx + dh, 4 * dh)))
+    store.add("b", (4 * dh,), init=rng.normal(size=4 * dh))
+    store.add("v", (n, dh), init=rng.normal(size=(n, dh)))
+    return store
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 6])
+def test_fused_lstm_matches_cells(n, reverse):
+    grads = []
+    for fused in (True, False):
+        store = _lstm_problem(n, seed=n + 10 * reverse)
+        g = Graph()
+        x, w, b, v = (g.param(store, k) for k in ("x", "w", "b", "v"))
+        if fused:
+            hs = g.lstm(x, w, b, reverse=reverse)
+            assert [node.op for node in g.nodes].count("lstm") == 1
+            states = hs.value
+            loss = g.sum(g.mul(hs, v))
+        else:
+            cells = lstm_by_cells(g, [g.select_row(x, t) for t in range(n)],
+                                  w, b, reverse=reverse)
+            np.testing.assert_allclose(states, [h.value for h in cells],
+                                       rtol=0, atol=1e-12)
+            loss = reduce(g.add, [g.inner(h, g.select_row(v, t))
+                                  for t, h in enumerate(cells)])
+        g.backward(loss)
+        grads.append(store.grads)
+    for name in ("x", "w", "b", "v"):
+        assert np.any(grads[1][name])
+        np.testing.assert_allclose(grads[0][name], grads[1][name],
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_fused_lstm_shape_checked():
+    g = Graph()
+    x = g.input(np.zeros((3, 5)))
+    with pytest.raises(ShapeError, match="lstm"):
+        g.lstm(x, g.input(np.zeros((9, 12))), g.input(np.zeros(12)))
+    with pytest.raises(ShapeError, match="lstm"):
+        g.lstm(x, g.input(np.zeros((8, 12))), g.input(np.zeros(4)))
 
 
 def test_param_node_shared_within_graph():
@@ -321,3 +368,45 @@ def test_non_finite_gradient_names_parameter():
     store.grads["bad"][0] = np.nan
     with pytest.raises(NonFiniteGradient, match="bad"):
         clip_and_step(store, 0.1)
+
+
+def _reference_step(store, lr):
+    """w - lr * (clip(g) + 2λw), written out from the definition."""
+    norm = math.sqrt(sum(float((g * g).sum()) for g in store.grads.values()))
+    scale = store.clip / norm if norm > store.clip > 0 else 1.0
+    return {k: w - lr * (scale * store.grads[k] + 2.0 * store.l2 * w)
+            for k, w in store.values.items()}
+
+
+@pytest.mark.parametrize("grad_scale", [0.05, 20.0])
+def test_clip_and_step_matches_reference(grad_scale):
+    rng = np.random.default_rng(31)
+    store = ParameterStore(l2=1e-3, clip=1.0)
+    store.add("a", (4, 3), rng=rng)
+    store.add("b", (5,), init=rng.normal(size=5))
+    store.add("c", (2, 2, 2), init=rng.normal(size=(2, 2, 2)))
+    for g in store.grads.values():
+        g[...] = grad_scale * rng.normal(size=g.shape)
+    clipped = store.grad_norm() > store.clip
+    assert clipped == (grad_scale > 1.0)
+    want = _reference_step(store, 0.3)
+    clip_and_step(store, 0.3)
+    for k, w in want.items():
+        np.testing.assert_allclose(store.values[k], w, rtol=0, atol=1e-14,
+                                   err_msg=k)
+        assert not np.any(store.grads[k])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_names_parameter_among_finite(bad):
+    store = ParameterStore()
+    store.add("fine", (3,), init=np.ones(3))
+    store.add("broken", (2, 2), init="zeros")
+    store.add("after", (2,), init=np.ones(2))
+    store.grads["fine"][:] = 1e3
+    store.grads["broken"][1, 0] = bad
+    before = {k: v.copy() for k, v in store.values.items()}
+    with pytest.raises(NonFiniteGradient, match="'broken'"):
+        clip_and_step(store, 0.1)
+    for k, v in before.items():
+        np.testing.assert_array_equal(store.values[k], v)

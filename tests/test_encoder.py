@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from spandep.encoder import (
     discrete_features,
 )
 from spandep.parts import Target, make_sentence
+
+from .oracles import lstm_by_cells
 
 
 def tiny_encoder(store=None, rng=None, **kw):
@@ -73,8 +76,8 @@ class TestWordDropout:
         enc, _ = tiny_encoder()
         a = enc.encode(Graph(), SENT, training=False)
         b = enc.encode(Graph(), SENT, training=False)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.value, y.value)
+        assert a.value.shape == (3, 8)
+        np.testing.assert_array_equal(a.value, b.value)
 
     def test_oov_maps_to_unk_without_error(self):
         enc, _ = tiny_encoder()
@@ -111,17 +114,18 @@ class TestBiLSTM:
         for name in list(store.values):
             if ".lstm" in name:
                 store.values[name][:] = 0.0
-        hs = enc.encode(Graph(), SENT)
+        hs = enc.encode(Graph(), SENT).value
+        assert hs.shape == (3, 8)
         for h in hs:
-            np.testing.assert_array_equal(h.value, hs[0].value)
-            np.testing.assert_array_equal(h.value, np.zeros(8))
+            np.testing.assert_array_equal(h, hs[0])
+            np.testing.assert_array_equal(h, np.zeros(8))
 
     def test_single_token_sentence(self):
         enc, _ = tiny_encoder()
-        hs = enc.encode(Graph(), make_sentence(["cat"], ["cat"], ["NN"]))
+        hs = enc.encode(Graph(), make_sentence(["cat"], ["cat"], ["NN"])).value
         assert len(hs) == 1
-        assert hs[0].value.shape == (8,)
-        assert np.all(np.isfinite(hs[0].value))
+        assert hs[0].shape == (8,)
+        assert np.all(np.isfinite(hs[0]))
 
     def test_reversal_swaps_directions(self):
         enc, store = tiny_encoder()
@@ -131,24 +135,24 @@ class TestBiLSTM:
                             ["DT", "NN", "VB"])
         rev = make_sentence(["sat", "cat", "the"], ["sit", "cat", "the"],
                             ["VB", "NN", "DT"])
-        hs = enc.encode(Graph(), fwd)
-        hs_r = enc.encode(Graph(), rev)
+        hs = enc.encode(Graph(), fwd).value
+        hs_r = enc.encode(Graph(), rev).value
         half = 4
         for t in range(3):
-            mirrored = hs_r[2 - t].value
-            np.testing.assert_allclose(hs[t].value[:half], mirrored[half:],
+            mirrored = hs_r[2 - t]
+            np.testing.assert_allclose(hs[t][:half], mirrored[half:],
                                        atol=1e-12)
-            np.testing.assert_allclose(hs[t].value[half:], mirrored[:half],
+            np.testing.assert_allclose(hs[t][half:], mirrored[:half],
                                        atol=1e-12)
 
     def test_states_depend_on_whole_sentence(self):
         enc, _ = tiny_encoder(bilstm_layers=2)
         other = make_sentence(["the", "cat", "mat"], ["the", "cat", "mat"],
                               ["DT", "NN", "NN"])
-        hs = enc.encode(Graph(), SENT)
-        hs_o = enc.encode(Graph(), other)
+        hs = enc.encode(Graph(), SENT).value
+        hs_o = enc.encode(Graph(), other).value
         # only the last token differs, but h_0 still changes (backward pass)
-        assert not np.allclose(hs[0].value, hs_o[0].value)
+        assert not np.allclose(hs[0], hs_o[0])
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -257,12 +261,47 @@ def test_gradients_through_whole_encoder():
     enc, store = tiny_encoder(bilstm_layers=2)
     g = Graph()
     hs = enc.encode(g, SENT)
+    assert [n.op for n in g.nodes].count("lstm") == 4
     spans = [(0, 1), (1, 1), (0, 2)]
-    parts = [
+    loss = g.add(g.add(
         g.sum(enc.span_representations(g, hs, spans, 1)),
-        g.sum(enc.span_representation(g, hs, (2, 2), 1)),
-        g.sum(enc.target_representation(g, hs, Target(1, 1, "sit.v"))),
-    ]
-    loss = g.add_n(parts)
+        g.sum(enc.span_representation(g, hs, (2, 2), 1))),
+        g.sum(enc.target_representation(g, hs, Target(1, 1, "sit.v"))))
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=10)
     assert report["pass"], report["per_param"]
+
+
+def test_encode_matches_per_step_cells():
+    """The fused two-layer BiLSTM against the same stack built from
+    ``lstm_cell`` steps, in states and in every parameter gradient."""
+    enc, store = tiny_encoder(bilstm_layers=2)
+    sent = make_sentence(["the", "cat", "sat", "the", "mat"],
+                         ["the", "cat", "sit", "the", "mat"],
+                         ["DT", "NN", "VB", "DT", "NN"])
+    weights = np.random.default_rng(4).normal(size=(5, 8))
+
+    g = Graph()
+    states = enc.encode(g, sent)
+    g.backward(g.sum(g.mul(states, g.input(weights))))
+    fused = {k: v.copy() for k, v in store.grads.items()}
+    store.zero_grads()
+
+    g = Graph()
+    emb = enc.embed(g, sent)
+    rows = [g.select_row(emb, t) for t in range(5)]
+    for layer in range(2):
+        fw, bw = (lstm_by_cells(g, rows,
+                                g.param(store, f"enc.lstm{layer}.{d}.w"),
+                                g.param(store, f"enc.lstm{layer}.{d}.b"),
+                                reverse=d == "bw")
+                  for d in ("fw", "bw"))
+        rows = [g.concat(f, b) for f, b in zip(fw, bw)]
+    np.testing.assert_allclose(states.value, [r.value for r in rows],
+                               rtol=0, atol=1e-12)
+    g.backward(reduce(g.add, [g.inner(r, g.input(weights[t]))
+                              for t, r in enumerate(rows)]))
+    for name, grad in fused.items():
+        if ".lstm" in name:
+            assert np.any(grad), name
+        np.testing.assert_allclose(grad, store.grads[name],
+                                   rtol=0, atol=1e-12, err_msg=name)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ def unit_scorers():
 
 
 def fake_states(g, n=4, dim=6, seed=2):
+    """An (n, dim) matrix node standing in for the encoder's output."""
     rng = np.random.default_rng(seed)
-    return [g.input(rng.normal(size=dim)) for _ in range(n)]
+    return g.input(rng.normal(size=(n, dim)))
 
 
 class TestMultilinearHandCases:
@@ -285,14 +288,14 @@ def test_gradients_through_all_scorers():
     sc, store = small_scorers(rank=2, label_dim=3, mlp_dim=3, bilstm_dim=4)
     g = Graph()
     rng = np.random.default_rng(12)
-    hs = [g.input(rng.normal(size=4)) for _ in range(3)]
+    hs = g.input(rng.normal(size=(3, 4)))
     g_tgt = g.input(rng.normal(size=3))
     g_lu = sc.lu_vec(g, "play.v")
     span_rows = g.input(rng.normal(size=(2, 3)))
     arc_rows = sc.arc_representations(g, hs, [(0, 1), (0, 2)])
     frames = ["F0", "F1"]
     roles = ["R1", "R0"]
-    loss = g.add_n([
+    loss = reduce(g.add, [
         g.sum(sc.predicate_scores(g, frames, g_tgt, g_lu)),
         g.sum(sc.argument_scores(g, frames, roles, span_rows, g_tgt, g_lu)),
         g.sum(sc.cross_task_scores(g, frames, roles, span_rows, arc_rows,
