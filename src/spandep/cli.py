@@ -255,12 +255,17 @@ def cmd_evaluate(args) -> int:
 def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_gap = 0.0
+    exact = no_iterations = 0
     for _ in range(args.n):
         space, constraints = random_joint_instance(rng)
         got = decode(space, constraints)
         _, want = exhaustive_joint_map(space, constraints)
         max_gap = max(max_gap, abs(got.objective - want))
+        exact += got.status == "exact"
+        no_iterations += got.iterations == 0
     print(f"checked {args.n} instances, max objective gap {max_gap:.3g}")
+    print(f"{exact} of {args.n} decodes certified exact, {no_iterations} "
+          f"with zero ADMM iterations")
     if max_gap > args.tolerance:
         print(f"error: gap exceeds tolerance {args.tolerance:g}",
               file=sys.stderr)

@@ -5,11 +5,16 @@ projections, or the min-norm-point routine for segmentation factors),
 averages the factor copies into a consensus vector, and takes a dual step.
 Unary scores are split evenly among the factors touching each variable.
 
-Exactness is certified by comparing a feasible thresholded assignment
-against the running dual bound; when the relaxation stays fractional the
-solver falls back to a small branch-and-bound over clamped subgraphs and,
-past that budget, to a constructive rounding repair.  Status is "exact"
-only with a certificate or a completed search.
+Before iterating, the tree-shaped part of the graph is eliminated exactly
+(``peel``), so the loop only sees the cyclic core: the frame side and the
+arcs out of the target's first token.  A graph that peels away completely
+is solved with no iteration at all.
+
+Exactness is certified at every iteration by comparing a feasible
+thresholded assignment against the dual bound; when the relaxation stays
+fractional the solver falls back to a small branch-and-bound over clamped
+subgraphs of the core and, past that budget, to a constructive rounding
+repair.  Status is "exact" only with a certificate or a completed search.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .factor_graph import FactorGraph, Infeasible, clamp_graph
+from .peel import peel
 from .projections import (
     SemiMarkovProjector,
     project_amo_rows,
@@ -36,7 +42,6 @@ class SolverOptions:
     tol: float = 1e-6
     rho: float = 0.05
     adaptive_rho: bool = True
-    check_every: int = 10
     branch_nodes: int = 64
     node_max_iter: int = 300
 
@@ -175,7 +180,8 @@ class _SemiGroup:
         total = 0.0
         for i, f in enumerate(self.factors):
             eta = omega[self.vars[i]] + self.lam[i]
-            _, val = semi_markov_map(f.spans, eta, f.n, f.max_len)
+            _, val = semi_markov_map(f.spans, eta, f.n, f.max_len,
+                                     table=self.proj[i].table)
             total += val
         return total
 
@@ -250,21 +256,18 @@ class _LoopState:
                 r_sq += g.lam_step(p_new, rho)
             s_sq = float((self.deg * (p_new - p_old) ** 2).sum()) * rho * rho
 
-            if it % opt.check_every == 0 or (r_sq <= (opt.tol * scale) ** 2
-                                             and s_sq <= (opt.tol * scale) ** 2):
-                active = self.threshold_assignment()
-                if graph.check_assignment(active):
-                    val = graph.objective(active)
-                    if val > best_primal:
-                        best_primal, best_active = val, active
-                dual = self.dual_bound()
-                self.dual_history.append(dual)
-                best_dual = min(best_dual, dual)
-                if best_active is not None and best_primal >= best_dual - opt.tol:
-                    return best_active, best_primal, best_dual, it, True
-                if (r_sq <= (opt.tol * scale) ** 2
-                        and s_sq <= (opt.tol * scale) ** 2):
-                    break
+            active = self.threshold_assignment()
+            if graph.check_assignment(active):
+                val = graph.objective(active)
+                if val > best_primal:
+                    best_primal, best_active = val, active
+            dual = self.dual_bound()
+            self.dual_history.append(dual)
+            best_dual = min(best_dual, dual)
+            if best_active is not None and best_primal >= best_dual - opt.tol:
+                return best_active, best_primal, best_dual, it, True
+            if max(r_sq, s_sq) <= (opt.tol * scale) ** 2:
+                break
             if opt.adaptive_rho and it % 10 == 0:
                 if r_sq > 100.0 * s_sq and rho < 1e3:
                     rho *= 2.0
@@ -285,7 +288,7 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
     for _ in range(rounds):
         cr = clamp_graph(graph, decisions)
         g = cr.graph
-        inv = {new: old for old, new in cr.var_map.items()}
+        inv = cr.free.tolist()
         if g.xors:
             f = g.xors[0]
             lits = np.array([p[inv[v]] for v in f.vars])
@@ -343,13 +346,16 @@ def ad3_solve(graph: FactorGraph, max_iter: int = 1000, tol: float = 1e-6,
     """MAP inference via dual decomposition with exactness certificates.
 
     ``fixed`` pins variables of ``graph`` before solving; the returned
-    assignment and objective still refer to the original graph.
+    assignment and objective still refer to the original graph.  The
+    iterations, the search and the rounding run on the core left by
+    ``peel``.
     """
     opt = options if options is not None \
         else SolverOptions(max_iter=max_iter, tol=tol)
 
     cr = clamp_graph(graph, fixed or {})
-    state = _LoopState(cr.graph, opt)
+    peeled = peel(cr.graph)
+    state = _LoopState(peeled.core, opt)
     active, primal, dual, iters, exact = state.run()
 
     if not exact and state.constrained.any():
@@ -378,12 +384,11 @@ def ad3_solve(graph: FactorGraph, max_iter: int = 1000, tol: float = 1e-6,
             if dub <= incumbent[0] + opt.tol or ex or not st.constrained.any():
                 return True
             v_new = _most_fractional(st.p, st.constrained)
-            inv = {new: old for old, new in node.var_map.items()}
             first = st.p[v_new] >= 0.5
             done = True
             for b in (first, not first):
                 child = dict(node.forced)
-                child[inv[v_new]] = bool(b)
+                child[int(node.free[v_new])] = bool(b)
                 done = descend(child) and done
             return done
 
@@ -399,9 +404,9 @@ def ad3_solve(graph: FactorGraph, max_iter: int = 1000, tol: float = 1e-6,
             active = _rounding_repair(state.graph, state.p)
             primal = state.graph.objective(active)
 
-    full = cr.lift(active)
+    full = cr.lift(peeled.lift(active))
     objective = graph.objective(full)
-    labels = frozenset(graph.labels[v] for v in range(graph.nvars) if full[v])
+    labels = frozenset(graph.labels[v] for v in np.flatnonzero(full))
     return SolveResult(assignment=labels, active=full, objective=objective,
                        dual=dual, status="exact" if exact else "rounded",
                        iterations=iters)

@@ -9,10 +9,10 @@ become Pair factors).  Factor types:
   * Pair        -- score fires when both endpoints are true (no constraint)
   * SemiMarkov  -- selected argument spans must not overlap
 
-``clamp`` fixes variables and runs unit propagation to a fixpoint, returning
-a reduced graph plus the score offset absorbed from fixed-true variables and
-resolved Pair factors.  The same machinery serves latent-completion decoding
-and the branch-and-bound fallback in the solver.
+``clamp_graph`` fixes variables and runs unit propagation to a fixpoint,
+returning a reduced graph plus the score offset absorbed from fixed-true
+variables and resolved Pair factors.  The same machinery serves
+latent-completion decoding and the branch-and-bound fallback in the solver.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ from ..parts import (
 
 class Infeasible(SpandepError):
     """No assignment satisfies the constraints."""
+
+
+def _ids(values) -> np.ndarray:
+    return np.fromiter(values, dtype=int)
+
+
+def _rows(factors) -> np.ndarray:
+    """Factor number of each variable slot, in slot order."""
+    return np.repeat(np.arange(len(factors)), [len(f.vars) for f in factors])
 
 
 @dataclass(frozen=True)
@@ -91,16 +100,32 @@ class FactorGraph:
         self.theta = np.asarray(self.theta, dtype=float)
         if len(self.labels) != self.nvars:
             raise ValueError("labels length != variable count")
-        for f in (*self.xors, *self.amos, *self.semis):
-            for v in f.vars:
-                self._check_var(v)
-        for f in self.imps:
-            self._check_var(f.a), self._check_var(f.b)
-        for f in self.pairs:
-            self._check_var(f.a), self._check_var(f.b)
         for f in self.semis:
             if len(f.vars) != len(f.spans):
                 raise ValueError("semi-markov vars/spans mismatch")
+        # flat index arrays, built once and shared by every check below
+        self._xor_var = _ids(v for f in self.xors for v in f.vars)
+        self._xor_neg = np.array([ng for f in self.xors for ng in f.neg],
+                                 dtype=bool)
+        self._xor_row = _rows(self.xors)
+        self._amo_var = _ids(v for f in self.amos for v in f.vars)
+        self._amo_row = _rows(self.amos)
+        self._imp_a = _ids(f.a for f in self.imps)
+        self._imp_b = _ids(f.b for f in self.imps)
+        self._pair_a = _ids(f.a for f in self.pairs)
+        self._pair_b = _ids(f.b for f in self.pairs)
+        self._pair_score = np.array([f.score for f in self.pairs], dtype=float)
+        self._semi = [(np.array(f.vars, dtype=int),
+                       np.array([i for i, _j, _k in f.spans], dtype=int),
+                       np.array([j for _i, j, _k in f.spans], dtype=int))
+                      for f in self.semis]
+        self._all_vars = np.concatenate(
+            [self._xor_var, self._amo_var, *(v for v, _, _ in self._semi),
+             self._imp_a, self._imp_b, self._pair_a, self._pair_b])
+        bad = (self._all_vars < 0) | (self._all_vars >= self.nvars)
+        if bad.any():
+            raise ValueError(
+                f"variable {self._all_vars[bad][0]} out of range")
 
     def _check_var(self, v: int) -> None:
         if not 0 <= v < self.nvars:
@@ -111,52 +136,36 @@ class FactorGraph:
         return len(self.theta)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.nvars, dtype=int)
-        for f in (*self.xors, *self.amos, *self.semis):
-            for v in f.vars:
-                deg[v] += 1
-        for f in self.imps:
-            deg[f.a] += 1
-            deg[f.b] += 1
-        for f in self.pairs:
-            deg[f.a] += 1
-            deg[f.b] += 1
-        return deg
+        """Number of factor slots touching each variable."""
+        return np.bincount(self._all_vars, minlength=self.nvars)
 
     def check_assignment(self, active: np.ndarray) -> bool:
         """True when the boolean assignment satisfies all hard factors."""
         active = np.asarray(active, dtype=bool)
-        for f in self.xors:
-            lits = [active[v] != ng for v, ng in zip(f.vars, f.neg)]
-            if sum(lits) != 1:
+        if len(self.xors):
+            lits = active[self._xor_var] != self._xor_neg
+            if np.any(np.bincount(self._xor_row, weights=lits,
+                                  minlength=len(self.xors)) != 1):
                 return False
-        for f in self.amos:
-            if sum(bool(active[v]) for v in f.vars) > 1:
+        if len(self.amos):
+            if np.any(np.bincount(self._amo_row,
+                                  weights=active[self._amo_var]) > 1):
                 return False
-        for f in self.imps:
-            if active[f.a] and not active[f.b]:
+        if np.any(active[self._imp_a] & ~active[self._imp_b]):
+            return False
+        for vars_, starts, ends in self._semi:
+            on = active[vars_]
+            st, en = starts[on], ends[on]
+            order = np.argsort(st)
+            if np.any(st[order][1:] <= en[order][:-1]):
                 return False
-        for f in self.semis:
-            covered: set[int] = set()
-            for v, (i, j, _k) in zip(f.vars, f.spans):
-                if not active[v]:
-                    continue
-                toks = set(range(i, j + 1))
-                if covered & toks:
-                    return False
-                covered |= toks
         return True
 
     def objective(self, active: np.ndarray) -> float:
         active = np.asarray(active, dtype=bool)
-        val = self.offset + float(self.theta[active].sum())
-        for f in self.pairs:
-            if active[f.a] and active[f.b]:
-                val += f.score
-        return val
-
-    def clamp(self, fixed: Mapping[int, bool]) -> "ClampResult":
-        return clamp_graph(self, fixed)
+        both = active[self._pair_a] & active[self._pair_b]
+        return (self.offset + float(self.theta[active].sum())
+                + float(self._pair_score[both].sum()))
 
     def dump(self) -> str:
         """Line-oriented description, one variable or factor per line."""
@@ -186,24 +195,38 @@ class FactorGraph:
 class ClampResult:
     graph: FactorGraph
     forced: dict[int, bool]          # every fixed variable, original ids
-    var_map: dict[int, int]          # original id -> reduced id (free vars)
+    free: np.ndarray                 # original id of each reduced variable
+
+    @property
+    def var_map(self) -> dict[int, int]:
+        """Original id -> reduced id, for the free variables."""
+        return {int(old): new for new, old in enumerate(self.free)}
 
     def lift(self, active_reduced: np.ndarray) -> np.ndarray:
         """Expand a reduced-graph assignment to original variable ids."""
-        n = len(self.forced) + len(self.var_map)
-        full = np.zeros(n, dtype=bool)
-        for v, val in self.forced.items():
-            full[v] = val
-        for old, new in self.var_map.items():
-            full[old] = bool(active_reduced[new])
+        full = np.zeros(len(self.forced) + len(self.free), dtype=bool)
+        if self.forced:
+            full[list(self.forced)] = list(self.forced.values())
+        full[self.free] = np.asarray(active_reduced, dtype=bool)
         return full
 
 
 def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
     """Fix variables, propagate consequences to a fixpoint, and rebuild.
 
+    With nothing fixed and no single-literal XOR there is nothing to
+    propagate, so the graph comes back as it is, less its at-most-one
+    factors over fewer than two variables and its empty segmentations.
     Raises Infeasible when propagation derives a contradiction.
     """
+    if not fixed and all(len(f.vars) > 1 for f in graph.xors):
+        amos = tuple(f for f in graph.amos if len(f.vars) >= 2)
+        semis = tuple(f for f in graph.semis if f.vars)
+        if len(amos) < len(graph.amos) or len(semis) < len(graph.semis):
+            graph = FactorGraph(graph.theta, graph.labels, graph.xors, amos,
+                                graph.imps, graph.pairs, semis, graph.offset)
+        return ClampResult(graph, {}, np.arange(graph.nvars))
+
     val: dict[int, bool] = {}
 
     def assign(v: int, b: bool) -> bool:
@@ -317,7 +340,7 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
     labels = tuple(graph.labels[v] for v in free_vars)
     reduced = FactorGraph(theta, labels, tuple(xors), tuple(amos),
                           tuple(imps), tuple(pairs), tuple(semis), offset)
-    return ClampResult(reduced, val, var_map)
+    return ClampResult(reduced, val, np.array(free_vars, dtype=int))
 
 
 def build_factor_graph(space: CandidateSpace,

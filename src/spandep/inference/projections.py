@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .semimarkov import semi_markov_map
+from .semimarkov import SpanTable, semi_markov_map
 
 PAD = -1e12
 
@@ -113,6 +113,7 @@ class SemiMarkovProjector:
         self.n = n
         self.max_len = max_len
         self.m = len(self.spans)
+        self.table = SpanTable(self.spans, n, max_len)
         self.vertices: list[tuple[int, ...]] = []
         self.basis = np.zeros((self.m, 0))
         self.mu = np.zeros(0)
@@ -173,7 +174,8 @@ class SemiMarkovProjector:
         if self.m == 0:
             return np.zeros(0)
         if not self.vertices:
-            chosen, _ = semi_markov_map(self.spans, z, self.n, self.max_len)
+            chosen, _ = semi_markov_map(self.spans, z, self.n, self.max_len,
+                                        table=self.table)
             self._add_vertex(chosen, self._vertex(chosen))
             self.mu[:] = 1.0
         # warm starts carry stale weights for the new target
@@ -182,7 +184,8 @@ class SemiMarkovProjector:
         for _ in range(max_iter):
             x = self.basis @ self.mu
             grad = x - z
-            chosen, _ = semi_markov_map(self.spans, -grad, self.n, self.max_len)
+            chosen, _ = semi_markov_map(self.spans, -grad, self.n,
+                                        self.max_len, table=self.table)
             v = self._vertex(chosen)
             if grad @ x - grad @ v <= tol * (1.0 + abs(grad @ x)):
                 break

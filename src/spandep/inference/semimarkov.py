@@ -7,8 +7,8 @@ frame/role pair, or a collapsed is-argument label), plus a parallel score
 array.  Items longer than ``max_len`` are present but never selectable, so
 callers can pass a full candidate list unfiltered.
 
-Three entry points: exact MAP (with deterministic tie-breaking: fewer
-segments first, then earliest construction index), log-partition with
+Three entry points: exact MAP (with deterministic tie-breaking, see
+``semi_markov_map``), log-partition with
 per-item posteriors in log space, and an autodiff op computing the negative
 log-likelihood of a gold segmentation.
 """
@@ -16,7 +16,7 @@ log-likelihood of a gold segmentation.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -31,47 +31,80 @@ def _check_spans(spans: Sequence[SpanItem], n: int) -> None:
             raise ValueError(f"span ({i},{j}) out of range for n={n}")
 
 
+class SpanTable:
+    """The selectable items of one span list, grouped once into (start, end)
+    cells ordered by end, then start, then item index.
+
+    ``semi_markov_map`` takes a table so that callers solving many score
+    vectors over the same items (the segmentation projector and the dual
+    bound) index them only once.
+    """
+
+    def __init__(self, spans: Sequence[SpanItem], n: int, max_len: int):
+        _check_spans(spans, n)
+        order = sorted((j, i, idx) for idx, (i, j, _k) in enumerate(spans)
+                       if j - i + 1 <= max_len)
+        self.order = np.array([idx for _j, _i, idx in order], dtype=int)
+        new_cell = np.array([p == 0 or order[p][:2] != order[p - 1][:2]
+                             for p in range(len(order))], dtype=int)
+        self.cell_first = np.flatnonzero(new_cell)
+        self.cell_of = np.cumsum(new_cell) - 1
+        self.cell_start = [order[p][1] for p in self.cell_first]
+        # the cells ending at token j are cell_start[ends[j]:ends[j + 1]]
+        cell_end = [order[p][0] for p in self.cell_first]
+        self.ends = np.searchsorted(cell_end, np.arange(n + 1)).tolist()
+
+    def best_items(self, scores: np.ndarray) -> tuple[list[int], list[float]]:
+        """Per cell, the best-scoring item (earliest index on ties) and its
+        score."""
+        if not len(self.order):
+            return [], []
+        s = scores[self.order]
+        best = np.maximum.reduceat(s, self.cell_first)
+        hit = np.flatnonzero(s == best[self.cell_of])
+        cells = self.cell_of[hit]
+        first = hit[np.concatenate(([True], cells[1:] != cells[:-1]))]
+        return self.order[first].tolist(), best.tolist()
+
+
 def semi_markov_map(spans: Sequence[SpanItem], scores: np.ndarray,
-                    n: int, max_len: int) -> tuple[list[int], float]:
+                    n: int, max_len: int, table: Optional[SpanTable] = None
+                    ) -> tuple[list[int], float]:
     """Highest-scoring set of non-overlapping spans; the empty set scores 0.
 
     Returns (chosen item indices in left-to-right order, total score).
+    Each span's cell keeps its best item, the earliest index on ties; at
+    each token, among equal totals the DP prefers fewer segments, then
+    skipping the token, then the cell with the earliest start.  ``table``
+    is ``SpanTable(spans, n, max_len)``, built here when not given.
     """
     scores = np.asarray(scores, dtype=float)
-    _check_spans(spans, n)
-    # per (i, j) cell keep only the best-scoring item (earliest index on ties)
-    cell: dict[tuple[int, int], int] = {}
-    for idx, (i, j, _k) in enumerate(spans):
-        if j - i + 1 > max_len:
-            continue
-        cur = cell.get((i, j))
-        if cur is None or scores[idx] > scores[cur]:
-            cell[(i, j)] = idx
-    by_end: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (i, j), idx in sorted(cell.items()):
-        by_end[j].append((i, idx))
-
-    val = np.zeros(n + 1)
-    cnt = np.zeros(n + 1, dtype=int)
-    back: list = [None] * (n + 1)
+    if table is None:
+        table = SpanTable(spans, n, max_len)
+    items, cell_scores = table.best_items(scores)
+    starts, ends = table.cell_start, table.ends
+    val = [0.0] * (n + 1)
+    cnt = [0] * (n + 1)
+    back = [-1] * (n + 1)
     for j in range(1, n + 1):
-        v, c, b = val[j - 1], cnt[j - 1], None  # skip token j-1
-        for (i, idx) in by_end[j - 1]:
-            nv = val[i] + scores[idx]
+        v, c, b = val[j - 1], cnt[j - 1], -1  # skip token j-1
+        for k in range(ends[j - 1], ends[j]):
+            i = starts[k]
+            nv = val[i] + cell_scores[k]
             nc = cnt[i] + 1
             if nv > v or (nv == v and nc < c):
-                v, c, b = nv, nc, (i, idx)
+                v, c, b = nv, nc, k
         val[j], cnt[j], back[j] = v, c, b
 
     chosen: list[int] = []
     j = n
     while j > 0:
-        if back[j] is None:
+        k = back[j]
+        if k < 0:
             j -= 1
         else:
-            i, idx = back[j]
-            chosen.append(idx)
-            j = i
+            chosen.append(items[k])
+            j = starts[k]
     chosen.reverse()
     return chosen, float(val[n])
 

@@ -115,13 +115,13 @@ class ParserModel:
             covered += len(ids)
             segments.append(node)
 
-        g_tgt = g_lu = span_matrix = arc_rows = None
+        terms = span_matrix = arc_rows = None
         span_row: dict[tuple[int, int], int] = {}
         if space.predicate_ids:
             g_tgt = self.encoder.target_representation(g, hs, space.target)
-            g_lu = sc.lu_vec(g, space.target.lu)
+            terms = sc.target_terms(g, g_tgt, sc.lu_vec(g, space.target.lu))
             frames = [parts[i].frame for i in space.predicate_ids]
-            push(space.predicate_ids, sc.predicate_scores(g, frames, g_tgt, g_lu))
+            push(space.predicate_ids, sc.predicate_scores(g, frames, terms))
 
         if space.argument_ids:
             spans = sorted({parts[i].span for i in space.argument_ids})
@@ -132,7 +132,7 @@ class ParserModel:
                             [span_row[parts[i].span] for i in space.argument_ids])
             push(space.argument_ids, sc.argument_scores(
                 g, [parts[i].frame for i in space.argument_ids],
-                [parts[i].role for i in space.argument_ids], rows, g_tgt, g_lu))
+                [parts[i].role for i in space.argument_ids], rows, terms))
 
         if space.head_ids:
             push(space.head_ids, sc.head_scores(
@@ -161,7 +161,7 @@ class ParserModel:
                                         for i in space.cross_ids])
             cross_node = sc.cross_task_scores(
                 g, [a.frame for a in cargs], [a.role for a in cargs],
-                crows, carcs, g_tgt, g_lu)
+                crows, carcs, terms)
             push(space.cross_ids, cross_node)
 
         if covered != len(parts):

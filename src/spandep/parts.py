@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -254,7 +255,7 @@ class CandidateSpace:
     """All scoreable parts for one decoding instance, with parallel scores.
 
     Index structures are derived once in ``__post_init__`` and never mutated;
-    ``with_scores`` produces a scored copy sharing the part list.
+    ``with_scores`` produces a scored copy sharing the part list and index.
     """
 
     sentence: Sentence
@@ -318,10 +319,14 @@ class CandidateSpace:
         return float(self.scores[self.part_to_id[part]])
 
     def with_scores(self, scores: np.ndarray) -> "CandidateSpace":
+        """A copy carrying ``scores`` that shares this space's parts and
+        derived index."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != (len(self.parts),):
             raise ValueError(f"expected {len(self.parts)} scores, got {scores.shape}")
-        return CandidateSpace(self.sentence, self.target, self.frames, self.parts, scores)
+        scored = copy.copy(self)
+        scored.scores = scores
+        return scored
 
     def ids_of(self, parts: Iterable[Part]) -> list[int]:
         return [self.part_to_id[p] for p in parts]

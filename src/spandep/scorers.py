@@ -16,6 +16,7 @@ parameters with the single-part paths and must agree with them exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,18 @@ from .autodiff import Graph, Node, ParameterStore
 from .parts import SpandepError
 
 _DEP_IN = {"head": 1, "ua": 2, "lab": 2, "top": 1}
+
+
+@dataclass
+class TargetTerms:
+    """Graph nodes shared by the batched frame-side scorers of one target:
+    the product of its target and lexical-unit slots, and the transposed
+    rank factors."""
+
+    fixed: Node
+    w1_t: Node
+    u1_t: Node
+    u2_t: Node
 
 
 class Scorers:
@@ -148,42 +161,49 @@ class Scorers:
 
     # --- batched paths ------------------------------------------------------
 
-    def _fixed_slots(self, g: Graph, g_tgt: Node, g_lu: Node) -> Node:
-        return g.mul(g.matvec(self._p(g, "w2"), g_tgt),
-                     g.matvec(self._p(g, "w3"), g_lu))
+    def target_terms(self, g: Graph, g_tgt: Node, g_lu: Node) -> TargetTerms:
+        """The products every frame-side part of one target shares, each
+        entering the graph once."""
+        return TargetTerms(
+            fixed=g.mul(g.matvec(self._p(g, "w2"), g_tgt),
+                        g.matvec(self._p(g, "w3"), g_lu)),
+            w1_t=g.transpose(self._p(g, "w1")),
+            u1_t=g.transpose(self._p(g, "u1")),
+            u2_t=g.transpose(self._p(g, "u2")))
 
-    def _frame_rows(self, g: Graph, frames: Sequence[str]) -> Node:
+    def _frame_rows(self, g: Graph, frames: Sequence[str],
+                    terms: TargetTerms) -> Node:
         ids = [self.frame_ix[f] for f in frames]
         return g.matmul(g.lookup(self._p(g, "emb.frame"), ids),
-                        g.transpose(self._p(g, "w1")))
+                        terms.w1_t)
 
-    def predicate_scores(self, g: Graph, frames: Sequence[str], g_tgt: Node,
-                         g_lu: Node) -> Node:
+    def predicate_scores(self, g: Graph, frames: Sequence[str],
+                         terms: TargetTerms) -> Node:
         """Scores for predicate parts sharing one target, as a vector node."""
-        return g.matvec(self._frame_rows(g, frames),
-                        self._fixed_slots(g, g_tgt, g_lu))
+        return g.matvec(self._frame_rows(g, frames, terms), terms.fixed)
 
-    def _arg_products(self, g: Graph, frames, roles, span_rows: Node) -> Node:
+    def _arg_products(self, g: Graph, frames, roles, span_rows: Node,
+                      terms: TargetTerms) -> Node:
         role_ids = [self.role_ix[r] for r in roles]
-        a = self._frame_rows(g, frames)
-        d = g.matmul(span_rows, g.transpose(self._p(g, "u1")))
+        a = self._frame_rows(g, frames, terms)
+        d = g.matmul(span_rows, terms.u1_t)
         e = g.matmul(g.lookup(self._p(g, "emb.role"), role_ids),
-                     g.transpose(self._p(g, "u2")))
+                     terms.u2_t)
         return g.mul(g.mul(a, d), e)
 
     def argument_scores(self, g: Graph, frames: Sequence[str],
                         roles: Sequence[str], span_rows: Node,
-                        g_tgt: Node, g_lu: Node) -> Node:
+                        terms: TargetTerms) -> Node:
         """span_rows holds one span representation per part, row-aligned."""
-        return g.matvec(self._arg_products(g, frames, roles, span_rows),
-                        self._fixed_slots(g, g_tgt, g_lu))
+        return g.matvec(self._arg_products(g, frames, roles, span_rows, terms),
+                        terms.fixed)
 
     def cross_task_scores(self, g: Graph, frames: Sequence[str],
                           roles: Sequence[str], span_rows: Node,
-                          arc_rows: Node, g_tgt: Node, g_lu: Node) -> Node:
-        prod = g.mul(self._arg_products(g, frames, roles, span_rows),
+                          arc_rows: Node, terms: TargetTerms) -> Node:
+        prod = g.mul(self._arg_products(g, frames, roles, span_rows, terms),
                      g.matmul(arc_rows, g.transpose(self._p(g, "v2"))))
-        fixed = g.mul(self._fixed_slots(g, g_tgt, g_lu),
+        fixed = g.mul(terms.fixed,
                       g.matvec(self._p(g, "v1"), self._p(g, "ua.w")))
         return g.matvec(prod, fixed)
 

@@ -67,6 +67,80 @@ def map_by_enumeration(spans, scores, n, max_len):
     return best, best_val
 
 
+def semi_markov_map_by_lists(spans, scores, n, max_len):
+    """The list-based semi-Markov MAP, rebuilding its cell index on every
+    call: the reference for ``semi_markov_map`` down to its tie-breaking
+    (per cell the best item, earliest index on ties; at each token, among
+    equal totals, fewer segments, then skipping, then the earliest start)."""
+    cell = {}
+    for idx, (i, j, _k) in enumerate(spans):
+        if j - i + 1 > max_len:
+            continue
+        cur = cell.get((i, j))
+        if cur is None or scores[idx] > scores[cur]:
+            cell[(i, j)] = idx
+    by_end = {}
+    for (i, j), idx in sorted(cell.items()):
+        by_end.setdefault(j, []).append((i, idx))
+    val = np.zeros(n + 1)
+    cnt = np.zeros(n + 1, dtype=int)
+    back = [None] * (n + 1)
+    for j in range(1, n + 1):
+        v, c, b = val[j - 1], cnt[j - 1], None
+        for (i, idx) in by_end.get(j - 1, ()):
+            nv = val[i] + scores[idx]
+            nc = cnt[i] + 1
+            if nv > v or (nv == v and nc < c):
+                v, c, b = nv, nc, (i, idx)
+        val[j], cnt[j], back[j] = v, c, b
+    chosen = []
+    j = n
+    while j > 0:
+        if back[j] is None:
+            j -= 1
+        else:
+            i, idx = back[j]
+            chosen.append(idx)
+            j = i
+    chosen.reverse()
+    return chosen, float(val[n])
+
+
+def check_assignment_by_loops(graph, active):
+    """Factor-by-factor feasibility check of a boolean assignment: the
+    reference for ``FactorGraph.check_assignment``."""
+    for f in graph.xors:
+        if sum(bool(active[v]) != ng for v, ng in zip(f.vars, f.neg)) != 1:
+            return False
+    for f in graph.amos:
+        if sum(bool(active[v]) for v in f.vars) > 1:
+            return False
+    for f in graph.imps:
+        if active[f.a] and not active[f.b]:
+            return False
+    for f in graph.semis:
+        covered = set()
+        for v, (i, j, _k) in zip(f.vars, f.spans):
+            if not active[v]:
+                continue
+            toks = set(range(i, j + 1))
+            if covered & toks:
+                return False
+            covered |= toks
+    return True
+
+
+def objective_by_loops(graph, active):
+    """Offset plus active unary scores plus each pair whose endpoints are
+    both active: the reference for ``FactorGraph.objective``."""
+    val = graph.offset + sum(float(graph.theta[v])
+                             for v in range(graph.nvars) if active[v])
+    for f in graph.pairs:
+        if active[f.a] and active[f.b]:
+            val += f.score
+    return val
+
+
 def log_partition_by_enumeration(spans, scores, n, max_len):
     total = [sum(scores[i] for i in subset)
              for subset in enumerate_segmentations(spans, n, max_len)]
@@ -96,6 +170,58 @@ def random_span_problem(rng, n_max=8, max_len=3, n_keys=2, scale=2.0):
     spans = [s for s, m in zip(spans, keep) if m]
     scores = rng.normal(scale=scale, size=len(spans))
     return spans, scores, n
+
+
+def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
+    """A small random factor graph: a cyclic core (an XOR with negated
+    literals, an at-most-one, pairs and a segmentation factor over shared
+    variables) with tree-shaped pieces hung on it (label-style XORs,
+    implications in both directions, two-level chains), plus a detached
+    XOR and an isolated variable."""
+    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
+                                                Implication, Pair,
+                                                SemiMarkov, Xor)
+
+    nv = [0]
+
+    def new():
+        nv[0] += 1
+        return nv[0] - 1
+
+    def neg(k):
+        return tuple(bool(b) for b in rng.random(k) < 0.3)
+
+    core = [new() for _ in range(n_core)]
+    xors = [Xor(tuple(core[:3]), neg(3))]
+    amos = [AtMostOne((core[1], core[-1]))]
+    pairs = [Pair(core[0], core[-1], float(rng.normal(scale=2.0))),
+             Pair(core[2], core[1], float(rng.normal(scale=2.0)))]
+    spans = [(int(i), int(i) + int(rng.integers(0, 2)), "s")
+             for i in rng.integers(0, n_tokens - 1, size=n_core)]
+    semis = [SemiMarkov(tuple(core), tuple(spans), n_tokens, 2)]
+    imps = []
+    for _ in range(n_trees):
+        r = core[int(rng.integers(0, n_core))]
+        kind = int(rng.integers(0, 4))
+        if kind == 0:    # r tied to exactly one of its leaves, as an arc
+            leaves = [new() for _ in range(int(rng.integers(1, 4)))]
+            xors.append(Xor((r, *leaves), (True,) + neg(len(leaves))))
+        elif kind == 1:  # a leaf that implies r
+            imps.append(Implication(new(), r))
+        elif kind == 2:  # r implies a leaf, as an arc implies its head
+            imps.append(Implication(r, new()))
+        else:            # an arc with labels under a head that is r
+            arc = new()
+            leaves = [new() for _ in range(int(rng.integers(1, 3)))]
+            xors.append(Xor((arc, *leaves), (True,) + neg(len(leaves))))
+            imps.append(Implication(arc, r))
+    top = [new() for _ in range(int(rng.integers(1, 4)))]
+    xors.append(Xor(tuple(top), neg(len(top))))
+    new()  # isolated
+    theta = rng.normal(scale=1.5, size=nv[0])
+    return FactorGraph(theta, tuple(range(nv[0])), tuple(xors), tuple(amos),
+                       tuple(imps), tuple(pairs), tuple(semis),
+                       float(rng.normal()))
 
 
 def part_set_objective(space, parts):

@@ -110,6 +110,10 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         m = re.search(r"max objective gap (\S+)", out)
         assert m and float(m.group(1)) <= 1e-6
+        m = re.search(r"(\d+) of 100 decodes certified exact, (\d+) with "
+                      r"zero ADMM iterations", out)
+        assert m and 0 < int(m.group(1)) <= 100
+        assert 0 <= int(m.group(2)) <= int(m.group(1))
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = cli(["oracle-check", "--n", "5", "--seed", "0",
@@ -117,6 +121,7 @@ class TestOracleCheck:
         out = capsys.readouterr()
         gap = float(re.search(r"max objective gap (\S+)", out.out).group(1))
         assert (rc == 0) == (gap == 0.0)
+        assert "of 5 decodes certified exact" in out.out
 
 
 class TestTrainPredictRoundTrip:

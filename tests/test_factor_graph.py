@@ -23,6 +23,13 @@ from spandep.parts import (
     build_candidate_space,
     make_sentence,
 )
+from spandep.synthetic import random_joint_instance
+
+from .oracles import (
+    check_assignment_by_loops,
+    objective_by_loops,
+    random_factor_graph,
+)
 
 
 def joint_space(scores=None):
@@ -178,3 +185,69 @@ class TestClamp:
         assert g.objective(on_first) == pytest.approx(1.25)
         assert not g.check_assignment(np.array([True, True]))
         assert g.objective(np.array([True, True])) == pytest.approx(3.75)
+
+
+class TestFlatIndex:
+    def test_check_and_objective_match_the_loops(self):
+        rng = np.random.default_rng(41)
+        feasible = 0
+        for k in range(60):
+            if k % 2:
+                g = random_factor_graph(rng)
+            else:
+                space, constraints = random_joint_instance(rng)
+                g = build_factor_graph(space, constraints)
+            for _ in range(20):
+                active = rng.random(g.nvars) < rng.random()
+                ok = g.check_assignment(active)
+                assert ok == check_assignment_by_loops(g, active)
+                feasible += ok
+                assert g.objective(active) == pytest.approx(
+                    objective_by_loops(g, active), abs=1e-12)
+        assert feasible > 0
+
+    def test_semi_markov_overlap_at_a_shared_start(self):
+        spans = ((0, 2, "x"), (0, 0, "y"), (3, 3, "z"))
+        g = FactorGraph(np.zeros(3), tuple("abc"),
+                        semis=(SemiMarkov((0, 1, 2), spans, 4, 4),))
+        assert not g.check_assignment(np.array([True, True, False]))
+        assert g.check_assignment(np.array([True, False, True]))
+
+    def test_degrees_count_every_slot(self):
+        g = FactorGraph(np.zeros(4), tuple("abcd"),
+                        xors=(Xor((0, 1), (False, True)),),
+                        amos=(AtMostOne((1, 2)),),
+                        imps=(Implication(2, 3),),
+                        pairs=(Pair(0, 3, 1.0),))
+        assert g.degrees().tolist() == [2, 2, 2, 2]
+
+    def test_out_of_range_variable_is_named(self):
+        for bad in ({"xors": (Xor((0, 5), (False, False)),)},
+                    {"imps": (Implication(-1, 0),)},
+                    {"pairs": (Pair(0, 2, 1.0),)}):
+            with pytest.raises(ValueError, match="out of range"):
+                FactorGraph(np.zeros(2), ("a", "b"), **bad)
+
+
+class TestClampPassThrough:
+    def test_nothing_fixed_returns_the_graph(self):
+        g = build_factor_graph(joint_space(), GraphConstraints())
+        cr = clamp_graph(g, {})
+        assert cr.graph is g and cr.forced == {}
+        assert cr.lift(np.ones(g.nvars, dtype=bool)).all()
+
+    def test_singleton_amo_is_still_dropped(self):
+        g = FactorGraph(np.zeros(3), tuple("abc"),
+                        xors=(Xor((0, 1), (False, False)),),
+                        amos=(AtMostOne((2,)), AtMostOne((0, 2))))
+        cr = clamp_graph(g, {})
+        assert cr.graph.amos == (AtMostOne((0, 2)),)
+        assert cr.graph.xors == g.xors and cr.var_map == {0: 0, 1: 1, 2: 2}
+
+    def test_single_literal_xor_still_propagates(self):
+        g = FactorGraph(np.zeros(3), tuple("abc"),
+                        xors=(Xor((0,), (True,)),),
+                        imps=(Implication(1, 0),))
+        cr = clamp_graph(g, {})
+        assert cr.forced == {0: False, 1: False}
+        assert cr.graph.nvars == 1

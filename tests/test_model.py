@@ -166,3 +166,20 @@ def test_pruner_sized_preset():
 def test_config_round_trip():
     cfg = ModelConfig(rank=7)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_shared_frame_terms_are_built_once():
+    # the target/lexical-unit slot product and each transposed rank factor
+    # appear once in the graph, however many frame-side part types use them
+    model = tiny_model()
+    g = Graph()
+    model.score_space(g, joint_space())
+    sc = model.scorers
+    params = {id(g.param(sc.store, f"sc.{name}")): name
+              for name in ("w1", "w2", "w3", "u1", "u2", "v2")}
+    transposed = sorted(params[id(n.parents[0])] for n in g.nodes
+                        if n.op == "transpose" and id(n.parents[0]) in params)
+    assert transposed == ["u1", "u2", "v2", "w1"]
+    slot_uses = [n for n in g.nodes if n.op == "matvec"
+                 and params.get(id(n.parents[0])) in ("w2", "w3")]
+    assert len(slot_uses) == 2

@@ -258,3 +258,20 @@ def test_with_scores_shares_parts():
     assert scored.score_of(space.parts[1]) == 1.0
     with pytest.raises(ValueError):
         space.with_scores(np.zeros(3))
+    with pytest.raises(ValueError):
+        space.with_scores(np.zeros((len(space), 1)))
+
+
+def test_with_scores_shares_the_derived_index():
+    sent = make_sentence(["a", "b", "c"])
+    space = build_candidate_space(sent, Target(1, 1, "run.v"), ONT,
+                                  SpaceLimits(dep_labels=("A", "B")))
+    assert space.cross_ids and space.labels_for_arc
+    scored = space.with_scores(np.ones(len(space)))
+    again = scored.with_scores(np.zeros(len(space)))
+    for name in ("part_to_id", "predicate_ids", "argument_ids", "head_ids",
+                 "arc_ids", "root_arc_ids", "labeled_ids", "cross_ids",
+                 "labels_for_arc", "cross_for_arg"):
+        assert getattr(again, name) is getattr(space, name), name
+    assert space.scores.sum() == 0.0 and again.scores.sum() == 0.0
+    assert scored.scores.sum() == len(space)

@@ -228,7 +228,8 @@ class TestBatchEqualsSingle:
         rng = np.random.default_rng(10)
         g_tgt = g.input(rng.normal(size=4))
         g_lu = sc.lu_vec(g, "play.v")
-        batch = sc.predicate_scores(g, ["F0", "F1", "F0"], g_tgt, g_lu)
+        batch = sc.predicate_scores(g, ["F0", "F1", "F0"],
+                                    sc.target_terms(g, g_tgt, g_lu))
         for k, frame in enumerate(["F0", "F1", "F0"]):
             single = sc.score_predicate(g, sc.frame_vec(g, frame), g_tgt, g_lu)
             assert batch.value[k] == pytest.approx(float(single.value), rel=1e-12)
@@ -243,9 +244,10 @@ class TestBatchEqualsSingle:
         roles = ["R0", "R2", "R1"]
         span_rows = g.input(rng.normal(size=(3, 4)))
         arc_rows = g.input(rng.normal(size=(3, 4)))
-        args = sc.argument_scores(g, frames, roles, span_rows, g_tgt, g_lu)
+        terms = sc.target_terms(g, g_tgt, g_lu)
+        args = sc.argument_scores(g, frames, roles, span_rows, terms)
         cross = sc.cross_task_scores(g, frames, roles, span_rows, arc_rows,
-                                     g_tgt, g_lu)
+                                     terms)
         for k in range(3):
             sr = g.select_row(span_rows, k)
             ar = g.select_row(arc_rows, k)
@@ -295,11 +297,12 @@ def test_gradients_through_all_scorers():
     arc_rows = sc.arc_representations(g, hs, [(0, 1), (0, 2)])
     frames = ["F0", "F1"]
     roles = ["R1", "R0"]
+    terms = sc.target_terms(g, g_tgt, g_lu)
     loss = reduce(g.add, [
-        g.sum(sc.predicate_scores(g, frames, g_tgt, g_lu)),
-        g.sum(sc.argument_scores(g, frames, roles, span_rows, g_tgt, g_lu)),
+        g.sum(sc.predicate_scores(g, frames, terms)),
+        g.sum(sc.argument_scores(g, frames, roles, span_rows, terms)),
         g.sum(sc.cross_task_scores(g, frames, roles, span_rows, arc_rows,
-                                   g_tgt, g_lu)),
+                                   terms)),
         g.sum(sc.head_scores(g, hs, [0, 1])),
         g.sum(sc.unlabeled_scores(g, arc_rows)),
         g.sum(sc.labeled_scores(g, hs, [(0, 1, "a1"), (1, 2, "a2")])),

@@ -3,6 +3,7 @@ import pytest
 
 from spandep.autodiff import Graph, ParameterStore, grad_check
 from spandep.inference.semimarkov import (
+    SpanTable,
     nll_node,
     semi_markov_log_partition,
     semi_markov_map,
@@ -15,6 +16,7 @@ from .oracles import (
     map_by_enumeration,
     marginals_by_enumeration,
     random_span_problem,
+    semi_markov_map_by_lists,
 )
 
 
@@ -148,3 +150,25 @@ def test_nll_rejects_overlapping_gold():
     s = g.input(np.zeros(2))
     with pytest.raises(ValueError):
         nll_node(g, s, spans, 2, 20, gold_indices=[0, 1])
+
+
+def test_map_matches_the_list_reference_with_ties():
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        spans, scores, n = random_span_problem(rng, n_keys=3)
+        if trial % 2:  # integer scores: exact ties everywhere
+            scores = rng.integers(-2, 3, size=len(spans)).astype(float)
+        max_len = int(rng.integers(1, 4))
+        want = semi_markov_map_by_lists(spans, scores, n, max_len)
+        assert semi_markov_map(spans, scores, n, max_len) == want
+        table = SpanTable(spans, n, max_len)
+        for _ in range(3):  # one table serves many score vectors
+            assert semi_markov_map(spans, scores, n, max_len,
+                                   table=table) == want
+            scores = rng.integers(-1, 2, size=len(spans)).astype(float)
+            want = semi_markov_map_by_lists(spans, scores, n, max_len)
+
+
+def test_map_with_no_selectable_item():
+    assert semi_markov_map([(0, 2, "a")], [3.0], 3, 2) == ([], 0.0)
+    assert semi_markov_map([], [], 2, 2) == ([], 0.0)
