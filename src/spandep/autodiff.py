@@ -9,7 +9,9 @@ which is what the finite-difference checker needs.
 
 Ops are coarse where it pays: ``lstm`` runs a whole recurrent sweep over the
 rows of a matrix as one node and keeps its gate activations in ``ctx`` for
-the backward pass, and batched consumers gather rows with ``lookup``.
+the backward pass, batched consumers gather rows with ``lookup``, and
+``gathered_affine`` gives the first layer of an MLP over concatenated rows
+from per-row products of row slices of its weight matrix.
 
 Supported shapes are scalars, vectors and matrices; no broadcasting beyond
 the bias row in ``affine`` and no GPU paths.
@@ -104,7 +106,7 @@ def _f_param(node):
 @_op("lookup")
 def _f_lookup(node):
     (table,) = node.parents
-    return table.value[np.asarray(node.ctx)]
+    return table.value[node.ctx]
 
 
 @_op("select_row")
@@ -113,11 +115,11 @@ def _f_select_row(node):
     return x.value[node.ctx]
 
 
-@_op("slice_cols")
-def _f_slice_cols(node):
+@_op("slice_rows")
+def _f_slice_rows(node):
     (x,) = node.parents
     a, b = node.ctx
-    return x.value[..., a:b]
+    return x.value[a:b]
 
 
 @_op("concat")
@@ -260,7 +262,7 @@ def _b_lookup(node):
     (table,) = node.parents
     if table.grad is None:
         table.grad = np.zeros_like(table.value)
-    np.add.at(table.grad, np.asarray(node.ctx), node.grad)
+    np.add.at(table.grad, node.ctx, node.grad)
 
 
 @_bk("select_row")
@@ -271,13 +273,13 @@ def _b_select_row(node):
     x.grad[node.ctx] += node.grad
 
 
-@_bk("slice_cols")
-def _b_slice_cols(node):
+@_bk("slice_rows")
+def _b_slice_rows(node):
     (x,) = node.parents
     a, b = node.ctx
     if x.grad is None:
         x.grad = np.zeros_like(x.value)
-    x.grad[..., a:b] += node.grad
+    x.grad[a:b] += node.grad
 
 
 @_bk("concat")
@@ -458,15 +460,19 @@ class Graph:
     def lookup(self, table: Node, indices: Sequence[int]) -> Node:
         if table.value.ndim != 2:
             raise ShapeError(f"lookup table must be a matrix, got {table.shape}")
-        return self._push("lookup", (table,), tuple(int(i) for i in indices))
+        return self._push("lookup", (table,), np.asarray(indices, dtype=int))
 
     def select_row(self, x: Node, i: int) -> Node:
         if x.value.ndim != 2:
             raise ShapeError(f"select_row needs a matrix, got {x.shape}")
         return self._push("select_row", (x,), int(i))
 
-    def slice_cols(self, x: Node, a: int, b: int) -> Node:
-        return self._push("slice_cols", (x,), (a, b))
+    def slice_rows(self, x: Node, a: int, b: int) -> Node:
+        """Rows ``a:b`` of a matrix (entries of a vector); the backward
+        pass adds into that slice of the parent's gradient."""
+        if x.value.ndim == 0 or not 0 <= a < b <= x.value.shape[0]:
+            raise ShapeError(f"slice_rows {a}:{b} of {x.shape}")
+        return self._push("slice_rows", (x,), (int(a), int(b)))
 
     def concat(self, *xs: Node) -> Node:
         for x in xs:
@@ -572,18 +578,46 @@ class Graph:
 
     def backward(self, loss: Node) -> None:
         """Accumulate d(loss)/d(param) into each parameter store touched by
-        the graph.  ``loss`` must be scalar."""
+        the graph.  ``loss`` must be scalar.
+
+        A parameter node's ``grad`` is its store's accumulator itself, so
+        the backward rules add straight into ``ParameterStore.grads``."""
         if loss.value.shape != ():
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         self.zero_grad()
-        loss.grad = np.asarray(1.0)
+        for node in self._param_cache.values():
+            store, pname = node.ctx
+            node.grad = store.grads[pname]
+        accumulate(loss, np.asarray(1.0))
         for node in reversed(self.nodes):
-            if node.grad is None:
-                continue
-            _BACKWARD[node.op](node)
-            if node.op == "param":
-                store, pname = node.ctx
-                store.grads[pname] += node.grad
+            if node.grad is not None:
+                _BACKWARD[node.op](node)
+
+
+def gathered_affine(g: Graph,
+                    blocks: Sequence[tuple[Node, Optional[Sequence[int]]]],
+                    w: Node, b: Node) -> Node:
+    """``affine(concat_cols(x1[ids1], x2[ids2], ...), w, b)`` without
+    building the concatenation.
+
+    Each block ``(x, ids)`` is projected through its own contiguous row
+    slice of ``w`` once per row of ``x``, then gathered by ``ids`` (taken
+    whole when ``ids`` is None); the gathered products are summed and the
+    bias joins the first block's projection.  A part then costs one row
+    addition per block rather than a row of the full product."""
+    out, start = None, 0
+    for x, ids in blocks:
+        stop = start + x.value.shape[-1]
+        w_k = g.slice_rows(w, start, stop)
+        proj = g.affine(x, w_k, b) if out is None else g.matmul(x, w_k)
+        if ids is not None:
+            proj = g.lookup(proj, ids)
+        out = proj if out is None else g.add(out, proj)
+        start = stop
+    if start != w.value.shape[0]:
+        raise ShapeError(f"gathered_affine: blocks cover {start} of "
+                         f"{w.value.shape[0]} rows of w")
+    return out
 
 
 class ParameterStore:

@@ -49,8 +49,8 @@ from .pruning import (
 from .synthetic import random_joint_instance
 from .training import (
     TrainConfig,
-    predict_dependencies,
-    predict_frames,
+    dependency_predictions,
+    frame_predictions,
     train,
 )
 
@@ -220,11 +220,17 @@ def cmd_predict(args) -> int:
     members = _load_members(args)
     if args.format == "fn":
         sentences = read_frames(args.input, members[0].ontology)
-        write_frames(predict_frames(members, sentences), args.output)
+        pred, uncertified = frame_predictions(members, sentences)
+        decodes = sum(len(s.supervision.parses) for s in sentences)
+        write_frames(pred, args.output)
     else:
         sentences = read_sdp(args.input)
-        write_sdp(predict_dependencies(members, sentences), args.output)
+        pred, uncertified = dependency_predictions(members, sentences)
+        decodes = len(sentences)
+        write_sdp(pred, args.output)
     print(f"wrote {len(sentences)} sentences to {args.output}")
+    print(f"{uncertified} of {decodes} decodes not certified exact",
+          file=sys.stderr)
     return 0
 
 

@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParameterStore, ShapeError
+from .autodiff import (Graph, Node, ParameterStore, ShapeError,
+                       gathered_affine)
 from .parts import Sentence, Target
 
 UNK = "<unk>"
@@ -181,31 +182,31 @@ class Encoder:
 
     # --- representations ----------------------------------------------------
 
-    def _mlp(self, g: Graph, x: Node, tag: str) -> Node:
+    def _mlp(self, g: Graph, first: Node, tag: str) -> Node:
+        """Two tanh layers, given the first layer's pre-activation."""
         p = lambda s: g.param(self.store, f"{self.prefix}.{tag}.{s}")
-        h1 = g.tanh(g.affine(x, p("w1"), p("b1")))
-        return g.tanh(g.affine(h1, p("w2"), p("b2")))
+        return g.tanh(g.affine(g.tanh(first), p("w2"), p("b2")))
 
-    def span_representation(self, g: Graph, hs: Node,
-                            span: tuple[int, int], target_start: int) -> Node:
-        i, j = span
-        x = g.concat(g.select_row(hs, i), g.select_row(hs, j),
-                     g.input(discrete_features(span, target_start)))
-        return self._mlp(g, x, "span")
+    def _w1(self, g: Graph, tag: str) -> tuple[Node, Node]:
+        return (g.param(self.store, f"{self.prefix}.{tag}.w1"),
+                g.param(self.store, f"{self.prefix}.{tag}.b1"))
 
     def span_representations(self, g: Graph, hs: Node,
                              spans: Sequence[tuple[int, int]],
                              target_start: int) -> Node:
-        """All spans at once as a (len(spans), mlp_dim) matrix node."""
+        """All spans at once as a (len(spans), mlp_dim) matrix node.  The
+        first layer over [h_i; h_j; features] adds the boundary tokens'
+        projections, each computed once per token, to the features'."""
         feats = [discrete_features(span, target_start) for span in spans]
-        x = g.concat_cols(g.lookup(hs, [i for i, _ in spans]),
-                          g.lookup(hs, [j for _, j in spans]),
-                          g.input(np.reshape(feats, (len(spans), 3))))
-        return self._mlp(g, x, "span")
+        first = gathered_affine(
+            g, [(hs, [i for i, _ in spans]), (hs, [j for _, j in spans]),
+                (g.input(np.reshape(feats, (len(spans), 3))), None)],
+            *self._w1(g, "span"))
+        return self._mlp(g, first, "span")
 
     def target_representation(self, g: Graph, hs: Node,
                               target: Target) -> Node:
         length = np.array([math.log2(target.end - target.start + 2)])
         x = g.concat(g.select_row(hs, target.start),
                      g.select_row(hs, target.end), g.input(length))
-        return self._mlp(g, x, "tgt")
+        return self._mlp(g, g.affine(x, *self._w1(g, "tgt")), "tgt")

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Infeasible, clamp_graph
+from .factor_graph import FactorGraph, Infeasible, Rows, clamp_graph
 from .peel import peel
 from .projections import (
     SemiMarkovProjector,
@@ -59,18 +59,18 @@ class SolveResult:
 class _PaddedGroup:
     """XOR or AtMostOne factors padded into (F, K) matrices."""
 
-    def __init__(self, factors, negated: bool):
-        rows = [f.vars for f in factors]
-        k = max(len(r) for r in rows)
-        nf = len(rows)
+    def __init__(self, rows: Rows, negated: bool):
+        sizes = rows.sizes
+        nf, k = rows.count, int(sizes.max())
+        row = rows.row
+        col = np.arange(len(rows.var)) - rows.ptr[row]
         self.idx = np.zeros((nf, k), dtype=int)
         self.mask = np.zeros((nf, k), dtype=bool)
         self.neg = np.zeros((nf, k), dtype=bool)
-        for r, f in enumerate(factors):
-            self.idx[r, :len(f.vars)] = f.vars
-            self.mask[r, :len(f.vars)] = True
-            if negated:
-                self.neg[r, :len(f.vars)] = f.neg
+        self.idx[row, col] = rows.var
+        self.mask[row, col] = True
+        if negated:
+            self.neg[row, col] = rows.neg
         self.lam = np.zeros((nf, k))
         self.u = np.zeros((nf, k))
         self.negated = negated
@@ -108,15 +108,14 @@ class _PaddedGroup:
 class _EdgeGroup:
     """Implication or Pair factors as parallel index arrays."""
 
-    def __init__(self, factors, pair: bool):
-        self.a = np.array([f.a for f in factors], dtype=int)
-        self.b = np.array([f.b for f in factors], dtype=int)
-        self.c = np.array([f.score for f in factors]) if pair else None
-        self.lam_a = np.zeros(len(factors))
-        self.lam_b = np.zeros(len(factors))
-        self.ua = np.zeros(len(factors))
-        self.ub = np.zeros(len(factors))
-        self.pair = pair
+    def __init__(self, a: np.ndarray, b: np.ndarray,
+                 score: Optional[np.ndarray] = None):
+        self.a, self.b, self.c = a, b, score
+        self.lam_a = np.zeros(len(a))
+        self.lam_b = np.zeros(len(a))
+        self.ua = np.zeros(len(a))
+        self.ub = np.zeros(len(a))
+        self.pair = score is not None
 
     def solve(self, p, omega, rho):
         za = p[self.a] + (omega[self.a] + self.lam_a) / rho
@@ -195,14 +194,15 @@ class _LoopState:
         self.constrained = deg > 0
         self.free = ~self.constrained
         self.groups = []
-        if graph.xors:
-            self.groups.append(_PaddedGroup(graph.xors, negated=True))
-        if graph.amos:
-            self.groups.append(_PaddedGroup(graph.amos, negated=False))
-        if graph.imps:
-            self.groups.append(_EdgeGroup(graph.imps, pair=False))
-        if graph.pairs:
-            self.groups.append(_EdgeGroup(graph.pairs, pair=True))
+        if graph.xor.count:
+            self.groups.append(_PaddedGroup(graph.xor, negated=True))
+        if graph.amo.count:
+            self.groups.append(_PaddedGroup(graph.amo, negated=False))
+        if len(graph.imp_a):
+            self.groups.append(_EdgeGroup(graph.imp_a, graph.imp_b))
+        if len(graph.pair_a):
+            self.groups.append(_EdgeGroup(graph.pair_a, graph.pair_b,
+                                          graph.pair_score))
         if graph.semis:
             self.groups.append(_SemiGroup(graph.semis))
         self.nslots = int(deg.sum())
@@ -284,18 +284,19 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
     XOR factors by their strongest literal, segmentation factors by a MAP
     rerun over still-free variables, then absorb leftovers greedily."""
     decisions: dict[int, bool] = {}
-    rounds = graph.nvars + len(graph.xors) + len(graph.semis) + len(graph.amos) + 8
+    rounds = graph.nvars + graph.xor.count + len(graph.semis) \
+        + graph.amo.count + 8
     for _ in range(rounds):
         cr = clamp_graph(graph, decisions)
         g = cr.graph
         inv = cr.free.tolist()
-        if g.xors:
-            f = g.xors[0]
-            lits = np.array([p[inv[v]] for v in f.vars])
-            lits = np.where(f.neg, 1.0 - lits, lits)
+        if g.xor.count:
+            vars_, negs = g.xor.lists()[0]
+            lits = np.array([p[inv[v]] for v in vars_])
+            lits = np.where(negs, 1.0 - lits, lits)
             for j in np.argsort(-lits):
                 attempt = dict(decisions)
-                attempt[inv[f.vars[j]]] = not f.neg[j]
+                attempt[inv[vars_[j]]] = not negs[j]
                 try:
                     clamp_graph(graph, attempt)
                 except Infeasible:
@@ -313,25 +314,25 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
             for v in f.vars:
                 decisions[inv[v]] = v in on
             continue
-        if g.amos:
-            f = g.amos[0]
-            th = g.theta[list(f.vars)]
+        if g.amo.count:
+            vars_, _ = g.amo.lists()[0]
+            th = g.theta[vars_]
             j = int(np.argmax(th))
-            for k, v in enumerate(f.vars):
+            for k, v in enumerate(vars_):
                 decisions[inv[v]] = bool(k == j and th[j] > 0)
             continue
         # only implications/pairs remain: threshold, then force chains closed
         active = g.theta > 0
-        for _ in range(len(g.imps) + 1):
+        imps = list(zip(g.imp_a.tolist(), g.imp_b.tolist()))
+        for _ in range(len(imps) + 1):
             moved = False
-            for f in g.imps:
-                if active[f.a] and not active[f.b]:
-                    active[f.b] = True
+            for a, b in imps:
+                if active[a] and not active[b]:
+                    active[b] = True
                     moved = True
             if not moved:
                 break
-        full = cr.lift(active)
-        return full
+        return cr.lift(active)
     raise Infeasible("rounding repair failed to terminate")
 
 

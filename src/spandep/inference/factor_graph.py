@@ -9,6 +9,12 @@ become Pair factors).  Factor types:
   * Pair        -- score fires when both endpoints are true (no constraint)
   * SemiMarkov  -- selected argument spans must not overlap
 
+A graph holds its XOR and at-most-one factors as flat variable slots with
+row offsets (``Rows``) and its implications and pairs as endpoint arrays;
+``build_factor_graph`` fills them from a candidate space's per-type part
+ids.  The factor dataclasses are the construction form for hand-built
+graphs, and ``xors`` ... ``semis`` show a graph's factors in that form.
+
 ``clamp_graph`` fixes variables and runs unit propagation to a fixpoint,
 returning a reduced graph plus the score offset absorbed from fixed-true
 variables and resolved Pair factors.  The same machinery serves
@@ -17,18 +23,14 @@ latent-completion decoding and the branch-and-bound fallback in the solver.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
-from ..parts import (
-    Argument,
-    CandidateSpace,
-    CrossTask,
-    Predicate,
-    SpandepError,
-)
+from ..parts import CandidateSpace, SpandepError
 
 
 class Infeasible(SpandepError):
@@ -39,9 +41,7 @@ def _ids(values) -> np.ndarray:
     return np.fromiter(values, dtype=int)
 
 
-def _rows(factors) -> np.ndarray:
-    """Factor number of each variable slot, in slot order."""
-    return np.repeat(np.arange(len(factors)), [len(f.vars) for f in factors])
+_NO_IDS = np.zeros(0, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -85,47 +85,151 @@ class GraphConstraints:
     deterministic_labels: frozenset[str] = frozenset()
 
 
-@dataclass
-class FactorGraph:
-    theta: np.ndarray
-    labels: tuple           # one descriptive label (e.g. Part) per variable
-    xors: tuple[Xor, ...] = ()
-    amos: tuple[AtMostOne, ...] = ()
-    imps: tuple[Implication, ...] = ()
-    pairs: tuple[Pair, ...] = ()
-    semis: tuple[SemiMarkov, ...] = ()
-    offset: float = 0.0
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Factors over variable lists, flattened: factor k holds the slots
+    ``ptr[k]:ptr[k+1]`` of ``var`` (and of ``neg``, the negated-literal
+    flags, all False for at-most-one factors)."""
 
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if len(self.labels) != self.nvars:
-            raise ValueError("labels length != variable count")
+    var: np.ndarray
+    neg: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, factors) -> "Rows":
+        """From Xor or AtMostOne dataclasses."""
+        neg = [ng for f in factors
+               for ng in getattr(f, "neg", (False,) * len(f.vars))]
+        sizes = [len(f.vars) for f in factors]
+        return cls(_ids(v for f in factors for v in f.vars),
+                   np.array(neg, dtype=bool),
+                   np.concatenate(([0], np.cumsum(sizes, dtype=int))))
+
+    @classmethod
+    def join(cls, chunks: Sequence[tuple]) -> "Rows":
+        """Concatenate ``(var, neg, sizes)`` chunks, each holding whole
+        factors."""
+        if not chunks:
+            return NO_ROWS
+        var, neg, sizes = zip(*chunks)
+        return cls(np.concatenate(var), np.concatenate(neg),
+                   np.concatenate(([0], np.cumsum(np.concatenate(sizes)))))
+
+    @property
+    def count(self) -> int:
+        return len(self.ptr) - 1
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return self.ptr[1:] - self.ptr[:-1]
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """Factor number of each slot."""
+        return np.repeat(np.arange(self.count), self.sizes)
+
+    def lists(self) -> list[tuple[list, list]]:
+        """(variables, negation flags) per factor, as Python lists."""
+        var, neg, ptr = self.var.tolist(), self.neg.tolist(), self.ptr.tolist()
+        return [(var[a:b], neg[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    def select(self, rows: np.ndarray, slots: np.ndarray, remap: np.ndarray,
+               min_size: int = 1) -> "Rows":
+        """The factors flagged in ``rows``, each cut to its slots flagged in
+        ``slots`` and renumbered through ``remap``; factors left with fewer
+        than ``min_size`` slots are dropped."""
+        row = self.row
+        keep = slots & rows[row]
+        sizes = np.bincount(row[keep], minlength=self.count)
+        big = sizes >= min_size
+        keep &= big[row]
+        return Rows(remap[self.var[keep]], self.neg[keep],
+                    np.concatenate(([0], np.cumsum(sizes[big]))))
+
+
+NO_ROWS = Rows(_NO_IDS, np.zeros(0, dtype=bool), np.zeros(1, dtype=int))
+
+
+class FactorView(Sequence):
+    """A graph's factors of one type, made into dataclasses on access."""
+
+    def __init__(self, count: int, make: Callable[[int], object]):
+        self._count = count
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int):
+        if not -self._count <= k < self._count:
+            raise IndexError(k)
+        return self._make(k % self._count)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, list, FactorView)) \
+            and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class FactorGraph:
+    """Unary scores, one label per variable, and the factors as index
+    arrays.  Construct from factor dataclasses, or with ``from_arrays``."""
+
+    def __init__(self, theta, labels: tuple, xors=(), amos=(), imps=(),
+                 pairs=(), semis=(), offset: float = 0.0):
+        self._setup(theta, labels, Rows.of(xors), Rows.of(amos),
+                    _ids(f.a for f in imps), _ids(f.b for f in imps),
+                    _ids(f.a for f in pairs), _ids(f.b for f in pairs),
+                    np.array([f.score for f in pairs], dtype=float),
+                    tuple(semis), offset)
         for f in self.semis:
             if len(f.vars) != len(f.spans):
                 raise ValueError("semi-markov vars/spans mismatch")
-        # flat index arrays, built once and shared by every check below
-        self._xor_var = _ids(v for f in self.xors for v in f.vars)
-        self._xor_neg = np.array([ng for f in self.xors for ng in f.neg],
-                                 dtype=bool)
-        self._xor_row = _rows(self.xors)
-        self._amo_var = _ids(v for f in self.amos for v in f.vars)
-        self._amo_row = _rows(self.amos)
-        self._imp_a = _ids(f.a for f in self.imps)
-        self._imp_b = _ids(f.b for f in self.imps)
-        self._pair_a = _ids(f.a for f in self.pairs)
-        self._pair_b = _ids(f.b for f in self.pairs)
-        self._pair_score = np.array([f.score for f in self.pairs], dtype=float)
-        self._semi = [(np.array(f.vars, dtype=int),
-                       np.array([i for i, _j, _k in f.spans], dtype=int),
-                       np.array([j for _i, j, _k in f.spans], dtype=int))
-                      for f in self.semis]
-        self._all_vars = np.concatenate(
-            [self._xor_var, self._amo_var, *(v for v, _, _ in self._semi),
-             self._imp_a, self._imp_b, self._pair_a, self._pair_b])
-        bad = (self._all_vars < 0) | (self._all_vars >= self.nvars)
+        bad = (self._slots < 0) | (self._slots >= self.nvars)
         if bad.any():
-            raise ValueError(
-                f"variable {self._all_vars[bad][0]} out of range")
+            raise ValueError(f"variable {self._slots[bad][0]} out of range")
+
+    @classmethod
+    def from_arrays(cls, theta, labels: tuple, xor: Rows, amo: Rows,
+                    imp_a: np.ndarray, imp_b: np.ndarray,
+                    pair_a: np.ndarray, pair_b: np.ndarray,
+                    pair_score: np.ndarray, semis: tuple = (),
+                    offset: float = 0.0) -> "FactorGraph":
+        """A graph over index arrays that are in range by construction, as
+        ``build_factor_graph``, ``clamp_graph`` and ``peel`` make them."""
+        graph = cls.__new__(cls)
+        graph._setup(theta, labels, xor, amo, imp_a, imp_b, pair_a, pair_b,
+                     pair_score, semis, offset)
+        return graph
+
+    def _setup(self, theta, labels, xor, amo, imp_a, imp_b, pair_a, pair_b,
+               pair_score, semis, offset) -> None:
+        self.theta = np.asarray(theta, dtype=float)
+        self.labels = labels
+        self.xor, self.amo = xor, amo
+        self.imp_a, self.imp_b = imp_a, imp_b
+        self.pair_a, self.pair_b, self.pair_score = pair_a, pair_b, pair_score
+        self.semis = semis
+        self.offset = offset
+        if len(self.labels) != self.nvars:
+            raise ValueError("labels length != variable count")
+
+    @cached_property
+    def _semi(self) -> list:
+        """(variables, starts, ends) arrays per segmentation factor."""
+        return [(np.array(f.vars, dtype=int),
+                 np.array([i for i, _j, _k in f.spans], dtype=int),
+                 np.array([j for _i, j, _k in f.spans], dtype=int))
+                for f in self.semis]
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """The variable of every factor slot."""
+        return np.concatenate(
+            [self.xor.var, self.amo.var, *(v for v, _, _ in self._semi),
+             self.imp_a, self.imp_b, self.pair_a, self.pair_b])
 
     def _check_var(self, v: int) -> None:
         if not 0 <= v < self.nvars:
@@ -135,23 +239,53 @@ class FactorGraph:
     def nvars(self) -> int:
         return len(self.theta)
 
+    # --- the factors as dataclasses -----------------------------------------
+
+    @property
+    def xors(self) -> FactorView:
+        def make(k):
+            a, b = self.xor.ptr[k], self.xor.ptr[k + 1]
+            return Xor(tuple(self.xor.var[a:b].tolist()),
+                       tuple(self.xor.neg[a:b].tolist()))
+        return FactorView(self.xor.count, make)
+
+    @property
+    def amos(self) -> FactorView:
+        def make(k):
+            a, b = self.amo.ptr[k], self.amo.ptr[k + 1]
+            return AtMostOne(tuple(self.amo.var[a:b].tolist()))
+        return FactorView(self.amo.count, make)
+
+    @property
+    def imps(self) -> FactorView:
+        return FactorView(len(self.imp_a), lambda k: Implication(
+            int(self.imp_a[k]), int(self.imp_b[k])))
+
+    @property
+    def pairs(self) -> FactorView:
+        return FactorView(len(self.pair_a), lambda k: Pair(
+            int(self.pair_a[k]), int(self.pair_b[k]),
+            float(self.pair_score[k])))
+
+    # --- checks -------------------------------------------------------------
+
     def degrees(self) -> np.ndarray:
         """Number of factor slots touching each variable."""
-        return np.bincount(self._all_vars, minlength=self.nvars)
+        return np.bincount(self._slots, minlength=self.nvars)
 
     def check_assignment(self, active: np.ndarray) -> bool:
         """True when the boolean assignment satisfies all hard factors."""
         active = np.asarray(active, dtype=bool)
-        if len(self.xors):
-            lits = active[self._xor_var] != self._xor_neg
-            if np.any(np.bincount(self._xor_row, weights=lits,
-                                  minlength=len(self.xors)) != 1):
+        if self.xor.count:
+            lits = active[self.xor.var] != self.xor.neg
+            if np.any(np.bincount(self.xor.row, weights=lits,
+                                  minlength=self.xor.count) != 1):
                 return False
-        if len(self.amos):
-            if np.any(np.bincount(self._amo_row,
-                                  weights=active[self._amo_var]) > 1):
+        if self.amo.count:
+            if np.any(np.bincount(self.amo.row,
+                                  weights=active[self.amo.var]) > 1):
                 return False
-        if np.any(active[self._imp_a] & ~active[self._imp_b]):
+        if np.any(active[self.imp_a] & ~active[self.imp_b]):
             return False
         for vars_, starts, ends in self._semi:
             on = active[vars_]
@@ -163,25 +297,26 @@ class FactorGraph:
 
     def objective(self, active: np.ndarray) -> float:
         active = np.asarray(active, dtype=bool)
-        both = active[self._pair_a] & active[self._pair_b]
+        both = active[self.pair_a] & active[self.pair_b]
         return (self.offset + float(self.theta[active].sum())
-                + float(self._pair_score[both].sum()))
+                + float(self.pair_score[both].sum()))
 
     def dump(self) -> str:
         """Line-oriented description, one variable or factor per line."""
         lines = []
         for i in range(self.nvars):
             lines.append(f"var {i} score {self.theta[i]:.6g} {self.labels[i]!r}")
-        for f in self.xors:
+        for vars_, negs in self.xor.lists():
             lits = " ".join(("!" if ng else "") + str(v)
-                            for v, ng in zip(f.vars, f.neg))
+                            for v, ng in zip(vars_, negs))
             lines.append(f"xor {lits}")
-        for f in self.amos:
-            lines.append("atmostone " + " ".join(map(str, f.vars)))
-        for f in self.imps:
-            lines.append(f"imp {f.a} -> {f.b}")
-        for f in self.pairs:
-            lines.append(f"pair {f.a} {f.b} score {f.score:.6g}")
+        for vars_, _ in self.amo.lists():
+            lines.append("atmostone " + " ".join(map(str, vars_)))
+        for a, b in zip(self.imp_a.tolist(), self.imp_b.tolist()):
+            lines.append(f"imp {a} -> {b}")
+        for a, b, c in zip(self.pair_a.tolist(), self.pair_b.tolist(),
+                           self.pair_score.tolist()):
+            lines.append(f"pair {a} {b} score {c:.6g}")
         for f in self.semis:
             spans = " ".join(f"{v}:({i},{j})" for v, (i, j, _k)
                              in zip(f.vars, f.spans))
@@ -211,6 +346,70 @@ class ClampResult:
         return full
 
 
+FREE, OFF, ON = -1, 0, 1
+
+
+def _propagate(graph: FactorGraph, state: np.ndarray) -> None:
+    """Unit propagation to a fixpoint, in rounds over whole factor arrays.
+    ``state`` holds FREE, OFF or ON per variable and is updated in place."""
+    xor, amo = graph.xor, graph.amo
+    x_row, a_row = xor.row, amo.row
+    while True:
+        on: list[np.ndarray] = []
+        off: list[np.ndarray] = []
+        if xor.count:
+            s = state[xor.var]
+            free = s == FREE
+            true = ~free & ((s == ON) != xor.neg)
+            n_true = np.bincount(x_row, true, minlength=xor.count)
+            n_free = np.bincount(x_row, free, minlength=xor.count)
+            if (n_true > 1).any():
+                raise Infeasible("xor with two true literals")
+            if ((n_true == 0) & (n_free == 0)).any():
+                raise Infeasible("xor with all literals false")
+            # beside a true literal every free literal is false; a lone
+            # free literal is true
+            done = free & (n_true == 1)[x_row]
+            unit = free & ((n_true == 0) & (n_free == 1))[x_row]
+            lit_on = np.where(done, xor.neg, ~xor.neg)
+            slots = done | unit
+            on.append(xor.var[slots & lit_on])
+            off.append(xor.var[slots & ~lit_on])
+        if amo.count:
+            s = state[amo.var]
+            n_on = np.bincount(a_row, s == ON, minlength=amo.count)
+            if (n_on > 1).any():
+                raise Infeasible("at-most-one violated")
+            off.append(amo.var[(s == FREE) & (n_on == 1)[a_row]])
+        if len(graph.imp_a):
+            sa, sb = state[graph.imp_a], state[graph.imp_b]
+            on.append(graph.imp_b[(sa == ON) & (sb != ON)])
+            off.append(graph.imp_a[(sb == OFF) & (sa != OFF)])
+        for vars_, starts, ends in graph._semi:
+            s = state[vars_]
+            chosen = s == ON
+            if not chosen.any():
+                continue
+            size = ends.max() + 2
+            cover = np.cumsum(np.bincount(starts[chosen], minlength=size)
+                              - np.bincount(ends[chosen] + 1, minlength=size))
+            if (cover > 1).any():
+                raise Infeasible("overlapping clamped spans")
+            seen = np.concatenate(([0], np.cumsum(cover > 0)))
+            off.append(vars_[(s == FREE) & (seen[ends + 1] > seen[starts])])
+        on_v = np.concatenate(on) if on else _NO_IDS
+        off_v = np.concatenate(off) if off else _NO_IDS
+        was_on, was_off = state[on_v], state[off_v]
+        if (was_on == OFF).any() or (was_off == ON).any():
+            raise Infeasible("variable forced both ways")
+        if not ((was_on == FREE).any() or (was_off == FREE).any()):
+            return
+        state[on_v] = ON
+        if (state[off_v] == ON).any():
+            raise Infeasible("variable forced both ways")
+        state[off_v] = OFF
+
+
 def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
     """Fix variables, propagate consequences to a fixpoint, and rebuild.
 
@@ -219,128 +418,69 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
     factors over fewer than two variables and its empty segmentations.
     Raises Infeasible when propagation derives a contradiction.
     """
-    if not fixed and all(len(f.vars) > 1 for f in graph.xors):
-        amos = tuple(f for f in graph.amos if len(f.vars) >= 2)
+    n = graph.nvars
+    if not fixed and (graph.xor.sizes > 1).all():
+        big = graph.amo.sizes >= 2
         semis = tuple(f for f in graph.semis if f.vars)
-        if len(amos) < len(graph.amos) or len(semis) < len(graph.semis):
-            graph = FactorGraph(graph.theta, graph.labels, graph.xors, amos,
-                                graph.imps, graph.pairs, semis, graph.offset)
-        return ClampResult(graph, {}, np.arange(graph.nvars))
+        if not big.all() or len(semis) < len(graph.semis):
+            graph = FactorGraph.from_arrays(
+                graph.theta, graph.labels, graph.xor,
+                graph.amo.select(big, np.ones(len(graph.amo.var), dtype=bool),
+                                 np.arange(n)),
+                graph.imp_a, graph.imp_b, graph.pair_a, graph.pair_b,
+                graph.pair_score, semis, graph.offset)
+        return ClampResult(graph, {}, np.arange(n))
 
-    val: dict[int, bool] = {}
-
-    def assign(v: int, b: bool) -> bool:
-        if v in val:
-            if val[v] != b:
-                raise Infeasible(f"variable {v} forced both ways")
-            return False
-        val[v] = b
-        return True
-
+    state = np.full(n, FREE, dtype=np.int8)
     for v, b in fixed.items():
         graph._check_var(v)
-        assign(v, bool(b))
+        state[v] = ON if b else OFF
+    _propagate(graph, state)
 
-    changed = True
-    while changed:
-        changed = False
-        for f in graph.xors:
-            lits = [(v, ng, val.get(v)) for v, ng in zip(f.vars, f.neg)]
-            true_lits = [(v, ng) for v, ng, b in lits if b is not None and b != ng]
-            free = [(v, ng) for v, ng, b in lits if b is None]
-            if len(true_lits) > 1:
-                raise Infeasible("xor with two true literals")
-            if len(true_lits) == 1:
-                for v, ng in free:
-                    changed |= assign(v, ng)  # literal off
-            elif not free:
-                raise Infeasible("xor with all literals false")
-            elif len(free) == 1:
-                v, ng = free[0]
-                changed |= assign(v, not ng)
-        for f in graph.amos:
-            on = [v for v in f.vars if val.get(v)]
-            if len(on) > 1:
-                raise Infeasible("at-most-one violated")
-            if len(on) == 1:
-                for v in f.vars:
-                    if v not in val:
-                        changed |= assign(v, False)
-        for f in graph.imps:
-            if val.get(f.a) is True and val.get(f.b) is not True:
-                changed |= assign(f.b, True)
-            if val.get(f.b) is False and val.get(f.a) is not False:
-                changed |= assign(f.a, False)
-        for f in graph.semis:
-            blocked: set[int] = set()
-            for v, (i, j, _k) in zip(f.vars, f.spans):
-                if val.get(v):
-                    toks = set(range(i, j + 1))
-                    if blocked & toks:
-                        raise Infeasible("overlapping clamped spans")
-                    blocked |= toks
-            if blocked:
-                for v, (i, j, _k) in zip(f.vars, f.spans):
-                    if v not in val and blocked & set(range(i, j + 1)):
-                        changed |= assign(v, False)
+    free = np.flatnonzero(state == FREE)
+    fixed_ids = np.flatnonzero(state != FREE)
+    forced = dict(zip(fixed_ids.tolist(), (state[fixed_ids] == ON).tolist()))
+    new = np.full(n, -1)
+    new[free] = np.arange(len(free))
+    theta = graph.theta[free]
+    offset = graph.offset + float(graph.theta[state == ON].sum())
 
-    free_vars = [v for v in range(graph.nvars) if v not in val]
-    var_map = {v: i for i, v in enumerate(free_vars)}
-    theta = graph.theta[free_vars].copy()
-    offset = graph.offset + float(sum(graph.theta[v] for v, b in val.items() if b))
+    sa, sb = state[graph.pair_a], state[graph.pair_b]
+    live = (sa != OFF) & (sb != OFF)
+    offset += float(graph.pair_score[live & (sa == ON) & (sb == ON)].sum())
+    # a pair with one endpoint on becomes a unary score on the other
+    half = live & ((sa == ON) != (sb == ON))
+    np.add.at(theta, new[np.where(sa[half] == ON, graph.pair_b[half],
+                                  graph.pair_a[half])],
+              graph.pair_score[half])
+    both_free = (sa == FREE) & (sb == FREE)
 
-    pairs = []
-    for f in graph.pairs:
-        ba, bb = val.get(f.a), val.get(f.b)
-        if ba is False or bb is False:
-            continue
-        if ba is True and bb is True:
-            offset += f.score
-        elif ba is True:
-            theta[var_map[f.b]] += f.score
-        elif bb is True:
-            theta[var_map[f.a]] += f.score
-        else:
-            pairs.append(Pair(var_map[f.a], var_map[f.b], f.score))
-
-    xors = []
-    for f in graph.xors:
-        if any(val.get(v) is not None and val[v] != ng
-               for v, ng in zip(f.vars, f.neg)):
-            continue  # already satisfied
-        kept = [(var_map[v], ng) for v, ng in zip(f.vars, f.neg) if v not in val]
-        if kept:
-            xors.append(Xor(tuple(v for v, _ in kept), tuple(ng for _, ng in kept)))
-
-    amos = []
-    for f in graph.amos:
-        if any(val.get(v) for v in f.vars):
-            continue
-        kept = tuple(var_map[v] for v in f.vars if v not in val)
-        if len(kept) >= 2:
-            amos.append(AtMostOne(kept))
-
-    imps = []
-    for f in graph.imps:
-        if f.a in val or f.b in val:
-            continue  # propagation resolved or vacuous
-        imps.append(Implication(var_map[f.a], var_map[f.b]))
+    xs = state[graph.xor.var]
+    sat = np.bincount(graph.xor.row,
+                      (xs != FREE) & ((xs == ON) != graph.xor.neg),
+                      minlength=graph.xor.count) > 0
+    xor = graph.xor.select(~sat, xs == FREE, new)
+    as_ = state[graph.amo.var]
+    used = np.bincount(graph.amo.row, as_ == ON,
+                       minlength=graph.amo.count) > 0
+    amo = graph.amo.select(~used, as_ == FREE, new, min_size=2)
+    imp = (state[graph.imp_a] == FREE) & (state[graph.imp_b] == FREE)
 
     semis = []
-    for f in graph.semis:
-        kept_vars, kept_spans = [], []
-        for v, sp in zip(f.vars, f.spans):
-            if v not in val:
-                kept_vars.append(var_map[v])
-                kept_spans.append(sp)
-        if kept_vars:
-            semis.append(SemiMarkov(tuple(kept_vars), tuple(kept_spans),
-                                    f.n, f.max_len))
+    for f, (vars_, _, _) in zip(graph.semis, graph._semi):
+        kept = state[vars_] == FREE
+        if kept.any():
+            semis.append(SemiMarkov(
+                tuple(new[vars_[kept]].tolist()),
+                tuple(sp for sp, k in zip(f.spans, kept.tolist()) if k),
+                f.n, f.max_len))
 
-    labels = tuple(graph.labels[v] for v in free_vars)
-    reduced = FactorGraph(theta, labels, tuple(xors), tuple(amos),
-                          tuple(imps), tuple(pairs), tuple(semis), offset)
-    return ClampResult(reduced, val, np.array(free_vars, dtype=int))
+    labels = tuple(graph.labels[v] for v in free.tolist())
+    reduced = FactorGraph.from_arrays(
+        theta, labels, xor, amo, new[graph.imp_a[imp]], new[graph.imp_b[imp]],
+        new[graph.pair_a[both_free]], new[graph.pair_b[both_free]],
+        graph.pair_score[both_free], tuple(semis), offset)
+    return ClampResult(reduced, forced, free)
 
 
 def build_factor_graph(space: CandidateSpace,
@@ -352,73 +492,88 @@ def build_factor_graph(space: CandidateSpace,
     one SemiMarkov over every argument variable; top XOR over virtual-root
     arcs; per token arc an XOR tying the arc to exactly one of its labels;
     arc-implies-head; at-most-one per deterministic label per head token;
-    one Pair factor per cross-task part.
+    one Pair factor per cross-task part.  The factors are filled as index
+    arrays from the space's per-type part ids.
     """
-    keep: list[int] = []
-    for pid, part in enumerate(space.parts):
-        if isinstance(part, CrossTask):
-            continue
-        if not include_frames and isinstance(part, (Predicate, Argument)):
-            continue
-        keep.append(pid)
-    var_of_part = {pid: i for i, pid in enumerate(keep)}
-    theta = space.scores[keep].copy()
-    labels = tuple(space.parts[pid] for pid in keep)
+    parts = space.parts
+    frames = include_frames and bool(space.predicate_ids)
+    kept = np.ones(len(parts), dtype=bool)
+    kept[list(space.cross_ids)] = False
+    if not include_frames:
+        kept[list(space.predicate_ids)] = False
+        kept[list(space.argument_ids)] = False
+    keep = np.flatnonzero(kept)
+    var = np.cumsum(kept) - 1  # variable of each kept part
+    labels = parts if len(keep) == len(parts) else \
+        tuple(parts[pid] for pid in keep.tolist())
 
-    xors: list[Xor] = []
-    imps: list[Implication] = []
-    amos: list[AtMostOne] = []
-    semis: list[SemiMarkov] = []
-    pairs: list[Pair] = []
+    xors: list[tuple] = []   # (var, neg, sizes) chunks, in factor order
+    imps: list[tuple] = []   # (a, b) chunks
+    semis: tuple = ()
 
-    if include_frames and space.predicate_ids:
-        pred_vars = tuple(var_of_part[p] for p in space.predicate_ids)
-        xors.append(Xor(pred_vars, (False,) * len(pred_vars)))
-        pred_var_of_frame = {space.parts[p].frame: var_of_part[p]
-                             for p in space.predicate_ids}
-        arg_vars, arg_spans = [], []
-        for pid in space.argument_ids:
-            a = space.parts[pid]
-            v = var_of_part[pid]
-            imps.append(Implication(v, pred_var_of_frame[a.frame]))
-            arg_vars.append(v)
-            arg_spans.append((a.start, a.end, (a.frame, a.role)))
-        if arg_vars:
-            semis.append(SemiMarkov(tuple(arg_vars), tuple(arg_spans),
-                                    space.n, space.n))
+    if frames:
+        preds = var[list(space.predicate_ids)]
+        xors.append((preds, np.zeros(len(preds), dtype=bool), [len(preds)]))
+        pred_of_frame = {parts[p].frame: v
+                         for p, v in zip(space.predicate_ids, preds.tolist())}
+        if space.argument_ids:
+            args = [parts[i] for i in space.argument_ids]
+            arg_vars = var[list(space.argument_ids)]
+            imps.append((arg_vars, _ids(pred_of_frame[a.frame] for a in args)))
+            semis = (SemiMarkov(
+                tuple(arg_vars.tolist()),
+                tuple((a.start, a.end, (a.frame, a.role)) for a in args),
+                space.n, space.n),)
 
     if space.root_arc_ids:
-        root_vars = tuple(var_of_part[p] for p in space.root_arc_ids)
-        xors.append(Xor(root_vars, (False,) * len(root_vars)))
+        roots = var[list(space.root_arc_ids)]
+        xors.append((roots, np.zeros(len(roots), dtype=bool), [len(roots)]))
 
-    head_var_of_token = {space.parts[p].token: var_of_part[p]
-                         for p in space.head_ids}
-    det_groups: dict[tuple[int, str], list[int]] = {}
-    for pid in space.arc_ids:
-        arc = space.parts[pid]
-        v = var_of_part[pid]
-        label_ids = space.labels_for_arc.get(pid, [])
-        if label_ids:
-            lits = (v,) + tuple(var_of_part[l] for l in label_ids)
-            negs = (True,) + (False,) * len(label_ids)
-            xors.append(Xor(lits, negs))
-        if arc.head in head_var_of_token:
-            imps.append(Implication(v, head_var_of_token[arc.head]))
-    for pid in space.labeled_ids:
-        la = space.parts[pid]
-        if la.label in constraints.deterministic_labels:
-            det_groups.setdefault((la.head, la.label), []).append(var_of_part[pid])
-    for group in det_groups.values():
-        if len(group) >= 2:
-            amos.append(AtMostOne(tuple(group)))
+    arcs = np.array(space.arc_ids, dtype=int)
+    if len(arcs):
+        # per arc with labels: the negated arc, then its labels
+        label_lists = [space.labels_for_arc.get(pid, ()) for pid in space.arc_ids]
+        counts = _ids(map(len, label_lists))
+        labeled = counts > 0
+        sizes = counts[labeled] + 1
+        ends = np.cumsum(sizes)
+        neg = np.zeros(ends[-1] if len(ends) else 0, dtype=bool)
+        neg[ends - sizes] = True
+        lit = np.empty(len(neg), dtype=int)
+        lit[neg] = var[arcs[labeled]]
+        lit[~neg] = var[_ids(itertools.chain.from_iterable(label_lists))]
+        xors.append((lit, neg, sizes))
 
-    if include_frames:
-        for cid in space.cross_ids:
-            c = space.parts[cid]
-            if c.arc_id not in var_of_part:
-                continue  # arc pruned away
-            pairs.append(Pair(var_of_part[c.arg_id], var_of_part[c.arc_id],
-                              float(space.scores[cid])))
+        head_var = -np.ones(space.n, dtype=int)
+        head_var[_ids(parts[i].token for i in space.head_ids)] = \
+            var[list(space.head_ids)]
+        heads = head_var[_ids(parts[i].head for i in space.arc_ids)]
+        has_head = heads >= 0
+        imps.append((var[arcs[has_head]], heads[has_head]))
 
-    return FactorGraph(theta, labels, tuple(xors), tuple(amos), tuple(imps),
-                       tuple(pairs), tuple(semis))
+    amos: list[tuple] = []
+    det = constraints.deterministic_labels
+    if det:
+        groups: dict[tuple[int, str], list[int]] = {}
+        for pid in space.labeled_ids:
+            la = parts[pid]
+            if la.label in det:
+                groups.setdefault((la.head, la.label), []).append(pid)
+        for group in groups.values():
+            if len(group) >= 2:
+                amos.append((var[group], np.zeros(len(group), dtype=bool),
+                             [len(group)]))
+
+    pair_a = pair_b = np.zeros(0, dtype=int)
+    pair_score = np.zeros(0)
+    if include_frames and space.cross_ids:
+        cross = [parts[c] for c in space.cross_ids]
+        pair_a = var[_ids(c.arg_id for c in cross)]
+        pair_b = var[_ids(c.arc_id for c in cross)]
+        pair_score = space.scores[list(space.cross_ids)]
+
+    imp_a, imp_b = (np.concatenate(x) for x in zip(*imps)) if imps else \
+        (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    return FactorGraph.from_arrays(
+        space.scores[keep], labels, Rows.join(xors), Rows.join(amos),
+        imp_a, imp_b, pair_a, pair_b, pair_score, semis)

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_graph import (
-    AtMostOne,
-    FactorGraph,
-    Implication,
-    Pair,
-    SemiMarkov,
-    Xor,
-)
+from .factor_graph import NO_ROWS, FactorGraph, Rows, SemiMarkov
 
 PEELED = -1  # degree mark of a variable that a fold has decided
 
@@ -66,25 +59,32 @@ def peel(graph: FactorGraph) -> Peeled:
     theta = graph.theta.tolist()
     offset = graph.offset
     deg = graph.degrees().tolist()
-    xors, imps = list(graph.xors), list(graph.imps)
+    # XOR k holds the literals xv[i], negated when xn[i], for i in
+    # xp[k]:xp[k+1]
+    xv, xn, xp = (a.tolist() for a in (graph.xor.var, graph.xor.neg,
+                                       graph.xor.ptr))
+    xors = list(range(graph.xor.count))
+    imps = list(enumerate(zip(graph.imp_a.tolist(), graph.imp_b.tolist())))
     steps: list = []
     changed = True
     while changed:
         changed = False
         kept_xors = []
-        for f in xors:
-            inner = [k for k, v in enumerate(f.vars) if deg[v] > 1]
-            if len(inner) > 1 or len(inner) == len(f.vars):
-                kept_xors.append(f)
+        for k in xors:
+            lo, hi = xp[k], xp[k + 1]
+            inner = [i for i in range(lo, hi) if deg[xv[i]] > 1]
+            if len(inner) > 1 or len(inner) == hi - lo:
+                kept_xors.append(k)
                 continue
             changed = True
             q = inner[0] if inner else -1
             # every leaf literal false, then the best one to switch true
             leaves, negs = [], []
             base, best, j = 0.0, -math.inf, 0
-            for k, (v, ng) in enumerate(zip(f.vars, f.neg)):
-                if k == q:
+            for i in range(lo, hi):
+                if i == q:
                     continue
+                v, ng = xv[i], xn[i]
                 gain = -theta[v] if ng else theta[v]
                 if ng:
                     base += theta[v]
@@ -100,20 +100,20 @@ def peel(graph: FactorGraph) -> Peeled:
                 offset += base + best
                 steps.append((-1, leaves, one_on, None))
                 continue
-            r = f.vars[q]
+            r = xv[q]
             deg[r] -= 1
-            if f.neg[q]:  # r on: its literal is false, so one leaf's is true
+            if xn[q]:  # r on: its literal is false, so one leaf's is true
                 steps.append((r, leaves, one_on, none_on))
                 theta[r] += best
                 offset += base
-            else:         # r on is its literal: every leaf literal false
+            else:      # r on is its literal: every leaf literal false
                 steps.append((r, leaves, none_on, one_on))
                 theta[r] -= best
                 offset += base + best
         xors = kept_xors
         kept_imps = []
         for f in imps:
-            a, b = f.a, f.b
+            _, (a, b) = f
             if deg[a] == 1:
                 # a may only be on with b, and then only when it pays
                 steps.append((b, [a], [theta[a] > 0], [False]))
@@ -139,14 +139,26 @@ def peel(graph: FactorGraph) -> Peeled:
         return Peeled(graph, np.arange(graph.nvars), steps, graph.nvars)
 
     keep = np.flatnonzero(deg > 0)
-    new = dict(zip(keep.tolist(), range(len(keep))))
-    core = FactorGraph(
-        np.array(theta)[keep], tuple(graph.labels[v] for v in keep),
-        tuple(Xor(tuple(new[v] for v in f.vars), f.neg) for f in xors),
-        tuple(AtMostOne(tuple(new[v] for v in f.vars)) for f in graph.amos),
-        tuple(Implication(new[f.a], new[f.b]) for f in imps),
-        tuple(Pair(new[f.a], new[f.b], f.score) for f in graph.pairs),
-        tuple(SemiMarkov(tuple(new[v] for v in f.vars), f.spans, f.n,
+    if not len(keep):
+        # everything folded; at-most-one, pair and segmentation factors are
+        # never folded and would have kept their variables, so none is left
+        return Peeled(FactorGraph.from_arrays(
+            np.zeros(0), (), NO_ROWS, NO_ROWS, *[np.zeros(0, dtype=int)] * 4,
+            np.zeros(0), (), offset), keep, steps, graph.nvars)
+    new = np.full(graph.nvars, -1)
+    new[keep] = np.arange(len(keep))
+    xor_rows = np.zeros(graph.xor.count, dtype=bool)
+    xor_rows[xors] = True
+    imp = np.array([k for k, _ in imps], dtype=int)
+    amo = graph.amo
+    core = FactorGraph.from_arrays(
+        np.array(theta)[keep], tuple(graph.labels[v] for v in keep.tolist()),
+        graph.xor.select(xor_rows, np.ones(len(graph.xor.var), dtype=bool),
+                         new),
+        Rows(new[amo.var], amo.neg, amo.ptr),
+        new[graph.imp_a[imp]], new[graph.imp_b[imp]],
+        new[graph.pair_a], new[graph.pair_b], graph.pair_score,
+        tuple(SemiMarkov(tuple(new[list(f.vars)].tolist()), f.spans, f.n,
                          f.max_len) for f in graph.semis),
         offset)
     return Peeled(core, keep, steps, graph.nvars)

@@ -94,12 +94,6 @@ def project_pair(za: np.ndarray, zb: np.ndarray, gamma: np.ndarray
     return ua[best, cols], ub[best, cols]
 
 
-def pair_local_value(ua, ub, gamma):
-    """Factor-optimal both-on marginal value gamma * v(u)."""
-    v = np.where(gamma >= 0, np.minimum(ua, ub), np.maximum(0.0, ua + ub - 1.0))
-    return gamma * v
-
-
 class SemiMarkovProjector:
     """Min-norm-point projection onto the convex hull of segmentation
     indicator vectors, warm-started across solver iterations.

@@ -292,11 +292,15 @@ class CandidateSpace:
         self.root_arc_ids = tuple(i for i in arcs if self.parts[i].is_root)
         self.labeled_ids = tuple(by_type.get(LabeledArc, ()))
         self.cross_ids = tuple(by_type.get(CrossTask, ()))
+        arc_of = {(self.parts[i].head, self.parts[i].dep): i for i in arcs}
         self.labels_for_arc = {}
         for i in self.labeled_ids:
             la = self.parts[i]
-            ua = UnlabeledArc(la.head, la.dep)
-            self.labels_for_arc.setdefault(self.part_to_id[ua], []).append(i)
+            arc = arc_of.get((la.head, la.dep))
+            if arc is None:
+                raise ValueError(f"labeled arc {la} has no unlabeled arc "
+                                 "in the space")
+            self.labels_for_arc.setdefault(arc, []).append(i)
         self.cross_for_arg = {}
         for i in self.cross_ids:
             c = self.parts[i]

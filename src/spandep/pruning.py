@@ -18,7 +18,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParameterStore, clip_and_step
+from .autodiff import (Graph, Node, ParameterStore, clip_and_step,
+                       gathered_affine)
 from .encoder import Encoder, Vocabulary, build_vocabularies
 from .formats import FormatError, _restore_params, load_checkpoint, save_checkpoint, model_manifest
 from .inference.semimarkov import nll_node, semi_markov_marginals
@@ -194,13 +195,13 @@ class PrunerModel:
                    rng: Optional[np.random.Generator] = None,
                    training: bool = False) -> Node:
         hs = self.encoder.encode(g, sentence, rng=rng, training=training)
-        x = g.concat_cols(g.lookup(hs, [h for h, _ in pairs]),
-                          g.lookup(hs, [d for _, d in pairs]))
 
         def p(name: str) -> Node:
             return g.param(self.store, name)
 
-        z = g.tanh(g.affine(x, p("pr.arc.w1"), p("pr.arc.b1")))
+        z = g.tanh(gathered_affine(g, [(hs, [h for h, _ in pairs]),
+                                       (hs, [d for _, d in pairs])],
+                                   p("pr.arc.w1"), p("pr.arc.b1")))
         z = g.tanh(g.affine(z, p("pr.arc.w2"), p("pr.arc.b2")))
         return g.matvec(z, p("pr.arc.w"))
 

@@ -8,20 +8,23 @@ for cross-task parts.  The arc-weight slot consumes the unlabeled scorer's
 own final linear weight vector, which ties the two tasks' parameters.
 
 Dependency parts are scored by a two-layer tanh MLP and a final linear layer,
-with separate parameters per part type (head, unlabeled, labeled, top).
+with separate parameters per part type (head, unlabeled, labeled, top).  An
+arc's first layer over [h_head; h_dep] (plus the label embedding for labeled
+arcs) is computed as the sum of per-token and per-label projections through
+row blocks of the first weight matrix, so its cost grows with the tokens and
+labels, not with the parts.
 
-Batched variants score whole part lists through matrix ops; they share
-parameters with the single-part paths and must agree with them exactly.
+Every part type is scored in batch, a whole part list per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParameterStore
+from .autodiff import Graph, Node, ParameterStore, gathered_affine
 from .parts import SpandepError
 
 _DEP_IN = {"head": 1, "ua": 2, "lab": 2, "top": 1}
@@ -88,78 +91,18 @@ class Scorers:
             raise SpandepError(f"unknown {table}: {key!r}")
         return g.select_row(self._p(g, f"emb.{table}"), index[key])
 
-    def frame_vec(self, g: Graph, frame: str) -> Node:
-        return self._vec(g, "frame", self.frame_ix, frame)
-
     def lu_vec(self, g: Graph, lu: str) -> Node:
         return self._vec(g, "lu", self.lu_ix, lu)
 
-    def role_vec(self, g: Graph, role: str) -> Node:
-        return self._vec(g, "role", self.role_ix, role)
+    def _mlp(self, g: Graph, blocks, tag: str) -> Node:
+        """Two tanh layers over the row-wise concatenation of the gathered
+        ``blocks`` (see ``gathered_affine``), one output row per part."""
+        h1 = g.tanh(gathered_affine(g, blocks, self._p(g, f"{tag}.w1"),
+                                    self._p(g, f"{tag}.b1")))
+        return g.tanh(g.affine(h1, self._p(g, f"{tag}.w2"),
+                               self._p(g, f"{tag}.b2")))
 
-    def label_vec(self, g: Graph, label: str) -> Node:
-        return self._vec(g, "label", self.label_ix, label)
-
-    # --- multilinear scores (single part) ---------------------------------
-
-    def _slots(self, g: Graph, pairs) -> Node:
-        """Product over slots of (factor matrix) @ (slot vector), an r-vector."""
-        out = None
-        for factor, vec in pairs:
-            dots = g.matvec(self._p(g, factor), vec)
-            out = dots if out is None else g.mul(out, dots)
-        return out
-
-    def score_predicate(self, g: Graph, g_fr: Node, g_tgt: Node,
-                        g_lu: Node) -> Node:
-        prod = self._slots(g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu)])
-        return g.sum(prod)
-
-    def score_argument(self, g: Graph, g_fr: Node, g_tgt: Node, g_lu: Node,
-                       g_span: Node, g_role: Node) -> Node:
-        prod = self._slots(g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu),
-                               ("u1", g_span), ("u2", g_role)])
-        return g.sum(prod)
-
-    def score_cross_task(self, g: Graph, g_fr: Node, g_tgt: Node, g_lu: Node,
-                         g_span: Node, g_role: Node, g_arc: Node) -> Node:
-        prod = self._slots(g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu),
-                               ("u1", g_span), ("u2", g_role),
-                               ("v1", self._p(g, "ua.w")), ("v2", g_arc)])
-        return g.sum(prod)
-
-    # --- dependency scores (single part) -----------------------------------
-
-    def _mlp(self, g: Graph, x: Node, tag: str) -> Node:
-        h1 = g.tanh(g.affine(x, self._p(g, f"{tag}.w1"), self._p(g, f"{tag}.b1")))
-        return g.tanh(g.affine(h1, self._p(g, f"{tag}.w2"), self._p(g, f"{tag}.b2")))
-
-    def arc_representation(self, g: Graph, hs: Node, head: int,
-                           dep: int) -> Node:
-        """g^ua for one ordered (head, dep) token pair."""
-        return self._mlp(g, g.concat(g.select_row(hs, head),
-                                     g.select_row(hs, dep)), "ua")
-
-    def score_head(self, g: Graph, hs: Node, token: int) -> Node:
-        return g.inner(self._mlp(g, g.select_row(hs, token), "head"),
-                       self._p(g, "head.w"))
-
-    def score_unlabeled(self, g: Graph, hs: Node, head: int,
-                        dep: int) -> Node:
-        return g.inner(self.arc_representation(g, hs, head, dep),
-                       self._p(g, "ua.w"))
-
-    def score_labeled(self, g: Graph, hs: Node, head: int, dep: int,
-                      label: str) -> Node:
-        x = g.concat(g.select_row(hs, head), g.select_row(hs, dep),
-                     self.label_vec(g, label))
-        return g.inner(self._mlp(g, x, "lab"), self._p(g, "lab.w"))
-
-    def score_top(self, g: Graph, hs: Node, dep: int) -> Node:
-        return g.inner(self._mlp(g, g.select_row(hs, dep), "top"),
-                       self._p(g, "top.w"))
-
-    # --- batched paths ------------------------------------------------------
+    # --- scoring ------------------------------------------------------------
 
     def target_terms(self, g: Graph, g_tgt: Node, g_lu: Node) -> TargetTerms:
         """The products every frame-side part of one target shares, each
@@ -209,14 +152,16 @@ class Scorers:
 
     def head_scores(self, g: Graph, hs: Node,
                     tokens: Sequence[int]) -> Node:
-        return g.matvec(self._mlp(g, g.lookup(hs, tokens), "head"),
+        return g.matvec(self._mlp(g, [(hs, tokens)], "head"),
                         self._p(g, "head.w"))
 
     def arc_representations(self, g: Graph, hs: Node,
                             pairs: Sequence[tuple[int, int]]) -> Node:
-        x = g.concat_cols(g.lookup(hs, [h for h, _ in pairs]),
-                          g.lookup(hs, [d for _, d in pairs]))
-        return self._mlp(g, x, "ua")
+        """g^ua for each (head, dep) pair: the first layer is the head
+        token's and the dependent's projections, each computed once per
+        token, added per pair."""
+        return self._mlp(g, [(hs, [h for h, _ in pairs]),
+                             (hs, [d for _, d in pairs])], "ua")
 
     def unlabeled_scores(self, g: Graph, arc_rows: Node) -> Node:
         """Takes the matrix from ``arc_representations`` so cross-task scoring
@@ -225,17 +170,16 @@ class Scorers:
 
     def labeled_scores(self, g: Graph, hs: Node,
                        triples: Sequence[tuple[int, int, str]]) -> Node:
-        for _, _, label in triples:
-            if label not in self.label_ix:
-                raise SpandepError(f"unknown label: {label!r}")
-        x = g.concat_cols(
-            g.lookup(hs, [h for h, _, _ in triples]),
-            g.lookup(hs, [d for _, d, _ in triples]),
-            g.lookup(self._p(g, "emb.label"),
-                     [self.label_ix[label] for _, _, label in triples]))
-        return g.matvec(self._mlp(g, x, "lab"), self._p(g, "lab.w"))
+        heads, deps, labels = zip(*triples)
+        try:
+            label_ids = [self.label_ix[label] for label in labels]
+        except KeyError as err:
+            raise SpandepError(f"unknown label: {err.args[0]!r}") from None
+        blocks = [(hs, heads), (hs, deps),
+                  (self._p(g, "emb.label"), label_ids)]
+        return g.matvec(self._mlp(g, blocks, "lab"), self._p(g, "lab.w"))
 
     def top_scores(self, g: Graph, hs: Node,
                    tokens: Sequence[int]) -> Node:
-        return g.matvec(self._mlp(g, g.lookup(hs, tokens), "top"),
+        return g.matvec(self._mlp(g, [(hs, tokens)], "top"),
                         self._p(g, "top.w"))

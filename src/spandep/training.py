@@ -265,24 +265,32 @@ class TrainResult:
 
 def _predict_fn(models: Sequence[ParserModel], sentences: Sequence[Sentence],
                 instances: Sequence[FnInstance],
-                options: Optional[SolverOptions]) -> List[Sentence]:
+                options: Optional[SolverOptions]
+                ) -> Tuple[List[Sentence], int]:
+    """The re-annotated sentences, and how many decodes were not certified
+    exact."""
     parses: dict[int, list] = {id(s): [] for s in sentences}
+    uncertified = 0
     for inst in instances:
         scored = ensemble_scores(models, inst.space)
         res = decode(scored, mode="joint", options=options)
         parses[id(inst.sentence)].append(res.parse)
+        uncertified += res.status != "exact"
     return [replace(s, supervision=FrameAnnotations(tuple(parses[id(s)])))
-            for s in sentences]
+            for s in sentences], uncertified
 
 
 def _predict_dm(models: Sequence[ParserModel], instances: Sequence[DmInstance],
-                options: Optional[SolverOptions]) -> List[Sentence]:
+                options: Optional[SolverOptions]
+                ) -> Tuple[List[Sentence], int]:
     out = []
+    uncertified = 0
     for inst in instances:
         scored = ensemble_scores(models, inst.space)
         res = decode(scored, mode="dependencies_only", options=options)
         out.append(replace(inst.sentence, supervision=res.graph))
-    return out
+        uncertified += res.status != "exact"
+    return out, uncertified
 
 
 def _as_members(models) -> List[ParserModel]:
@@ -314,6 +322,15 @@ def predict_frames(models, sentences: Sequence[Sentence],
     Targets and lexical units are taken from the existing annotations; the
     frame and argument set are replaced by the decoder's output.
     """
+    return frame_predictions(models, sentences, limits, options)[0]
+
+
+def frame_predictions(models, sentences: Sequence[Sentence],
+                      limits: Optional[SpaceLimits] = None,
+                      options: Optional[SolverOptions] = None
+                      ) -> Tuple[List[Sentence], int]:
+    """``predict_frames``'s sentences, and how many decodes were not
+    certified exact."""
     members = _as_members(models)
     cfg = TrainConfig()
     limits = limits if limits is not None else cfg.fn_limits(
@@ -326,6 +343,16 @@ def predict_dependencies(models, sentences: Sequence[Sentence],
                          limits: Optional[SpaceLimits] = None,
                          options: Optional[SolverOptions] = None
                          ) -> List[Sentence]:
+    """Replace each sentence's dependency graph with the decoded one."""
+    return dependency_predictions(models, sentences, limits, options)[0]
+
+
+def dependency_predictions(models, sentences: Sequence[Sentence],
+                           limits: Optional[SpaceLimits] = None,
+                           options: Optional[SolverOptions] = None
+                           ) -> Tuple[List[Sentence], int]:
+    """``predict_dependencies``'s sentences, and how many decodes were not
+    certified exact."""
     members = _as_members(models)
     limits = limits if limits is not None else TrainConfig().dm_limits(
         members[0].dep_labels)
@@ -413,10 +440,11 @@ def train(model: ParserModel,
 
         dev_fn = dev_sdp = 0.0
         if fn_dev:
-            pred = _predict_fn([model], list(fn_dev), dev_fn_insts, options)
+            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_insts,
+                                  options)
             dev_fn = eval_frames(list(fn_dev), pred, model.ontology).f1
         if dm_dev:
-            pred = _predict_dm([model], dev_dm_insts, options)
+            pred, _ = _predict_dm([model], dev_dm_insts, options)
             dev_sdp = eval_sdp(list(dm_dev), pred).f1
 
         stats = EpochStats(epoch=epoch, lr=lr,

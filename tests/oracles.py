@@ -10,16 +10,126 @@ import math
 import numpy as np
 
 
+def concat_affine(g, blocks, w, b):
+    """``affine`` over the row-wise concatenation of the gathered blocks,
+    built as a matrix: the reference for ``gathered_affine``."""
+    x = g.concat_cols(*(x if ids is None else g.lookup(x, ids)
+                        for x, ids in blocks))
+    return g.affine(x, w, b)
+
+
+def backward_with_copies(graph, loss):
+    """Backward pass with a zeroed gradient per parameter node, added into
+    the store at the end: the reference for ``Graph.backward``."""
+    from spandep.autodiff import _BACKWARD
+
+    for node in graph.nodes:
+        node.grad = None
+    loss.grad = np.asarray(1.0)
+    for node in reversed(graph.nodes):
+        if node.grad is None:
+            continue
+        _BACKWARD[node.op](node)
+        if node.op == "param":
+            store, name = node.ctx
+            store.grads[name] += node.grad
+
+
+def _concat_mlp(g, store, prefix, x):
+    """The two tanh layers of the MLP named ``prefix`` over one input
+    vector, first layer over the whole concatenation."""
+    p = lambda s: g.param(store, f"{prefix}.{s}")
+    return g.tanh(g.affine(g.tanh(g.affine(x, p("w1"), p("b1"))),
+                           p("w2"), p("b2")))
+
+
+# --- single-part scorers: the references for the batched paths ------------
+
+def frame_vec(sc, g, frame):
+    return sc._vec(g, "frame", sc.frame_ix, frame)
+
+
+def role_vec(sc, g, role):
+    return sc._vec(g, "role", sc.role_ix, role)
+
+
+def label_vec(sc, g, label):
+    return sc._vec(g, "label", sc.label_ix, label)
+
+
+def _slots(sc, g, pairs):
+    """Product over slots of (factor matrix) @ (slot vector), an r-vector."""
+    out = None
+    for factor, vec in pairs:
+        dots = g.matvec(sc._p(g, factor), vec)
+        out = dots if out is None else g.mul(out, dots)
+    return out
+
+
+def score_predicate(sc, g, g_fr, g_tgt, g_lu):
+    return g.sum(_slots(sc, g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu)]))
+
+
+def score_argument(sc, g, g_fr, g_tgt, g_lu, g_span, g_role):
+    return g.sum(_slots(sc, g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu),
+                                ("u1", g_span), ("u2", g_role)]))
+
+
+def score_cross_task(sc, g, g_fr, g_tgt, g_lu, g_span, g_role, g_arc):
+    return g.sum(_slots(sc, g, [("w1", g_fr), ("w2", g_tgt), ("w3", g_lu),
+                                ("u1", g_span), ("u2", g_role),
+                                ("v1", sc._p(g, "ua.w")), ("v2", g_arc)]))
+
+
+def arc_representation(sc, g, hs, head, dep):
+    """g^ua for one ordered (head, dep) token pair."""
+    return _concat_mlp(g, sc.store, f"{sc.prefix}.ua",
+                       g.concat(g.select_row(hs, head), g.select_row(hs, dep)))
+
+
+def score_head(sc, g, hs, token):
+    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.head",
+                               g.select_row(hs, token)),
+                   sc._p(g, "head.w"))
+
+
+def score_unlabeled(sc, g, hs, head, dep):
+    return g.inner(arc_representation(sc, g, hs, head, dep),
+                   sc._p(g, "ua.w"))
+
+
+def score_labeled(sc, g, hs, head, dep, label):
+    x = g.concat(g.select_row(hs, head), g.select_row(hs, dep),
+                 label_vec(sc, g, label))
+    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.lab", x),
+                   sc._p(g, "lab.w"))
+
+
+def score_top(sc, g, hs, dep):
+    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.top",
+                               g.select_row(hs, dep)),
+                   sc._p(g, "top.w"))
+
+
+def span_representation(enc, g, hs, span, target_start):
+    from spandep.encoder import discrete_features
+
+    i, j = span
+    x = g.concat(g.select_row(hs, i), g.select_row(hs, j),
+                 g.input(discrete_features(span, target_start)))
+    return _concat_mlp(g, enc.store, f"{enc.prefix}.span", x)
+
+
 def lstm_cell(g, x, h_prev, c_prev, w, b):
     """One LSTM step built from elementary graph ops: the per-step reference
     for the fused ``lstm`` op.  ``w`` has shape (dim_x + dim_h, 4*dim_h),
     gate order input/forget/output/candidate."""
     hdim = h_prev.value.shape[0]
     z = g.affine(g.concat(x, h_prev), w, b)
-    i = g.sigmoid(g.slice_cols(z, 0, hdim))
-    f = g.sigmoid(g.slice_cols(z, hdim, 2 * hdim))
-    o = g.sigmoid(g.slice_cols(z, 2 * hdim, 3 * hdim))
-    cand = g.tanh(g.slice_cols(z, 3 * hdim, 4 * hdim))
+    i = g.sigmoid(g.slice_rows(z, 0, hdim))
+    f = g.sigmoid(g.slice_rows(z, hdim, 2 * hdim))
+    o = g.sigmoid(g.slice_rows(z, 2 * hdim, 3 * hdim))
+    cand = g.tanh(g.slice_rows(z, 3 * hdim, 4 * hdim))
     c = g.add(g.mul(f, c_prev), g.mul(i, cand))
     h = g.mul(o, g.tanh(c))
     return h, c
@@ -278,3 +388,170 @@ def assert_joint_feasible(space, parts, constraints):
             key = (la.head, la.label)
             used[key] = used.get(key, 0) + 1
             assert used[key] <= 1, f"deterministic label {key} used twice"
+
+
+def build_factor_graph_by_parts(space, constraints, include_frames=True):
+    """The factor graph of a scored space, built part by part from factor
+    dataclasses: the reference for ``build_factor_graph``."""
+    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
+                                                Implication, Pair,
+                                                SemiMarkov, Xor)
+    from spandep.parts import Argument, CrossTask, Predicate
+
+    keep = [pid for pid, part in enumerate(space.parts)
+            if not isinstance(part, CrossTask)
+            and (include_frames or not isinstance(part, (Predicate, Argument)))]
+    var_of_part = {pid: i for i, pid in enumerate(keep)}
+    xors, imps, amos, semis, pairs = [], [], [], [], []
+    if include_frames and space.predicate_ids:
+        pred_vars = tuple(var_of_part[p] for p in space.predicate_ids)
+        xors.append(Xor(pred_vars, (False,) * len(pred_vars)))
+        pred_var_of_frame = {space.parts[p].frame: var_of_part[p]
+                             for p in space.predicate_ids}
+        arg_vars, arg_spans = [], []
+        for pid in space.argument_ids:
+            a = space.parts[pid]
+            imps.append(Implication(var_of_part[pid],
+                                    pred_var_of_frame[a.frame]))
+            arg_vars.append(var_of_part[pid])
+            arg_spans.append((a.start, a.end, (a.frame, a.role)))
+        if arg_vars:
+            semis.append(SemiMarkov(tuple(arg_vars), tuple(arg_spans),
+                                    space.n, space.n))
+    if space.root_arc_ids:
+        root_vars = tuple(var_of_part[p] for p in space.root_arc_ids)
+        xors.append(Xor(root_vars, (False,) * len(root_vars)))
+    head_var_of_token = {space.parts[p].token: var_of_part[p]
+                         for p in space.head_ids}
+    for pid in space.arc_ids:
+        arc = space.parts[pid]
+        label_ids = space.labels_for_arc.get(pid, [])
+        if label_ids:
+            xors.append(Xor((var_of_part[pid],)
+                            + tuple(var_of_part[l] for l in label_ids),
+                            (True,) + (False,) * len(label_ids)))
+        if arc.head in head_var_of_token:
+            imps.append(Implication(var_of_part[pid],
+                                    head_var_of_token[arc.head]))
+    groups = {}
+    for pid in space.labeled_ids:
+        la = space.parts[pid]
+        if la.label in constraints.deterministic_labels:
+            groups.setdefault((la.head, la.label), []).append(var_of_part[pid])
+    amos = [AtMostOne(tuple(g)) for g in groups.values() if len(g) >= 2]
+    if include_frames:
+        for cid in space.cross_ids:
+            c = space.parts[cid]
+            pairs.append(Pair(var_of_part[c.arg_id], var_of_part[c.arc_id],
+                              float(space.scores[cid])))
+    return FactorGraph(space.scores[keep].copy(),
+                       tuple(space.parts[p] for p in keep), tuple(xors),
+                       tuple(amos), tuple(imps), tuple(pairs), tuple(semis))
+
+
+def clamp_by_loops(graph, fixed):
+    """Unit propagation factor by factor, and the reduced graph rebuilt from
+    factor dataclasses: the reference for ``clamp_graph`` once something
+    is fixed.  Returns (reduced graph, forced, free)."""
+    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
+                                                Implication, Infeasible,
+                                                Pair, SemiMarkov, Xor)
+
+    val = {}
+
+    def assign(v, b):
+        if v in val:
+            if val[v] != b:
+                raise Infeasible(f"variable {v} forced both ways")
+            return False
+        val[v] = b
+        return True
+
+    for v, b in fixed.items():
+        assign(v, bool(b))
+    changed = True
+    while changed:
+        changed = False
+        for f in graph.xors:
+            lits = [(v, ng, val.get(v)) for v, ng in zip(f.vars, f.neg)]
+            true_lits = [v for v, ng, b in lits if b is not None and b != ng]
+            free = [(v, ng) for v, ng, b in lits if b is None]
+            if len(true_lits) > 1:
+                raise Infeasible("xor with two true literals")
+            if len(true_lits) == 1:
+                for v, ng in free:
+                    changed |= assign(v, ng)
+            elif not free:
+                raise Infeasible("xor with all literals false")
+            elif len(free) == 1:
+                changed |= assign(free[0][0], not free[0][1])
+        for f in graph.amos:
+            on = [v for v in f.vars if val.get(v)]
+            if len(on) > 1:
+                raise Infeasible("at-most-one violated")
+            if on:
+                for v in f.vars:
+                    if v not in val:
+                        changed |= assign(v, False)
+        for f in graph.imps:
+            if val.get(f.a) is True and val.get(f.b) is not True:
+                changed |= assign(f.b, True)
+            if val.get(f.b) is False and val.get(f.a) is not False:
+                changed |= assign(f.a, False)
+        for f in graph.semis:
+            blocked = set()
+            for v, (i, j, _k) in zip(f.vars, f.spans):
+                if val.get(v):
+                    toks = set(range(i, j + 1))
+                    if blocked & toks:
+                        raise Infeasible("overlapping clamped spans")
+                    blocked |= toks
+            for v, (i, j, _k) in zip(f.vars, f.spans):
+                if v not in val and blocked & set(range(i, j + 1)):
+                    changed |= assign(v, False)
+
+    free_vars = [v for v in range(graph.nvars) if v not in val]
+    new = {v: i for i, v in enumerate(free_vars)}
+    theta = graph.theta[free_vars].copy()
+    offset = graph.offset + sum(float(graph.theta[v])
+                                for v, b in val.items() if b)
+    pairs = []
+    for f in graph.pairs:
+        ba, bb = val.get(f.a), val.get(f.b)
+        if ba is False or bb is False:
+            continue
+        if ba and bb:
+            offset += f.score
+        elif ba:
+            theta[new[f.b]] += f.score
+        elif bb:
+            theta[new[f.a]] += f.score
+        else:
+            pairs.append(Pair(new[f.a], new[f.b], f.score))
+    xors = []
+    for f in graph.xors:
+        if any(val.get(v) is not None and val[v] != ng
+               for v, ng in zip(f.vars, f.neg)):
+            continue
+        kept = [(new[v], ng) for v, ng in zip(f.vars, f.neg) if v not in val]
+        if kept:
+            xors.append(Xor(tuple(v for v, _ in kept),
+                            tuple(ng for _, ng in kept)))
+    amos = []
+    for f in graph.amos:
+        kept = tuple(new[v] for v in f.vars if v not in val)
+        if not any(val.get(v) for v in f.vars) and len(kept) >= 2:
+            amos.append(AtMostOne(kept))
+    imps = [Implication(new[f.a], new[f.b]) for f in graph.imps
+            if f.a not in val and f.b not in val]
+    semis = []
+    for f in graph.semis:
+        kept = [(new[v], sp) for v, sp in zip(f.vars, f.spans) if v not in val]
+        if kept:
+            semis.append(SemiMarkov(tuple(v for v, _ in kept),
+                                    tuple(sp for _, sp in kept),
+                                    f.n, f.max_len))
+    reduced = FactorGraph(theta, tuple(graph.labels[v] for v in free_vars),
+                          tuple(xors), tuple(amos), tuple(imps), tuple(pairs),
+                          tuple(semis), offset)
+    return reduced, val, np.array(free_vars, dtype=int)

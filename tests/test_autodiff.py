@@ -150,7 +150,7 @@ def test_grad_check_every_op():
     h = g.tanh(g.affine(rows, g.param(store, "w"), g.param(store, "b")))
     h = g.matmul(h, g.param(store, "m"))
     r0 = g.select_row(h, 1)
-    sl = g.slice_cols(h, 1, 3)
+    sl = g.slice_rows(h, 1, 3)
     parts = [
         g.sum(g.mul(h, h)),
         g.sum(g.sigmoid(h)),

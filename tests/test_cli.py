@@ -230,6 +230,58 @@ class TestPredictEnsemble:
         assert single.read_bytes() == double.read_bytes()
 
 
+class TestPredictCertification:
+    def _model(self, paths, corpus):
+        tiny = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3,
+                           rank=2, label_dim=2, bilstm_layers=1,
+                           bilstm_dim=4, word_dropout=0.0)
+        model = ParserModel.build(
+            tiny, corpus["ontology"], corpus["dep_labels"],
+            list(corpus["fn_train"]) + list(corpus["dm_train"]),
+            np.random.default_rng(0))
+        path = paths["dir"] / "m.zip"
+        save_model(model, path)
+        return path
+
+    def test_counts_go_to_stderr(self, paths, corpus, capsys):
+        model = self._model(paths, corpus)
+        for fmt, name in (("fn", "fn_dev"), ("sdp", "dm_dev")):
+            rc = cli(["predict", "--model", str(model),
+                      "--input", str(paths[name]), "--format", fmt,
+                      "--output", str(paths["dir"] / f"out.{fmt}")])
+            assert rc == 0
+            got = capsys.readouterr()
+            assert "not certified" not in got.out
+            assert "0 of 2 decodes not certified exact" in got.err
+
+    def test_rounded_decodes_are_counted(self, paths, corpus, capsys,
+                                         monkeypatch):
+        import dataclasses
+
+        import spandep.training as training
+
+        real = training.decode
+        calls = []
+
+        def first_rounded(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                res = dataclasses.replace(res, status="rounded")
+            return res
+
+        monkeypatch.setattr(training, "decode", first_rounded)
+        model = self._model(paths, corpus)
+        for fmt, name in (("fn", "fn_dev"), ("sdp", "dm_dev")):
+            calls.clear()
+            rc = cli(["predict", "--model", str(model),
+                      "--input", str(paths[name]), "--format", fmt,
+                      "--output", str(paths["dir"] / f"out.{fmt}")])
+            assert rc == 0 and len(calls) == 2
+            assert "1 of 2 decodes not certified exact" \
+                in capsys.readouterr().err
+
+
 class TestPretrainPruner:
     def test_span_pruner(self, paths, capsys):
         out = paths["dir"] / "span.zip"

@@ -14,7 +14,7 @@ from spandep.encoder import (
 )
 from spandep.parts import Target, make_sentence
 
-from .oracles import lstm_by_cells
+from .oracles import lstm_by_cells, span_representation
 
 
 def tiny_encoder(store=None, rng=None, **kw):
@@ -197,14 +197,14 @@ class TestRepresentations:
             store.values[f"enc.span.{name}"][:] = 0.0
         g = Graph()
         hs = enc.encode(g, SENT)
-        rep = enc.span_representation(g, hs, (0, 2), 1)
+        rep = span_representation(enc, g, hs, (0, 2), 1)
         np.testing.assert_array_equal(rep.value, np.zeros(6))
 
     def test_single_token_span_uses_h_twice(self):
         enc, _ = tiny_encoder()
         g = Graph()
         hs = enc.encode(g, SENT)
-        rep = enc.span_representation(g, hs, (1, 1), 0)
+        rep = span_representation(enc, g, hs, (1, 1), 0)
         assert rep.value.shape == (6,)
         assert np.all(np.isfinite(rep.value))
         x = rep  # walk back to the concat input
@@ -218,7 +218,7 @@ class TestRepresentations:
         for _ in range(2):
             g = Graph()
             hs = enc.encode(g, SENT)
-            vals.append(enc.span_representation(g, hs, (0, 1), 2).value)
+            vals.append(span_representation(enc, g, hs, (0, 1), 2).value)
         np.testing.assert_array_equal(vals[0], vals[1])
 
     def test_batch_matches_single(self):
@@ -228,7 +228,7 @@ class TestRepresentations:
         spans = [(0, 0), (0, 2), (1, 2), (2, 2)]
         batch = enc.span_representations(g, hs, spans, 1)
         for k, span in enumerate(spans):
-            single = enc.span_representation(g, hs, span, 1)
+            single = span_representation(enc, g, hs, span, 1)
             np.testing.assert_allclose(batch.value[k], single.value,
                                        rtol=1e-12)
 
@@ -265,7 +265,7 @@ def test_gradients_through_whole_encoder():
     spans = [(0, 1), (1, 1), (0, 2)]
     loss = g.add(g.add(
         g.sum(enc.span_representations(g, hs, spans, 1)),
-        g.sum(enc.span_representation(g, hs, (2, 2), 1))),
+        g.sum(span_representation(enc, g, hs, (2, 2), 1))),
         g.sum(enc.target_representation(g, hs, Target(1, 1, "sit.v"))))
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=10)
     assert report["pass"], report["per_param"]

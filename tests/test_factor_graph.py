@@ -15,6 +15,7 @@ from spandep.inference.factor_graph import (
 )
 from spandep.parts import (
     Argument,
+    FrameParse,
     Ontology,
     Predicate,
     SpaceLimits,
@@ -25,8 +26,13 @@ from spandep.parts import (
 )
 from spandep.synthetic import random_joint_instance
 
+from spandep.inference.decode import drop_sparse_cross_task
+from spandep.parts import frame_parts
+
 from .oracles import (
+    build_factor_graph_by_parts,
     check_assignment_by_loops,
+    clamp_by_loops,
     objective_by_loops,
     random_factor_graph,
 )
@@ -251,3 +257,103 @@ class TestClampPassThrough:
         cr = clamp_graph(g, {})
         assert cr.forced == {0: False, 1: False}
         assert cr.graph.nvars == 1
+
+
+def assert_same_graph(got, want):
+    """Same variables, factor arrays and dump; offsets to rounding."""
+    assert got.labels == want.labels
+    np.testing.assert_array_equal(got.theta, want.theta)
+    for name in ("var", "neg", "ptr"):
+        np.testing.assert_array_equal(getattr(got.xor, name),
+                                      getattr(want.xor, name))
+        np.testing.assert_array_equal(getattr(got.amo, name),
+                                      getattr(want.amo, name))
+    for name in ("imp_a", "imp_b", "pair_a", "pair_b", "pair_score"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.semis == want.semis
+    assert got.offset == pytest.approx(want.offset, abs=1e-12)
+    assert got.dump() == want.dump()
+
+
+def scored_space(n, rng, target=True, labels=("a1", "a2"), **kw):
+    sent = make_sentence([f"w{i}" for i in range(n)])
+    onto = Ontology({"lu.v": ["F0", "F1"]}, {"F0": ["R0"], "F1": ["R0", "R1"]})
+    space = build_candidate_space(
+        sent, Target(1, 1, "lu.v") if target else None, onto,
+        SpaceLimits(max_span_len=3, dep_labels=labels, **kw))
+    return space.with_scores(rng.normal(size=len(space.parts)))
+
+
+class TestArraysMatchObjectBuild:
+    @pytest.mark.parametrize("case", [
+        "joint", "dependencies_only", "no_target", "deterministic_labels",
+        "pruned_arcs", "one_label", "dropped_cross"])
+    def test_build(self, case):
+        rng = np.random.default_rng(41)
+        constraints, include_frames = GraphConstraints(), True
+        kw = {}
+        if case == "pruned_arcs":
+            kw["allowed_arcs"] = frozenset({(1, 0), (1, 3), (2, 1), (3, 0)})
+        space = scored_space(5, rng, target=case != "no_target",
+                             labels=("a1",) if case == "one_label"
+                             else ("a1", "a2"), **kw)
+        if case == "dependencies_only":
+            include_frames = False
+        if case == "deterministic_labels":
+            constraints = GraphConstraints(frozenset({"a2"}))
+        if case == "dropped_cross":
+            before = len(space.cross_ids)
+            space = drop_sparse_cross_task(space, tol=0.5)
+            assert 0 < len(space.cross_ids) < before
+        got = build_factor_graph(space, constraints, include_frames)
+        assert_same_graph(got, build_factor_graph_by_parts(
+            space, constraints, include_frames))
+
+    def test_build_on_random_joint_instances(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            space, constraints = random_joint_instance(rng)
+            for include_frames in (True, False):
+                assert_same_graph(
+                    build_factor_graph(space, constraints, include_frames),
+                    build_factor_graph_by_parts(space, constraints,
+                                                include_frames))
+
+    @pytest.mark.parametrize("det", [frozenset(), frozenset({"a1"})])
+    def test_latent_completion_clamp(self, det):
+        rng = np.random.default_rng(47)
+        space = scored_space(5, rng)
+        fg = build_factor_graph(space, GraphConstraints(det))
+        gold = frame_parts(space, FrameParse(Target(1, 1, "lu.v"), "F1",
+                                             frozenset({(2, 3, "R1"),
+                                                        (0, 0, "R0")})))
+        fixed = {v: part in gold for v, part in enumerate(fg.labels)
+                 if isinstance(part, (Predicate, Argument))}
+        got = clamp_graph(fg, fixed)
+        want, forced, free = clamp_by_loops(fg, fixed)
+        assert got.forced == forced
+        np.testing.assert_array_equal(got.free, free)
+        assert_same_graph(got.graph, want)
+        assert got.graph.pair_a.size == 0 and not got.graph.semis
+
+    def test_clamp_on_random_graphs(self):
+        rng = np.random.default_rng(53)
+        infeasible = 0
+        for k in range(300):
+            g = random_factor_graph(rng) if k % 2 else \
+                build_factor_graph(*random_joint_instance(rng))
+            picks = rng.choice(g.nvars, size=int(rng.integers(1, 4)),
+                               replace=False)
+            fixed = {int(v): bool(rng.random() < 0.5) for v in picks}
+            try:
+                want = clamp_by_loops(g, fixed)
+            except Infeasible:
+                infeasible += 1
+                with pytest.raises(Infeasible):
+                    clamp_graph(g, fixed)
+                continue
+            got = clamp_graph(g, fixed)
+            assert got.forced == want[1]
+            np.testing.assert_array_equal(got.free, want[2])
+            assert_same_graph(got.graph, want[0])
+        assert 0 < infeasible < 300

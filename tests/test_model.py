@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spandep.autodiff import Graph, grad_check
+import spandep.encoder
+import spandep.scorers
+from spandep.autodiff import Graph, collect_grads, grad_check
 from spandep.model import ModelConfig, ParserModel
 from spandep.parts import (
     Argument,
@@ -15,6 +17,22 @@ from spandep.parts import (
     UnlabeledArc,
     build_candidate_space,
     make_sentence,
+)
+
+from .oracles import (
+    arc_representation,
+    backward_with_copies,
+    concat_affine,
+    frame_vec,
+    role_vec,
+    score_argument,
+    score_cross_task,
+    score_head,
+    score_labeled,
+    score_predicate,
+    score_top,
+    score_unlabeled,
+    span_representation,
 )
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
@@ -107,29 +125,29 @@ class TestPerPartCrossCheck:
 
         def single(part):
             if isinstance(part, Predicate):
-                return sc.score_predicate(g, sc.frame_vec(g, part.frame),
-                                          g_tgt, g_lu)
+                return score_predicate(sc, g, frame_vec(sc, g, part.frame),
+                                       g_tgt, g_lu)
             if isinstance(part, Argument):
-                rep = enc.span_representation(g, hs, part.span, tgt.start)
-                return sc.score_argument(g, sc.frame_vec(g, part.frame),
-                                         g_tgt, g_lu, rep,
-                                         sc.role_vec(g, part.role))
+                rep = span_representation(enc, g, hs, part.span, tgt.start)
+                return score_argument(sc, g, frame_vec(sc, g, part.frame),
+                                      g_tgt, g_lu, rep,
+                                      role_vec(sc, g, part.role))
             if isinstance(part, Head):
-                return sc.score_head(g, hs, part.token)
+                return score_head(sc, g, hs, part.token)
             if isinstance(part, UnlabeledArc):
                 if part.is_root:
-                    return sc.score_top(g, hs, part.dep)
-                return sc.score_unlabeled(g, hs, part.head, part.dep)
+                    return score_top(sc, g, hs, part.dep)
+                return score_unlabeled(sc, g, hs, part.head, part.dep)
             if isinstance(part, LabeledArc):
-                return sc.score_labeled(g, hs, part.head, part.dep, part.label)
+                return score_labeled(sc, g, hs, part.head, part.dep, part.label)
             assert isinstance(part, CrossTask)
             arg = space.parts[part.arg_id]
             arc = space.parts[part.arc_id]
-            rep = enc.span_representation(g, hs, arg.span, tgt.start)
-            arc_rep = sc.arc_representation(g, hs, arc.head, arc.dep)
-            return sc.score_cross_task(g, sc.frame_vec(g, arg.frame), g_tgt,
-                                       g_lu, rep, sc.role_vec(g, arg.role),
-                                       arc_rep)
+            rep = span_representation(enc, g, hs, arg.span, tgt.start)
+            arc_rep = arc_representation(sc, g, hs, arc.head, arc.dep)
+            return score_cross_task(sc, g, frame_vec(sc, g, arg.frame), g_tgt,
+                                    g_lu, rep, role_vec(sc, g, arg.role),
+                                    arc_rep)
 
         for i, part in enumerate(space.parts):
             want = float(single(part).value)
@@ -183,3 +201,68 @@ def test_shared_frame_terms_are_built_once():
     slot_uses = [n for n in g.nodes if n.op == "matvec"
                  and params.get(id(n.parents[0])) in ("w2", "w3")]
     assert len(slot_uses) == 2
+
+
+WORDS = [f"w{i}" for i in range(12)]
+
+
+def sized_space(n, labels=("a1", "a2"), **kw):
+    """A joint space over the first n words, target on the last token."""
+    sent = make_sentence(WORDS[:n], ["sit"] * n)
+    limits = SpaceLimits(max_span_len=3, dep_labels=labels, **kw)
+    return build_candidate_space(sent, Target(n - 1, n - 1, "sit.v"), ONT,
+                                 limits)
+
+
+def scores_and_grads(model, space):
+    """Scores and the parameter gradients of a fixed random linear loss."""
+    g = Graph()
+    res = model.score_space(g, space)
+    w = np.random.default_rng(len(space.parts)).normal(size=len(space.parts))
+    model.store.zero_grads()
+    g.backward(g.inner(res.node, g.input(w)))
+    grads = collect_grads(model.store)
+    model.store.zero_grads()
+    return g, res.node.value.copy(), grads
+
+
+@pytest.mark.parametrize("n,labels,arcs", [
+    (1, ("a1", "a2"), None),
+    (2, ("a1", "a2"), None),
+    (12, ("a1", "a2"), None),
+    (5, ("a1",), None),
+    (6, ("a1", "a2"), frozenset({(5, 0), (5, 2), (0, 1), (3, 4), (2, 5)})),
+])
+def test_factorized_first_layers_match_concatenation(n, labels, arcs,
+                                                     monkeypatch):
+    model = ParserModel.build(TINY, ONT, labels, [make_sentence(WORDS)],
+                              np.random.default_rng(3))
+    space = sized_space(n, labels, allowed_arcs=arcs)
+    g, got, got_grads = scores_and_grads(model, space)
+    # the first layers never materialise a row per part
+    assert all(node.value.shape[0] == n for node in g.nodes
+               if node.op == "concat_cols")
+    for module in (spandep.scorers, spandep.encoder):
+        monkeypatch.setattr(module, "gathered_affine", concat_affine)
+    _, want, want_grads = scores_and_grads(model, space)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for name, w in want_grads.items():
+        np.testing.assert_allclose(
+            got_grads[name], w, rtol=1e-12,
+            atol=1e-12 * max(np.abs(w).max(initial=0.0), 1e-300),
+            err_msg=name)
+
+
+def test_backward_into_the_store_matches_per_graph_copies():
+    model = tiny_model()
+    space = joint_space()
+    g = Graph()
+    res = model.score_space(g, space)
+    loss = g.add(g.sum(g.tanh(res.node)), g.sum(g.abs(res.cross)))
+    model.store.zero_grads()
+    backward_with_copies(g, loss)
+    want = collect_grads(model.store)
+    model.store.zero_grads()
+    g.backward(loss)
+    for name, w in want.items():
+        assert np.array_equal(model.store.grads[name], w), name

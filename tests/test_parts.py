@@ -275,3 +275,28 @@ def test_with_scores_shares_the_derived_index():
         assert getattr(again, name) is getattr(space, name), name
     assert space.scores.sum() == 0.0 and again.scores.sum() == 0.0
     assert scored.scores.sum() == len(space)
+
+
+def test_labels_for_arc_groups_labels_under_their_arc():
+    sent = make_sentence(["a", "b", "c"])
+    limits = SpaceLimits(dep_labels=("A", "B"),
+                         allowed_arcs=frozenset({(0, 1), (2, 0), (1, 2)}))
+    space = build_candidate_space(sent, None, ONT, limits)
+    want = {}
+    for i in space.labeled_ids:
+        la = space.parts[i]
+        arc = space.part_to_id[UnlabeledArc(la.head, la.dep)]
+        want.setdefault(arc, []).append(i)
+    assert space.labels_for_arc == want
+    assert sorted(space.labels_for_arc) == sorted(space.arc_ids)
+    assert all(len(v) == 2 for v in space.labels_for_arc.values())
+
+
+def test_labeled_arc_without_its_arc_is_named():
+    space = build_candidate_space(make_sentence(["a", "b"]), None, ONT,
+                                  SpaceLimits(dep_labels=("A",)))
+    orphan = LabeledArc(1, 0, "A")
+    parts = tuple(p for p in space.parts if p != UnlabeledArc(1, 0))
+    assert orphan in parts
+    with pytest.raises(ValueError, match=r"LabeledArc\(head=1, dep=0"):
+        type(space)(space.sentence, None, (), parts, np.zeros(len(parts)))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spandep.autodiff import Graph
+import spandep.encoder
+import spandep.pruning
+from spandep.autodiff import Graph, collect_grads
 from spandep.formats import FormatError, load_model
 from spandep.model import ModelConfig
 from spandep.parts import (
@@ -27,6 +29,8 @@ from spandep.pruning import (
     span_nll,
     span_threshold,
 )
+
+from .oracles import concat_affine
 
 ONT = Ontology({"sit.v": ("Rest",)}, {"Rest": ("Agent", "Place")})
 
@@ -238,6 +242,37 @@ class TestArcPruner:
     def test_empty_corpus_rejected(self):
         with pytest.raises(SpandepError, match="empty corpus"):
             pretrain_arc_pruner([], model_config=TINY)
+
+    def test_factorized_heads_match_concatenation(self, monkeypatch):
+        forms = [f"w{i}" for i in range(12)]
+        sent = dm_sentence(forms, [(0, 1, "a")])
+        pruner = PrunerModel.build([sent], np.random.default_rng(6),
+                                   config=TINY)
+        pairs = pruner.arc_candidates(12)
+        spans = pruner.span_candidates(12, 4)
+        target = Target(3, 3, "sit.v")
+
+        def run():
+            g = Graph()
+            arcs = pruner.arc_logits(g, sent, pairs)
+            span = pruner.span_scores(g, sent, target, spans)
+            pruner.store.zero_grads()
+            g.backward(g.add(g.sum(g.tanh(arcs)), g.sum(g.tanh(span))))
+            grads = collect_grads(pruner.store)
+            pruner.store.zero_grads()
+            return arcs.value, span.value, grads
+
+        got = run()
+        for module in (spandep.pruning, spandep.encoder):
+            monkeypatch.setattr(module, "gathered_affine", concat_affine)
+        want = run()
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
+        for name, w in want[2].items():
+            np.testing.assert_allclose(
+                got[2][name], w, rtol=1e-12,
+                atol=1e-12 * max(np.abs(w).max(initial=0.0), 1e-300),
+                err_msg=name)
 
     def test_wrong_supervision_rejected(self, toy_fn_corpus):
         with pytest.raises(SpandepError, match="no dependency graph"):

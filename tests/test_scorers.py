@@ -7,6 +7,19 @@ from spandep.autodiff import Graph, ParameterStore, grad_check
 from spandep.parts import SpandepError
 from spandep.scorers import Scorers
 
+from .oracles import (
+    arc_representation,
+    frame_vec,
+    role_vec,
+    score_argument,
+    score_cross_task,
+    score_head,
+    score_labeled,
+    score_predicate,
+    score_top,
+    score_unlabeled,
+)
+
 
 def small_scorers(seed=0, rank=3, label_dim=3, mlp_dim=4, bilstm_dim=6):
     store = ParameterStore()
@@ -36,7 +49,7 @@ class TestMultilinearHandCases:
         store.values["sc.w2"][:] = 1.0
         store.values["sc.w3"][:] = 1.0
         g = Graph()
-        s = sc.score_predicate(g, g.input([2.0]), g.input([3.0]), g.input([4.0]))
+        s = score_predicate(sc, g, g.input([2.0]), g.input([3.0]), g.input([4.0]))
         assert float(s.value) == pytest.approx(24.0)
 
     def test_rank_two_sums_products(self):
@@ -45,16 +58,16 @@ class TestMultilinearHandCases:
         store.values["sc.w2"][:, 0] = [1.0, 1.0]
         store.values["sc.w3"][:, 0] = [1.0, -1.0]
         g = Graph()
-        s = sc.score_predicate(g, g.input([1.0]), g.input([1.0]), g.input([1.0]))
+        s = score_predicate(sc, g, g.input([1.0]), g.input([1.0]), g.input([1.0]))
         assert float(s.value) == pytest.approx(5.0 - 3.0)
 
     def test_zero_slot_kills_score(self):
         sc, _ = small_scorers()
         g = Graph()
         rng = np.random.default_rng(1)
-        s = sc.score_predicate(g, g.input(np.zeros(3)),
-                               g.input(rng.normal(size=4)),
-                               g.input(rng.normal(size=3)))
+        s = score_predicate(sc, g, g.input(np.zeros(3)),
+                            g.input(rng.normal(size=4)),
+                            g.input(rng.normal(size=3)))
         assert float(s.value) == 0.0
 
     def test_argument_rank_one(self):
@@ -63,18 +76,18 @@ class TestMultilinearHandCases:
             store.values[f"sc.{name}"][:] = 1.0
         g = Graph()
         one = g.input([1.0])
-        s = sc.score_argument(g, one, one, one, g.input([2.0]), g.input([3.0]))
+        s = score_argument(sc, g, one, one, one, g.input([2.0]), g.input([3.0]))
         assert float(s.value) == pytest.approx(6.0)
 
     def test_argument_zero_role(self):
         sc, _ = small_scorers()
         g = Graph()
         rng = np.random.default_rng(3)
-        s = sc.score_argument(g, g.input(rng.normal(size=3)),
-                              g.input(rng.normal(size=4)),
-                              g.input(rng.normal(size=3)),
-                              g.input(rng.normal(size=4)),
-                              g.input(np.zeros(3)))
+        s = score_argument(sc, g, g.input(rng.normal(size=3)),
+                           g.input(rng.normal(size=4)),
+                           g.input(rng.normal(size=3)),
+                           g.input(rng.normal(size=4)),
+                           g.input(np.zeros(3)))
         assert float(s.value) == 0.0
 
     def test_cross_task_all_unit(self):
@@ -84,7 +97,7 @@ class TestMultilinearHandCases:
         store.values["sc.ua.w"][:] = 1.0
         g = Graph()
         one = g.input([1.0])
-        s = sc.score_cross_task(g, one, one, one, one, one, one)
+        s = score_cross_task(sc, g, one, one, one, one, one, one)
         assert float(s.value) == pytest.approx(1.0)
 
     def test_cross_task_zero_arc_rep(self):
@@ -92,8 +105,8 @@ class TestMultilinearHandCases:
         g = Graph()
         rng = np.random.default_rng(4)
         v = lambda d: g.input(rng.normal(size=d))
-        s = sc.score_cross_task(g, v(3), v(4), v(3), v(4), v(3),
-                                g.input(np.zeros(4)))
+        s = score_cross_task(sc, g, v(3), v(4), v(3), v(4), v(3),
+                             g.input(np.zeros(4)))
         assert float(s.value) == 0.0
 
     def test_doubling_v2_doubles_score(self):
@@ -101,11 +114,11 @@ class TestMultilinearHandCases:
         g = Graph()
         rng = np.random.default_rng(5)
         args = [g.input(rng.normal(size=d)) for d in (3, 4, 3, 4, 3, 4)]
-        before = float(sc.score_cross_task(g, *args).value)
+        before = float(score_cross_task(sc, g, *args).value)
         store.values["sc.v2"] *= 2.0
         g2 = Graph()
         args2 = [g2.input(a.value) for a in args]
-        after = float(sc.score_cross_task(g2, *args2).value)
+        after = float(score_cross_task(sc, g2, *args2).value)
         assert after == pytest.approx(2.0 * before, rel=1e-9)
 
 
@@ -115,7 +128,7 @@ class TestTensorOracle:
         rng = np.random.default_rng(6)
         f, t, l = rng.normal(size=3), rng.normal(size=4), rng.normal(size=3)
         g = Graph()
-        s = sc.score_predicate(g, g.input(f), g.input(t), g.input(l))
+        s = score_predicate(sc, g, g.input(f), g.input(t), g.input(l))
         tensor = np.einsum("ka,kb,kc->abc", store.values["sc.w1"],
                            store.values["sc.w2"], store.values["sc.w3"])
         want = np.einsum("abc,a,b,c->", tensor, f, t, l)
@@ -126,7 +139,7 @@ class TestTensorOracle:
         rng = np.random.default_rng(7)
         ins = [rng.normal(size=d) for d in (3, 4, 3, 4, 3)]
         g = Graph()
-        s = sc.score_argument(g, *(g.input(x) for x in ins))
+        s = score_argument(sc, g, *(g.input(x) for x in ins))
         tensor = np.einsum("ka,kb,kc,kd,ke->abcde",
                            *(store.values[f"sc.{n}"]
                              for n in ("w1", "w2", "w3", "u1", "u2")))
@@ -138,7 +151,7 @@ class TestTensorOracle:
         rng = np.random.default_rng(8)
         ins = [rng.normal(size=2) for _ in range(6)]
         g = Graph()
-        s = sc.score_cross_task(g, *(g.input(x) for x in ins))
+        s = score_cross_task(sc, g, *(g.input(x) for x in ins))
         tensor = np.einsum("ka,kb,kc,kd,ke,kf,kg->abcdefg",
                            *(store.values[f"sc.{n}"]
                              for n in ("w1", "w2", "w3", "u1", "u2", "v1", "v2")))
@@ -152,12 +165,12 @@ class TestTensorOracle:
         rng = np.random.default_rng(9)
         ins = [rng.normal(size=d) for d in (3, 4, 3, 4, 3)]
         g = Graph()
-        base = float(sc.score_argument(g, *(g.input(x) for x in ins)).value)
+        base = float(score_argument(sc, g, *(g.input(x) for x in ins)).value)
         for slot in range(5):
             g2 = Graph()
             scaled = [g2.input(2.5 * x if k == slot else x)
                       for k, x in enumerate(ins)]
-            got = float(sc.score_argument(g2, *scaled).value)
+            got = float(score_argument(sc, g2, *scaled).value)
             assert got == pytest.approx(2.5 * base, rel=1e-9)
 
 
@@ -168,17 +181,17 @@ class TestDependencyScorers:
             store.values[f"sc.{tag}.w"][:] = 0.0
         g = Graph()
         hs = fake_states(g)
-        assert float(sc.score_head(g, hs, 0).value) == 0.0
-        assert float(sc.score_unlabeled(g, hs, 0, 1).value) == 0.0
-        assert float(sc.score_labeled(g, hs, 0, 1, "a1").value) == 0.0
-        assert float(sc.score_top(g, hs, 2).value) == 0.0
+        assert float(score_head(sc, g, hs, 0).value) == 0.0
+        assert float(score_unlabeled(sc, g, hs, 0, 1).value) == 0.0
+        assert float(score_labeled(sc, g, hs, 0, 1, "a1").value) == 0.0
+        assert float(score_top(sc, g, hs, 2).value) == 0.0
 
     def test_order_matters(self):
         sc, _ = small_scorers()
         g = Graph()
         hs = fake_states(g)
-        ab = float(sc.score_unlabeled(g, hs, 0, 1).value)
-        ba = float(sc.score_unlabeled(g, hs, 1, 0).value)
+        ab = float(score_unlabeled(sc, g, hs, 0, 1).value)
+        ba = float(score_unlabeled(sc, g, hs, 1, 0).value)
         assert ab != pytest.approx(ba)
 
     def test_labels_differ_iff_embeddings_differ(self):
@@ -186,14 +199,14 @@ class TestDependencyScorers:
         store.values["sc.emb.label"][1] = store.values["sc.emb.label"][0]
         g = Graph()
         hs = fake_states(g)
-        s1 = float(sc.score_labeled(g, hs, 0, 1, "a1").value)
-        s2 = float(sc.score_labeled(g, hs, 0, 1, "a2").value)
+        s1 = float(score_labeled(sc, g, hs, 0, 1, "a1").value)
+        s2 = float(score_labeled(sc, g, hs, 0, 1, "a2").value)
         assert s1 == s2
         store.values["sc.emb.label"][1] += 0.5
         g2 = Graph()
         hs2 = fake_states(g2)
-        s1 = float(sc.score_labeled(g2, hs2, 0, 1, "a1").value)
-        s2 = float(sc.score_labeled(g2, hs2, 0, 1, "a2").value)
+        s1 = float(score_labeled(sc, g2, hs2, 0, 1, "a1").value)
+        s2 = float(score_labeled(sc, g2, hs2, 0, 1, "a2").value)
         assert s1 != pytest.approx(s2)
 
     def test_unknown_label_raises(self):
@@ -201,7 +214,7 @@ class TestDependencyScorers:
         g = Graph()
         hs = fake_states(g)
         with pytest.raises(SpandepError, match="unknown label"):
-            sc.score_labeled(g, hs, 0, 1, "nope")
+            score_labeled(sc, g, hs, 0, 1, "nope")
         with pytest.raises(SpandepError, match="unknown label"):
             sc.labeled_scores(g, hs, [(0, 1, "nope")])
 
@@ -211,9 +224,9 @@ class TestDependencyScorers:
         def all_scores():
             g = Graph()
             hs = fake_states(g)
-            return [float(sc.score_unlabeled(g, hs, 0, 1).value),
-                    float(sc.score_labeled(g, hs, 0, 1, "a1").value),
-                    float(sc.score_top(g, hs, 1).value)]
+            return [float(score_unlabeled(sc, g, hs, 0, 1).value),
+                    float(score_labeled(sc, g, hs, 0, 1, "a1").value),
+                    float(score_top(sc, g, hs, 1).value)]
 
         before = all_scores()
         for name in ("head.w1", "head.b1", "head.w2", "head.b2", "head.w"):
@@ -231,7 +244,7 @@ class TestBatchEqualsSingle:
         batch = sc.predicate_scores(g, ["F0", "F1", "F0"],
                                     sc.target_terms(g, g_tgt, g_lu))
         for k, frame in enumerate(["F0", "F1", "F0"]):
-            single = sc.score_predicate(g, sc.frame_vec(g, frame), g_tgt, g_lu)
+            single = score_predicate(sc, g, frame_vec(sc, g, frame), g_tgt, g_lu)
             assert batch.value[k] == pytest.approx(float(single.value), rel=1e-12)
 
     def test_arguments_and_cross(self):
@@ -251,10 +264,10 @@ class TestBatchEqualsSingle:
         for k in range(3):
             sr = g.select_row(span_rows, k)
             ar = g.select_row(arc_rows, k)
-            a = sc.score_argument(g, sc.frame_vec(g, frames[k]), g_tgt, g_lu,
-                                  sr, sc.role_vec(g, roles[k]))
-            c = sc.score_cross_task(g, sc.frame_vec(g, frames[k]), g_tgt,
-                                    g_lu, sr, sc.role_vec(g, roles[k]), ar)
+            a = score_argument(sc, g, frame_vec(sc, g, frames[k]), g_tgt, g_lu,
+                               sr, role_vec(sc, g, roles[k]))
+            c = score_cross_task(sc, g, frame_vec(sc, g, frames[k]), g_tgt,
+                                 g_lu, sr, role_vec(sc, g, roles[k]), ar)
             assert args.value[k] == pytest.approx(float(a.value), rel=1e-12)
             assert cross.value[k] == pytest.approx(float(c.value), rel=1e-12)
 
@@ -272,18 +285,18 @@ class TestBatchEqualsSingle:
         tops = sc.top_scores(g, hs, tokens)
         for k, t in enumerate(tokens):
             assert heads.value[k] == pytest.approx(
-                float(sc.score_head(g, hs, t).value), rel=1e-12)
+                float(score_head(sc, g, hs, t).value), rel=1e-12)
             assert tops.value[k] == pytest.approx(
-                float(sc.score_top(g, hs, t).value), rel=1e-12)
+                float(score_top(sc, g, hs, t).value), rel=1e-12)
         for k, (h, d) in enumerate(pairs):
             assert uas.value[k] == pytest.approx(
-                float(sc.score_unlabeled(g, hs, h, d).value), rel=1e-12)
+                float(score_unlabeled(sc, g, hs, h, d).value), rel=1e-12)
             np.testing.assert_allclose(
-                reps.value[k], sc.arc_representation(g, hs, h, d).value,
+                reps.value[k], arc_representation(sc, g, hs, h, d).value,
                 rtol=1e-12)
         for k, (h, d, label) in enumerate(triples):
             assert labs.value[k] == pytest.approx(
-                float(sc.score_labeled(g, hs, h, d, label).value), rel=1e-12)
+                float(score_labeled(sc, g, hs, h, d, label).value), rel=1e-12)
 
 
 def test_gradients_through_all_scorers():
