@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-task score sparsity weight")
     p.add_argument("--no-cross-task", action="store_true")
     p.add_argument("--no-joint", action="store_true",
-                   help="frames-only candidate spaces for frame instances")
+                   help="frames-only candidate spaces for frame instances, "
+                        "at train and at predict")
     p.add_argument("--lr0", type=float, default=0.33)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--anneal-every", type=int, default=10)
@@ -168,12 +169,12 @@ def cmd_train(args) -> int:
         lr0=args.lr0, anneal_factor=args.anneal_factor,
         anneal_every=args.anneal_every, max_epochs=args.epochs,
         clip=args.clip, l2=args.l2, l1_weight=args.l1_weight,
-        exemplar_fraction=args.exemplar_fraction,
-        word_dropout_alpha=args.word_dropout,
-        include_cross_task=not args.no_cross_task,
-        joint=not args.no_joint, seed=args.seed)
+        exemplar_fraction=args.exemplar_fraction, seed=args.seed)
+    model_config = ModelConfig(word_dropout=args.word_dropout,
+                               joint=not args.no_joint,
+                               include_cross_task=not args.no_cross_task)
     model = ParserModel.build(
-        ModelConfig(), ontology, _dep_labels(dm_train),
+        model_config, ontology, _dep_labels(dm_train),
         list(fn_train) + list(fn_ex) + list(dm_train),
         np.random.default_rng(args.seed), pretrained_words=pretrained)
     result = train(model, fn_train, dm_train, fn_exemplar=fn_ex,

@@ -359,6 +359,16 @@ def _restore_params(store: ParameterStore, params: Mapping[str, np.ndarray],
 def load_model(path, ontology: Optional[Ontology] = None,
                allow_ontology_mismatch: bool = False,
                expected_kind: str = "model") -> ParserModel:
+    return _load_from_manifest(ParserModel, path, expected_kind, ontology,
+                               allow_ontology_mismatch)
+
+
+def _load_from_manifest(cls, path, expected_kind: str,
+                        ontology: Optional[Ontology] = None,
+                        allow_ontology_mismatch: bool = False):
+    """Rebuild a ``cls`` (``ParserModel`` or ``PrunerModel``) from a
+    checkpoint: its config, ontology and vocabularies from the manifest,
+    then its parameters."""
     params, manifest = load_checkpoint(path)
     kind = manifest.get("kind")
     if kind != expected_kind:
@@ -373,7 +383,7 @@ def load_model(path, ontology: Optional[Ontology] = None,
     ont = Ontology(ont_data["lus"],
                    {f: tuple(b["roles"]) for f, b in ont_data["frames"].items()})
     vocab = manifest["vocabularies"]
-    model = ParserModel(
+    model = cls(
         ModelConfig.from_dict(manifest["hyperparameters"]), ont,
         tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
         Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),

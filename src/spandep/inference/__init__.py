@@ -1,4 +1,4 @@
-from .ad3 import SolveResult, SolverOptions, ad3_solve  # noqa: F401
+from .ad3 import SolveResult, ad3_solve  # noqa: F401
 from .decode import (  # noqa: F401
     DecodeResult,
     cost_augment,

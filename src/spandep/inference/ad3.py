@@ -38,10 +38,11 @@ from .semimarkov import semi_markov_map
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The solver's constants: iteration budgets, tolerance, initial step."""
+
     max_iter: int = 1000
     tol: float = 1e-6
     rho: float = 0.05
-    adaptive_rho: bool = True
     branch_nodes: int = 64
     node_max_iter: int = 300
 
@@ -268,7 +269,7 @@ class _LoopState:
                 return best_active, best_primal, best_dual, it, True
             if max(r_sq, s_sq) <= (opt.tol * scale) ** 2:
                 break
-            if opt.adaptive_rho and it % 10 == 0:
+            if it % 10 == 0:
                 if r_sq > 100.0 * s_sq and rho < 1e3:
                     rho *= 2.0
                 elif s_sq > 100.0 * r_sq and rho > 1e-4:
@@ -341,8 +342,7 @@ def _most_fractional(p: np.ndarray, constrained: np.ndarray) -> int:
     return int(np.argmin(frac))
 
 
-def ad3_solve(graph: FactorGraph, max_iter: int = 1000, tol: float = 1e-6,
-              options: Optional[SolverOptions] = None,
+def ad3_solve(graph: FactorGraph,
               fixed: Optional[dict] = None) -> SolveResult:
     """MAP inference via dual decomposition with exactness certificates.
 
@@ -351,9 +351,7 @@ def ad3_solve(graph: FactorGraph, max_iter: int = 1000, tol: float = 1e-6,
     iterations, the search and the rounding run on the core left by
     ``peel``.
     """
-    opt = options if options is not None \
-        else SolverOptions(max_iter=max_iter, tol=tol)
-
+    opt = SolverOptions()
     cr = clamp_graph(graph, fixed or {})
     peeled = peel(cr.graph)
     state = _LoopState(peeled.core, opt)

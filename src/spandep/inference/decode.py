@@ -25,7 +25,7 @@ from ..parts import (
     assemble_structures,
     frame_parts,
 )
-from .ad3 import SolverOptions, ad3_solve
+from .ad3 import ad3_solve
 from .factor_graph import GraphConstraints, build_factor_graph
 
 
@@ -42,8 +42,7 @@ class DecodeResult:
 def decode(space: CandidateSpace,
            constraints: GraphConstraints = GraphConstraints(),
            mode: str = "joint",
-           gold_parse: Optional[FrameParse] = None,
-           options: Optional[SolverOptions] = None) -> DecodeResult:
+           gold_parse: Optional[FrameParse] = None) -> DecodeResult:
     """MAP decoding over a scored candidate space.
 
     ``joint`` decodes frames and dependencies together, ``dependencies_only``
@@ -66,35 +65,26 @@ def decode(space: CandidateSpace,
                  for part in var_of
                  if isinstance(part, FRAME_PART_TYPES)}
 
-    res = ad3_solve(fg, options=options, fixed=fixed)
+    res = ad3_solve(fg, fixed=fixed)
     parse, graph = assemble_structures(space, res.assignment)
     return DecodeResult(parse=parse, graph=graph, parts=res.assignment,
                         objective=res.objective, status=res.status,
                         iterations=res.iterations)
 
 
-def cost_augment(space: CandidateSpace, gold_parts, cost: CostConfig = CostConfig(),
-                 scope: str = "auto") -> CandidateSpace:
+def cost_augment(space: CandidateSpace, gold_parts,
+                 cost: CostConfig = CostConfig(), *,
+                 scope: str) -> CandidateSpace:
     """Shift scores so MAP decoding maximizes score + weighted Hamming to gold.
 
     Every in-scope candidate part gains the false-positive cost when absent
     from ``gold_parts`` and loses the false-negative cost when present; the
     gold-only constant term is dropped, so callers wanting the exact distance
     should recompute it from the decoded parts.  ``scope`` limits the shift
-    to one side of the task ("frames" or "dependencies"); "auto" infers the
-    side from the types present in ``gold_parts``, covering everything when
-    the gold set is empty or mixed.
+    to one side of the task ("frames" or "dependencies") or covers both
+    ("all").
     """
     gold = set(gold_parts)
-    if scope == "auto":
-        has_frame = any(isinstance(p, FRAME_PART_TYPES) for p in gold)
-        has_dep = any(isinstance(p, DEP_PART_TYPES) for p in gold)
-        if has_frame and not has_dep:
-            scope = "frames"
-        elif has_dep and not has_frame:
-            scope = "dependencies"
-        else:
-            scope = "all"
     if scope == "frames":
         types = FRAME_PART_TYPES
     elif scope == "dependencies":

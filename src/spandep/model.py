@@ -16,14 +16,20 @@ import numpy as np
 
 from .autodiff import Graph, Node, ParameterStore
 from .encoder import Encoder, Vocabulary, build_vocabularies
-from .parts import CandidateSpace, Ontology, Sentence, SpandepError
+from .parts import CandidateSpace, Ontology, Sentence, SpaceLimits, SpandepError
 from .scorers import Scorers
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Widths and knobs for the full-size model; ``pruner_sized`` gives the
-    reduced preset used by the span/arc pruners."""
+    """Widths, word dropout and the candidate-space contract of a model;
+    ``pruner_sized`` gives the reduced preset used by the span/arc pruners.
+
+    The space fields (``max_span_len``, ``joint``, ``include_cross_task``)
+    decide which parts the model is trained and decoded over.  They are
+    saved in the checkpoint manifest with the rest of the config, so
+    prediction decodes over the space the model was trained on.
+    """
 
     word_dim: int = 100
     lemma_dim: int = 50
@@ -34,6 +40,15 @@ class ModelConfig:
     bilstm_layers: int = 2
     bilstm_dim: int = 200
     word_dropout: float = 1.0
+    max_span_len: int = 20
+    joint: bool = True
+    include_cross_task: bool = True
+
+    def __post_init__(self):
+        if self.word_dropout < 0:
+            raise SpandepError("word_dropout must be nonnegative")
+        if self.max_span_len < 1:
+            raise SpandepError("max_span_len must be at least 1")
 
     @classmethod
     def pruner_sized(cls) -> "ModelConfig":
@@ -46,6 +61,19 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelConfig":
         return cls(**dict(d))
+
+    def fn_limits(self, dep_labels: Sequence[str]) -> SpaceLimits:
+        return SpaceLimits(
+            max_span_len=self.max_span_len,
+            include_dependencies=self.joint,
+            include_cross_task=self.joint and self.include_cross_task,
+            dep_labels=tuple(dep_labels) if self.joint else ())
+
+    def dm_limits(self, dep_labels: Sequence[str]) -> SpaceLimits:
+        return SpaceLimits(
+            max_span_len=self.max_span_len,
+            include_dependencies=True, include_cross_task=False,
+            dep_labels=tuple(dep_labels))
 
 
 @dataclass

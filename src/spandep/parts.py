@@ -319,9 +319,6 @@ class CandidateSpace:
     def n(self) -> int:
         return len(self.sentence)
 
-    def score_of(self, part: Part) -> float:
-        return float(self.scores[self.part_to_id[part]])
-
     def with_scores(self, scores: np.ndarray) -> "CandidateSpace":
         """A copy carrying ``scores`` that shares this space's parts and
         derived index."""
@@ -331,12 +328,6 @@ class CandidateSpace:
         scored = copy.copy(self)
         scored.scores = scores
         return scored
-
-    def ids_of(self, parts: Iterable[Part]) -> list[int]:
-        return [self.part_to_id[p] for p in parts]
-
-    def total_score(self, parts: Iterable[Part]) -> float:
-        return float(sum(self.scores[self.part_to_id[p]] for p in parts))
 
 
 def enumerate_spans(n: int, max_len: int,

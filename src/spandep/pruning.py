@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import (Graph, Node, ParameterStore, clip_and_step,
                        gathered_affine)
 from .encoder import Encoder, Vocabulary, build_vocabularies
-from .formats import FormatError, _restore_params, load_checkpoint, save_checkpoint, model_manifest
+from .formats import _load_from_manifest, model_manifest, save_checkpoint
 from .inference.semimarkov import nll_node, semi_markov_marginals
 from .model import ModelConfig
 from .parts import (
@@ -361,18 +361,4 @@ def save_pruner(pruner: PrunerModel, path) -> None:
 
 
 def load_pruner(path) -> PrunerModel:
-    params, manifest = load_checkpoint(path)
-    kind = manifest.get("kind")
-    if kind != "pruner":
-        raise FormatError(path, 0, f"checkpoint kind {kind!r}, expected 'pruner'")
-    ont_data = manifest["ontology"]
-    ont = Ontology(ont_data["lus"],
-                   {f: tuple(b["roles"]) for f, b in ont_data["frames"].items()})
-    vocab = manifest["vocabularies"]
-    pruner = PrunerModel(
-        ModelConfig.from_dict(manifest["hyperparameters"]), ont,
-        tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
-        Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
-        dict(vocab["word_counts"]), rng=np.random.default_rng(0))
-    _restore_params(pruner.store, params, path)
-    return pruner
+    return _load_from_manifest(PrunerModel, path, "pruner")

@@ -26,9 +26,8 @@ import numpy as np
 
 from .autodiff import Graph, Node, clip_and_step
 from .evaluation import eval_frames, eval_sdp
-from .inference.ad3 import SolverOptions
 from .inference.decode import DecodeResult, cost_augment, decode
-from .model import ParserModel
+from .model import ParserModel, SpaceScores
 from .parts import (
     CandidateSpace,
     CostConfig,
@@ -57,10 +56,6 @@ class TrainConfig:
     l2: float = 1e-6
     l1_weight: float = 0.01
     exemplar_fraction: float = 0.35
-    word_dropout_alpha: float = 1.0
-    max_span_len: int = 20
-    include_cross_task: bool = True
-    joint: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -68,26 +63,13 @@ class TrainConfig:
             raise SpandepError("rates must be positive")
         if self.anneal_every < 1 or self.max_epochs < 0:
             raise SpandepError("epoch counts must be positive")
-        if self.l2 < 0 or self.l1_weight < 0 or self.word_dropout_alpha < 0:
+        if self.l2 < 0 or self.l1_weight < 0:
             raise SpandepError("penalty weights must be nonnegative")
         if not 0.0 <= self.exemplar_fraction <= 1.0:
             raise SpandepError("exemplar_fraction must lie in [0, 1]")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr0 * self.anneal_factor ** (epoch // self.anneal_every)
-
-    def fn_limits(self, dep_labels: Sequence[str]) -> SpaceLimits:
-        return SpaceLimits(
-            max_span_len=self.max_span_len,
-            include_dependencies=self.joint,
-            include_cross_task=self.joint and self.include_cross_task,
-            dep_labels=tuple(dep_labels) if self.joint else ())
-
-    def dm_limits(self, dep_labels: Sequence[str]) -> SpaceLimits:
-        return SpaceLimits(
-            max_span_len=self.max_span_len,
-            include_dependencies=True, include_cross_task=False,
-            dep_labels=tuple(dep_labels))
 
 
 @dataclass
@@ -165,67 +147,57 @@ def _with_cross(space: CandidateSpace, parts) -> set:
     return full
 
 
-def _difference_node(g: Graph, score_node: Node, space: CandidateSpace,
-                     plus, minus, constant: float) -> Node:
+def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
+           best: DecodeResult, plus, minus, delta: float) -> HingeResult:
+    """The hinge S(plus) + delta - S(minus), truncated at zero, with the
+    node that backpropagates it: +1 on ``plus``, -1 on ``minus``."""
+    raw_scores = scored.node.value
+    value = (_part_sum(space, raw_scores, plus) + delta
+             - _part_sum(space, raw_scores, minus))
+    if value <= 0.0:
+        return HingeResult(None, 0.0, best, frozenset(minus), scored.cross)
     a = np.zeros(len(space.parts))
     for p in plus:
         a[space.part_to_id[p]] += 1.0
     for p in minus:
         a[space.part_to_id[p]] -= 1.0
-    return g.add(g.inner(score_node, g.input(a)),
-                 g.input(np.asarray(constant)))
+    node = g.add(g.inner(scored.node, g.input(a)),
+                 g.input(np.asarray(delta)))
+    return HingeResult(node, value, best, frozenset(minus), scored.cross)
 
 
 def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
                       gold_parse: FrameParse, g: Optional[Graph] = None,
                       rng: Optional[np.random.Generator] = None,
                       training: bool = False,
-                      cost: CostConfig = CostConfig(),
-                      options: Optional[SolverOptions] = None) -> HingeResult:
+                      cost: CostConfig = CostConfig()) -> HingeResult:
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
-    raw_scores = scored.node.value.copy()
-    raw = space.with_scores(raw_scores)
+    raw = space.with_scores(scored.node.value.copy())
     gold = frame_parts(space, gold_parse)
 
-    best = decode(cost_augment(raw, gold, cost, scope="frames"),
-                  mode="joint", options=options)
+    best = decode(cost_augment(raw, gold, cost, scope="frames"), mode="joint")
     delta = weighted_hamming(
         [p for p in best.parts if isinstance(p, FRAME_PART_TYPES)], gold, cost)
-    comp = decode(raw, mode="latent_completion", gold_parse=gold_parse,
-                  options=options)
-    best_full = _with_cross(space, best.parts)
-    comp_full = _with_cross(space, comp.parts)
-    value = (_part_sum(space, raw_scores, best_full) + delta
-             - _part_sum(space, raw_scores, comp_full))
-    if value <= 0.0:
-        return HingeResult(None, 0.0, best, frozenset(comp_full), scored.cross)
-    node = _difference_node(g, scored.node, space, best_full, comp_full,
-                            delta)
-    return HingeResult(node, value, best, frozenset(comp_full), scored.cross)
+    comp = decode(raw, mode="latent_completion", gold_parse=gold_parse)
+    return _hinge(g, scored, space, best, _with_cross(space, best.parts),
+                  _with_cross(space, comp.parts), delta)
 
 
 def sdp_hinge_loss(model: ParserModel, space: CandidateSpace,
                    gold_graph: DependencyGraph, g: Optional[Graph] = None,
                    rng: Optional[np.random.Generator] = None,
                    training: bool = False,
-                   cost: CostConfig = CostConfig(),
-                   options: Optional[SolverOptions] = None) -> HingeResult:
+                   cost: CostConfig = CostConfig()) -> HingeResult:
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
-    raw_scores = scored.node.value.copy()
-    raw = space.with_scores(raw_scores)
+    raw = space.with_scores(scored.node.value.copy())
     gold = dep_parts(space, gold_graph)
 
     best = decode(cost_augment(raw, gold, cost, scope="dependencies"),
-                  mode="dependencies_only", options=options)
+                  mode="dependencies_only")
     delta = weighted_hamming(best.parts, gold, cost)
-    value = (_part_sum(space, raw_scores, best.parts) + delta
-             - _part_sum(space, raw_scores, gold))
-    if value <= 0.0:
-        return HingeResult(None, 0.0, best, frozenset(gold), scored.cross)
-    node = _difference_node(g, scored.node, space, best.parts, gold, delta)
-    return HingeResult(node, value, best, frozenset(gold), scored.cross)
+    return _hinge(g, scored, space, best, best.parts, gold, delta)
 
 
 def l1_penalty(g: Graph, cross: Optional[Node],
@@ -258,42 +230,37 @@ class TrainResult:
     best_epoch: int
     best_dev_fn_f1: float
 
-    @property
-    def log_lines(self) -> List[str]:
-        return [st.tsv() for st in self.history]
-
 
 def _predict_fn(models: Sequence[ParserModel], sentences: Sequence[Sentence],
-                instances: Sequence[FnInstance],
-                options: Optional[SolverOptions]
-                ) -> Tuple[List[Sentence], int]:
+                instances: Sequence[FnInstance]) -> Tuple[List[Sentence], int]:
     """The re-annotated sentences, and how many decodes were not certified
     exact."""
     parses: dict[int, list] = {id(s): [] for s in sentences}
     uncertified = 0
     for inst in instances:
         scored = ensemble_scores(models, inst.space)
-        res = decode(scored, mode="joint", options=options)
+        res = decode(scored, mode="joint")
         parses[id(inst.sentence)].append(res.parse)
         uncertified += res.status != "exact"
     return [replace(s, supervision=FrameAnnotations(tuple(parses[id(s)])))
             for s in sentences], uncertified
 
 
-def _predict_dm(models: Sequence[ParserModel], instances: Sequence[DmInstance],
-                options: Optional[SolverOptions]
+def _predict_dm(models: Sequence[ParserModel], instances: Sequence[DmInstance]
                 ) -> Tuple[List[Sentence], int]:
     out = []
     uncertified = 0
     for inst in instances:
         scored = ensemble_scores(models, inst.space)
-        res = decode(scored, mode="dependencies_only", options=options)
+        res = decode(scored, mode="dependencies_only")
         out.append(replace(inst.sentence, supervision=res.graph))
         uncertified += res.status != "exact"
     return out, uncertified
 
 
 def _as_members(models) -> List[ParserModel]:
+    """The ensemble as a list, after checking that its members share one
+    label inventory and one candidate-space contract."""
     members = list(models) if isinstance(models, (list, tuple)) else [models]
     if not members:
         raise SpandepError("empty ensemble")
@@ -302,6 +269,11 @@ def _as_members(models) -> List[ParserModel]:
         if m.dep_labels != first.dep_labels or \
                 m.ontology.frames != first.ontology.frames:
             raise SpandepError("ensemble members disagree on label inventory")
+        if m.config.fn_limits(m.dep_labels) != \
+                first.config.fn_limits(first.dep_labels):
+            raise SpandepError(
+                "ensemble members disagree on the candidate space "
+                "(max_span_len, joint, include_cross_task)")
     return members
 
 
@@ -314,48 +286,39 @@ def ensemble_scores(models, space: CandidateSpace) -> CandidateSpace:
     return space.with_scores(acc / len(members))
 
 
-def predict_frames(models, sentences: Sequence[Sentence],
-                   limits: Optional[SpaceLimits] = None,
-                   options: Optional[SolverOptions] = None) -> List[Sentence]:
+def predict_frames(models, sentences: Sequence[Sentence]) -> List[Sentence]:
     """Re-annotate each sentence's targets with decoded frames/arguments.
 
     Targets and lexical units are taken from the existing annotations; the
-    frame and argument set are replaced by the decoder's output.
+    frame and argument set are replaced by the decoder's output, decoded
+    over the candidate space the models were trained on.
     """
-    return frame_predictions(models, sentences, limits, options)[0]
+    return frame_predictions(models, sentences)[0]
 
 
-def frame_predictions(models, sentences: Sequence[Sentence],
-                      limits: Optional[SpaceLimits] = None,
-                      options: Optional[SolverOptions] = None
+def frame_predictions(models, sentences: Sequence[Sentence]
                       ) -> Tuple[List[Sentence], int]:
     """``predict_frames``'s sentences, and how many decodes were not
     certified exact."""
     members = _as_members(models)
-    cfg = TrainConfig()
-    limits = limits if limits is not None else cfg.fn_limits(
-        members[0].dep_labels)
-    instances = fn_instances(sentences, members[0].ontology, limits)
-    return _predict_fn(members, list(sentences), instances, options)
+    first = members[0]
+    instances = fn_instances(sentences, first.ontology,
+                             first.config.fn_limits(first.dep_labels))
+    return _predict_fn(members, list(sentences), instances)
 
 
-def predict_dependencies(models, sentences: Sequence[Sentence],
-                         limits: Optional[SpaceLimits] = None,
-                         options: Optional[SolverOptions] = None
+def predict_dependencies(models, sentences: Sequence[Sentence]
                          ) -> List[Sentence]:
     """Replace each sentence's dependency graph with the decoded one."""
-    return dependency_predictions(models, sentences, limits, options)[0]
+    return dependency_predictions(models, sentences)[0]
 
 
-def dependency_predictions(models, sentences: Sequence[Sentence],
-                           limits: Optional[SpaceLimits] = None,
-                           options: Optional[SolverOptions] = None
+def dependency_predictions(models, sentences: Sequence[Sentence]
                            ) -> Tuple[List[Sentence], int]:
     """``predict_dependencies``'s sentences, and how many decodes were not
     certified exact."""
     members = _as_members(models)
-    limits = limits if limits is not None else TrainConfig().dm_limits(
-        members[0].dep_labels)
+    limits = members[0].config.dm_limits(members[0].dep_labels)
     have_gold = all(isinstance(s.supervision, DependencyGraph)
                     for s in sentences)
     if have_gold:
@@ -365,7 +328,7 @@ def dependency_predictions(models, sentences: Sequence[Sentence],
                                 build_candidate_space(s, None, Ontology({}, {}),
                                                       limits))
                      for s in sentences]
-    return _predict_dm(members, instances, options)
+    return _predict_dm(members, instances)
 
 
 def train(model: ParserModel,
@@ -376,20 +339,19 @@ def train(model: ParserModel,
           fn_dev: Sequence[Sentence] = (),
           dm_dev: Sequence[Sentence] = (),
           config: TrainConfig = TrainConfig(),
-          options: Optional[SolverOptions] = None,
           log_path=None) -> TrainResult:
     """Run the full training loop and restore the best-dev-F1 parameters.
 
-    Without a frame dev set there is nothing to select on, so the final
-    parameters are kept as-is.
+    Candidate spaces and word dropout come from ``model.config``.  Without
+    a frame dev set there is nothing to select on, so the final parameters
+    are kept as-is.
     """
     rng = np.random.default_rng(config.seed)
-    model.encoder.word_dropout = config.word_dropout_alpha
     model.store.l2 = config.l2
     model.store.clip = config.clip
 
-    fn_lim = config.fn_limits(model.dep_labels)
-    dm_lim = config.dm_limits(model.dep_labels)
+    fn_lim = model.config.fn_limits(model.dep_labels)
+    dm_lim = model.config.dm_limits(model.dep_labels)
     fn_insts = fn_instances(fn_train, model.ontology, fn_lim)
     ex_insts = fn_instances(fn_exemplar, model.ontology, fn_lim)
     dm_insts = dm_instances(dm_train, dm_lim)
@@ -420,12 +382,11 @@ def train(model: ParserModel,
             g = Graph()
             if isinstance(inst, FnInstance):
                 res = latent_hinge_loss(model, inst.space, inst.parse, g=g,
-                                        rng=rng, training=True,
-                                        options=options)
+                                        rng=rng, training=True)
                 pen = l1_penalty(g, res.cross, config.l1_weight)
             else:
                 res = sdp_hinge_loss(model, inst.space, inst.graph, g=g,
-                                     rng=rng, training=True, options=options)
+                                     rng=rng, training=True)
                 pen = None
             value = res.value + (float(pen.value) if pen is not None else 0.0)
             if not np.isfinite(value):
@@ -440,11 +401,10 @@ def train(model: ParserModel,
 
         dev_fn = dev_sdp = 0.0
         if fn_dev:
-            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_insts,
-                                  options)
+            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_insts)
             dev_fn = eval_frames(list(fn_dev), pred, model.ontology).f1
         if dm_dev:
-            pred, _ = _predict_dm([model], dev_dm_insts, options)
+            pred, _ = _predict_dm([model], dev_dm_insts)
             dev_sdp = eval_sdp(list(dm_dev), pred).f1
 
         stats = EpochStats(epoch=epoch, lr=lr,

@@ -6,6 +6,7 @@ scorecard at a glance.  Tolerances are pinned in the assertions.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def criterion(num, summary):
     print(f"criterion {num}: PASS ({summary})")
 
 
-def tiny_model(corpus, seed=0):
+def tiny_model(corpus, seed=0, config=TINY):
     sents = list(corpus["fn_train"]) + list(corpus["dm_train"])
-    return ParserModel.build(TINY, corpus["ontology"], corpus["dep_labels"],
+    return ParserModel.build(config, corpus["ontology"], corpus["dep_labels"],
                              sents, np.random.default_rng(seed))
 
 
@@ -111,9 +112,8 @@ def test_criterion_03_gradient_correctness():
         corpus = synthetic_corpus(np.random.default_rng(31), n_fn=10, n_dm=6,
                                   n_fn_dev=0, n_dm_dev=0)
         model = tiny_model(corpus, seed=9)
-        cfg = TrainConfig()
         fn = [i for i in fn_instances(corpus["fn_train"], corpus["ontology"],
-                                      cfg.fn_limits(corpus["dep_labels"]))
+                                      TINY.fn_limits(corpus["dep_labels"]))
               if len(i.sentence) <= 4][0]
         space = fn.space
         assert space.predicate_ids and space.argument_ids
@@ -134,7 +134,7 @@ def test_criterion_03_gradient_correctness():
         assert report["pass"], report
 
         dm = dm_instances(corpus["dm_train"],
-                          cfg.dm_limits(corpus["dep_labels"]))[0]
+                          TINY.dm_limits(corpus["dep_labels"]))[0]
         g = Graph()
         res = sdp_hinge_loss(model, dm.space, dm.graph, g=g)
         assert res.value > 0.0
@@ -171,12 +171,11 @@ def test_criterion_06_sparsity_speedup():
         corpus = synthetic_corpus(np.random.default_rng(42), n_fn=24, n_dm=8,
                                   n_fn_dev=0, n_dm_dev=0)
         model = tiny_model(corpus, seed=1)
-        cfg = TrainConfig(max_epochs=8, l1_weight=0.01, seed=0,
-                          word_dropout_alpha=0.0)
+        cfg = TrainConfig(max_epochs=8, l1_weight=0.01, seed=0)
         train(model, corpus["fn_train"], corpus["dm_train"], config=cfg)
 
         insts = fn_instances(corpus["fn_train"], corpus["ontology"],
-                             cfg.fn_limits(corpus["dep_labels"]))
+                             TINY.fn_limits(corpus["dep_labels"]))
         spaces = [model.scored_space(i.space) for i in insts]
         total = sum(len(sp.cross_ids) for sp in spaces)
         sparse = sum(int(np.sum(np.abs(sp.scores[list(sp.cross_ids)]) <= 1e-3))
@@ -210,9 +209,9 @@ def test_criterion_07_joint_learning_smoke():
                                   n_fn=200, n_dm=200)
 
         def run(joint, cross):
-            model = tiny_model(corpus, seed=0)
-            cfg = TrainConfig(max_epochs=5, seed=0, word_dropout_alpha=0.0,
-                              joint=joint, include_cross_task=cross)
+            model = tiny_model(corpus, seed=0, config=replace(
+                TINY, joint=joint, include_cross_task=cross))
+            cfg = TrainConfig(max_epochs=5, seed=0)
             return train(model, corpus["fn_train"], corpus["dm_train"],
                          fn_dev=corpus["fn_dev"], dm_dev=corpus["dm_dev"],
                          config=cfg)
@@ -373,12 +372,11 @@ def test_criterion_10_ensemble_identity(tmp_path):
         save_model(model, b)
         members = [load_model(a), load_model(b)]
 
-        cfg = TrainConfig()
         spaces = [i.space for i in fn_instances(
             corpus["fn_train"], corpus["ontology"],
-            cfg.fn_limits(corpus["dep_labels"]))]
+            TINY.fn_limits(corpus["dep_labels"]))]
         spaces += [(i.space) for i in dm_instances(
-            corpus["dm_train"], cfg.dm_limits(corpus["dep_labels"]))]
+            corpus["dm_train"], TINY.dm_limits(corpus["dep_labels"]))]
         assert len(spaces) >= 50
         for space in spaces[:50]:
             mode = "joint" if space.predicate_ids else "dependencies_only"

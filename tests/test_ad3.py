@@ -155,7 +155,7 @@ class TestCostAugment:
         target = space.parts[space.predicate_ids[0]]
         gold = FrameParse(space.target, target.frame, frozenset())
         gold_set = frame_parts(ones, gold)
-        aug = cost_augment(ones, gold_set, CostConfig())
+        aug = cost_augment(ones, gold_set, CostConfig(), scope="frames")
         for i, part in enumerate(ones.parts):
             if isinstance(part, CrossTask):
                 assert aug.scores[i] == pytest.approx(1.0)
@@ -169,7 +169,7 @@ class TestCostAugment:
     def test_empty_gold_shifts_everything(self):
         space, _ = random_joint_instance(np.random.default_rng(10))
         zeros = space.with_scores(np.zeros(len(space.parts)))
-        aug = cost_augment(zeros, set(), CostConfig())
+        aug = cost_augment(zeros, set(), CostConfig(), scope="all")
         for i, part in enumerate(zeros.parts):
             want = 0.0 if isinstance(part, CrossTask) else 0.4
             assert aug.scores[i] == pytest.approx(want)
@@ -180,7 +180,7 @@ class TestCostAugment:
             space, constraints = random_joint_instance(rng)
             gold = decode(space, constraints).parse
             gold_set = frame_parts(space, gold)
-            aug = cost_augment(space, gold_set, CostConfig())
+            aug = cost_augment(space, gold_set, CostConfig(), scope="frames")
             got = decode(aug, constraints)
             got_frames = {p for p in got.parts
                           if type(p).__name__ in ("Predicate", "Argument")}

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from spandep.formats import (
     save_model,
 )
 from spandep.model import ModelConfig, ParserModel
+from spandep.parts import SpaceLimits, build_candidate_space
 from spandep.pruning import load_pruner
 from spandep.synthetic import synthetic_corpus
 from spandep.formats import write_frames, write_sdp
+
+TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
+                   label_dim=2, bilstm_layers=1, bilstm_dim=4,
+                   word_dropout=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +58,14 @@ class TestArgumentHandling:
 
     def test_missing_subcommand(self, capsys):
         assert cli([]) == 1
+
+    def test_negative_word_dropout_rejected(self, paths, capsys):
+        rc = cli(["train", "--fn-train", str(paths["fn_train"]),
+                  "--ontology", str(paths["ontology"]),
+                  "--out", str(paths["dir"] / "m.zip"),
+                  "--word-dropout", "-1"])
+        assert rc == 1
+        assert "word_dropout" in capsys.readouterr().err
 
     def test_train_requires_ontology(self, paths, capsys):
         rc = cli(["train", "--fn-train", str(paths["fn_train"]),
@@ -195,6 +209,46 @@ class TestTrainPredictRoundTrip:
         assert rc == 0, capsys.readouterr().err
         assert model_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--no-cross-task", "--no-joint"])
+    def test_predict_decodes_the_trained_space(self, paths, corpus, flag,
+                                               capsys, monkeypatch):
+        import spandep.training as training
+
+        model_path = paths["dir"] / "space.zip"
+        assert cli(self.train_args(paths, model_path, (flag,))) == 0, \
+            capsys.readouterr().err
+        real = training.decode
+        spaces = []
+
+        def spy(space, *args, **kwargs):
+            spaces.append(space)
+            return real(space, *args, **kwargs)
+
+        monkeypatch.setattr(training, "decode", spy)
+        pred = paths["dir"] / "space.jsonl"
+        assert cli(["predict", "--model", str(model_path),
+                    "--input", str(paths["fn_dev"]), "--format", "fn",
+                    "--output", str(pred)]) == 0
+        assert spaces and not any(sp.cross_ids for sp in spaces)
+        if flag == "--no-joint":
+            assert not any(sp.head_ids or sp.arc_ids or sp.root_arc_ids
+                           or sp.labeled_ids for sp in spaces)
+
+        joint = flag != "--no-joint"
+        trained = SpaceLimits(
+            max_span_len=20, include_dependencies=joint,
+            include_cross_task=False,
+            dep_labels=tuple(corpus["dep_labels"]) if joint else ())
+        model = load_model(model_path)
+        got = read_frames(pred, model.ontology)
+        for gold_s, pred_s in zip(corpus["fn_dev"], got):
+            for gold_p, pred_p in zip(gold_s.supervision.parses,
+                                      pred_s.supervision.parses):
+                space = build_candidate_space(gold_s, gold_p.target,
+                                              model.ontology, trained)
+                want = real(model.scored_space(space), mode="joint").parse
+                assert pred_p == want
+
 
 class TestPredictEnsemble:
     def test_requires_exactly_one_source(self, paths, capsys):
@@ -208,11 +262,8 @@ class TestPredictEnsemble:
 
     def test_identical_members_match_single_model(self, paths, corpus,
                                                   capsys):
-        tiny = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3,
-                           rank=2, label_dim=2, bilstm_layers=1,
-                           bilstm_dim=4, word_dropout=0.0)
         model = ParserModel.build(
-            tiny, corpus["ontology"], corpus["dep_labels"],
+            TINY, corpus["ontology"], corpus["dep_labels"],
             list(corpus["fn_train"]) + list(corpus["dm_train"]),
             np.random.default_rng(0))
         a = paths["dir"] / "a.zip"
@@ -229,14 +280,28 @@ class TestPredictEnsemble:
                     "--output", str(double)]) == 0
         assert single.read_bytes() == double.read_bytes()
 
+    def test_members_with_different_spaces_rejected(self, paths, corpus,
+                                                    capsys):
+        sents = list(corpus["fn_train"]) + list(corpus["dm_train"])
+        members = []
+        for name, config in (("joint", TINY),
+                             ("basic", replace(TINY, joint=False))):
+            model = ParserModel.build(config, corpus["ontology"],
+                                      corpus["dep_labels"], sents,
+                                      np.random.default_rng(0))
+            members.append(paths["dir"] / f"{name}.zip")
+            save_model(model, members[-1])
+        rc = cli(["predict", "--ensemble", ",".join(map(str, members)),
+                  "--input", str(paths["fn_dev"]), "--format", "fn",
+                  "--output", str(paths["dir"] / "x.jsonl")])
+        assert rc == 1
+        assert "disagree on the candidate space" in capsys.readouterr().err
+
 
 class TestPredictCertification:
     def _model(self, paths, corpus):
-        tiny = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3,
-                           rank=2, label_dim=2, bilstm_layers=1,
-                           bilstm_dim=4, word_dropout=0.0)
         model = ParserModel.build(
-            tiny, corpus["ontology"], corpus["dep_labels"],
+            TINY, corpus["ontology"], corpus["dep_labels"],
             list(corpus["fn_train"]) + list(corpus["dm_train"]),
             np.random.default_rng(0))
         path = paths["dir"] / "m.zip"

@@ -316,6 +316,36 @@ class TestCheckpoints:
         np.testing.assert_array_equal(model.scored_space(space).scores,
                                       back.scored_space(space).scores)
 
+    def test_manifest_without_space_fields_loads_defaults(self, tmp_path):
+        # Checkpoints written before the space fields joined ModelConfig
+        # carry none of them; they load with the defaults and predict over
+        # the space prediction always rebuilt for them.
+        from spandep.formats import model_manifest, save_checkpoint
+        from spandep.parts import FrameAnnotations, FrameParse, SpaceLimits
+        from spandep.training import predict_dependencies, predict_frames
+        model = tiny_model()
+        manifest = model_manifest(model)
+        for key in ("max_span_len", "joint", "include_cross_task"):
+            del manifest["hyperparameters"][key]
+        p = tmp_path / "old.ckpt"
+        save_checkpoint(model.store, manifest, p)
+        back = load_model(p)
+        assert back.config == model.config
+        assert back.config.fn_limits(back.dep_labels) == SpaceLimits(
+            max_span_len=20, include_dependencies=True,
+            include_cross_task=True, dep_labels=("a1", "a2"))
+
+        parse = FrameParse(Target(2, 2, "sit.v"), "Rest", frozenset())
+        sent = make_sentence(["the", "cat", "sat"], ["the", "cat", "sit"],
+                             ["DT", "NN", "VB"],
+                             supervision=FrameAnnotations((parse,)))
+        (pred,) = predict_frames(back, [sent])
+        (want,) = predict_frames(model, [sent])
+        assert pred == want
+        bare = make_sentence(["the", "cat", "sat"])
+        assert predict_dependencies(back, [bare]) == \
+            predict_dependencies(model, [bare])
+
     def test_pruner_flag_blocks_model_load(self, tmp_path):
         model = tiny_model()
         p = tmp_path / "p.ckpt"

@@ -13,6 +13,7 @@ from spandep.parts import (
     Ontology,
     Predicate,
     SpaceLimits,
+    SpandepError,
     Target,
     UnlabeledArc,
     build_candidate_space,
@@ -156,12 +157,12 @@ class TestPerPartCrossCheck:
     def test_active_set_total_is_sum_of_part_scores(self):
         model = tiny_model()
         space = model.scored_space(joint_space())
-        chosen = [space.parts[i] for i in
-                  (space.predicate_ids[0], space.argument_ids[1],
-                   space.head_ids[0], space.arc_ids[2])]
-        total = space.total_score(chosen)
+        ids = [space.predicate_ids[0], space.argument_ids[1],
+               space.head_ids[0], space.arc_ids[2]]
+        chosen = [space.parts[i] for i in ids]
+        total = float(space.scores[ids].sum())
         assert total == pytest.approx(
-            sum(space.score_of(p) for p in chosen), rel=1e-12)
+            sum(space.scores[space.part_to_id[p]] for p in chosen), rel=1e-12)
 
 
 def test_gradients_through_space_scoring():
@@ -184,6 +185,43 @@ def test_pruner_sized_preset():
 def test_config_round_trip():
     cfg = ModelConfig(rank=7)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestModelConfig:
+    def test_defaults(self):
+        cfg = ModelConfig()
+        assert cfg.word_dropout == 1.0
+        assert cfg.max_span_len == 20
+        assert cfg.joint and cfg.include_cross_task
+
+    def test_space_fields_round_trip(self):
+        cfg = ModelConfig(max_span_len=3, joint=False,
+                          include_cross_task=False, word_dropout=0.5)
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("kwargs", [
+        {"word_dropout": -1.0},
+        {"max_span_len": 0},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(SpandepError):
+            ModelConfig(**kwargs)
+
+    def test_limits_follow_flags(self):
+        joint = ModelConfig()
+        assert joint.fn_limits(("a",)).include_dependencies
+        assert joint.fn_limits(("a",)).include_cross_task
+        assert joint.fn_limits(("a",)).dep_labels == ("a",)
+        basic = ModelConfig(joint=False)
+        lim = basic.fn_limits(("a",))
+        assert not lim.include_dependencies
+        assert not lim.include_cross_task
+        assert lim.dep_labels == ()
+        no_cross = ModelConfig(include_cross_task=False)
+        assert no_cross.fn_limits(("a",)).include_dependencies
+        assert not no_cross.fn_limits(("a",)).include_cross_task
+        dm = joint.dm_limits(("a", "b"))
+        assert dm.include_dependencies and not dm.include_cross_task
 
 
 def test_shared_frame_terms_are_built_once():

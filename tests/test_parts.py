@@ -255,7 +255,7 @@ def test_with_scores_shares_parts():
     space = build_candidate_space(sent, None, ONT, SpaceLimits(dep_labels=("A",)))
     scored = space.with_scores(np.arange(len(space), dtype=float))
     assert scored.parts is space.parts
-    assert scored.score_of(space.parts[1]) == 1.0
+    assert scored.scores[scored.part_to_id[space.parts[1]]] == 1.0
     with pytest.raises(ValueError):
         space.with_scores(np.zeros(3))
     with pytest.raises(ValueError):

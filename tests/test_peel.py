@@ -18,7 +18,7 @@ from spandep.inference.peel import peel
 from spandep.model import ModelConfig, ParserModel
 from spandep.parts import FRAME_PART_TYPES, frame_parts
 from spandep.synthetic import random_joint_instance, synthetic_corpus
-from spandep.training import TrainConfig, dm_instances, fn_instances
+from spandep.training import dm_instances, fn_instances
 
 from .oracles import check_assignment_by_loops, random_factor_graph
 
@@ -127,10 +127,9 @@ def scored():
     sents = corpus["fn_train"] + corpus["dm_train"]
     model = ParserModel.build(TINY, corpus["ontology"], corpus["dep_labels"],
                               sents, np.random.default_rng(0))
-    cfg = TrainConfig()
     fn = fn_instances(corpus["fn_train"], model.ontology,
-                      cfg.fn_limits(model.dep_labels))
-    dm = dm_instances(corpus["dm_train"], cfg.dm_limits(model.dep_labels))
+                      TINY.fn_limits(model.dep_labels))
+    dm = dm_instances(corpus["dm_train"], TINY.dm_limits(model.dep_labels))
     det = GraphConstraints(corpus["deterministic_labels"])
     assert det.deterministic_labels
     return ([(model.scored_space(i.space), i.parse) for i in fn],

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,7 +106,6 @@ class TestTrainConfig:
         assert cfg.l2 == 1e-6
         assert cfg.l1_weight == 0.01
         assert cfg.exemplar_fraction == 0.35
-        assert cfg.word_dropout_alpha == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"lr0": 0.0},
@@ -119,41 +119,25 @@ class TestTrainConfig:
         with pytest.raises(SpandepError):
             TrainConfig(**kwargs)
 
-    def test_limits_follow_flags(self):
-        joint = TrainConfig()
-        assert joint.fn_limits(("a",)).include_dependencies
-        assert joint.fn_limits(("a",)).include_cross_task
-        assert joint.fn_limits(("a",)).dep_labels == ("a",)
-        basic = TrainConfig(joint=False)
-        lim = basic.fn_limits(("a",))
-        assert not lim.include_dependencies
-        assert not lim.include_cross_task
-        assert lim.dep_labels == ()
-        no_cross = TrainConfig(include_cross_task=False)
-        assert no_cross.fn_limits(("a",)).include_dependencies
-        assert not no_cross.fn_limits(("a",)).include_cross_task
-        dm = joint.dm_limits(("a", "b"))
-        assert dm.include_dependencies and not dm.include_cross_task
-
 
 class TestInstances:
     def test_fn_instances_expand_parses(self):
         c = small_corpus()
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         insts = fn_instances(c["fn_train"], c["ontology"], lim)
         assert len(insts) >= len(c["fn_train"])
         assert all("#" in i.id for i in insts)
 
     def test_fn_instances_reject_dep_supervision(self):
         c = small_corpus()
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         with pytest.raises(SpandepError, match="no frame annotations"):
             fn_instances(c["dm_train"], c["ontology"], lim)
 
     def test_dm_instances_reject_frame_supervision(self):
         c = small_corpus()
         with pytest.raises(SpandepError, match="no dependency graph"):
-            dm_instances(c["fn_train"], TrainConfig().dm_limits(c["dep_labels"]))
+            dm_instances(c["fn_train"], TINY.dm_limits(c["dep_labels"]))
 
 
 class TestLatentHinge:
@@ -192,8 +176,7 @@ class TestLatentHinge:
         # exhaustive best completion of the gold frame parse.  Pinning the
         # completion reuses the same enumerator through large score shifts.
         c = small_corpus(seed=11, n_fn=30)
-        cfg = TrainConfig()
-        lim = cfg.fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         sents = [s for s in c["fn_train"] if len(s) <= 4][:5]
         assert len(sents) >= 3
         model = build_model(c, seed=3)
@@ -219,7 +202,7 @@ class TestLatentHinge:
 
     def test_nonnegative_and_consistent_node(self):
         c = small_corpus(seed=23, n_fn=10)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         model = build_model(c, seed=5)
         for inst in fn_instances(c["fn_train"], c["ontology"], lim)[:6]:
             res = latent_hinge_loss(model, inst.space, inst.parse)
@@ -233,7 +216,7 @@ class TestLatentHinge:
         from spandep.inference.decode import decode
         from spandep.parts import FRAME_PART_TYPES, weighted_hamming
         c = small_corpus(seed=41, n_fn=10)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         model = build_model(c, seed=7)
         for inst in fn_instances(c["fn_train"], c["ontology"], lim)[:6]:
             res = latent_hinge_loss(model, inst.space, inst.parse)
@@ -266,7 +249,7 @@ class TestSdpHinge:
             fg = build_factor_graph(aug, GraphConstraints(),
                                     include_frames=False)
             _, aug_val = brute_force_map(fg)
-            gold_score = sum(raw.score_of(p) for p in gold)
+            gold_score = sum(raw.scores[raw.part_to_id[p]] for p in gold)
             expect = aug_val + 0.6 * len(gold) - gold_score
             assert res.value == pytest.approx(max(expect, 0.0), abs=1e-6)
 
@@ -349,7 +332,7 @@ class TestHingeGradients:
 
     def test_latent_hinge_gradients(self):
         c = small_corpus(seed=31, n_fn=10)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         model = build_model(c, seed=9)
         insts = [i for i in fn_instances(c["fn_train"], c["ontology"], lim)
                  if len(i.sentence) <= 4]
@@ -404,15 +387,14 @@ class TestL1Penalty:
 
 
 class TestTrainLoop:
-    def run(self, corpus, cfg, seed=0, **kwargs):
-        model = build_model(corpus, seed=seed)
+    def run(self, corpus, cfg, seed=0, config=TINY, **kwargs):
+        model = build_model(corpus, seed=seed, config=config)
         return model, train(model, corpus["fn_train"], corpus["dm_train"],
                             config=cfg, **kwargs)
 
     def test_loss_decreases(self):
         c = small_corpus()
-        _, res = self.run(c, TrainConfig(max_epochs=5, seed=0,
-                                         word_dropout_alpha=0.0))
+        _, res = self.run(c, TrainConfig(max_epochs=5, seed=0))
         losses = [st.mean_loss for st in res.history]
         assert len(losses) == 5
         assert all(np.isfinite(losses))
@@ -421,20 +403,20 @@ class TestTrainLoop:
     def test_history_follows_annealing(self):
         c = small_corpus(n_fn=2, n_dm=2, n_fn_dev=0, n_dm_dev=0)
         cfg = TrainConfig(max_epochs=3, anneal_every=1, anneal_factor=0.5,
-                          seed=0, word_dropout_alpha=0.0)
+                          seed=0)
         _, res = self.run(c, cfg)
         assert [st.lr for st in res.history] == [0.33, 0.165, 0.0825]
 
     def test_tsv_log(self, tmp_path):
         c = small_corpus(n_fn=2, n_dm=2)
         path = tmp_path / "log.tsv"
-        cfg = TrainConfig(max_epochs=2, seed=0, word_dropout_alpha=0.0)
+        cfg = TrainConfig(max_epochs=2, seed=0)
         model = build_model(c)
         res = train(model, c["fn_train"], c["dm_train"],
                     fn_dev=c["fn_dev"], dm_dev=c["dm_dev"], config=cfg,
                     log_path=path)
         lines = path.read_text().splitlines()
-        assert lines == res.log_lines
+        assert lines == [st.tsv() for st in res.history]
         pat = re.compile(r"^\d+\t[0-9.]+\t[0-9.+-]+\t[01]\.\d{4}"
                          r"\t[01]\.\d{4}\t\d+\.\d{3}$")
         for line in lines:
@@ -461,9 +443,9 @@ class TestTrainLoop:
 
     def test_basic_configuration_trains(self):
         c = small_corpus(n_fn=3, n_dm=3)
-        cfg = TrainConfig(max_epochs=1, joint=False, include_cross_task=False,
-                          seed=0, word_dropout_alpha=0.0)
-        _, res = self.run(c, cfg)
+        cfg = TrainConfig(max_epochs=1, seed=0)
+        _, res = self.run(c, cfg, config=replace(TINY, joint=False,
+                                                 include_cross_task=False))
         assert len(res.history) == 1
         assert np.isfinite(res.history[0].mean_loss)
 
@@ -471,7 +453,7 @@ class TestTrainLoop:
         c = small_corpus(n_fn=3, n_dm=2)
         pool = small_corpus(seed=9, n_fn=5, n_dm=0, n_fn_dev=0,
                             n_dm_dev=0)["fn_train"]
-        cfg = TrainConfig(max_epochs=2, seed=0, word_dropout_alpha=0.0)
+        cfg = TrainConfig(max_epochs=2, seed=0)
         model = build_model(c)
         res = train(model, c["fn_train"], c["dm_train"], fn_exemplar=pool,
                     config=cfg)
@@ -481,8 +463,9 @@ class TestTrainLoop:
     def test_same_seed_reproduces_parameters(self):
         c = small_corpus(n_fn=4, n_dm=3)
         cfg = TrainConfig(max_epochs=2, seed=13)
-        m1, _ = self.run(c, cfg, seed=2)
-        m2, _ = self.run(c, cfg, seed=2)
+        dropout = replace(TINY, word_dropout=1.0)
+        m1, _ = self.run(c, cfg, seed=2, config=dropout)
+        m2, _ = self.run(c, cfg, seed=2, config=dropout)
         for name in m1.store.values:
             np.testing.assert_array_equal(m1.store.values[name],
                                           m2.store.values[name])
@@ -491,8 +474,7 @@ class TestTrainLoop:
         # The returned parameters must equal the state right after the best
         # dev epoch, which a shorter run of the same seed reproduces.
         c = small_corpus(n_fn=5, n_dm=3)
-        cfg = TrainConfig(max_epochs=4, lr0=0.8, seed=3,
-                          word_dropout_alpha=0.0)
+        cfg = TrainConfig(max_epochs=4, lr0=0.8, seed=3)
         model = build_model(c, seed=1)
         res = train(model, c["fn_train"], c["dm_train"],
                     fn_dev=c["fn_dev"], dm_dev=c["dm_dev"], config=cfg)
@@ -503,26 +485,24 @@ class TestTrainLoop:
         train(short, c["fn_train"], c["dm_train"],
               fn_dev=c["fn_dev"], dm_dev=c["dm_dev"],
               config=TrainConfig(max_epochs=res.best_epoch + 1, lr0=0.8,
-                                 seed=3, word_dropout_alpha=0.0))
+                                 seed=3))
         for name in model.store.values:
             np.testing.assert_array_equal(model.store.values[name],
                                           short.store.values[name])
 
     def test_without_dev_keeps_final_parameters(self):
         c = small_corpus(n_fn=3, n_dm=2)
-        _, res = self.run(c, TrainConfig(max_epochs=2, seed=0,
-                                         word_dropout_alpha=0.0))
+        _, res = self.run(c, TrainConfig(max_epochs=2, seed=0))
         assert res.best_epoch == 1
         assert all(st.dev_fn_f1 == 0.0 for st in res.history)
 
     def test_sparsity_grows_with_l1_weight(self):
         c = small_corpus(seed=5, n_fn=6, n_dm=2)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         insts = fn_instances(c["fn_train"], c["ontology"], lim)
 
         def near_zero_cross(weight):
-            cfg = TrainConfig(max_epochs=4, l1_weight=weight, seed=0,
-                              word_dropout_alpha=0.0)
+            cfg = TrainConfig(max_epochs=4, l1_weight=weight, seed=0)
             model, _ = self.run(c, cfg, seed=4)
             count = 0
             for inst in insts:
@@ -540,7 +520,7 @@ class TestEnsembleAndPredict:
     def test_identical_members_match_single(self):
         c = small_corpus(n_fn=3, n_dm=2)
         model = build_model(c)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         inst = fn_instances(c["fn_train"], c["ontology"], lim)[0]
         single = model.scored_space(inst.space).scores
         pair = ensemble_scores([model, model], inst.space).scores
@@ -550,7 +530,7 @@ class TestEnsembleAndPredict:
         c = small_corpus(n_fn=3, n_dm=2)
         m1 = build_model(c, seed=0)
         m2 = build_model(c, seed=1)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         inst = fn_instances(c["fn_train"], c["ontology"], lim)[0]
         s1 = m1.scored_space(inst.space).scores
         s2 = m2.scored_space(inst.space).scores
@@ -559,7 +539,7 @@ class TestEnsembleAndPredict:
 
     def test_empty_ensemble_rejected(self):
         c = small_corpus(n_fn=2, n_dm=2)
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         inst = fn_instances(c["fn_train"], c["ontology"], lim)[0]
         with pytest.raises(SpandepError, match="empty ensemble"):
             ensemble_scores([], inst.space)
@@ -569,7 +549,7 @@ class TestEnsembleAndPredict:
         m1 = build_model(c)
         m2 = ParserModel.build(TINY, c["ontology"], ("other",),
                                list(c["dm_train"]), np.random.default_rng(1))
-        lim = TrainConfig().fn_limits(c["dep_labels"])
+        lim = TINY.fn_limits(c["dep_labels"])
         inst = fn_instances(c["fn_train"], c["ontology"], lim)[0]
         with pytest.raises(SpandepError, match="disagree"):
             ensemble_scores([m1, m2], inst.space)
