@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -40,12 +41,7 @@ from .inference.decode import decode
 from .inference.exhaustive import exhaustive_joint_map
 from .model import ModelConfig, ParserModel
 from .parts import SpandepError
-from .pruning import (
-    PruneConfig,
-    pretrain_arc_pruner,
-    pretrain_span_pruner,
-    save_pruner,
-)
+from .pruning import pretrain_arc_pruner, pretrain_span_pruner, save_pruner
 from .synthetic import random_joint_instance
 from .training import (
     TrainConfig,
@@ -67,6 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# train takes one flag per TrainConfig field, named after it except here;
+# the field's default is the flag's default
+_TRAIN_FLAGS = {"max_epochs": "epochs", "l1_weight": "lambda"}
+_TRAIN_HELP = {"l1_weight": "cross-task score sparsity weight"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spandep", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,21 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="pretrained word vectors")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="per-epoch TSV metric log")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="l1_weight", type=float, default=0.01,
-                   help="cross-task score sparsity weight")
+    for f in fields(TrainConfig):
+        flag = _TRAIN_FLAGS.get(f.name, f.name.replace("_", "-"))
+        p.add_argument("--" + flag, dest=f.name, type=type(f.default),
+                       default=f.default, help=_TRAIN_HELP.get(f.name))
     p.add_argument("--no-cross-task", action="store_true")
     p.add_argument("--no-joint", action="store_true",
                    help="frames-only candidate spaces for frame instances, "
                         "at train and at predict")
-    p.add_argument("--lr0", type=float, default=0.33)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--anneal-every", type=int, default=10)
-    p.add_argument("--anneal-factor", type=float, default=0.5)
-    p.add_argument("--clip", type=float, default=1.0)
-    p.add_argument("--l2", type=float, default=1e-6)
-    p.add_argument("--exemplar-fraction", type=float, default=0.35)
-    p.add_argument("--word-dropout", type=float, default=1.0)
+    p.add_argument("--word-dropout", type=float,
+                   default=ModelConfig.word_dropout)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("pretrain-pruner", help="fit a candidate filter")
@@ -108,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-span-len", type=int, default=20)
+    p.add_argument("--max-span-len", type=int,
+                   default=ModelConfig.max_span_len,
+                   help="span cap, saved in the pruner checkpoint")
     p.set_defaults(func=cmd_pretrain_pruner)
 
     p = sub.add_parser("predict", help="annotate a corpus with a saved model")
@@ -165,11 +164,8 @@ def cmd_train(args) -> int:
         raise SpandepError("need --fn-train or --dm-train")
     pretrained = load_embeddings(args.embeddings) if args.embeddings else None
 
-    config = TrainConfig(
-        lr0=args.lr0, anneal_factor=args.anneal_factor,
-        anneal_every=args.anneal_every, max_epochs=args.epochs,
-        clip=args.clip, l2=args.l2, l1_weight=args.l1_weight,
-        exemplar_fraction=args.exemplar_fraction, seed=args.seed)
+    config = TrainConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(TrainConfig)})
     model_config = ModelConfig(word_dropout=args.word_dropout,
                                joint=not args.no_joint,
                                include_cross_task=not args.no_cross_task)
@@ -189,19 +185,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_pretrain_pruner(args) -> int:
-    config = PruneConfig(max_span_len=args.max_span_len)
+    model_config = replace(ModelConfig.pruner_sized(),
+                           max_span_len=args.max_span_len)
+    fit = dict(epochs=args.epochs, lr=args.lr, seed=args.seed,
+               model_config=model_config)
     if args.kind == "span":
         if not args.ontology:
             raise _UsageError("the span kind requires --ontology")
         ontology = read_ontology(args.ontology)
         corpus = read_frames(args.train, ontology)
-        pruner = pretrain_span_pruner(corpus, config, epochs=args.epochs,
-                                      lr=args.lr, seed=args.seed,
-                                      ontology=ontology)
+        pruner = pretrain_span_pruner(corpus, ontology=ontology, **fit)
     else:
-        corpus = read_sdp(args.train)
-        pruner = pretrain_arc_pruner(corpus, epochs=args.epochs, lr=args.lr,
-                                     seed=args.seed)
+        pruner = pretrain_arc_pruner(read_sdp(args.train), **fit)
     save_pruner(pruner, args.out)
     print(f"saved {args.kind} pruner to {args.out}")
     return 0

@@ -15,13 +15,16 @@ MLP.  Target representations use a separate MLP and only the length feature.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import (Graph, Node, ParameterStore, ShapeError,
                        gathered_affine)
 from .parts import Sentence, Target
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 UNK = "<unk>"
 
@@ -71,19 +74,20 @@ def discrete_features(span: tuple[int, int], target_start: int) -> np.ndarray:
 class Encoder:
     """Owns the lookup tables, BiLSTM stacks and representation MLPs.
 
-    Parameters are registered into ``store`` under ``prefix`` so several
-    encoders (say, the full model's and the pruner's) can share one store.
+    Widths and word dropout come from a ``ModelConfig``.  Parameters are
+    registered into ``store`` under ``prefix`` so several encoders (say,
+    the full model's and the pruner's) can share one store.
     """
 
-    def __init__(self, store: ParameterStore, words: Vocabulary,
-                 lemmas: Vocabulary, pos_tags: Vocabulary,
+    def __init__(self, store: ParameterStore, config: ModelConfig,
+                 words: Vocabulary, lemmas: Vocabulary, pos_tags: Vocabulary,
                  word_counts: Mapping[str, int],
                  rng: np.random.Generator,
-                 word_dim: int = 100, lemma_dim: int = 50, pos_dim: int = 50,
-                 bilstm_layers: int = 2, bilstm_dim: int = 200,
-                 mlp_dim: int = 100, word_dropout: float = 1.0,
                  pretrained_words: Optional[Mapping[str, np.ndarray]] = None,
                  prefix: str = "enc"):
+        word_dim, lemma_dim, pos_dim = (config.word_dim, config.lemma_dim,
+                                        config.pos_dim)
+        bilstm_dim, mlp_dim = config.bilstm_dim, config.mlp_dim
         if bilstm_dim % 2:
             raise ValueError(f"bilstm_dim must be even, got {bilstm_dim}")
         self.store = store
@@ -91,10 +95,8 @@ class Encoder:
         self.lemmas = lemmas
         self.pos_tags = pos_tags
         self.word_counts = dict(word_counts)
-        self.word_dropout = float(word_dropout)
-        self.bilstm_layers = bilstm_layers
-        self.bilstm_dim = bilstm_dim
-        self.mlp_dim = mlp_dim
+        self.word_dropout = float(config.word_dropout)
+        self.bilstm_layers = config.bilstm_layers
         self.prefix = prefix
 
         word_table = 0.1 * rng.standard_normal((len(words), word_dim))
@@ -115,7 +117,7 @@ class Encoder:
 
         half = bilstm_dim // 2
         in_dim = word_dim + lemma_dim + pos_dim
-        for layer in range(bilstm_layers):
+        for layer in range(self.bilstm_layers):
             for direction in ("fw", "bw"):
                 name = f"{prefix}.lstm{layer}.{direction}"
                 store.add(f"{name}.w", (in_dim + half, 4 * half), rng=rng)

@@ -14,6 +14,7 @@ import io
 import json
 import warnings
 import zipfile
+from dataclasses import fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -134,7 +135,10 @@ def write_sdp(sentences: Sequence[Sentence], path) -> None:
 # --- frame corpus (one JSON record per line) ---------------------------------
 
 def _require_keys(path, where, obj, required, optional=()):
-    unknown = set(obj) - set(required) - set(optional)
+    """Fail on a missing required key, or on a key outside ``required`` and
+    ``optional`` unless ``optional`` is None."""
+    unknown = (set() if optional is None
+               else set(obj) - set(required) - set(optional))
     if unknown:
         raise FormatError(path, where, f"unknown field {sorted(unknown)[0]!r}")
     missing = [k for k in required if k not in obj]
@@ -374,18 +378,32 @@ def _load_from_manifest(cls, path, expected_kind: str,
     if kind != expected_kind:
         raise FormatError(path, 0,
                           f"checkpoint kind {kind!r}, expected {expected_kind!r}")
+    _require_keys(path, "manifest", manifest,
+                  ("hyperparameters", "vocabularies", "dep_labels",
+                   "ontology", "ontology_hash"), optional=None)
     if ontology is not None and ontology_hash(ontology) != manifest["ontology_hash"]:
         message = f"{path}: ontology hash differs from the checkpoint's"
         if not allow_ontology_mismatch:
             raise FormatError(path, 0, message + " (pass the override to load anyway)")
         warnings.warn(message)
     ont_data = manifest["ontology"]
+    _require_keys(path, "ontology", ont_data, ("frames", "lus"),
+                  optional=None)
     ont = Ontology(ont_data["lus"],
                    {f: tuple(b["roles"]) for f, b in ont_data["frames"].items()})
     vocab = manifest["vocabularies"]
+    _require_keys(path, "vocabularies", vocab,
+                  ("words", "lemmas", "pos", "word_counts"), optional=None)
+    hyper = manifest["hyperparameters"]
+    # every field has a default, so older checkpoints may omit some
+    _require_keys(path, "hyperparameters", hyper, (),
+                  tuple(f.name for f in fields(ModelConfig)))
+    try:
+        config = ModelConfig.from_dict(hyper)
+    except SpandepError as e:
+        raise FormatError(path, "hyperparameters", str(e)) from None
     model = cls(
-        ModelConfig.from_dict(manifest["hyperparameters"]), ont,
-        tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
+        config, ont, tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
         Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
         dict(vocab["word_counts"]), rng=np.random.default_rng(0))
     _restore_params(model.store, params, path)

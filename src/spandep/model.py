@@ -100,11 +100,7 @@ class ParserModel:
         self.dep_labels = tuple(dep_labels)
         self.store = store if store is not None else ParameterStore()
         self.encoder = Encoder(
-            self.store, words, lemmas, pos_tags, word_counts, rng,
-            word_dim=config.word_dim, lemma_dim=config.lemma_dim,
-            pos_dim=config.pos_dim, bilstm_layers=config.bilstm_layers,
-            bilstm_dim=config.bilstm_dim, mlp_dim=config.mlp_dim,
-            word_dropout=config.word_dropout,
+            self.store, config, words, lemmas, pos_tags, word_counts, rng,
             pretrained_words=pretrained_words, prefix="enc")
         self.scorers = Scorers(
             self.store, ontology.frames, tuple(ontology.lu_to_frames),

@@ -338,6 +338,15 @@ def enumerate_spans(n: int, max_len: int,
     return spans
 
 
+def enumerate_arcs(n: int,
+                   allowed: Optional[frozenset[tuple[int, int]]] = None) -> list[tuple[int, int]]:
+    """Ordered (head, dep) token pairs without self arcs, head-major."""
+    arcs = [(h, d) for h in range(n) for d in range(n) if h != d]
+    if allowed is not None:
+        arcs = [a for a in arcs if a in allowed]
+    return arcs
+
+
 def build_candidate_space(sentence: Sentence, target: Optional[Target],
                           ontology: Ontology, limits: SpaceLimits) -> CandidateSpace:
     """Enumerate every scoreable part for one decoding instance.
@@ -367,17 +376,10 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
                 for r in ontology.roles_for(f):
                     parts.append(Argument(f, i, j, r))
 
-    arc_list: list[tuple[int, int]] = []
     if limits.include_dependencies:
         for t in range(n):
             parts.append(Head(t))
-        for h in range(n):
-            for d in range(n):
-                if h == d:
-                    continue
-                if limits.allowed_arcs is not None and (h, d) not in limits.allowed_arcs:
-                    continue
-                arc_list.append((h, d))
+        arc_list = enumerate_arcs(n, limits.allowed_arcs)
         for (h, d) in arc_list:
             parts.append(UnlabeledArc(h, d))
         for d in range(n):

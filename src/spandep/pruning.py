@@ -4,8 +4,10 @@ Both pruners share one reduced-size model: an encoder at the small preset
 plus two unlabeled heads.  The span head scores candidate spans for a
 semi-Markov segmentation model trained by maximum likelihood with roles
 collapsed to a single is-argument label; its posteriors gate spans at the
-1/n² threshold.  The arc head is an independent per-arc logistic model;
-its sigmoid posteriors gate arcs by per-dependent top-K with a floor.
+1/n² threshold, under the length cap ``ModelConfig.max_span_len`` that the
+pruner's checkpoint records.  The arc head is an independent per-arc
+logistic model; its sigmoid posteriors gate arcs by per-dependent top-K
+with a floor.
 
 Boundary convention throughout: a posterior exactly equal to a threshold
 is retained.
@@ -14,7 +16,7 @@ is retained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .parts import (
     Sentence,
     SpandepError,
     Target,
+    enumerate_arcs,
+    enumerate_spans,
 )
 
 Span = Tuple[int, int]
@@ -40,13 +44,13 @@ Arc = Tuple[int, int]
 
 @dataclass(frozen=True)
 class PruneConfig:
-    max_span_len: int = 20
+    """The arc rule.  The span rule's length cap is the span pruner's
+    ``ModelConfig.max_span_len``, saved in its checkpoint."""
+
     arc_top_k: int = 20
     arc_posterior_floor: float = 0.0
 
     def __post_init__(self):
-        if self.max_span_len < 1:
-            raise SpandepError("max_span_len must be at least 1")
         if self.arc_top_k < 1:
             raise SpandepError("arc_top_k must be at least 1")
         if not 0.0 <= self.arc_posterior_floor <= 1.0:
@@ -87,14 +91,14 @@ def span_threshold(n: int) -> float:
 
 
 def retain_spans(spans: Sequence[Span], posteriors: np.ndarray, n: int,
-                 config: PruneConfig) -> List[Span]:
+                 max_span_len: int) -> List[Span]:
     """Pure gating rule: posterior >= 1/n² and length <= the cap."""
     thr = span_threshold(n)
     return [(i, j) for (i, j), p in zip(spans, posteriors)
-            if j - i + 1 <= config.max_span_len and p >= thr]
+            if j - i + 1 <= max_span_len and p >= thr]
 
 
-def retain_arcs(pairs: Sequence[Arc], posteriors: np.ndarray, n: int,
+def retain_arcs(pairs: Sequence[Arc], posteriors: np.ndarray,
                 config: PruneConfig) -> List[Arc]:
     """Per-dependent top-K heads by posterior, subject to the floor.
 
@@ -117,7 +121,9 @@ class PrunerModel:
 
     The attribute layout mirrors ``ParserModel`` so the checkpoint
     manifest builder works on both; parameter names never collide with
-    the main model's ``enc``/``sc`` namespaces.
+    the main model's ``enc``/``sc`` namespaces.  The heads score what
+    ``parts.enumerate_spans`` (capped at ``config.max_span_len``) and
+    ``parts.enumerate_arcs`` list.
     """
 
     def __init__(self, config: ModelConfig, ontology: Ontology,
@@ -129,12 +135,8 @@ class PrunerModel:
         self.ontology = ontology
         self.dep_labels = tuple(dep_labels)
         self.store = store if store is not None else ParameterStore()
-        self.encoder = Encoder(
-            self.store, words, lemmas, pos_tags, word_counts, rng,
-            word_dim=config.word_dim, lemma_dim=config.lemma_dim,
-            pos_dim=config.pos_dim, bilstm_layers=config.bilstm_layers,
-            bilstm_dim=config.bilstm_dim, mlp_dim=config.mlp_dim,
-            word_dropout=config.word_dropout, prefix="pr.enc")
+        self.encoder = Encoder(self.store, config, words, lemmas, pos_tags,
+                               word_counts, rng, prefix="pr.enc")
         mlp = config.mlp_dim
         self.store.add("pr.span.w", (mlp,),
                        init=0.1 * rng.standard_normal(mlp))
@@ -150,21 +152,15 @@ class PrunerModel:
     def build(cls, train_sentences: Sequence[Sentence],
               rng: np.random.Generator,
               config: Optional[ModelConfig] = None,
-              ontology: Optional[Ontology] = None,
-              dep_labels: Sequence[str] = ()) -> "PrunerModel":
+              ontology: Optional[Ontology] = None) -> "PrunerModel":
         if config is None:
             config = ModelConfig.pruner_sized()
         if ontology is None:
             ontology = Ontology({}, {})
         words, lemmas, tags, counts = build_vocabularies(train_sentences)
-        return cls(config, ontology, dep_labels, words, lemmas, tags, counts,
-                   rng)
+        return cls(config, ontology, (), words, lemmas, tags, counts, rng)
 
     # --- span head --------------------------------------------------------
-
-    def span_candidates(self, n: int, max_len: int) -> List[Span]:
-        return [(i, j) for i in range(n)
-                for j in range(i, min(n, i + max_len))]
 
     def span_scores(self, g: Graph, sentence: Sentence, target: Target,
                     spans: Sequence[Span],
@@ -175,21 +171,16 @@ class PrunerModel:
                                                  target.start)
         return g.matvec(reps, g.param(self.store, "pr.span.w"))
 
-    def span_posteriors(self, sentence: Sentence, target: Target,
-                        config: PruneConfig
+    def span_posteriors(self, sentence: Sentence, target: Target
                         ) -> Tuple[List[Span], np.ndarray]:
-        n = len(sentence)
-        spans = self.span_candidates(n, config.max_span_len)
+        n, cap = len(sentence), self.config.max_span_len
+        spans = enumerate_spans(n, cap)
         node = self.span_scores(Graph(), sentence, target, spans)
         items = [(i, j, "arg") for i, j in spans]
-        _, post = semi_markov_marginals(items, node.value, n,
-                                        config.max_span_len)
+        _, post = semi_markov_marginals(items, node.value, n, cap)
         return spans, post
 
     # --- arc head ---------------------------------------------------------
-
-    def arc_candidates(self, n: int) -> List[Arc]:
-        return [(h, d) for h in range(n) for d in range(n) if h != d]
 
     def arc_logits(self, g: Graph, sentence: Sentence, pairs: Sequence[Arc],
                    rng: Optional[np.random.Generator] = None,
@@ -207,27 +198,28 @@ class PrunerModel:
 
     def arc_posteriors(self, sentence: Sentence
                        ) -> Tuple[List[Arc], np.ndarray]:
-        pairs = self.arc_candidates(len(sentence))
-        if not pairs:
-            return pairs, np.zeros(0)
+        pairs = enumerate_arcs(len(sentence))
         g = Graph()
         node = g.sigmoid(self.arc_logits(g, sentence, pairs))
         return pairs, node.value.copy()
 
 
-def _span_instances(corpus: Sequence[Sentence]
-                    ) -> List[Tuple[Sentence, FrameParse]]:
-    instances = []
-    for s in corpus:
-        if not isinstance(s.supervision, FrameAnnotations):
-            raise SpandepError(
-                f"sentence {s.id!r} carries no frame annotations")
-        instances.extend((s, parse) for parse in s.supervision.parses)
-    return instances
+def _gold_spans(sentence: Sentence, target: Target) -> Optional[set]:
+    if isinstance(sentence.supervision, FrameAnnotations):
+        for parse in sentence.supervision.parses:
+            if parse.target == target:
+                return {(i, j) for i, j, _role in parse.arguments}
+    return None
+
+
+def _gold_arcs(sentence: Sentence) -> Optional[set]:
+    if not isinstance(sentence.supervision, DependencyGraph):
+        return None
+    return {(h, d) for h, d, _ in sentence.supervision.arcs}
 
 
 def span_nll(g: Graph, pruner: PrunerModel, sentence: Sentence,
-             parse: FrameParse, config: PruneConfig,
+             parse: FrameParse,
              rng: Optional[np.random.Generator] = None,
              training: bool = False) -> Node:
     """logZ minus the gold segmentation score; nonnegative by construction.
@@ -236,124 +228,114 @@ def span_nll(g: Graph, pruner: PrunerModel, sentence: Sentence,
     segmentation, so they are dropped from the gold set rather than making
     the likelihood ill-defined.
     """
-    n = len(sentence)
-    spans = pruner.span_candidates(n, config.max_span_len)
+    n, cap = len(sentence), pruner.config.max_span_len
+    spans = enumerate_spans(n, cap)
     index = {s: k for k, s in enumerate(spans)}
     gold = sorted(index[(i, j)] for i, j, _role in parse.arguments
-                  if j - i + 1 <= config.max_span_len)
+                  if j - i + 1 <= cap)
     scores = pruner.span_scores(g, sentence, parse.target, spans,
                                 rng=rng, training=training)
     items = [(i, j, "arg") for i, j in spans]
-    return nll_node(g, scores, items, n, config.max_span_len, gold)
+    return nll_node(g, scores, items, n, cap, gold)
 
 
-def pretrain_span_pruner(corpus: Sequence[Sentence],
-                         config: PruneConfig = PruneConfig(),
-                         *, epochs: int = 5, lr: float = 0.1, seed: int = 0,
-                         pruner: Optional[PrunerModel] = None,
-                         model_config: Optional[ModelConfig] = None,
-                         ontology: Optional[Ontology] = None) -> PrunerModel:
-    instances = _span_instances(corpus)
-    if not instances:
-        raise SpandepError("cannot pretrain a span pruner on an empty corpus")
+def _arc_nll(g: Graph, pruner: PrunerModel, sentence: Sentence,
+             rng: np.random.Generator, training: bool) -> Node:
+    """Independent per-arc logistic loss: binary cross-entropy with
+    logits, sum softplus(l) - y.l."""
+    gold = _gold_arcs(sentence)
+    pairs = enumerate_arcs(len(sentence))
+    logits = pruner.arc_logits(g, sentence, pairs, rng=rng,
+                               training=training)
+    y = np.array([float(p in gold) for p in pairs])
+    return g.sub(g.sum(g.softplus(logits)), g.inner(logits, g.input(y)))
+
+
+def _pretrain(corpus: Sequence[Sentence], examples: Sequence,
+              loss: Callable[..., Node], epochs: int, lr: float, seed: int,
+              model_config: Optional[ModelConfig],
+              ontology: Optional[Ontology] = None) -> PrunerModel:
+    """Seeded SGD shared by both pruners: one generator builds the pruner,
+    permutes ``examples`` each epoch and drives word dropout; each example
+    takes one clipped step on ``loss(g, pruner, *example)``."""
     rng = np.random.default_rng(seed)
-    if pruner is None:
-        pruner = PrunerModel.build(corpus, rng, config=model_config,
-                                   ontology=ontology)
+    pruner = PrunerModel.build(corpus, rng, config=model_config,
+                               ontology=ontology)
     for _ in range(epochs):
-        for k in rng.permutation(len(instances)):
-            sentence, parse = instances[int(k)]
+        for k in rng.permutation(len(examples)):
             g = Graph()
-            loss = span_nll(g, pruner, sentence, parse, config,
-                            rng=rng, training=True)
-            g.backward(loss)
+            g.backward(loss(g, pruner, *examples[int(k)], rng=rng,
+                            training=True))
             clip_and_step(pruner.store, lr)
     return pruner
 
 
-def pretrain_arc_pruner(corpus: Sequence[Sentence],
-                        *, epochs: int = 5, lr: float = 0.1, seed: int = 0,
-                        pruner: Optional[PrunerModel] = None,
-                        model_config: Optional[ModelConfig] = None,
-                        ontology: Optional[Ontology] = None) -> PrunerModel:
+def pretrain_span_pruner(corpus: Sequence[Sentence], *, epochs: int = 5,
+                         lr: float = 0.1, seed: int = 0,
+                         model_config: Optional[ModelConfig] = None,
+                         ontology: Optional[Ontology] = None) -> PrunerModel:
+    """Fit the span head by semi-Markov likelihood under its span cap."""
+    instances = []
+    for s in corpus:
+        if not isinstance(s.supervision, FrameAnnotations):
+            raise SpandepError(
+                f"sentence {s.id!r} carries no frame annotations")
+        instances.extend((s, parse) for parse in s.supervision.parses)
+    if not instances:
+        raise SpandepError("cannot pretrain a span pruner on an empty corpus")
+    return _pretrain(corpus, instances, span_nll, epochs, lr, seed,
+                     model_config, ontology)
+
+
+def pretrain_arc_pruner(corpus: Sequence[Sentence], *, epochs: int = 5,
+                        lr: float = 0.1, seed: int = 0,
+                        model_config: Optional[ModelConfig] = None
+                        ) -> PrunerModel:
     """Fit the arc head with an independent per-arc logistic loss."""
     for s in corpus:
         if not isinstance(s.supervision, DependencyGraph):
             raise SpandepError(
                 f"sentence {s.id!r} carries no dependency graph")
-    usable = [s for s in corpus if len(s) > 1]
+    usable = [(s,) for s in corpus if len(s) > 1]
     if not usable:
         raise SpandepError("cannot pretrain an arc pruner on an empty corpus")
-    rng = np.random.default_rng(seed)
-    if pruner is None:
-        pruner = PrunerModel.build(corpus, rng, config=model_config,
-                                   ontology=ontology)
-    for _ in range(epochs):
-        for k in rng.permutation(len(usable)):
-            sentence = usable[int(k)]
-            gold_pairs = {(h, d) for h, d, _ in sentence.supervision.arcs}
-            pairs = pruner.arc_candidates(len(sentence))
-            g = Graph()
-            logits = pruner.arc_logits(g, sentence, pairs,
-                                       rng=rng, training=True)
-            y = np.array([float(p in gold_pairs) for p in pairs])
-            # binary cross-entropy with logits: sum softplus(l) - y.l
-            loss = g.sub(g.sum(g.softplus(logits)),
-                         g.inner(logits, g.input(y)))
-            g.backward(loss)
-            clip_and_step(pruner.store, lr)
-    return pruner
+    return _pretrain(corpus, usable, _arc_nll, epochs, lr, seed,
+                     model_config)
 
 
-def _gold_spans(sentence: Sentence, target: Target) -> Optional[set]:
-    if not isinstance(sentence.supervision, FrameAnnotations):
-        return None
-    for parse in sentence.supervision.parses:
-        if parse.target == target:
-            return {(i, j) for i, j, _role in parse.arguments}
-    return None
+def _pruned(sentence: Sentence, candidates: Sequence, kept: List,
+            gold: Optional[set]) -> PruneResult:
+    """The retained candidates, with a recall report when gold is known."""
+    report = None
+    if gold is not None:
+        report = RecallReport(
+            gold_total=len(gold),
+            gold_retained=len(gold & set(kept)),
+            candidate_total=len(candidates),
+            retained_total=len(kept),
+            n_tokens=len(sentence))
+    return PruneResult(retained=tuple(kept), report=report)
 
 
-def prune_spans(sentence: Sentence, target: Target, pruner: PrunerModel,
-                config: PruneConfig = PruneConfig()) -> PruneResult:
+def prune_spans(sentence: Sentence, target: Target,
+                pruner: PrunerModel) -> PruneResult:
     """Spans whose posterior clears 1/n² and whose length fits the cap.
 
     When the sentence carries frame annotations for ``target``, the result
     includes a recall report against that parse's argument spans.
     """
-    n = len(sentence)
-    spans, post = pruner.span_posteriors(sentence, target, config)
-    kept = retain_spans(spans, post, n, config)
-    report = None
-    gold = _gold_spans(sentence, target)
-    if gold is not None:
-        kept_set = set(kept)
-        report = RecallReport(
-            gold_total=len(gold),
-            gold_retained=len(gold & kept_set),
-            candidate_total=len(spans),
-            retained_total=len(kept),
-            n_tokens=n)
-    return PruneResult(retained=tuple(kept), report=report)
+    spans, post = pruner.span_posteriors(sentence, target)
+    kept = retain_spans(spans, post, len(sentence),
+                        pruner.config.max_span_len)
+    return _pruned(sentence, spans, kept, _gold_spans(sentence, target))
 
 
 def prune_arcs(sentence: Sentence, pruner: PrunerModel,
                config: PruneConfig = PruneConfig()) -> PruneResult:
     """Per-dependent top-K heads by logistic posterior, above the floor."""
-    n = len(sentence)
     pairs, post = pruner.arc_posteriors(sentence)
-    kept = retain_arcs(pairs, post, n, config)
-    report = None
-    if isinstance(sentence.supervision, DependencyGraph):
-        gold = {(h, d) for h, d, _ in sentence.supervision.arcs}
-        kept_set = set(kept)
-        report = RecallReport(
-            gold_total=len(gold),
-            gold_retained=len(gold & kept_set),
-            candidate_total=len(pairs),
-            retained_total=len(kept),
-            n_tokens=n)
-    return PruneResult(retained=tuple(kept), report=report)
+    kept = retain_arcs(pairs, post, config)
+    return _pruned(sentence, pairs, kept, _gold_arcs(sentence))
 
 
 def save_pruner(pruner: PrunerModel, path) -> None:

@@ -24,6 +24,8 @@ from .parts import (
     SpaceLimits,
     Target,
     build_candidate_space,
+    enumerate_arcs,
+    enumerate_spans,
     make_sentence,
 )
 
@@ -61,13 +63,13 @@ def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
                           for f in frames}
         ontology = Ontology({"lu.v": frames}, frame_to_roles)
 
-        all_spans = [(i, j) for i in range(n) for j in range(i, min(n, i + 2))]
+        all_spans = enumerate_spans(n, 2)
         k_spans = int(rng.integers(2, min(4, len(all_spans)) + 1))
         idx = rng.choice(len(all_spans), size=k_spans, replace=False)
         spans = frozenset(all_spans[i] for i in idx)
 
         labels = tuple(_LABEL_POOL[:int(rng.integers(1, 3))])
-        pairs = [(h, d) for h in range(n) for d in range(n) if h != d]
+        pairs = enumerate_arcs(n)
         # bias toward a target-to-span arc so cross-task parts exist
         inside = [(t_start, d) for (i, j) in spans
                   for d in range(i, j + 1) if d != t_start]

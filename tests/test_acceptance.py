@@ -36,7 +36,7 @@ from spandep.parts import (
     make_sentence,
     weighted_hamming,
 )
-from spandep.pruning import PruneConfig, retain_spans
+from spandep.pruning import retain_spans
 from spandep.synthetic import random_joint_instance, synthetic_corpus
 from spandep.training import (
     TrainConfig,
@@ -155,14 +155,14 @@ def test_criterion_04_weighted_hamming_fixtures():
 
 def test_criterion_05_pruning_rule_bit_exact():
     with criterion(5, "1/n^2 threshold and the 20-token cap are bit-exact"):
-        cfg = PruneConfig()
+        cap = ModelConfig().max_span_len
         spans = [(0, 0), (0, 1)]
         at = np.array([0.25, 0.25])
         below = np.array([np.nextafter(0.25, 0.0), 0.25])
-        assert retain_spans(spans, at, 2, cfg) == [(0, 0), (0, 1)]
-        assert retain_spans(spans, below, 2, cfg) == [(0, 1)]
+        assert retain_spans(spans, at, 2, cap) == [(0, 0), (0, 1)]
+        assert retain_spans(spans, below, 2, cap) == [(0, 1)]
         capped = retain_spans([(0, 20), (0, 19)], np.array([1.0, 1.0]),
-                              30, cfg)
+                              30, cap)
         assert capped == [(0, 19)]
 
 

@@ -1,22 +1,32 @@
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spandep.cli import cli
 from spandep.formats import (
+    load_checkpoint,
     load_model,
+    model_manifest,
     ontology_to_dict,
     read_frames,
     read_sdp,
+    save_checkpoint,
     save_model,
 )
 from spandep.model import ModelConfig, ParserModel
-from spandep.parts import SpaceLimits, build_candidate_space
-from spandep.pruning import load_pruner
+from spandep.parts import (
+    SpaceLimits,
+    Target,
+    build_candidate_space,
+    make_sentence,
+)
+from spandep.pruning import load_pruner, prune_spans
 from spandep.synthetic import synthetic_corpus
+from spandep.training import TrainConfig
 from spandep.formats import write_frames, write_sdp
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
@@ -66,6 +76,47 @@ class TestArgumentHandling:
                   "--word-dropout", "-1"])
         assert rc == 1
         assert "word_dropout" in capsys.readouterr().err
+
+    def test_train_defaults_come_from_the_dataclasses(self, paths,
+                                                      monkeypatch, capsys):
+        import spandep.cli as cli_mod
+        seen = {}
+
+        def fake_train(model, *args, config, **kwargs):
+            seen.update(train=config, model=model.config)
+            return SimpleNamespace(history=[], best_epoch=0,
+                                   best_dev_fn_f1=0.0)
+
+        monkeypatch.setattr(cli_mod, "train", fake_train)
+        monkeypatch.setattr(cli_mod, "save_model", lambda model, path: None)
+        rc = cli(["train", "--fn-train", str(paths["fn_train"]),
+                  "--ontology", str(paths["ontology"]),
+                  "--out", str(paths["dir"] / "m.zip")])
+        assert rc == 0, capsys.readouterr().err
+        assert seen == {"train": TrainConfig(), "model": ModelConfig()}
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m["hyperparameters"].update(future_knob=1), "future_knob"),
+        (lambda m: m.pop("vocabularies"), "vocabularies"),
+        (lambda m: m["hyperparameters"].update(max_span_len=0),
+         "max_span_len"),
+    ], ids=["unknown-hyperparameter", "no-vocabularies", "zero-span-cap"])
+    def test_bad_manifest_is_a_located_error(self, paths, corpus, capsys,
+                                             edit, key):
+        model = ParserModel.build(TINY, corpus["ontology"],
+                                  tuple(corpus["dep_labels"]),
+                                  corpus["dm_train"],
+                                  np.random.default_rng(0))
+        manifest = model_manifest(model)
+        edit(manifest)
+        path = paths["dir"] / "bad.zip"
+        save_checkpoint(model.store, manifest, path)
+        rc = cli(["predict", "--model", str(path),
+                  "--input", str(paths["dm_dev"]), "--format", "sdp",
+                  "--output", str(paths["dir"] / "out.sdp")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{path}:" in err and key in err
 
     def test_train_requires_ontology(self, paths, capsys):
         rc = cli(["train", "--fn-train", str(paths["fn_train"]),
@@ -348,6 +399,31 @@ class TestPredictCertification:
 
 
 class TestPretrainPruner:
+    def test_span_cap_survives_the_checkpoint(self, paths, capsys):
+        out = paths["dir"] / "span3.zip"
+        rc = cli(["pretrain-pruner", "--kind", "span",
+                  "--train", str(paths["fn_train"]),
+                  "--ontology", str(paths["ontology"]),
+                  "--out", str(out), "--epochs", "1", "--max-span-len", "3"])
+        assert rc == 0, capsys.readouterr().err
+        _, manifest = load_checkpoint(out)
+        assert manifest["hyperparameters"]["max_span_len"] == 3
+        pruner = load_pruner(out)
+        sent = make_sentence([f"w{i}" for i in range(7)])
+        target = Target(0, 0, "x.v")
+        spans, _ = pruner.span_posteriors(sent, target)
+        assert max(j - i + 1 for i, j in spans) == 3
+        assert all(j - i + 1 <= 3
+                   for i, j in prune_spans(sent, target, pruner).retained)
+
+    def test_default_config_is_the_pruner_preset(self, paths, capsys):
+        out = paths["dir"] / "arc-default.zip"
+        rc = cli(["pretrain-pruner", "--kind", "arc",
+                  "--train", str(paths["dm_train"]), "--out", str(out),
+                  "--epochs", "0"])
+        assert rc == 0, capsys.readouterr().err
+        assert load_pruner(out).config == ModelConfig.pruner_sized()
+
     def test_span_pruner(self, paths, capsys):
         out = paths["dir"] / "span.zip"
         rc = cli(["pretrain-pruner", "--kind", "span",

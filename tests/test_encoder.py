@@ -12,12 +12,13 @@ from spandep.encoder import (
     build_vocabularies,
     discrete_features,
 )
+from spandep.model import ModelConfig
 from spandep.parts import Target, make_sentence
 
 from .oracles import lstm_by_cells, span_representation
 
 
-def tiny_encoder(store=None, rng=None, **kw):
+def tiny_encoder(store=None, rng=None, pretrained_words=None, **kw):
     store = store if store is not None else ParameterStore()
     rng = rng if rng is not None else np.random.default_rng(0)
     words = Vocabulary(["the", "cat", "sat", "mat"])
@@ -27,7 +28,8 @@ def tiny_encoder(store=None, rng=None, **kw):
     defaults = dict(word_dim=8, lemma_dim=4, pos_dim=4, bilstm_layers=1,
                     bilstm_dim=8, mlp_dim=6)
     defaults.update(kw)
-    return Encoder(store, words, lemmas, tags, counts, rng, **defaults), store
+    return Encoder(store, ModelConfig(**defaults), words, lemmas, tags,
+                   counts, rng, pretrained_words=pretrained_words), store
 
 
 SENT = make_sentence(["the", "cat", "sat"], ["the", "cat", "sit"],

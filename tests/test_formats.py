@@ -267,6 +267,41 @@ def tiny_model(seed=0):
                              np.random.default_rng(seed))
 
 
+BAD_MANIFESTS = {
+    "unknown-hyperparameter": (
+        lambda m: m["hyperparameters"].update(future_knob=1),
+        "hyperparameters", "unknown field 'future_knob'"),
+    "no-vocabularies": (lambda m: m.pop("vocabularies"), "manifest",
+                        "missing field 'vocabularies'"),
+    "no-lexical-units": (lambda m: m["ontology"].pop("lus"), "ontology",
+                         "missing field 'lus'"),
+    "zero-span-cap": (lambda m: m["hyperparameters"].update(max_span_len=0),
+                      "hyperparameters", "max_span_len must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+@pytest.mark.parametrize("kind", ["model", "pruner"])
+def test_bad_manifest_names_path_and_key(tmp_path, kind, case):
+    from spandep.formats import model_manifest
+    from spandep.pruning import PrunerModel, load_pruner
+    edit, where, message = BAD_MANIFESTS[case]
+    if kind == "model":
+        model, load = tiny_model(), load_model
+    else:
+        model = PrunerModel.build([make_sentence(["a", "b"])],
+                                  np.random.default_rng(0))
+        load = load_pruner
+    manifest = model_manifest(model, kind=kind)
+    edit(manifest)
+    p = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(model.store, manifest, p)
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert (err.value.path, err.value.where) == (str(p), where)
+    assert str(err.value) == f"{p}:{where}: {message}"
+
+
 class TestCheckpoints:
     def test_bitwise_round_trip(self, tmp_path):
         store = ParameterStore()

@@ -21,6 +21,7 @@ from spandep.parts import (
     assemble_structures,
     build_candidate_space,
     dep_parts,
+    enumerate_arcs,
     frame_parts,
     make_sentence,
     weighted_hamming,
@@ -154,6 +155,19 @@ def test_allowed_spans_and_arcs_prune():
     assert [space.parts[i] for i in space.arc_ids] == [UnlabeledArc(0, 1)]
     # root arcs are exempt from arc pruning
     assert len(space.root_arc_ids) == 3
+
+
+@given(n=st.integers(1, 6))
+@settings(max_examples=20, deadline=None)
+def test_space_arcs_are_enumerate_arcs(n):
+    # the arc pruner scores exactly the pairs the space lists
+    space = build_candidate_space(make_sentence(["w"] * n), None, ONT,
+                                  SpaceLimits())
+    arcs = [(space.parts[i].head, space.parts[i].dep) for i in space.arc_ids]
+    assert arcs == enumerate_arcs(n)
+    assert len(arcs) == n * (n - 1)
+    assert enumerate_arcs(n, frozenset({(0, n - 1), (n, 0)})) == \
+        ([(0, n - 1)] if n > 1 else [])
 
 
 # --- weighted hamming ------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from spandep.parts import (
     Ontology,
     SpandepError,
     Target,
+    enumerate_arcs,
+    enumerate_spans,
     make_sentence,
 )
 from spandep.pruning import (
@@ -59,29 +63,27 @@ class TestGatingRules:
     def test_boundary_posterior_retained(self):
         spans = [(0, 0), (0, 1)]
         post = np.array([0.25, 0.25 - 1e-12])
-        cfg = PruneConfig()
-        assert retain_spans(spans, post, 2, cfg) == [(0, 0)]
+        assert retain_spans(spans, post, 2, 20) == [(0, 0)]
 
     def test_length_cap_beats_posterior(self):
         spans = [(0, 20), (0, 19)]
         post = np.array([1.0, 1.0])
-        kept = retain_spans(spans, post, 40, PruneConfig())
+        kept = retain_spans(spans, post, 40, 20)
         assert kept == [(0, 19)]
-        assert retain_spans([(0, 2)], np.array([1.0]), 4,
-                            PruneConfig(max_span_len=2)) == []
+        assert retain_spans([(0, 2)], np.array([1.0]), 4, 2) == []
 
     def test_retained_subset_of_candidates(self):
         rng = np.random.default_rng(3)
         spans = [(i, j) for i in range(6) for j in range(i, 6)]
         post = rng.uniform(size=len(spans))
-        kept = retain_spans(spans, post, 6, PruneConfig(max_span_len=3))
+        kept = retain_spans(spans, post, 6, 3)
         assert set(kept) <= set(spans)
 
     def test_arc_top_k_keeps_argmax(self):
         pairs = [(h, d) for h in range(4) for d in range(4) if h != d]
         rng = np.random.default_rng(0)
         post = rng.uniform(size=len(pairs))
-        kept = retain_arcs(pairs, post, 4, PruneConfig(arc_top_k=1))
+        kept = retain_arcs(pairs, post, PruneConfig(arc_top_k=1))
         assert len(kept) == 4
         by_dep = {}
         for (h, d), p in zip(pairs, post):
@@ -92,28 +94,29 @@ class TestGatingRules:
     def test_arc_k_large_floor_zero_keeps_all(self):
         pairs = [(h, d) for h in range(5) for d in range(5) if h != d]
         post = np.random.default_rng(1).uniform(size=len(pairs))
-        kept = retain_arcs(pairs, post, 5, PruneConfig(arc_top_k=4))
+        kept = retain_arcs(pairs, post, PruneConfig(arc_top_k=4))
         assert sorted(kept) == sorted(pairs)
 
     def test_arc_floor_boundary_retained(self):
         pairs = [(0, 1), (2, 1)]
         post = np.array([0.5, 0.5 - 1e-9])
         cfg = PruneConfig(arc_top_k=5, arc_posterior_floor=0.5)
-        assert retain_arcs(pairs, post, 3, cfg) == [(0, 1)]
+        assert retain_arcs(pairs, post, cfg) == [(0, 1)]
 
     def test_arc_tie_breaks_to_lower_head(self):
         pairs = [(2, 0), (1, 0)]
         post = np.array([0.7, 0.7])
         cfg = PruneConfig(arc_top_k=1)
-        assert retain_arcs(pairs, post, 3, cfg) == [(1, 0)]
+        assert retain_arcs(pairs, post, cfg) == [(1, 0)]
 
     def test_config_validation(self):
         with pytest.raises(SpandepError):
             PruneConfig(arc_top_k=0)
         with pytest.raises(SpandepError):
             PruneConfig(arc_posterior_floor=1.5)
-        with pytest.raises(SpandepError):
-            PruneConfig(max_span_len=0)
+        # the span cap is the pruner's ModelConfig.max_span_len
+        with pytest.raises(TypeError):
+            PruneConfig(max_span_len=3)
 
 
 @pytest.fixture(scope="module")
@@ -150,22 +153,19 @@ class TestSpanPruner:
         for s in toy_fn_corpus:
             parse = s.supervision.parses[0]
             g = Graph()
-            loss = span_nll(g, pruner, s, parse, PruneConfig())
+            loss = span_nll(g, pruner, s, parse)
             assert float(loss.value) >= 0.0
 
     def test_overfit_posterior_rises_monotonically(self):
         # sampled every 60 epochs; the first steps of a fresh model can dip
         # slightly while the shared encoder unties the span scores
         sent = fn_sentence(["the", "cat", "sat"], (2, 2), [(0, 1, "Agent")])
-        pruner = pretrain_span_pruner([sent], epochs=0, seed=0,
-                                      model_config=TINY)
         history = []
-        for _ in range(6):
-            spans, post = pruner.span_posteriors(sent, Target(2, 2, "sit.v"),
-                                                 PruneConfig())
+        for epochs in range(0, 360, 60):
+            pruner = pretrain_span_pruner([sent], epochs=epochs, lr=0.3,
+                                          seed=0, model_config=TINY)
+            spans, post = pruner.span_posteriors(sent, Target(2, 2, "sit.v"))
             history.append(post[spans.index((0, 1))])
-            pretrain_span_pruner([sent], epochs=60, lr=0.3, seed=0,
-                                 pruner=pruner)
         assert np.all(np.diff(history) > 0)
         assert history[-1] > 0.9
 
@@ -189,8 +189,7 @@ class TestSpanPruner:
                                    config=TINY)
         sent = toy_fn_corpus[1]
         res = prune_spans(sent, Target(1, 1, "sit.v"), pruner)
-        assert set(res.retained) <= set(
-            pruner.span_candidates(len(sent), 20))
+        assert set(res.retained) <= set(enumerate_spans(len(sent), 20))
         assert res.report.gold_total == 2
         assert 0.0 <= res.report.recall <= 1.0
         assert res.report.n_tokens == 3
@@ -209,6 +208,22 @@ class TestSpanPruner:
                                    config=TINY)
         res = prune_spans(sent, Target(0, 0, "sit.v"), pruner)
         assert all(j - i + 1 <= 20 for i, j in res.retained)
+        assert res.report.gold_retained == 0
+
+    def test_cap_comes_from_model_config(self):
+        sent = fn_sentence(["a", "b", "c", "d", "e"], (4, 4),
+                           [(0, 2, "Agent")])
+        target = Target(4, 4, "sit.v")
+        pruner = PrunerModel.build([sent], np.random.default_rng(0),
+                                   config=replace(TINY, max_span_len=2))
+        spans, post = pruner.span_posteriors(sent, target)
+        assert spans == enumerate_spans(5, 2)
+        assert len(post) == len(spans)
+        loss = span_nll(Graph(), pruner, sent, sent.supervision.parses[0])
+        assert np.isfinite(loss.value) and float(loss.value) >= 0.0
+        res = prune_spans(sent, target, pruner)
+        assert all(j - i + 1 <= 2 for i, j in res.retained)
+        assert res.report.candidate_total == len(spans)
         assert res.report.gold_retained == 0
 
 
@@ -236,20 +251,27 @@ class TestArcPruner:
                                    config=TINY)
         sent = toy_dm_corpus[0]
         res = prune_arcs(sent, pruner, PruneConfig(arc_top_k=2))
-        assert sorted(res.retained) == sorted(pruner.arc_candidates(3))
+        assert sorted(res.retained) == enumerate_arcs(3)
         assert res.report.recall == 1.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(SpandepError, match="empty corpus"):
             pretrain_arc_pruner([], model_config=TINY)
 
+    def test_single_token_has_no_arcs(self, toy_dm_corpus):
+        pruner = PrunerModel.build(toy_dm_corpus, np.random.default_rng(4),
+                                   config=TINY)
+        res = prune_arcs(dm_sentence(["a"], [], top=0), pruner)
+        assert res.retained == ()
+        assert res.report.candidate_total == 0
+
     def test_factorized_heads_match_concatenation(self, monkeypatch):
         forms = [f"w{i}" for i in range(12)]
         sent = dm_sentence(forms, [(0, 1, "a")])
         pruner = PrunerModel.build([sent], np.random.default_rng(6),
                                    config=TINY)
-        pairs = pruner.arc_candidates(12)
-        spans = pruner.span_candidates(12, 4)
+        pairs = enumerate_arcs(12)
+        spans = enumerate_spans(12, 4)
         target = Target(3, 3, "sit.v")
 
         def run():
@@ -289,8 +311,8 @@ class TestPrunerCheckpoints:
         for name, v in pruner.store.values.items():
             np.testing.assert_array_equal(back.store.values[name], v)
         sent = toy_fn_corpus[0]
-        a = pruner.span_posteriors(sent, Target(2, 2, "sit.v"), PruneConfig())
-        b = back.span_posteriors(sent, Target(2, 2, "sit.v"), PruneConfig())
+        a = pruner.span_posteriors(sent, Target(2, 2, "sit.v"))
+        b = back.span_posteriors(sent, Target(2, 2, "sit.v"))
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_model_checkpoint_rejected(self, toy_fn_corpus, tmp_path):
