@@ -14,6 +14,7 @@ or malformed inputs), 2 on an unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields, replace
 
@@ -67,6 +68,9 @@ class _Parser(argparse.ArgumentParser):
 # the field's default is the flag's default
 _TRAIN_FLAGS = {"max_epochs": "epochs", "l1_weight": "lambda"}
 _TRAIN_HELP = {"l1_weight": "cross-task score sparsity weight"}
+# pretrain-pruner's fitting flags default to the pretraining functions'
+# keywords, which both functions share
+_PRETRAIN = inspect.signature(pretrain_span_pruner).parameters
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                   "dependency corpus for arc")
     p.add_argument("--ontology", help="required for the span kind")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    for name in ("epochs", "lr", "seed"):
+        default = _PRETRAIN[name].default
+        p.add_argument("--" + name, type=type(default), default=default)
     p.add_argument("--max-span-len", type=int,
                    default=ModelConfig.max_span_len,
                    help="span cap, saved in the pruner checkpoint")
@@ -259,9 +263,9 @@ def cmd_oracle_check(args) -> int:
     max_gap = 0.0
     exact = no_iterations = 0
     for _ in range(args.n):
-        space, constraints = random_joint_instance(rng)
-        got = decode(space, constraints)
-        _, want = exhaustive_joint_map(space, constraints)
+        space = random_joint_instance(rng)
+        got = decode(space)
+        _, want = exhaustive_joint_map(space)
         max_gap = max(max_gap, abs(got.objective - want))
         exact += got.status == "exact"
         no_iterations += got.iterations == 0

@@ -88,8 +88,6 @@ class Encoder:
         word_dim, lemma_dim, pos_dim = (config.word_dim, config.lemma_dim,
                                         config.pos_dim)
         bilstm_dim, mlp_dim = config.bilstm_dim, config.mlp_dim
-        if bilstm_dim % 2:
-            raise ValueError(f"bilstm_dim must be even, got {bilstm_dim}")
         self.store = store
         self.words = words
         self.lemmas = lemmas

@@ -28,7 +28,6 @@ from .factor_graph import FactorGraph, Infeasible, Rows, clamp_graph
 from .peel import peel
 from .projections import (
     SemiMarkovProjector,
-    project_amo_rows,
     project_implication,
     project_pair,
     project_xor_rows,
@@ -58,9 +57,9 @@ class SolveResult:
 
 
 class _PaddedGroup:
-    """XOR or AtMostOne factors padded into (F, K) matrices."""
+    """XOR factors padded into (F, K) matrices."""
 
-    def __init__(self, rows: Rows, negated: bool):
+    def __init__(self, rows: Rows):
         sizes = rows.sizes
         nf, k = rows.count, int(sizes.max())
         row = rows.row
@@ -70,18 +69,13 @@ class _PaddedGroup:
         self.neg = np.zeros((nf, k), dtype=bool)
         self.idx[row, col] = rows.var
         self.mask[row, col] = True
-        if negated:
-            self.neg[row, col] = rows.neg
+        self.neg[row, col] = rows.neg
         self.lam = np.zeros((nf, k))
         self.u = np.zeros((nf, k))
-        self.negated = negated
 
     def solve(self, p, omega, rho):
         z = p[self.idx] + (omega[self.idx] + self.lam) / rho
-        if self.negated:
-            self.u = project_xor_rows(z, self.neg, self.mask)
-        else:
-            self.u = project_amo_rows(z, self.mask)
+        self.u = project_xor_rows(z, self.neg, self.mask)
 
     def eta(self, omega):
         return omega[self.idx] + self.lam
@@ -97,13 +91,10 @@ class _PaddedGroup:
 
     def dual_contrib(self, omega):
         eta = self.eta(omega)
-        if self.negated:
-            lit = np.where(self.neg, -eta, eta)
-            base = (eta * self.neg).sum(axis=1)
-            lit = np.where(self.mask, lit, -np.inf)
-            return float((base + lit.max(axis=1)).sum())
-        vals = np.where(self.mask, eta, -np.inf)
-        return float(np.maximum(vals.max(axis=1), 0.0).sum())
+        lit = np.where(self.neg, -eta, eta)
+        base = (eta * self.neg).sum(axis=1)
+        lit = np.where(self.mask, lit, -np.inf)
+        return float((base + lit.max(axis=1)).sum())
 
 
 class _EdgeGroup:
@@ -196,9 +187,7 @@ class _LoopState:
         self.free = ~self.constrained
         self.groups = []
         if graph.xor.count:
-            self.groups.append(_PaddedGroup(graph.xor, negated=True))
-        if graph.amo.count:
-            self.groups.append(_PaddedGroup(graph.amo, negated=False))
+            self.groups.append(_PaddedGroup(graph.xor))
         if len(graph.imp_a):
             self.groups.append(_EdgeGroup(graph.imp_a, graph.imp_b))
         if len(graph.pair_a):
@@ -285,8 +274,7 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
     XOR factors by their strongest literal, segmentation factors by a MAP
     rerun over still-free variables, then absorb leftovers greedily."""
     decisions: dict[int, bool] = {}
-    rounds = graph.nvars + graph.xor.count + len(graph.semis) \
-        + graph.amo.count + 8
+    rounds = graph.nvars + graph.xor.count + len(graph.semis) + 8
     for _ in range(rounds):
         cr = clamp_graph(graph, decisions)
         g = cr.graph
@@ -314,13 +302,6 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
             on = {f.vars[k] for k in chosen}
             for v in f.vars:
                 decisions[inv[v]] = v in on
-            continue
-        if g.amo.count:
-            vars_, _ = g.amo.lists()[0]
-            th = g.theta[vars_]
-            j = int(np.argmax(th))
-            for k, v in enumerate(vars_):
-                decisions[inv[v]] = bool(k == j and th[j] > 0)
             continue
         # only implications/pairs remain: threshold, then force chains closed
         active = g.theta > 0

@@ -49,11 +49,13 @@ def decode(space: CandidateSpace,
     drops the frame side entirely, and ``latent_completion`` pins the frame
     variables to ``gold_parse`` and completes the best dependency structure
     (cross-task scores for pinned arguments become arc bonuses).
+    ``constraints`` is unused; kept only because perfbench/checks.py:73-74
+    binds it by name.
     """
     if mode not in ("joint", "dependencies_only", "latent_completion"):
         raise SpandepError(f"unknown decode mode {mode!r}")
     include_frames = mode != "dependencies_only"
-    fg = build_factor_graph(space, constraints, include_frames=include_frames)
+    fg = build_factor_graph(space, include_frames=include_frames)
 
     fixed = None
     if mode == "latent_completion":

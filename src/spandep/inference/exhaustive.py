@@ -35,7 +35,7 @@ def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
     cr = clamp_graph(graph, {})
     g = cr.graph
     constrained = set()
-    for f in (*g.xors, *g.amos, *g.semis):
+    for f in (*g.xors, *g.semis):
         constrained.update(f.vars)
     for f in g.imps:
         constrained.update((f.a, f.b))
@@ -50,7 +50,7 @@ def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
     # factors checkable once their last variable (in `order`) is assigned
     pos = {v: i for i, v in enumerate(order)}
     checkpoint: dict[int, list] = {i: [] for i in range(len(order))}
-    for f in (*g.xors, *g.amos, *g.imps, *g.semis):
+    for f in (*g.xors, *g.imps, *g.semis):
         vs = (f.a, f.b) if hasattr(f, "a") else f.vars
         last = max(pos[v] for v in vs)
         checkpoint[last].append(f)
@@ -64,8 +64,6 @@ def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
         name = type(f).__name__
         if name == "Xor":
             return sum(assign[v] != ng for v, ng in zip(f.vars, f.neg)) == 1
-        if name == "AtMostOne":
-            return sum(bool(assign[v]) for v in f.vars) <= 1
         if name == "Implication":
             return not assign[f.a] or assign[f.b]
         covered = set()
@@ -122,29 +120,18 @@ def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
     return labels, graph.objective(full)
 
 
-def _best_label_assignment(arc_label_options, det_labels):
-    """Max total labeled-arc score over one head's active arcs, under the
-    at-most-one-per-deterministic-label rule.  Options per arc: list of
-    (label, score, part).  Returns (score, parts) or None if infeasible."""
+def _best_label_assignment(arc_label_options):
+    """Max total labeled-arc score over one head's active arcs.  Options
+    per arc: list of (score, parts).  Returns (score, parts)."""
     best = None
     for combo in itertools.product(*arc_label_options):
-        used: dict[str, int] = {}
-        ok = True
-        for (lab, _s, _p) in combo:
-            if lab in det_labels:
-                used[lab] = used.get(lab, 0) + 1
-                if used[lab] > 1:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        val = sum(s for (_l, s, _p) in combo)
+        val = sum(s for (s, _p) in combo)
         if best is None or val > best[0]:
-            best = (val, [p for (_l, _s, p) in combo])
+            best = (val, [p for (_s, p) in combo])
     return best
 
 
-def _head_subproblems(space: CandidateSpace, constraints: GraphConstraints):
+def _head_subproblems(space: CandidateSpace):
     """Group arc/label/head parts by head token."""
     arcs_by_head: dict[int, list[int]] = {}
     for pid in space.arc_ids:
@@ -153,20 +140,18 @@ def _head_subproblems(space: CandidateSpace, constraints: GraphConstraints):
     return arcs_by_head, head_part
 
 
-def _best_for_head(space, h, arc_pids, head_part, det_labels):
+def _best_for_head(space, h, arc_pids, head_part):
     """(value, parts) optimizing head h's arcs, labels and Head part."""
     options_per_arc = []
     for pid in arc_pids:
-        opts = [(0.0, [], None)]  # off
+        opts = [(0.0, [])]  # off
         ua_score = float(space.scores[pid])
         labels = space.labels_for_arc.get(pid, [])
         if labels:
             for lid in labels:
-                la = space.parts[lid]
-                opts.append((ua_score + float(space.scores[lid]),
-                             [pid, lid], la.label))
+                opts.append((ua_score + float(space.scores[lid]), [pid, lid]))
         else:
-            opts.append((ua_score, [pid], None))
+            opts.append((ua_score, [pid]))
         options_per_arc.append(opts)
 
     hs = float(space.scores[head_part[h]]) if h in head_part else 0.0
@@ -174,23 +159,14 @@ def _best_for_head(space, h, arc_pids, head_part, det_labels):
 
     best_val, best_parts = None, None
     for combo in itertools.product(*options_per_arc):
-        used: dict[str, int] = {}
-        ok = True
         val = 0.0
         parts: list[int] = []
         any_on = False
-        for (v, ps, lab) in combo:
+        for (v, ps) in combo:
             val += v
-            if ps and lab is not None and lab in det_labels:
-                used[lab] = used.get(lab, 0) + 1
-                if used[lab] > 1:
-                    ok = False
-                    break
             if ps:
                 any_on = True
                 parts.extend(ps)
-        if not ok:
-            continue
         if any_on:
             val += hs
             parts = parts + hpart
@@ -202,7 +178,7 @@ def _best_for_head(space, h, arc_pids, head_part, det_labels):
     return (best_val or 0.0), (best_parts or [])
 
 
-def _t1_tables(space, t1_arcs, head_part, det_labels, t1):
+def _t1_tables(space, t1_arcs, head_part, t1):
     """For the target-head token: per arc-subset best labeled value/parts."""
     m = len(t1_arcs)
     hs = float(space.scores[head_part[t1]]) if t1 in head_part else 0.0
@@ -225,18 +201,13 @@ def _t1_tables(space, t1_arcs, head_part, det_labels, t1):
             ua = float(space.scores[pid])
             labels = space.labels_for_arc.get(pid, [])
             if labels:
-                opts.append([(space.parts[lid].label,
-                              ua + float(space.scores[lid]), [pid, lid])
+                opts.append([(ua + float(space.scores[lid]), [pid, lid])
                              for lid in labels])
             else:
-                opts.append([(None, ua, [pid])])
-        best = _best_label_assignment(opts, det_labels)
-        if best is None:
-            base_val[mask] = -np.inf
-            base_parts.append([])
-        else:
-            base_val[mask] = best[0] + hs
-            base_parts.append([p for ps in best[1] for p in ps] + hpart)
+                opts.append([(ua, [pid])])
+        val, best = _best_label_assignment(opts)
+        base_val[mask] = val + hs
+        base_parts.append([p for ps in best for p in ps] + hpart)
     return base_val, base_parts, masks
 
 
@@ -266,10 +237,10 @@ def exhaustive_joint_map(space: CandidateSpace,
     """Exact joint optimum by structured enumeration.
 
     Returns (active structural parts, objective including pair scores).
+    ``constraints`` is unused; kept only because perfbench/checks.py:138,140
+    passes it.
     """
-    det = constraints.deterministic_labels
-    n = space.n
-    arcs_by_head, head_part = _head_subproblems(space, constraints)
+    arcs_by_head, head_part = _head_subproblems(space)
     t1 = space.target.start if space.target is not None else None
 
     total = 0.0
@@ -280,7 +251,7 @@ def exhaustive_joint_map(space: CandidateSpace,
         if h == t1 and space.cross_ids:
             continue
         val, ps = _best_for_head(space, h, arcs_by_head.get(h, []),
-                                 head_part, det)
+                                 head_part)
         total += val
         parts.extend(ps)
 
@@ -300,7 +271,7 @@ def exhaustive_joint_map(space: CandidateSpace,
     if couple:
         t1_arcs = arcs_by_head.get(t1, [])
         base_val, base_parts, masks = _t1_tables(space, t1_arcs, head_part,
-                                                 det, t1)
+                                                 t1)
         arc_pos = {pid: k for k, pid in enumerate(t1_arcs)}
         cross_score: dict[tuple[int, int], float] = {}
         for cid in space.cross_ids:

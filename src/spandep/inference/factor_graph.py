@@ -4,13 +4,12 @@ Variables are candidate parts (everything except CrossTask parts, which
 become Pair factors).  Factor types:
 
   * Xor         -- exactly one literal true (literals may be negated)
-  * AtMostOne   -- at most one variable true
   * Implication -- a true forces b true
   * Pair        -- score fires when both endpoints are true (no constraint)
   * SemiMarkov  -- selected argument spans must not overlap
 
-A graph holds its XOR and at-most-one factors as flat variable slots with
-row offsets (``Rows``) and its implications and pairs as endpoint arrays;
+A graph holds its XOR factors as flat literal slots with row offsets
+(``Rows``) and its implications and pairs as endpoint arrays;
 ``build_factor_graph`` fills them from a candidate space's per-type part
 ids.  The factor dataclasses are the construction form for hand-built
 graphs, and ``xors`` ... ``semis`` show a graph's factors in that form.
@@ -55,11 +54,6 @@ class Xor:
 
 
 @dataclass(frozen=True)
-class AtMostOne:
-    vars: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Implication:
     a: int
     b: int
@@ -80,16 +74,16 @@ class SemiMarkov:
     max_len: int
 
 
+# no settings; kept only because perfbench/checks.py:21 imports it
 @dataclass(frozen=True)
 class GraphConstraints:
-    deterministic_labels: frozenset[str] = frozenset()
+    pass
 
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Factors over variable lists, flattened: factor k holds the slots
-    ``ptr[k]:ptr[k+1]`` of ``var`` (and of ``neg``, the negated-literal
-    flags, all False for at-most-one factors)."""
+    """XOR factors, flattened: factor k holds the slots ``ptr[k]:ptr[k+1]``
+    of ``var`` and of ``neg``, the negated-literal flags."""
 
     var: np.ndarray
     neg: np.ndarray
@@ -97,9 +91,8 @@ class Rows:
 
     @classmethod
     def of(cls, factors) -> "Rows":
-        """From Xor or AtMostOne dataclasses."""
-        neg = [ng for f in factors
-               for ng in getattr(f, "neg", (False,) * len(f.vars))]
+        """From Xor dataclasses."""
+        neg = [ng for f in factors for ng in f.neg]
         sizes = [len(f.vars) for f in factors]
         return cls(_ids(v for f in factors for v in f.vars),
                    np.array(neg, dtype=bool),
@@ -133,18 +126,16 @@ class Rows:
         var, neg, ptr = self.var.tolist(), self.neg.tolist(), self.ptr.tolist()
         return [(var[a:b], neg[a:b]) for a, b in zip(ptr, ptr[1:])]
 
-    def select(self, rows: np.ndarray, slots: np.ndarray, remap: np.ndarray,
-               min_size: int = 1) -> "Rows":
+    def select(self, rows: np.ndarray, slots: np.ndarray,
+               remap: np.ndarray) -> "Rows":
         """The factors flagged in ``rows``, each cut to its slots flagged in
-        ``slots`` and renumbered through ``remap``; factors left with fewer
-        than ``min_size`` slots are dropped."""
+        ``slots`` and renumbered through ``remap``; factors left with no
+        slots are dropped."""
         row = self.row
         keep = slots & rows[row]
         sizes = np.bincount(row[keep], minlength=self.count)
-        big = sizes >= min_size
-        keep &= big[row]
         return Rows(remap[self.var[keep]], self.neg[keep],
-                    np.concatenate(([0], np.cumsum(sizes[big]))))
+                    np.concatenate(([0], np.cumsum(sizes[sizes > 0]))))
 
 
 NO_ROWS = Rows(_NO_IDS, np.zeros(0, dtype=bool), np.zeros(1, dtype=int))
@@ -177,9 +168,9 @@ class FactorGraph:
     """Unary scores, one label per variable, and the factors as index
     arrays.  Construct from factor dataclasses, or with ``from_arrays``."""
 
-    def __init__(self, theta, labels: tuple, xors=(), amos=(), imps=(),
-                 pairs=(), semis=(), offset: float = 0.0):
-        self._setup(theta, labels, Rows.of(xors), Rows.of(amos),
+    def __init__(self, theta, labels: tuple, xors=(), imps=(), pairs=(),
+                 semis=(), offset: float = 0.0):
+        self._setup(theta, labels, Rows.of(xors),
                     _ids(f.a for f in imps), _ids(f.b for f in imps),
                     _ids(f.a for f in pairs), _ids(f.b for f in pairs),
                     np.array([f.score for f in pairs], dtype=float),
@@ -192,7 +183,7 @@ class FactorGraph:
             raise ValueError(f"variable {self._slots[bad][0]} out of range")
 
     @classmethod
-    def from_arrays(cls, theta, labels: tuple, xor: Rows, amo: Rows,
+    def from_arrays(cls, theta, labels: tuple, xor: Rows,
                     imp_a: np.ndarray, imp_b: np.ndarray,
                     pair_a: np.ndarray, pair_b: np.ndarray,
                     pair_score: np.ndarray, semis: tuple = (),
@@ -200,15 +191,15 @@ class FactorGraph:
         """A graph over index arrays that are in range by construction, as
         ``build_factor_graph``, ``clamp_graph`` and ``peel`` make them."""
         graph = cls.__new__(cls)
-        graph._setup(theta, labels, xor, amo, imp_a, imp_b, pair_a, pair_b,
+        graph._setup(theta, labels, xor, imp_a, imp_b, pair_a, pair_b,
                      pair_score, semis, offset)
         return graph
 
-    def _setup(self, theta, labels, xor, amo, imp_a, imp_b, pair_a, pair_b,
+    def _setup(self, theta, labels, xor, imp_a, imp_b, pair_a, pair_b,
                pair_score, semis, offset) -> None:
         self.theta = np.asarray(theta, dtype=float)
         self.labels = labels
-        self.xor, self.amo = xor, amo
+        self.xor = xor
         self.imp_a, self.imp_b = imp_a, imp_b
         self.pair_a, self.pair_b, self.pair_score = pair_a, pair_b, pair_score
         self.semis = semis
@@ -228,7 +219,7 @@ class FactorGraph:
     def _slots(self) -> np.ndarray:
         """The variable of every factor slot."""
         return np.concatenate(
-            [self.xor.var, self.amo.var, *(v for v, _, _ in self._semi),
+            [self.xor.var, *(v for v, _, _ in self._semi),
              self.imp_a, self.imp_b, self.pair_a, self.pair_b])
 
     def _check_var(self, v: int) -> None:
@@ -250,11 +241,9 @@ class FactorGraph:
         return FactorView(self.xor.count, make)
 
     @property
-    def amos(self) -> FactorView:
-        def make(k):
-            a, b = self.amo.ptr[k], self.amo.ptr[k + 1]
-            return AtMostOne(tuple(self.amo.var[a:b].tolist()))
-        return FactorView(self.amo.count, make)
+    def amos(self) -> tuple:
+        """Always empty; kept only because perfbench/layers.py:79 counts it."""
+        return ()
 
     @property
     def imps(self) -> FactorView:
@@ -281,10 +270,6 @@ class FactorGraph:
             if np.any(np.bincount(self.xor.row, weights=lits,
                                   minlength=self.xor.count) != 1):
                 return False
-        if self.amo.count:
-            if np.any(np.bincount(self.amo.row,
-                                  weights=active[self.amo.var]) > 1):
-                return False
         if np.any(active[self.imp_a] & ~active[self.imp_b]):
             return False
         for vars_, starts, ends in self._semi:
@@ -301,41 +286,12 @@ class FactorGraph:
         return (self.offset + float(self.theta[active].sum())
                 + float(self.pair_score[both].sum()))
 
-    def dump(self) -> str:
-        """Line-oriented description, one variable or factor per line."""
-        lines = []
-        for i in range(self.nvars):
-            lines.append(f"var {i} score {self.theta[i]:.6g} {self.labels[i]!r}")
-        for vars_, negs in self.xor.lists():
-            lits = " ".join(("!" if ng else "") + str(v)
-                            for v, ng in zip(vars_, negs))
-            lines.append(f"xor {lits}")
-        for vars_, _ in self.amo.lists():
-            lines.append("atmostone " + " ".join(map(str, vars_)))
-        for a, b in zip(self.imp_a.tolist(), self.imp_b.tolist()):
-            lines.append(f"imp {a} -> {b}")
-        for a, b, c in zip(self.pair_a.tolist(), self.pair_b.tolist(),
-                           self.pair_score.tolist()):
-            lines.append(f"pair {a} {b} score {c:.6g}")
-        for f in self.semis:
-            spans = " ".join(f"{v}:({i},{j})" for v, (i, j, _k)
-                             in zip(f.vars, f.spans))
-            lines.append(f"semimarkov n={f.n} max_len={f.max_len} {spans}")
-        if self.offset:
-            lines.append(f"offset {self.offset:.6g}")
-        return "\n".join(lines)
-
 
 @dataclass
 class ClampResult:
     graph: FactorGraph
     forced: dict[int, bool]          # every fixed variable, original ids
     free: np.ndarray                 # original id of each reduced variable
-
-    @property
-    def var_map(self) -> dict[int, int]:
-        """Original id -> reduced id, for the free variables."""
-        return {int(old): new for new, old in enumerate(self.free)}
 
     def lift(self, active_reduced: np.ndarray) -> np.ndarray:
         """Expand a reduced-graph assignment to original variable ids."""
@@ -352,8 +308,8 @@ FREE, OFF, ON = -1, 0, 1
 def _propagate(graph: FactorGraph, state: np.ndarray) -> None:
     """Unit propagation to a fixpoint, in rounds over whole factor arrays.
     ``state`` holds FREE, OFF or ON per variable and is updated in place."""
-    xor, amo = graph.xor, graph.amo
-    x_row, a_row = xor.row, amo.row
+    xor = graph.xor
+    x_row = xor.row
     while True:
         on: list[np.ndarray] = []
         off: list[np.ndarray] = []
@@ -375,12 +331,6 @@ def _propagate(graph: FactorGraph, state: np.ndarray) -> None:
             slots = done | unit
             on.append(xor.var[slots & lit_on])
             off.append(xor.var[slots & ~lit_on])
-        if amo.count:
-            s = state[amo.var]
-            n_on = np.bincount(a_row, s == ON, minlength=amo.count)
-            if (n_on > 1).any():
-                raise Infeasible("at-most-one violated")
-            off.append(amo.var[(s == FREE) & (n_on == 1)[a_row]])
         if len(graph.imp_a):
             sa, sb = state[graph.imp_a], state[graph.imp_b]
             on.append(graph.imp_b[(sa == ON) & (sb != ON)])
@@ -414,21 +364,18 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
     """Fix variables, propagate consequences to a fixpoint, and rebuild.
 
     With nothing fixed and no single-literal XOR there is nothing to
-    propagate, so the graph comes back as it is, less its at-most-one
-    factors over fewer than two variables and its empty segmentations.
+    propagate, so the graph comes back as it is, less its empty
+    segmentations.
     Raises Infeasible when propagation derives a contradiction.
     """
     n = graph.nvars
     if not fixed and (graph.xor.sizes > 1).all():
-        big = graph.amo.sizes >= 2
         semis = tuple(f for f in graph.semis if f.vars)
-        if not big.all() or len(semis) < len(graph.semis):
+        if len(semis) < len(graph.semis):
             graph = FactorGraph.from_arrays(
-                graph.theta, graph.labels, graph.xor,
-                graph.amo.select(big, np.ones(len(graph.amo.var), dtype=bool),
-                                 np.arange(n)),
-                graph.imp_a, graph.imp_b, graph.pair_a, graph.pair_b,
-                graph.pair_score, semis, graph.offset)
+                graph.theta, graph.labels, graph.xor, graph.imp_a,
+                graph.imp_b, graph.pair_a, graph.pair_b, graph.pair_score,
+                semis, graph.offset)
         return ClampResult(graph, {}, np.arange(n))
 
     state = np.full(n, FREE, dtype=np.int8)
@@ -460,10 +407,6 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
                       (xs != FREE) & ((xs == ON) != graph.xor.neg),
                       minlength=graph.xor.count) > 0
     xor = graph.xor.select(~sat, xs == FREE, new)
-    as_ = state[graph.amo.var]
-    used = np.bincount(graph.amo.row, as_ == ON,
-                       minlength=graph.amo.count) > 0
-    amo = graph.amo.select(~used, as_ == FREE, new, min_size=2)
     imp = (state[graph.imp_a] == FREE) & (state[graph.imp_b] == FREE)
 
     semis = []
@@ -477,23 +420,21 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
 
     labels = tuple(graph.labels[v] for v in free.tolist())
     reduced = FactorGraph.from_arrays(
-        theta, labels, xor, amo, new[graph.imp_a[imp]], new[graph.imp_b[imp]],
+        theta, labels, xor, new[graph.imp_a[imp]], new[graph.imp_b[imp]],
         new[graph.pair_a[both_free]], new[graph.pair_b[both_free]],
         graph.pair_score[both_free], tuple(semis), offset)
     return ClampResult(reduced, forced, free)
 
 
 def build_factor_graph(space: CandidateSpace,
-                       constraints: GraphConstraints = GraphConstraints(),
                        include_frames: bool = True) -> FactorGraph:
     """Factor graph over a scored candidate space.
 
     Construction, in order: frame XOR per target; argument-implies-predicate;
     one SemiMarkov over every argument variable; top XOR over virtual-root
     arcs; per token arc an XOR tying the arc to exactly one of its labels;
-    arc-implies-head; at-most-one per deterministic label per head token;
-    one Pair factor per cross-task part.  The factors are filled as index
-    arrays from the space's per-type part ids.
+    arc-implies-head; one Pair factor per cross-task part.  The factors are
+    filled as index arrays from the space's per-type part ids.
     """
     parts = space.parts
     frames = include_frames and bool(space.predicate_ids)
@@ -551,19 +492,6 @@ def build_factor_graph(space: CandidateSpace,
         has_head = heads >= 0
         imps.append((var[arcs[has_head]], heads[has_head]))
 
-    amos: list[tuple] = []
-    det = constraints.deterministic_labels
-    if det:
-        groups: dict[tuple[int, str], list[int]] = {}
-        for pid in space.labeled_ids:
-            la = parts[pid]
-            if la.label in det:
-                groups.setdefault((la.head, la.label), []).append(pid)
-        for group in groups.values():
-            if len(group) >= 2:
-                amos.append((var[group], np.zeros(len(group), dtype=bool),
-                             [len(group)]))
-
     pair_a = pair_b = np.zeros(0, dtype=int)
     pair_score = np.zeros(0)
     if include_frames and space.cross_ids:
@@ -575,5 +503,5 @@ def build_factor_graph(space: CandidateSpace,
     imp_a, imp_b = (np.concatenate(x) for x in zip(*imps)) if imps else \
         (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     return FactorGraph.from_arrays(
-        space.scores[keep], labels, Rows.join(xors), Rows.join(amos),
-        imp_a, imp_b, pair_a, pair_b, pair_score, semis)
+        space.scores[keep], labels, Rows.join(xors), imp_a, imp_b,
+        pair_a, pair_b, pair_score, semis)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_graph import NO_ROWS, FactorGraph, Rows, SemiMarkov
+from .factor_graph import NO_ROWS, FactorGraph, SemiMarkov
 
 PEELED = -1  # degree mark of a variable that a fold has decided
 
@@ -140,22 +140,20 @@ def peel(graph: FactorGraph) -> Peeled:
 
     keep = np.flatnonzero(deg > 0)
     if not len(keep):
-        # everything folded; at-most-one, pair and segmentation factors are
-        # never folded and would have kept their variables, so none is left
+        # everything folded; pair and segmentation factors are never folded
+        # and would have kept their variables, so none is left
         return Peeled(FactorGraph.from_arrays(
-            np.zeros(0), (), NO_ROWS, NO_ROWS, *[np.zeros(0, dtype=int)] * 4,
+            np.zeros(0), (), NO_ROWS, *[np.zeros(0, dtype=int)] * 4,
             np.zeros(0), (), offset), keep, steps, graph.nvars)
     new = np.full(graph.nvars, -1)
     new[keep] = np.arange(len(keep))
     xor_rows = np.zeros(graph.xor.count, dtype=bool)
     xor_rows[xors] = True
     imp = np.array([k for k, _ in imps], dtype=int)
-    amo = graph.amo
     core = FactorGraph.from_arrays(
         np.array(theta)[keep], tuple(graph.labels[v] for v in keep.tolist()),
         graph.xor.select(xor_rows, np.ones(len(graph.xor.var), dtype=bool),
                          new),
-        Rows(new[amo.var], amo.neg, amo.ptr),
         new[graph.imp_a[imp]], new[graph.imp_b[imp]],
         new[graph.pair_a], new[graph.pair_b], graph.pair_score,
         tuple(SemiMarkov(tuple(new[list(f.vars)].tolist()), f.spans, f.n,

@@ -1,8 +1,8 @@
 """Quadratic subproblems solved inside the dual-decomposition loop.
 
 Each factor type needs argmin ||u - z||^2 over its local polytope (plus a
-linear pair term for Pair factors).  XOR/AtMostOne/Implication/Pair have
-closed forms and are vectorized over batches of factors; the segmentation
+linear pair term for Pair factors).  XOR/Implication/Pair have closed
+forms and are vectorized over batches of factors; the segmentation
 factor is handled by Wolfe's min-norm-point algorithm using the semi-Markov
 MAP as its linear oracle.
 
@@ -41,16 +41,6 @@ def project_xor_rows(z: np.ndarray, neg: np.ndarray, mask: np.ndarray) -> np.nda
     u = project_simplex_rows(zlit)
     u = np.where(neg, 1.0 - u, u)
     return np.where(mask, u, 0.0)
-
-
-def project_amo_rows(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """At-most-one: box projection unless the sum constraint binds, in which
-    case it reduces to the simplex case."""
-    boxed = np.clip(np.where(mask, z, 0.0), 0.0, 1.0)
-    over = boxed.sum(axis=1) > 1.0
-    if np.any(over):
-        boxed[over] = project_simplex_rows(np.where(mask[over], z[over], PAD))
-    return np.where(mask, boxed, 0.0)
 
 
 def project_implication(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +179,3 @@ class SemiMarkovProjector:
             self._add_vertex(chosen, v)
             self._minor_cycle(z)
         return self.basis @ self.mu
-
-
-def project_semimarkov(z: np.ndarray, spans, n: int, max_len: int) -> np.ndarray:
-    """One-shot projection (no warm start)."""
-    return SemiMarkovProjector(spans, n, max_len).project(z)

@@ -9,7 +9,8 @@ of it, while ``scored_space`` detaches the values for pure inference.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,10 +46,23 @@ class ModelConfig:
     include_cross_task: bool = True
 
     def __post_init__(self):
-        if self.word_dropout < 0:
-            raise SpandepError("word_dropout must be nonnegative")
-        if self.max_span_len < 1:
-            raise SpandepError("max_span_len must be at least 1")
+        # each field has the type of its default: widths and the span cap are
+        # positive ints, the space switches bools, word dropout a nonnegative
+        # number
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            want, base = {bool: ("a bool", bool), int: ("an int", Integral),
+                          float: ("a number", Real)}[kind]
+            if not isinstance(value, base) or \
+                    (kind is not bool and isinstance(value, bool)):
+                raise SpandepError(f"{f.name} must be {want}, got {value!r}")
+            if kind is int and value < 1:
+                raise SpandepError(f"{f.name} must be at least 1")
+            if kind is float and not value >= 0:
+                raise SpandepError(f"{f.name} must be nonnegative")
+        if self.bilstm_dim % 2:
+            raise SpandepError(
+                f"bilstm_dim must be even, got {self.bilstm_dim}")
 
     @classmethod
     def pruner_sized(cls) -> "ModelConfig":

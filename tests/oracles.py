@@ -222,9 +222,6 @@ def check_assignment_by_loops(graph, active):
     for f in graph.xors:
         if sum(bool(active[v]) != ng for v, ng in zip(f.vars, f.neg)) != 1:
             return False
-    for f in graph.amos:
-        if sum(bool(active[v]) for v in f.vars) > 1:
-            return False
     for f in graph.imps:
         if active[f.a] and not active[f.b]:
             return False
@@ -284,13 +281,11 @@ def random_span_problem(rng, n_max=8, max_len=3, n_keys=2, scale=2.0):
 
 def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
     """A small random factor graph: a cyclic core (an XOR with negated
-    literals, an at-most-one, pairs and a segmentation factor over shared
-    variables) with tree-shaped pieces hung on it (label-style XORs,
+    literals, pairs and a segmentation factor over shared variables) with tree-shaped pieces hung on it (label-style XORs,
     implications in both directions, two-level chains), plus a detached
     XOR and an isolated variable."""
-    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
-                                                Implication, Pair,
-                                                SemiMarkov, Xor)
+    from spandep.inference.factor_graph import (FactorGraph, Implication,
+                                                Pair, SemiMarkov, Xor)
 
     nv = [0]
 
@@ -303,7 +298,6 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
 
     core = [new() for _ in range(n_core)]
     xors = [Xor(tuple(core[:3]), neg(3))]
-    amos = [AtMostOne((core[1], core[-1]))]
     pairs = [Pair(core[0], core[-1], float(rng.normal(scale=2.0))),
              Pair(core[2], core[1], float(rng.normal(scale=2.0)))]
     spans = [(int(i), int(i) + int(rng.integers(0, 2)), "s")
@@ -329,9 +323,8 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
     xors.append(Xor(tuple(top), neg(len(top))))
     new()  # isolated
     theta = rng.normal(scale=1.5, size=nv[0])
-    return FactorGraph(theta, tuple(range(nv[0])), tuple(xors), tuple(amos),
-                       tuple(imps), tuple(pairs), tuple(semis),
-                       float(rng.normal()))
+    return FactorGraph(theta, tuple(range(nv[0])), tuple(xors), tuple(imps),
+                       tuple(pairs), tuple(semis), float(rng.normal()))
 
 
 def part_set_objective(space, parts):
@@ -346,7 +339,7 @@ def part_set_objective(space, parts):
     return total
 
 
-def assert_joint_feasible(space, parts, constraints):
+def assert_joint_feasible(space, parts):
     """Raise AssertionError if a structural part set violates the joint
     decoding constraints (checked directly from part semantics)."""
     from spandep.parts import (Argument, Head, LabeledArc, Predicate,
@@ -382,27 +375,20 @@ def assert_joint_feasible(space, parts, constraints):
         n_labels = len(by_arc.get((ua.head, ua.dep), []))
         if space.labels_for_arc.get(space.part_to_id[ua]):
             assert n_labels == 1, f"arc needs exactly one label, got {n_labels}"
-    used = {}
-    for la in labeled:
-        if la.label in constraints.deterministic_labels:
-            key = (la.head, la.label)
-            used[key] = used.get(key, 0) + 1
-            assert used[key] <= 1, f"deterministic label {key} used twice"
 
 
-def build_factor_graph_by_parts(space, constraints, include_frames=True):
+def build_factor_graph_by_parts(space, include_frames=True):
     """The factor graph of a scored space, built part by part from factor
     dataclasses: the reference for ``build_factor_graph``."""
-    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
-                                                Implication, Pair,
-                                                SemiMarkov, Xor)
+    from spandep.inference.factor_graph import (FactorGraph, Implication,
+                                                Pair, SemiMarkov, Xor)
     from spandep.parts import Argument, CrossTask, Predicate
 
     keep = [pid for pid, part in enumerate(space.parts)
             if not isinstance(part, CrossTask)
             and (include_frames or not isinstance(part, (Predicate, Argument)))]
     var_of_part = {pid: i for i, pid in enumerate(keep)}
-    xors, imps, amos, semis, pairs = [], [], [], [], []
+    xors, imps, semis, pairs = [], [], [], []
     if include_frames and space.predicate_ids:
         pred_vars = tuple(var_of_part[p] for p in space.predicate_ids)
         xors.append(Xor(pred_vars, (False,) * len(pred_vars)))
@@ -433,12 +419,6 @@ def build_factor_graph_by_parts(space, constraints, include_frames=True):
         if arc.head in head_var_of_token:
             imps.append(Implication(var_of_part[pid],
                                     head_var_of_token[arc.head]))
-    groups = {}
-    for pid in space.labeled_ids:
-        la = space.parts[pid]
-        if la.label in constraints.deterministic_labels:
-            groups.setdefault((la.head, la.label), []).append(var_of_part[pid])
-    amos = [AtMostOne(tuple(g)) for g in groups.values() if len(g) >= 2]
     if include_frames:
         for cid in space.cross_ids:
             c = space.parts[cid]
@@ -446,16 +426,16 @@ def build_factor_graph_by_parts(space, constraints, include_frames=True):
                               float(space.scores[cid])))
     return FactorGraph(space.scores[keep].copy(),
                        tuple(space.parts[p] for p in keep), tuple(xors),
-                       tuple(amos), tuple(imps), tuple(pairs), tuple(semis))
+                       tuple(imps), tuple(pairs), tuple(semis))
 
 
 def clamp_by_loops(graph, fixed):
     """Unit propagation factor by factor, and the reduced graph rebuilt from
     factor dataclasses: the reference for ``clamp_graph`` once something
     is fixed.  Returns (reduced graph, forced, free)."""
-    from spandep.inference.factor_graph import (AtMostOne, FactorGraph,
-                                                Implication, Infeasible,
-                                                Pair, SemiMarkov, Xor)
+    from spandep.inference.factor_graph import (FactorGraph, Implication,
+                                                Infeasible, Pair,
+                                                SemiMarkov, Xor)
 
     val = {}
 
@@ -485,14 +465,6 @@ def clamp_by_loops(graph, fixed):
                 raise Infeasible("xor with all literals false")
             elif len(free) == 1:
                 changed |= assign(free[0][0], not free[0][1])
-        for f in graph.amos:
-            on = [v for v in f.vars if val.get(v)]
-            if len(on) > 1:
-                raise Infeasible("at-most-one violated")
-            if on:
-                for v in f.vars:
-                    if v not in val:
-                        changed |= assign(v, False)
         for f in graph.imps:
             if val.get(f.a) is True and val.get(f.b) is not True:
                 changed |= assign(f.b, True)
@@ -537,11 +509,6 @@ def clamp_by_loops(graph, fixed):
         if kept:
             xors.append(Xor(tuple(v for v, _ in kept),
                             tuple(ng for _, ng in kept)))
-    amos = []
-    for f in graph.amos:
-        kept = tuple(new[v] for v in f.vars if v not in val)
-        if not any(val.get(v) for v in f.vars) and len(kept) >= 2:
-            amos.append(AtMostOne(kept))
     imps = [Implication(new[f.a], new[f.b]) for f in graph.imps
             if f.a not in val and f.b not in val]
     semis = []
@@ -552,6 +519,6 @@ def clamp_by_loops(graph, fixed):
                                     tuple(sp for _, sp in kept),
                                     f.n, f.max_len))
     reduced = FactorGraph(theta, tuple(graph.labels[v] for v in free_vars),
-                          tuple(xors), tuple(amos), tuple(imps), tuple(pairs),
+                          tuple(xors), tuple(imps), tuple(pairs),
                           tuple(semis), offset)
     return reduced, val, np.array(free_vars, dtype=int)

@@ -77,11 +77,11 @@ def test_criterion_01_oracle_equivalence():
         t0 = time.monotonic()
         n_cross = 0
         for _ in range(100):
-            space, constraints = random_joint_instance(rng)
+            space = random_joint_instance(rng)
             assert space.n <= 6
             assert len(space.frames) <= 2
             n_cross += bool(space.cross_ids)
-            fg = build_factor_graph(space, constraints)
+            fg = build_factor_graph(space)
             got = ad3_solve(fg)
             want_parts, want_val = brute_force_map(fg)
             assert abs(got.objective - want_val) <= 1e-6

@@ -10,7 +10,6 @@ from spandep.inference.decode import (
 from spandep.inference.exhaustive import brute_force_map
 from spandep.inference.factor_graph import (
     FactorGraph,
-    GraphConstraints,
     Pair,
     SemiMarkov,
     Xor,
@@ -74,14 +73,14 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         exact = 0
         for _ in range(60):
-            space, constraints = random_joint_instance(rng)
-            fg = build_factor_graph(space, constraints)
+            space = random_joint_instance(rng)
+            fg = build_factor_graph(space)
             _, want = brute_force_map(fg)
             res = ad3_solve(fg)
             assert res.objective == pytest.approx(want, abs=1e-6)
             assert part_set_objective(space, res.assignment) == \
                 pytest.approx(res.objective, abs=1e-9)
-            assert_joint_feasible(space, res.assignment, constraints)
+            assert_joint_feasible(space, res.assignment)
             assert res.dual >= want - 1e-6
             exact += res.status == "exact"
         assert exact >= 55  # the search budget should close almost all gaps
@@ -89,8 +88,8 @@ class TestOracleEquivalence:
     def test_every_dual_value_bounds_the_optimum(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
-            space, constraints = random_joint_instance(rng)
-            fg = build_factor_graph(space, constraints)
+            space = random_joint_instance(rng)
+            fg = build_factor_graph(space)
             _, want = brute_force_map(fg)
             cr = clamp_graph(fg, {})
             state = _LoopState(cr.graph, SolverOptions())
@@ -103,8 +102,8 @@ class TestDecode:
     def test_joint_decode_invariants(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            space, constraints = random_joint_instance(rng)
-            res = decode(space, constraints)
+            space = random_joint_instance(rng)
+            res = decode(space)
             assert res.parse is not None
             assert res.parse.frame in space.frames
             ont_roles = {a.role for a in
@@ -116,18 +115,18 @@ class TestDecode:
 
     def test_dependencies_only_ignores_frames(self):
         rng = np.random.default_rng(4)
-        space, constraints = random_joint_instance(rng)
-        res = decode(space, constraints, mode="dependencies_only")
+        space = random_joint_instance(rng)
+        res = decode(space, mode="dependencies_only")
         assert res.parse is None
         assert not any(isinstance(p, Predicate) for p in res.parts)
 
     def test_latent_completion_returns_gold_frames(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            space, constraints = random_joint_instance(rng)
-            base = decode(space, constraints)
+            space = random_joint_instance(rng)
+            base = decode(space)
             gold = base.parse
-            flipped = decode(space.with_scores(-space.scores), constraints,
+            flipped = decode(space.with_scores(-space.scores),
                              mode="latent_completion", gold_parse=gold)
             assert flipped.parse == gold
 
@@ -135,11 +134,11 @@ class TestDecode:
         # clamping the frame side must yield the best completion: compare
         # against brute force on the same graph with the same pins
         rng = np.random.default_rng(8)
-        space, constraints = random_joint_instance(rng)
-        gold = decode(space, constraints).parse
-        res = decode(space, constraints, mode="latent_completion",
+        space = random_joint_instance(rng)
+        gold = decode(space).parse
+        res = decode(space, mode="latent_completion",
                      gold_parse=gold)
-        fg = build_factor_graph(space, constraints)
+        fg = build_factor_graph(space)
         gold_set = frame_parts(space, gold)
         fixed = {v: part in gold_set for v, part in enumerate(fg.labels)
                  if isinstance(part, FRAME_PART_TYPES)}
@@ -150,7 +149,7 @@ class TestDecode:
 
 class TestCostAugment:
     def test_shift_values(self):
-        space, _ = random_joint_instance(np.random.default_rng(9))
+        space = random_joint_instance(np.random.default_rng(9))
         ones = space.with_scores(np.ones(len(space.parts)))
         target = space.parts[space.predicate_ids[0]]
         gold = FrameParse(space.target, target.frame, frozenset())
@@ -167,7 +166,7 @@ class TestCostAugment:
                 assert aug.scores[i] == pytest.approx(1.0)  # other task
 
     def test_empty_gold_shifts_everything(self):
-        space, _ = random_joint_instance(np.random.default_rng(10))
+        space = random_joint_instance(np.random.default_rng(10))
         zeros = space.with_scores(np.zeros(len(space.parts)))
         aug = cost_augment(zeros, set(), CostConfig(), scope="all")
         for i, part in enumerate(zeros.parts):
@@ -177,16 +176,16 @@ class TestCostAugment:
     def test_augmented_decode_maximizes_score_plus_cost(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            space, constraints = random_joint_instance(rng)
-            gold = decode(space, constraints).parse
+            space = random_joint_instance(rng)
+            gold = decode(space).parse
             gold_set = frame_parts(space, gold)
             aug = cost_augment(space, gold_set, CostConfig(), scope="frames")
-            got = decode(aug, constraints)
+            got = decode(aug)
             got_frames = {p for p in got.parts
                           if type(p).__name__ in ("Predicate", "Argument")}
             raw = part_set_objective(space, got.parts)
             delta = weighted_hamming(got_frames, gold_set, CostConfig())
-            fg = build_factor_graph(aug, constraints)
+            fg = build_factor_graph(aug)
             _, want = brute_force_map(fg)
             assert raw + delta == pytest.approx(want + 0.6 * len(gold_set),
                                                 abs=1e-6)
@@ -194,7 +193,7 @@ class TestCostAugment:
 
 class TestDropSparse:
     def test_zero_epsilon_drops_only_exact_zeros(self):
-        space, _ = random_joint_instance(np.random.default_rng(13))
+        space = random_joint_instance(np.random.default_rng(13))
         scores = space.scores.copy()
         cid = space.cross_ids[0]
         scores[cid] = 0.0
@@ -206,18 +205,18 @@ class TestDropSparse:
     def test_structure_preserved_when_dropping_zeros(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            space, constraints = random_joint_instance(rng)
+            space = random_joint_instance(rng)
             scores = space.scores.copy()
             scores[list(space.cross_ids[::2])] = 0.0
             space = space.with_scores(scores)
             reduced = drop_sparse_cross_task(space, tol=0.0)
-            a = decode(space, constraints)
-            b = decode(reduced, constraints)
+            a = decode(space)
+            b = decode(reduced)
             assert a.parts == b.parts
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
     def test_referenced_parts_stay_valid(self):
-        space, _ = random_joint_instance(np.random.default_rng(15))
+        space = random_joint_instance(np.random.default_rng(15))
         reduced = drop_sparse_cross_task(space, tol=10.0)  # drop all
         assert not reduced.cross_ids
         for p in reduced.parts:

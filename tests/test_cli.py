@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -24,7 +25,12 @@ from spandep.parts import (
     build_candidate_space,
     make_sentence,
 )
-from spandep.pruning import load_pruner, prune_spans
+from spandep.pruning import (
+    load_pruner,
+    pretrain_arc_pruner,
+    pretrain_span_pruner,
+    prune_spans,
+)
 from spandep.synthetic import synthetic_corpus
 from spandep.training import TrainConfig
 from spandep.formats import write_frames, write_sdp
@@ -100,7 +106,13 @@ class TestArgumentHandling:
         (lambda m: m.pop("vocabularies"), "vocabularies"),
         (lambda m: m["hyperparameters"].update(max_span_len=0),
          "max_span_len"),
-    ], ids=["unknown-hyperparameter", "no-vocabularies", "zero-span-cap"])
+        (lambda m: m["hyperparameters"].update(word_dim="x"), "word_dim"),
+        (lambda m: m["hyperparameters"].update(bilstm_dim=5), "bilstm_dim"),
+        (lambda m: m["hyperparameters"].update(mlp_dim=0), "mlp_dim"),
+        (lambda m: m["hyperparameters"].update(joint="no"), "joint"),
+    ], ids=["unknown-hyperparameter", "no-vocabularies", "zero-span-cap",
+            "string-width", "odd-bilstm-width", "zero-mlp-width",
+            "string-switch"])
     def test_bad_manifest_is_a_located_error(self, paths, corpus, capsys,
                                              edit, key):
         model = ParserModel.build(TINY, corpus["ontology"],
@@ -398,7 +410,38 @@ class TestPredictCertification:
                 in capsys.readouterr().err
 
 
+FIT_KEYWORDS = ("epochs", "lr", "seed")
+
+
+def fit_defaults(fn):
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in FIT_KEYWORDS}
+
+
 class TestPretrainPruner:
+    def test_pretraining_functions_share_fit_defaults(self):
+        assert fit_defaults(pretrain_span_pruner) == \
+            fit_defaults(pretrain_arc_pruner)
+
+    @pytest.mark.parametrize("kind", ["span", "arc"])
+    def test_fit_defaults_come_from_the_functions(self, paths, monkeypatch,
+                                                  capsys, kind):
+        import spandep.cli as cli_mod
+        seen = {}
+
+        def fake_pretrain(corpus, **kwargs):
+            seen.update({name: kwargs[name] for name in FIT_KEYWORDS})
+
+        monkeypatch.setattr(cli_mod, f"pretrain_{kind}_pruner", fake_pretrain)
+        monkeypatch.setattr(cli_mod, "save_pruner", lambda pruner, path: None)
+        train = paths["fn_train" if kind == "span" else "dm_train"]
+        rc = cli(["pretrain-pruner", "--kind", kind, "--train", str(train),
+                  "--ontology", str(paths["ontology"]),
+                  "--out", str(paths["dir"] / "p.zip")])
+        assert rc == 0, capsys.readouterr().err
+        assert seen == fit_defaults(pretrain_span_pruner if kind == "span"
+                                    else pretrain_arc_pruner)
+
     def test_span_cap_survives_the_checkpoint(self, paths, capsys):
         out = paths["dir"] / "span3.zip"
         rc = cli(["pretrain-pruner", "--kind", "span",

@@ -13,7 +13,7 @@ from spandep.encoder import (
     discrete_features,
 )
 from spandep.model import ModelConfig
-from spandep.parts import Target, make_sentence
+from spandep.parts import SpandepError, Target, make_sentence
 
 from .oracles import lstm_by_cells, span_representation
 
@@ -157,7 +157,7 @@ class TestBiLSTM:
         assert not np.allclose(hs[0], hs_o[0])
 
     def test_odd_width_rejected(self):
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(SpandepError, match="even"):
             tiny_encoder(bilstm_dim=7)
 
 

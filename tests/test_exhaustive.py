@@ -4,7 +4,6 @@ import pytest
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
 from spandep.inference.factor_graph import (
     FactorGraph,
-    GraphConstraints,
     Pair,
     Xor,
     build_factor_graph,
@@ -62,37 +61,12 @@ class TestStructuredOracle:
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(20240817)
         for _ in range(40):
-            space, constraints = random_joint_instance(rng)
-            fg = build_factor_graph(space, constraints)
+            space = random_joint_instance(rng)
+            fg = build_factor_graph(space)
             bf_parts, bf_val = brute_force_map(fg)
-            ex_parts, ex_val = exhaustive_joint_map(space, constraints)
+            ex_parts, ex_val = exhaustive_joint_map(space)
             assert ex_val == pytest.approx(bf_val, abs=1e-9)
             assert part_set_objective(space, ex_parts) == pytest.approx(ex_val, abs=1e-9)
             assert part_set_objective(space, bf_parts) == pytest.approx(bf_val, abs=1e-9)
-            assert_joint_feasible(space, ex_parts, constraints)
-            assert_joint_feasible(space, bf_parts, constraints)
-
-    def test_respects_determinism(self):
-        # two arcs out of token 0 whose only label is deterministic: the
-        # optimum keeps just one labeled arc even though both score high
-        rng = np.random.default_rng(5)
-        found = 0
-        for _ in range(200):
-            space, _ = random_joint_instance(rng)
-            constraints = GraphConstraints(frozenset({"a1"}))
-            scores = np.abs(space.scores) + 1.0  # everything positive
-            space = space.with_scores(scores)
-            ex_parts, ex_val = exhaustive_joint_map(space, constraints)
-            fg = build_factor_graph(space, constraints)
-            bf_parts, bf_val = brute_force_map(fg)
-            assert ex_val == pytest.approx(bf_val, abs=1e-9)
-            assert_joint_feasible(space, ex_parts, constraints)
-            per_head = {}
-            for p in ex_parts:
-                if getattr(p, "label", None) == "a1":
-                    per_head[p.head] = per_head.get(p.head, 0) + 1
-            if any(v >= 1 for v in per_head.values()):
-                found += 1
-            if found >= 5:
-                break
-        assert found >= 5
+            assert_joint_feasible(space, ex_parts)
+            assert_joint_feasible(space, bf_parts)

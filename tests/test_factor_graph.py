@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from spandep.inference.factor_graph import (
-    AtMostOne,
     FactorGraph,
-    GraphConstraints,
     Implication,
     Infeasible,
     Pair,
@@ -56,7 +54,7 @@ def var_of(fg):
 class TestConstruction:
     def test_factor_counts_on_joint_space(self):
         space = joint_space()
-        fg = build_factor_graph(space, GraphConstraints(frozenset({"a1"})))
+        fg = build_factor_graph(space)
         # 2 preds + 15 args + 3 heads + 6 arcs + 3 roots + 12 labeled
         assert fg.nvars == 41
         # frame XOR + root XOR + one label XOR per token arc
@@ -66,56 +64,42 @@ class TestConstruction:
         assert len(fg.semis) == 1
         assert len(fg.semis[0].vars) == 15
         assert len(fg.pairs) == len(space.cross_ids) == 15
-        # three heads, each with two outgoing "a1" arcs
-        assert len(fg.amos) == 3
 
     def test_frame_xor_size(self):
-        fg = build_factor_graph(joint_space(), GraphConstraints())
+        fg = build_factor_graph(joint_space())
         frames = [f for f in fg.xors if len(f.vars) == 2 and not any(f.neg)]
         preds = {v for v, p in enumerate(fg.labels) if isinstance(p, Predicate)}
         assert any(set(f.vars) == preds for f in frames)
 
     def test_label_xor_negates_only_the_arc(self):
-        fg = build_factor_graph(joint_space(), GraphConstraints())
+        fg = build_factor_graph(joint_space())
         arc_xors = [f for f in fg.xors if any(f.neg)]
         assert len(arc_xors) == 6
         for f in arc_xors:
             assert f.neg[0] is True and not any(f.neg[1:])
             assert isinstance(fg.labels[f.vars[0]], UnlabeledArc)
 
-    def test_no_deterministic_labels_no_amo(self):
-        fg = build_factor_graph(joint_space(), GraphConstraints())
-        assert fg.amos == ()
-
     def test_no_target_gives_dependency_graph_only(self):
         sent = make_sentence(["w0", "w1"])
         onto = Ontology({}, {})
         limits = SpaceLimits(dep_labels=("a1",))
         space = build_candidate_space(sent, None, onto, limits)
-        fg = build_factor_graph(space, GraphConstraints())
+        fg = build_factor_graph(space)
         assert not any(isinstance(p, (Predicate, Argument)) for p in fg.labels)
         assert fg.semis == () and fg.pairs == ()
 
     def test_include_frames_false_drops_frame_side(self):
         space = joint_space()
-        fg = build_factor_graph(space, GraphConstraints(), include_frames=False)
+        fg = build_factor_graph(space, include_frames=False)
         assert not any(isinstance(p, (Predicate, Argument)) for p in fg.labels)
         assert fg.pairs == () and fg.semis == ()
         assert fg.nvars == 3 + 6 + 3 + 12
-
-    def test_dump_one_line_per_item(self):
-        g = FactorGraph(np.array([1.0, -2.0]), ("a", "b"),
-                        xors=(Xor((0, 1), (False, False)),),
-                        pairs=(Pair(0, 1, 0.5),))
-        lines = g.dump().splitlines()
-        assert len(lines) == 2 + 1 + 1
-        assert lines[0].startswith("var 0 ") and "xor" in lines[2]
 
 
 class TestClamp:
     def test_frame_choice_propagates(self):
         space = joint_space()
-        fg = build_factor_graph(space, GraphConstraints())
+        fg = build_factor_graph(space)
         v = var_of(fg)
         pred0 = v[Predicate((0, 0), "lu.v", "F0")]
         pred1 = v[Predicate((0, 0), "lu.v", "F1")]
@@ -149,31 +133,27 @@ class TestClamp:
         assert clamp_graph(g, {0: True}).forced[1] is True
         assert clamp_graph(g, {1: False}).forced[0] is False
 
-    def test_amo_clamps_siblings(self):
-        g = FactorGraph(np.zeros(3), ("a", "b", "c"),
-                        amos=(AtMostOne((0, 1, 2)),))
-        cr = clamp_graph(g, {1: True})
-        assert cr.forced[0] is False and cr.forced[2] is False
-
     def test_semi_markov_blocks_overlaps(self):
         spans = ((0, 1, "x"), (1, 2, "y"), (2, 2, "z"))
         g = FactorGraph(np.zeros(3), ("a", "b", "c"),
                         semis=(SemiMarkov((0, 1, 2), spans, 3, 3),))
         cr = clamp_graph(g, {0: True})
         assert cr.forced[1] is False
-        assert 2 in cr.var_map  # (2,2) does not overlap (0,1)
+        assert 2 in cr.free  # (2,2) does not overlap (0,1)
 
     def test_pair_absorption(self):
         g = FactorGraph(np.array([1.0, 2.0]), ("a", "b"),
                         pairs=(Pair(0, 1, 0.25),))
         one = clamp_graph(g, {0: True})
-        assert one.graph.theta[one.var_map[1]] == pytest.approx(2.25)
+        assert one.graph.theta[one.free.tolist().index(1)] == \
+            pytest.approx(2.25)
         assert one.graph.offset == pytest.approx(1.0)
         both = clamp_graph(g, {0: True, 1: True})
         assert both.graph.offset == pytest.approx(1.0 + 2.0 + 0.25)
         off = clamp_graph(g, {0: False})
         assert off.graph.pairs == ()
-        assert off.graph.theta[off.var_map[1]] == pytest.approx(2.0)
+        assert off.graph.theta[off.free.tolist().index(1)] == \
+            pytest.approx(2.0)
 
     def test_lift_round_trip(self):
         g = FactorGraph(np.zeros(4), tuple("abcd"), imps=(Implication(0, 1),))
@@ -201,8 +181,7 @@ class TestFlatIndex:
             if k % 2:
                 g = random_factor_graph(rng)
             else:
-                space, constraints = random_joint_instance(rng)
-                g = build_factor_graph(space, constraints)
+                g = build_factor_graph(random_joint_instance(rng))
             for _ in range(20):
                 active = rng.random(g.nvars) < rng.random()
                 ok = g.check_assignment(active)
@@ -221,8 +200,8 @@ class TestFlatIndex:
 
     def test_degrees_count_every_slot(self):
         g = FactorGraph(np.zeros(4), tuple("abcd"),
-                        xors=(Xor((0, 1), (False, True)),),
-                        amos=(AtMostOne((1, 2)),),
+                        xors=(Xor((0, 1), (False, True)),
+                              Xor((1, 2), (False, False))),
                         imps=(Implication(2, 3),),
                         pairs=(Pair(0, 3, 1.0),))
         assert g.degrees().tolist() == [2, 2, 2, 2]
@@ -237,18 +216,10 @@ class TestFlatIndex:
 
 class TestClampPassThrough:
     def test_nothing_fixed_returns_the_graph(self):
-        g = build_factor_graph(joint_space(), GraphConstraints())
+        g = build_factor_graph(joint_space())
         cr = clamp_graph(g, {})
         assert cr.graph is g and cr.forced == {}
         assert cr.lift(np.ones(g.nvars, dtype=bool)).all()
-
-    def test_singleton_amo_is_still_dropped(self):
-        g = FactorGraph(np.zeros(3), tuple("abc"),
-                        xors=(Xor((0, 1), (False, False)),),
-                        amos=(AtMostOne((2,)), AtMostOne((0, 2))))
-        cr = clamp_graph(g, {})
-        assert cr.graph.amos == (AtMostOne((0, 2)),)
-        assert cr.graph.xors == g.xors and cr.var_map == {0: 0, 1: 1, 2: 2}
 
     def test_single_literal_xor_still_propagates(self):
         g = FactorGraph(np.zeros(3), tuple("abc"),
@@ -260,19 +231,16 @@ class TestClampPassThrough:
 
 
 def assert_same_graph(got, want):
-    """Same variables, factor arrays and dump; offsets to rounding."""
+    """Same variables and factor arrays; offsets to rounding."""
     assert got.labels == want.labels
     np.testing.assert_array_equal(got.theta, want.theta)
     for name in ("var", "neg", "ptr"):
         np.testing.assert_array_equal(getattr(got.xor, name),
                                       getattr(want.xor, name))
-        np.testing.assert_array_equal(getattr(got.amo, name),
-                                      getattr(want.amo, name))
     for name in ("imp_a", "imp_b", "pair_a", "pair_b", "pair_score"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.semis == want.semis
     assert got.offset == pytest.approx(want.offset, abs=1e-12)
-    assert got.dump() == want.dump()
 
 
 def scored_space(n, rng, target=True, labels=("a1", "a2"), **kw):
@@ -286,11 +254,11 @@ def scored_space(n, rng, target=True, labels=("a1", "a2"), **kw):
 
 class TestArraysMatchObjectBuild:
     @pytest.mark.parametrize("case", [
-        "joint", "dependencies_only", "no_target", "deterministic_labels",
-        "pruned_arcs", "one_label", "dropped_cross"])
+        "joint", "dependencies_only", "no_target", "pruned_arcs",
+        "one_label", "dropped_cross"])
     def test_build(self, case):
         rng = np.random.default_rng(41)
-        constraints, include_frames = GraphConstraints(), True
+        include_frames = True
         kw = {}
         if case == "pruned_arcs":
             kw["allowed_arcs"] = frozenset({(1, 0), (1, 3), (2, 1), (3, 0)})
@@ -299,31 +267,27 @@ class TestArraysMatchObjectBuild:
                              else ("a1", "a2"), **kw)
         if case == "dependencies_only":
             include_frames = False
-        if case == "deterministic_labels":
-            constraints = GraphConstraints(frozenset({"a2"}))
         if case == "dropped_cross":
             before = len(space.cross_ids)
             space = drop_sparse_cross_task(space, tol=0.5)
             assert 0 < len(space.cross_ids) < before
-        got = build_factor_graph(space, constraints, include_frames)
+        got = build_factor_graph(space, include_frames)
         assert_same_graph(got, build_factor_graph_by_parts(
-            space, constraints, include_frames))
+            space, include_frames))
 
     def test_build_on_random_joint_instances(self):
         rng = np.random.default_rng(43)
         for _ in range(40):
-            space, constraints = random_joint_instance(rng)
+            space = random_joint_instance(rng)
             for include_frames in (True, False):
                 assert_same_graph(
-                    build_factor_graph(space, constraints, include_frames),
-                    build_factor_graph_by_parts(space, constraints,
-                                                include_frames))
+                    build_factor_graph(space, include_frames),
+                    build_factor_graph_by_parts(space, include_frames))
 
-    @pytest.mark.parametrize("det", [frozenset(), frozenset({"a1"})])
-    def test_latent_completion_clamp(self, det):
+    def test_latent_completion_clamp(self):
         rng = np.random.default_rng(47)
         space = scored_space(5, rng)
-        fg = build_factor_graph(space, GraphConstraints(det))
+        fg = build_factor_graph(space)
         gold = frame_parts(space, FrameParse(Target(1, 1, "lu.v"), "F1",
                                              frozenset({(2, 3, "R1"),
                                                         (0, 0, "R0")})))
@@ -341,7 +305,7 @@ class TestArraysMatchObjectBuild:
         infeasible = 0
         for k in range(300):
             g = random_factor_graph(rng) if k % 2 else \
-                build_factor_graph(*random_joint_instance(rng))
+                build_factor_graph(random_joint_instance(rng))
             picks = rng.choice(g.nvars, size=int(rng.integers(1, 4)),
                                replace=False)
             fixed = {int(v): bool(rng.random() < 0.5) for v in picks}

@@ -277,6 +277,14 @@ BAD_MANIFESTS = {
                          "missing field 'lus'"),
     "zero-span-cap": (lambda m: m["hyperparameters"].update(max_span_len=0),
                       "hyperparameters", "max_span_len must be at least 1"),
+    "string-width": (lambda m: m["hyperparameters"].update(word_dim="x"),
+                     "hyperparameters", "word_dim must be an int, got 'x'"),
+    "odd-bilstm-width": (lambda m: m["hyperparameters"].update(bilstm_dim=5),
+                         "hyperparameters", "bilstm_dim must be even, got 5"),
+    "zero-mlp-width": (lambda m: m["hyperparameters"].update(mlp_dim=0),
+                       "hyperparameters", "mlp_dim must be at least 1"),
+    "string-switch": (lambda m: m["hyperparameters"].update(joint="no"),
+                      "hyperparameters", "joint must be a bool, got 'no'"),
 }
 
 

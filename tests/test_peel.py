@@ -6,7 +6,6 @@ from spandep.inference.decode import decode
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
 from spandep.inference.factor_graph import (
     FactorGraph,
-    GraphConstraints,
     Implication,
     Infeasible,
     Pair,
@@ -105,17 +104,14 @@ class TestFactorGraphStructure:
     def test_only_the_coupled_frame_side_stays(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
-            space, constraints = random_joint_instance(rng)
-            if constraints.deterministic_labels:
-                continue
-            fg = build_factor_graph(space, constraints)
+            space = random_joint_instance(rng)
+            fg = build_factor_graph(space)
             core = peel(clamp_graph(fg, {}).graph).core
             t1 = space.target.start
             for part in core.labels:
                 head = getattr(part, "head", getattr(part, "token", t1))
                 assert isinstance(part, FRAME_PART_TYPES) or head == t1, part
-            deps = build_factor_graph(space, constraints,
-                                      include_frames=False)
+            deps = build_factor_graph(space, include_frames=False)
             assert peel(clamp_graph(deps, {}).graph).core.nvars == 0
 
 
@@ -130,13 +126,11 @@ def scored():
     fn = fn_instances(corpus["fn_train"], model.ontology,
                       TINY.fn_limits(model.dep_labels))
     dm = dm_instances(corpus["dm_train"], TINY.dm_limits(model.dep_labels))
-    det = GraphConstraints(corpus["deterministic_labels"])
-    assert det.deterministic_labels
     return ([(model.scored_space(i.space), i.parse) for i in fn],
-            [model.scored_space(i.space) for i in dm], det)
+            [model.scored_space(i.space) for i in dm])
 
 
-def pinned_objective(space, gold, constraints):
+def pinned_objective(space, gold):
     """Latent-completion optimum from the joint oracle: gold frame parts are
     lifted by PIN, every other frame part is sunk by PIN."""
     keep = frame_parts(space, gold)
@@ -144,13 +138,13 @@ def pinned_objective(space, gold, constraints):
     for i, part in enumerate(space.parts):
         if isinstance(part, FRAME_PART_TYPES):
             scores[i] += PIN if part in keep else -PIN
-    _, val = exhaustive_joint_map(space.with_scores(scores), constraints)
+    _, val = exhaustive_joint_map(space.with_scores(scores))
     return val - PIN * len(keep)
 
 
 class TestModelScored:
     def test_dependency_only_and_latent_decodes_run_no_iteration(self, scored):
-        fn, dm, _ = scored
+        fn, dm = scored
         for space in dm:
             res = decode(space, mode="dependencies_only")
             assert res.iterations == 0 and res.status == "exact"
@@ -160,45 +154,4 @@ class TestModelScored:
             res = decode(space, mode="latent_completion", gold_parse=gold)
             assert res.iterations == 0 and res.status == "exact"
             assert res.objective == pytest.approx(
-                pinned_objective(space, gold, GraphConstraints()), abs=1e-6)
-
-    def test_deterministic_labels_match_the_oracle(self, scored):
-        # at-most-one factors keep each head's labels in the core; a decode
-        # certified exact must reach the oracle's optimum, and one that is
-        # not must still be feasible, so no better than it.  Spaces of up to
-        # four tokens keep the branch-and-bound fallback short.
-        fn, dm, det = scored
-        results = []
-        for space in dm:
-            if space.n <= 4:
-                res = decode(space, det, mode="dependencies_only")
-                results.append((res, exhaustive_joint_map(space, det)[1]))
-        for space, gold in fn:
-            if space.n <= 4:
-                res = decode(space, det, mode="latent_completion",
-                             gold_parse=gold)
-                results.append((res, pinned_objective(space, gold, det)))
-        exact = 0
-        for res, want in results:
-            assert res.objective <= want + 1e-6
-            if res.status == "exact":
-                exact += 1
-                assert res.objective == pytest.approx(want, abs=1e-6)
-        assert len(results) >= 8 and exact >= len(results) // 2
-
-    def test_deterministic_labels_on_random_instances(self):
-        rng = np.random.default_rng(35)
-        checked = 0
-        while checked < 15:
-            space, constraints = random_joint_instance(rng)
-            if not constraints.deterministic_labels:
-                continue
-            checked += 1
-            _, want = exhaustive_joint_map(space, constraints)
-            res = decode(space, constraints)
-            assert res.status == "exact"
-            assert res.objective == pytest.approx(want, abs=1e-6)
-            res = decode(space, constraints, mode="latent_completion",
-                         gold_parse=res.parse)
-            assert res.status == "exact"
-            assert res.objective == pytest.approx(want, abs=1e-6)
+                pinned_objective(space, gold), abs=1e-6)

@@ -6,10 +6,8 @@ from scipy.optimize import linprog, minimize
 
 from spandep.inference.projections import (
     SemiMarkovProjector,
-    project_amo_rows,
     project_implication,
     project_pair,
-    project_semimarkov,
     project_simplex_rows,
     project_xor_rows,
 )
@@ -57,16 +55,6 @@ def test_xor_with_negation_vs_enumeration_qp():
             [(0, 1)] * k)
         got = project_xor_rows(z[None, :], neg[None, :],
                                np.ones((1, k), dtype=bool))[0]
-        np.testing.assert_allclose(got, want, atol=1e-6)
-
-
-def test_amo_vs_qp():
-    for _ in range(25):
-        k = int(RNG.integers(2, 6))
-        z = RNG.normal(scale=2, size=k)
-        want = qp_oracle(z, [{"type": "ineq", "fun": lambda u: 1 - u.sum()}],
-                         [(0, 1)] * k)
-        got = project_amo_rows(z[None, :], np.ones((1, k), dtype=bool))[0]
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -158,7 +146,7 @@ def test_semimarkov_projection_vs_vertex_qp():
         spans = [(i, j, "a") for i in range(n)
                  for j in range(i, min(n, i + 2))]
         z = rng.normal(scale=1.5, size=len(spans))
-        got = project_semimarkov(z, spans, n, 2)
+        got = SemiMarkovProjector(spans, n, 2).project(z)
         want = segmentation_lp_oracle(z, spans, n, 2)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -166,7 +154,7 @@ def test_semimarkov_projection_vs_vertex_qp():
 def test_semimarkov_projection_idempotent_on_vertex():
     spans = [(0, 0, "a"), (1, 2, "a"), (1, 1, "b")]
     z = np.array([1.0, 1.0, 0.0])  # a feasible vertex already
-    got = project_semimarkov(z, spans, 3, 3)
+    got = SemiMarkovProjector(spans, 3, 3).project(z)
     np.testing.assert_allclose(got, z, atol=1e-9)
 
 
@@ -178,5 +166,5 @@ def test_semimarkov_projector_warm_start_consistent():
     for _ in range(10):
         z = rng.normal(scale=2, size=len(spans))
         warm = proj.project(z)
-        cold = project_semimarkov(z, spans, n, 2)
+        cold = SemiMarkovProjector(spans, n, 2).project(z)
         np.testing.assert_allclose(warm, cold, atol=1e-6)

@@ -7,7 +7,7 @@ import pytest
 from spandep.autodiff import Graph, ParameterStore, collect_grads, grad_check
 from spandep.inference.decode import cost_augment
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
-from spandep.inference.factor_graph import GraphConstraints, build_factor_graph
+from spandep.inference.factor_graph import build_factor_graph
 from spandep.model import ModelConfig, ParserModel
 from spandep.parts import (
     DependencyGraph,
@@ -246,8 +246,7 @@ class TestSdpHinge:
             gold = dep_parts(space, gold_graph)
             raw = model.scored_space(space)
             aug = cost_augment(raw, gold, scope="dependencies")
-            fg = build_factor_graph(aug, GraphConstraints(),
-                                    include_frames=False)
+            fg = build_factor_graph(aug, include_frames=False)
             _, aug_val = brute_force_map(fg)
             gold_score = sum(raw.scores[raw.part_to_id[p]] for p in gold)
             expect = aug_val + 0.6 * len(gold) - gold_score
