@@ -219,28 +219,41 @@ def _lstm_steps(n: int, reverse: bool) -> range:
 def _f_lstm(node):
     """Scan the rows of x; the input projection is one GEMM up front.  The
     sigmoid gates are computed as (1 + tanh(z/2)) / 2, so one tanh covers
-    all four gates; halving the weights and bias is exact."""
+    all four gates.  Each step halves its gate pre-activation row in place:
+    scaling by 0.5 is exact and commutes with rounding, so the states are
+    those of halved weights and bias bit for bit.  Every step writes
+    straight into the outputs and the backward caches."""
     x, w, b = (p.value for p in node.parents)
     n, dx = x.shape
     dh = w.shape[1] // 4
     half = np.ones(4 * dh)
     half[:3 * dh] = 0.5
-    zx = (x @ w[:dx] + b) * half
-    w_h = w[dx:] * half
+    zx = x @ w[:dx]
+    zx += b
+    w_h = w[dx:]
     acts = np.empty((n, 4 * dh))  # input, forget, output, candidate
     cells = np.empty((n, dh))
     tanh_c = np.empty((n, dh))
     out = np.empty((n, dh))
+    ic = np.empty(dh)
     h = np.zeros(dh)
     c = np.zeros(dh)
-    for t in _lstm_steps(n, node.ctx["reverse"]):
-        a = np.tanh(zx[t] + h @ w_h)
-        a[:3 * dh] += 1.0
-        a[:3 * dh] *= 0.5
-        c = a[dh:2 * dh] * c + a[:dh] * a[3 * dh:]
-        tanh_c[t] = np.tanh(c)
-        h = a[2 * dh:3 * dh] * tanh_c[t]
-        acts[t], cells[t], out[t] = a, c, h
+    sweep = slice(None, None, -1 if node.ctx["reverse"] else 1)
+    for a, z, c_t, tc, h_t in zip(acts[sweep], zx[sweep], cells[sweep],
+                                  tanh_c[sweep], out[sweep]):
+        np.matmul(h, w_h, out=a)
+        a += z
+        a *= half
+        np.tanh(a, out=a)
+        sig = a[:3 * dh]
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(a[:dh], a[3 * dh:], out=ic)
+        np.multiply(a[dh:2 * dh], c, out=c_t)
+        c_t += ic
+        np.tanh(c_t, out=tc)
+        np.multiply(a[2 * dh:3 * dh], tc, out=h_t)
+        c, h = c_t, h_t
     node.ctx["cache"] = (acts, cells, tanh_c)
     return out
 

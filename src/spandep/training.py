@@ -120,13 +120,22 @@ def dm_instances(sentences: Sequence[Sentence],
 @dataclass
 class HingeResult:
     """One hinge evaluation.  ``node`` is None when the loss truncates at
-    zero, in which case there is nothing to backpropagate."""
+    zero, in which case there is nothing to backpropagate.
+    ``completion_status`` is the latent completion decode's status, None
+    when the gold parts needed no decode."""
 
     node: Optional[Node]
     value: float
     augmented: DecodeResult
     completion_parts: frozenset
     cross: Optional[Node]
+    completion_status: Optional[str] = None
+
+    @property
+    def uncertified(self) -> int:
+        """How many of this hinge's decodes were not certified exact."""
+        return ((self.augmented.status != "exact")
+                + (self.completion_status not in (None, "exact")))
 
 
 def _part_sum(space: CandidateSpace, scores: np.ndarray, parts) -> float:
@@ -148,14 +157,16 @@ def _with_cross(space: CandidateSpace, parts) -> set:
 
 
 def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
-           best: DecodeResult, plus, minus, delta: float) -> HingeResult:
+           best: DecodeResult, plus, minus, delta: float,
+           completion_status: Optional[str] = None) -> HingeResult:
     """The hinge S(plus) + delta - S(minus), truncated at zero, with the
     node that backpropagates it: +1 on ``plus``, -1 on ``minus``."""
     raw_scores = scored.node.value
     value = (_part_sum(space, raw_scores, plus) + delta
              - _part_sum(space, raw_scores, minus))
     if value <= 0.0:
-        return HingeResult(None, 0.0, best, frozenset(minus), scored.cross)
+        return HingeResult(None, 0.0, best, frozenset(minus), scored.cross,
+                           completion_status)
     a = np.zeros(len(space.parts))
     for p in plus:
         a[space.part_to_id[p]] += 1.0
@@ -163,7 +174,8 @@ def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
         a[space.part_to_id[p]] -= 1.0
     node = g.add(g.inner(scored.node, g.input(a)),
                  g.input(np.asarray(delta)))
-    return HingeResult(node, value, best, frozenset(minus), scored.cross)
+    return HingeResult(node, value, best, frozenset(minus), scored.cross,
+                       completion_status)
 
 
 def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
@@ -181,7 +193,7 @@ def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
         [p for p in best.parts if isinstance(p, FRAME_PART_TYPES)], gold, cost)
     comp = decode(raw, mode="latent_completion", gold_parse=gold_parse)
     return _hinge(g, scored, space, best, _with_cross(space, best.parts),
-                  _with_cross(space, comp.parts), delta)
+                  _with_cross(space, comp.parts), delta, comp.status)
 
 
 def sdp_hinge_loss(model: ParserModel, space: CandidateSpace,
@@ -210,17 +222,29 @@ def l1_penalty(g: Graph, cross: Optional[Node],
 
 @dataclass
 class EpochStats:
+    """One epoch's log line.  ``hinge_s``, ``backward_s`` and ``step_s`` are
+    the seconds of ``seconds`` spent in the hinge functions (scoring and
+    decoding), in backpropagation and in the parameter updates;
+    ``uncertified`` counts the training decodes, cost-augmented and latent
+    completion alike, that were not certified exact."""
+
     epoch: int
     lr: float
     mean_loss: float
     dev_fn_f1: float
     dev_sdp_f1: float
     seconds: float
+    hinge_s: float
+    backward_s: float
+    step_s: float
+    uncertified: int
 
     def tsv(self) -> str:
         return (f"{self.epoch}\t{self.lr:.10g}\t{self.mean_loss:.6f}\t"
                 f"{self.dev_fn_f1:.4f}\t{self.dev_sdp_f1:.4f}\t"
-                f"{self.seconds:.3f}")
+                f"{self.seconds:.3f}\t{self.hinge_s:.3f}\t"
+                f"{self.backward_s:.3f}\t{self.step_s:.3f}\t"
+                f"{self.uncertified}")
 
 
 @dataclass
@@ -377,27 +401,36 @@ def train(model: ParserModel,
         order = rng.permutation(len(pool))
 
         losses = []
+        hinge_s = backward_s = step_s = 0.0
+        uncertified = 0
         for idx in order:
             inst = pool[int(idx)]
             g = Graph()
+            t_hinge = time.perf_counter()
             if isinstance(inst, FnInstance):
                 res = latent_hinge_loss(model, inst.space, inst.parse, g=g,
                                         rng=rng, training=True)
-                pen = l1_penalty(g, res.cross, config.l1_weight)
             else:
                 res = sdp_hinge_loss(model, inst.space, inst.graph, g=g,
                                      rng=rng, training=True)
-                pen = None
+            hinge_s += time.perf_counter() - t_hinge
+            # dependency spaces have no cross parts, so no penalty
+            pen = l1_penalty(g, res.cross, config.l1_weight)
             value = res.value + (float(pen.value) if pen is not None else 0.0)
             if not np.isfinite(value):
                 raise SpandepError(f"non-finite loss at instance {inst.id!r}")
             losses.append(value)
+            uncertified += res.uncertified
             node = res.node
             if pen is not None:
                 node = pen if node is None else g.add(node, pen)
             if node is not None:
+                t_backward = time.perf_counter()
                 g.backward(node)
+                t_step = time.perf_counter()
                 clip_and_step(model.store, lr)
+                backward_s += t_step - t_backward
+                step_s += time.perf_counter() - t_step
 
         dev_fn = dev_sdp = 0.0
         if fn_dev:
@@ -410,7 +443,9 @@ def train(model: ParserModel,
         stats = EpochStats(epoch=epoch, lr=lr,
                            mean_loss=float(np.mean(losses)) if losses else 0.0,
                            dev_fn_f1=dev_fn, dev_sdp_f1=dev_sdp,
-                           seconds=time.perf_counter() - t0)
+                           seconds=time.perf_counter() - t0,
+                           hinge_s=hinge_s, backward_s=backward_s,
+                           step_s=step_s, uncertified=uncertified)
         history.append(stats)
         if fn_dev and dev_fn > best_f1:
             best_f1 = dev_fn

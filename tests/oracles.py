@@ -135,6 +135,34 @@ def lstm_cell(g, x, h_prev, c_prev, w, b):
     return h, c
 
 
+def lstm_sweep(x, w, b, reverse=False):
+    """The fused ``lstm`` op's forward sweep on arrays, with halved copies
+    of the weights and bias and a fresh temporary per step: the bit-exact
+    reference for the in-place sweep.  Returns the states and the op's
+    cache ``(acts, cells, tanh_c)``."""
+    n, dx = x.shape
+    dh = w.shape[1] // 4
+    half = np.ones(4 * dh)
+    half[:3 * dh] = 0.5
+    zx = (x @ w[:dx] + b) * half
+    w_h = w[dx:] * half
+    acts = np.empty((n, 4 * dh))
+    cells = np.empty((n, dh))
+    tanh_c = np.empty((n, dh))
+    out = np.empty((n, dh))
+    h = np.zeros(dh)
+    c = np.zeros(dh)
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        a = np.tanh(zx[t] + h @ w_h)
+        a[:3 * dh] += 1.0
+        a[:3 * dh] *= 0.5
+        c = a[dh:2 * dh] * c + a[:dh] * a[3 * dh:]
+        tanh_c[t] = np.tanh(c)
+        h = a[2 * dh:3 * dh] * tanh_c[t]
+        acts[t], cells[t], out[t] = a, c, h
+    return out, (acts, cells, tanh_c)
+
+
 def lstm_by_cells(g, rows, w, b, reverse=False):
     """A whole sweep over the vector nodes ``rows`` with ``lstm_cell``; the
     hidden states in row order."""

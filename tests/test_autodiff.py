@@ -14,7 +14,7 @@ from spandep.autodiff import (
     grad_check,
 )
 
-from .oracles import lstm_by_cells, lstm_cell
+from .oracles import lstm_by_cells, lstm_cell, lstm_sweep
 
 RNG = np.random.default_rng(7)
 
@@ -277,6 +277,23 @@ def test_fused_lstm_matches_cells(n, reverse):
         assert np.any(grads[1][name])
         np.testing.assert_allclose(grads[0][name], grads[1][name],
                                    rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 6, 13])
+@pytest.mark.parametrize("dx, dh", [(5, 4), (200, 100)])
+def test_fused_lstm_bitwise_matches_sweep(n, reverse, dx, dh):
+    """The in-place sweep gives the states and backward caches of halved
+    weights bit for bit."""
+    store = _lstm_problem(n, seed=n + 10 * reverse, dx=dx, dh=dh)
+    g = Graph()
+    hs = g.lstm(*(g.param(store, k) for k in ("x", "w", "b")),
+                reverse=reverse)
+    out, cache = lstm_sweep(*(store.values[k] for k in ("x", "w", "b")),
+                            reverse=reverse)
+    np.testing.assert_array_equal(hs.value, out)
+    for got, want in zip(hs.ctx["cache"], cache, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_fused_lstm_shape_checked():

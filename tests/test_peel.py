@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spandep.inference.ad3 import ad3_solve
-from spandep.inference.decode import decode
+from spandep.inference.decode import cost_augment, decode
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
 from spandep.inference.factor_graph import (
     FactorGraph,
@@ -19,7 +19,12 @@ from spandep.parts import FRAME_PART_TYPES, frame_parts
 from spandep.synthetic import random_joint_instance, synthetic_corpus
 from spandep.training import dm_instances, fn_instances
 
-from .oracles import check_assignment_by_loops, random_factor_graph
+from .oracles import (
+    assert_joint_feasible,
+    check_assignment_by_loops,
+    part_set_objective,
+    random_factor_graph,
+)
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
@@ -155,3 +160,21 @@ class TestModelScored:
             assert res.iterations == 0 and res.status == "exact"
             assert res.objective == pytest.approx(
                 pinned_objective(space, gold), abs=1e-6)
+
+    def test_joint_decodes_certified_or_flagged(self, scored):
+        """A plain and a cost-augmented joint decode of each of the first
+        six frame spaces: an ``exact`` one reaches the oracle's optimum, any
+        other is feasible and no better than it."""
+        fn, _ = scored
+        for space, gold in fn[:6]:
+            for s in (space, cost_augment(space, frame_parts(space, gold),
+                                          scope="frames")):
+                res = decode(s, mode="joint")
+                assert_joint_feasible(s, res.parts)
+                _, want = exhaustive_joint_map(s)
+                got = part_set_objective(s, res.parts)
+                if res.status == "exact":
+                    assert res.objective == pytest.approx(want, abs=1e-6)
+                    assert got == pytest.approx(want, abs=1e-6)
+                else:
+                    assert got <= want + 1e-9

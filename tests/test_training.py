@@ -417,9 +417,27 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines == [st.tsv() for st in res.history]
         pat = re.compile(r"^\d+\t[0-9.]+\t[0-9.+-]+\t[01]\.\d{4}"
-                         r"\t[01]\.\d{4}\t\d+\.\d{3}$")
+                         r"\t[01]\.\d{4}(\t\d+\.\d{3}){4}\t\d+$")
         for line in lines:
+            assert len(line.split("\t")) == 10, line
             assert pat.match(line), line
+        for st in res.history:
+            assert min(st.hinge_s, st.backward_s, st.step_s) > 0.0
+            assert st.hinge_s + st.backward_s + st.step_s <= st.seconds
+
+    def test_log_counts_uncertified_training_decodes(self, monkeypatch):
+        """Both decodes of a frame instance count, and the one of a
+        dependency instance; the dev decodes do not."""
+        import spandep.training as tr
+        c = small_corpus(n_fn=2, n_dm=2)
+        decode = tr.decode
+        monkeypatch.setattr(tr, "decode", lambda *a, **k: replace(
+            decode(*a, **k), status="rounded"))
+        _, res = self.run(c, TrainConfig(max_epochs=1, seed=0),
+                          fn_dev=c["fn_dev"], dm_dev=c["dm_dev"])
+        n_fn = len(fn_instances(c["fn_train"], c["ontology"],
+                                TINY.fn_limits(c["dep_labels"])))
+        assert res.history[0].uncertified == 2 * n_fn + len(c["dm_train"])
 
     def test_empty_training_set_rejected(self):
         c = small_corpus(n_fn=2, n_dm=2)
