@@ -14,6 +14,7 @@ import io
 import json
 import warnings
 import zipfile
+import zlib
 from dataclasses import fields
 from typing import Mapping, Optional, Sequence
 
@@ -291,8 +292,10 @@ L2_NOTE = ("the squared-norm penalty contributes gradient 2*l2*w "
 
 
 def save_checkpoint(store: ParameterStore, manifest: dict, path) -> None:
+    """Write a zip of uncompressed members: ``manifest.json``, then one
+    float64 ``params/<name>.npy`` per parameter."""
     manifest = {"format_version": CHECKPOINT_VERSION, **manifest}
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         # Key order is preserved on purpose: the ontology and vocabulary
         # entries double as row indices into the embedding tables, so the
         # manifest must come back in exactly the order it was written.
@@ -304,19 +307,24 @@ def save_checkpoint(store: ParameterStore, manifest: dict, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read the manifest and each parameter member once; ``ZipFile.read``
+    checks its CRC-32.  The deflated members earlier versions wrote load
+    unchanged."""
+    member = 0
     try:
         with zipfile.ZipFile(path) as zf:
-            bad = zf.testzip()
-            if bad is not None:
-                raise FormatError(path, bad, "corrupt archive member")
-            manifest = json.loads(zf.read("manifest.json"))
+            member = "manifest.json"
+            manifest = json.loads(zf.read(member))
             params = {}
             for info in zf.infolist():
-                if info.filename.startswith("params/"):
-                    name = info.filename[len("params/"):-len(".npy")]
-                    params[name] = np.load(io.BytesIO(zf.read(info.filename)))
-    except (zipfile.BadZipFile, KeyError, EOFError, OSError) as e:
-        raise FormatError(path, 0, f"unreadable checkpoint: {e}") from None
+                member = info.filename
+                if member.startswith("params/"):
+                    name = member[len("params/"):-len(".npy")]
+                    params[name] = np.load(io.BytesIO(zf.read(info)))
+    # zlib.error etc.: a corrupt deflate stream, method field or flag bit
+    except (zipfile.BadZipFile, KeyError, EOFError, OSError, ValueError,
+            zlib.error, NotImplementedError, RuntimeError) as e:
+        raise FormatError(path, member, f"unreadable checkpoint: {e}") from None
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(path, 0,
@@ -341,8 +349,8 @@ def model_manifest(model: ParserModel, kind: str = "model") -> dict:
     }
 
 
-def save_model(model: ParserModel, path, kind: str = "model") -> None:
-    save_checkpoint(model.store, model_manifest(model, kind=kind), path)
+def save_model(model: ParserModel, path) -> None:
+    save_checkpoint(model.store, model_manifest(model), path)
 
 
 def _restore_params(store: ParameterStore, params: Mapping[str, np.ndarray],
@@ -361,9 +369,8 @@ def _restore_params(store: ParameterStore, params: Mapping[str, np.ndarray],
 
 
 def load_model(path, ontology: Optional[Ontology] = None,
-               allow_ontology_mismatch: bool = False,
-               expected_kind: str = "model") -> ParserModel:
-    return _load_from_manifest(ParserModel, path, expected_kind, ontology,
+               allow_ontology_mismatch: bool = False) -> ParserModel:
+    return _load_from_manifest(ParserModel, path, "model", ontology,
                                allow_ontology_mismatch)
 
 

@@ -273,7 +273,6 @@ class CandidateSpace:
     labeled_ids: tuple[int, ...] = field(init=False, repr=False)
     cross_ids: tuple[int, ...] = field(init=False, repr=False)
     labels_for_arc: dict = field(init=False, repr=False)
-    cross_for_arg: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.scores) != len(self.parts):
@@ -301,7 +300,6 @@ class CandidateSpace:
                 raise ValueError(f"labeled arc {la} has no unlabeled arc "
                                  "in the space")
             self.labels_for_arc.setdefault(arc, []).append(i)
-        self.cross_for_arg = {}
         for i in self.cross_ids:
             c = self.parts[i]
             arg = self.parts[c.arg_id]
@@ -310,7 +308,6 @@ class CandidateSpace:
                 raise ValueError(f"cross-task part {i} references wrong part types")
             if arc.head != self.target.start or not arg.start <= arc.dep <= arg.end:
                 raise ValueError(f"cross-task part {i} pairs incompatible argument and arc")
-            self.cross_for_arg.setdefault(c.arg_id, []).append(i)
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -127,7 +127,6 @@ class HingeResult:
     node: Optional[Node]
     value: float
     augmented: DecodeResult
-    completion_parts: frozenset
     cross: Optional[Node]
     completion_status: Optional[str] = None
 
@@ -165,8 +164,7 @@ def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
     value = (_part_sum(space, raw_scores, plus) + delta
              - _part_sum(space, raw_scores, minus))
     if value <= 0.0:
-        return HingeResult(None, 0.0, best, frozenset(minus), scored.cross,
-                           completion_status)
+        return HingeResult(None, 0.0, best, scored.cross, completion_status)
     a = np.zeros(len(space.parts))
     for p in plus:
         a[space.part_to_id[p]] += 1.0
@@ -174,8 +172,7 @@ def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
         a[space.part_to_id[p]] -= 1.0
     node = g.add(g.inner(scored.node, g.input(a)),
                  g.input(np.asarray(delta)))
-    return HingeResult(node, value, best, frozenset(minus), scored.cross,
-                       completion_status)
+    return HingeResult(node, value, best, scored.cross, completion_status)
 
 
 def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
@@ -343,15 +340,10 @@ def dependency_predictions(models, sentences: Sequence[Sentence]
     certified exact."""
     members = _as_members(models)
     limits = members[0].config.dm_limits(members[0].dep_labels)
-    have_gold = all(isinstance(s.supervision, DependencyGraph)
-                    for s in sentences)
-    if have_gold:
-        instances = dm_instances(sentences, limits)
-    else:
-        instances = [DmInstance(s.id, s, DependencyGraph(frozenset()),
-                                build_candidate_space(s, None, Ontology({}, {}),
-                                                      limits))
-                     for s in sentences]
+    instances = [DmInstance(s.id, s, DependencyGraph(frozenset()),
+                            build_candidate_space(s, None, Ontology({}, {}),
+                                                  limits))
+                 for s in sentences]
     return _predict_dm(members, instances)
 
 

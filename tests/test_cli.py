@@ -35,6 +35,8 @@ from spandep.synthetic import synthetic_corpus
 from spandep.training import TrainConfig
 from spandep.formats import write_frames, write_sdp
 
+from .test_formats import corrupt
+
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
                    word_dropout=0.0)
@@ -129,6 +131,22 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert rc == 1, err
         assert f"{path}:" in err and key in err
+
+    def test_corrupt_deflated_checkpoint_exits_one(self, paths, corpus,
+                                                   capsys):
+        model = ParserModel.build(TINY, corpus["ontology"],
+                                  tuple(corpus["dep_labels"]),
+                                  corpus["dm_train"],
+                                  np.random.default_rng(0))
+        path = paths["dir"] / "bad.zip"
+        save_model(model, path)
+        corrupt(path, "deflate-block-type")
+        rc = cli(["predict", "--model", str(path),
+                  "--input", str(paths["dm_dev"]), "--format", "sdp",
+                  "--output", str(paths["dir"] / "out.sdp")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{path}:params/" in err and "unreadable checkpoint" in err
 
     def test_train_requires_ontology(self, paths, capsys):
         rc = cli(["train", "--fn-train", str(paths["fn_train"]),

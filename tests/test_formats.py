@@ -1,3 +1,5 @@
+import io
+import struct
 import warnings
 import zipfile
 
@@ -342,6 +344,18 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="format version 99"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("members", [
+        {"README": "x"}, {"manifest.json": "{format_version: 1}"},
+    ], ids=["no-manifest", "manifest-not-json"])
+    def test_bad_manifest_member_is_named(self, tmp_path, members):
+        p = tmp_path / "m.ckpt"
+        with zipfile.ZipFile(p, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        with pytest.raises(FormatError, match="unreadable checkpoint") as err:
+            load_checkpoint(p)
+        assert err.value.where == "manifest.json"
+
     def test_model_round_trip_scores(self, tmp_path):
         from spandep.parts import SpaceLimits, build_candidate_space
         model = tiny_model()
@@ -390,9 +404,10 @@ class TestCheckpoints:
             predict_dependencies(model, [bare])
 
     def test_pruner_flag_blocks_model_load(self, tmp_path):
+        from spandep.formats import model_manifest
         model = tiny_model()
         p = tmp_path / "p.ckpt"
-        save_model(model, p, kind="pruner")
+        save_checkpoint(model.store, model_manifest(model, kind="pruner"), p)
         with pytest.raises(FormatError, match="kind 'pruner'"):
             load_model(p)
 
@@ -441,3 +456,129 @@ class TestCheckpoints:
         c = Ontology({"x.v": ("F",)}, {"F": ("R", "S")})
         assert ontology_hash(a) == ontology_hash(b)
         assert ontology_hash(a) != ontology_hash(c)
+
+
+# --- corrupt and older checkpoints --------------------------------------------
+
+def deflate_members(path):
+    """Rewrite the checkpoint at ``path`` with every member deflated, the
+    way checkpoints were written before members were stored."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, \
+            zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, src.read(info))
+
+
+def _member_headers(data, index):
+    """Offsets of member ``index``'s local header and its central-directory
+    record in the zip archive ``data``."""
+    record = struct.unpack_from("<I", data, data.rindex(b"PK\x05\x06") + 16)[0]
+    for _ in range(index):
+        record += 46 + sum(struct.unpack_from("<3H", data, record + 28))
+    return struct.unpack_from("<I", data, record + 42)[0], record
+
+
+def _block_type_bit(data):
+    """The bit that turns member 1's first deflate block type into the
+    invalid 0b11."""
+    local, _ = _member_headers(data, 1)
+    start = local + 30 + sum(struct.unpack_from("<2H", data, local + 26))
+    block_type = (data[start] >> 1) & 3
+    assert block_type in (1, 2)
+    return 8 * start + (2 if block_type == 1 else 1)
+
+
+# Each single-bit flip once escaped ``load_checkpoint`` as a bare exception:
+# zlib.error, NotImplementedError and RuntimeError in turn.
+CORRUPTIONS = {
+    "deflate-block-type": (True, _block_type_bit),
+    "compression-method": (False,
+                           lambda data: 8 * (_member_headers(data, 1)[1] + 10)),
+    "encryption-flag": (False,
+                        lambda data: 8 * (_member_headers(data, 1)[1] + 8)),
+}
+
+
+def flip_bit(path, bit):
+    data = bytearray(path.read_bytes())
+    data[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(data))
+
+
+def corrupt(path, case):
+    """Apply the ``CORRUPTIONS[case]`` flip to the checkpoint at ``path``."""
+    deflated, bit = CORRUPTIONS[case]
+    if deflated:
+        deflate_members(path)
+    flip_bit(path, bit(path.read_bytes()))
+
+
+def assert_same_params(a, b):
+    assert a.store.values.keys() == b.store.values.keys()
+    for name, value in a.store.values.items():
+        assert b.store.values[name].tobytes() == value.tobytes(), name
+
+
+class TestCorruptCheckpoints:
+    def test_members_are_stored(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_model(tiny_model(), p)
+        with zipfile.ZipFile(p) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_member_is_named(self, tmp_path, case):
+        model = tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        corrupt(p, case)
+        with pytest.raises(FormatError, match="unreadable checkpoint") as err:
+            load_model(p)
+        first = next(iter(model.store.values))
+        assert (err.value.path, err.value.where) == \
+            (str(p), f"params/{first}.npy")
+
+    @pytest.mark.parametrize("deflated", [False, True],
+                             ids=["stored", "deflated"])
+    def test_single_bit_flips_fail_located_or_load_identically(
+            self, tmp_path, deflated):
+        model = tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        if deflated:
+            deflate_members(p)
+        data = p.read_bytes()
+        rng = np.random.default_rng(20240825)
+        failed = 0
+        for bit in rng.choice(8 * len(data), size=200, replace=False):
+            p.write_bytes(data)
+            flip_bit(p, int(bit))
+            try:
+                back = load_model(p)
+            except FormatError as err:
+                assert str(p) in str(err)
+                failed += 1
+                continue
+            assert_same_params(model, back)
+        assert 0 < failed < 200
+
+    def test_deflated_model_loads_bit_identically(self, tmp_path):
+        model = tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        deflate_members(p)
+        with zipfile.ZipFile(p) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_DEFLATED}
+        assert_same_params(model, load_model(p))
+
+    def test_deflated_pruner_loads_bit_identically(self, tmp_path):
+        from spandep.pruning import PrunerModel, load_pruner, save_pruner
+        pruner = PrunerModel.build([make_sentence(["a", "b"])],
+                                   np.random.default_rng(0))
+        p = tmp_path / "p.ckpt"
+        save_pruner(pruner, p)
+        deflate_members(p)
+        assert_same_params(pruner, load_pruner(p))

@@ -99,12 +99,10 @@ def test_cross_task_pairing():
         SpaceLimits(dep_labels=("ARG1",)))
     arg = Argument("Motion", 2, 4, "Theme")
     arg_id = space.part_to_id[arg]
-    deps = sorted(space.parts[space.parts[c].arc_id].dep
-                  for c in space.cross_for_arg[arg_id])
-    assert deps == [2, 3, 4]
-    heads = {space.parts[space.parts[c].arc_id].head
-             for c in space.cross_for_arg[arg_id]}
-    assert heads == {1}
+    arcs = [space.parts[space.parts[c].arc_id] for c in space.cross_ids
+            if space.parts[c].arg_id == arg_id]
+    assert sorted(a.dep for a in arcs) == [2, 3, 4]
+    assert {a.head for a in arcs} == {1}
 
 
 def test_cross_task_multi_token_target_uses_first_token():
@@ -285,7 +283,7 @@ def test_with_scores_shares_the_derived_index():
     again = scored.with_scores(np.zeros(len(space)))
     for name in ("part_to_id", "predicate_ids", "argument_ids", "head_ids",
                  "arc_ids", "root_arc_ids", "labeled_ids", "cross_ids",
-                 "labels_for_arc", "cross_for_arg"):
+                 "labels_for_arc"):
         assert getattr(again, name) is getattr(space, name), name
     assert space.scores.sum() == 0.0 and again.scores.sum() == 0.0
     assert scored.scores.sum() == len(space)

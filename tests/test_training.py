@@ -451,7 +451,7 @@ class TestTrainLoop:
         model = build_model(c)
 
         def bad_loss(*args, **kwargs):
-            return tr.HingeResult(None, float("nan"), None, frozenset(), None)
+            return tr.HingeResult(None, float("nan"), None, None)
 
         monkeypatch.setattr(tr, "latent_hinge_loss", bad_loss)
         with pytest.raises(SpandepError, match="non-finite loss at instance"):
