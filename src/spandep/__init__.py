@@ -7,7 +7,6 @@ from .parts import (  # noqa: F401
     VIRTUAL_ROOT,
     Argument,
     CandidateSpace,
-    CostConfig,
     CrossTask,
     DependencyGraph,
     FrameAnnotations,

@@ -48,7 +48,6 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
-    assignment: frozenset
     active: np.ndarray
     objective: float
     dual: float
@@ -328,7 +327,7 @@ def ad3_solve(graph: FactorGraph,
     """MAP inference via dual decomposition with exactness certificates.
 
     ``fixed`` pins variables of ``graph`` before solving; the returned
-    assignment and objective still refer to the original graph.  The
+    ``active`` mask and objective still refer to the original graph.  The
     iterations, the search and the rounding run on the core left by
     ``peel``.
     """
@@ -385,8 +384,6 @@ def ad3_solve(graph: FactorGraph,
             primal = state.graph.objective(active)
 
     full = cr.lift(peeled.lift(active))
-    objective = graph.objective(full)
-    labels = frozenset(graph.labels[v] for v in np.flatnonzero(full))
-    return SolveResult(assignment=labels, active=full, objective=objective,
+    return SolveResult(active=full, objective=graph.objective(full),
                        dual=dual, status="exact" if exact else "rounded",
                        iterations=iters)

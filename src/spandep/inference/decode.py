@@ -3,7 +3,7 @@ the latent dependency structure under a fixed frame parse.
 
 Also provides the score shift that turns the solver into a cost-augmented
 decoder (maximizing model score plus weighted Hamming distance to a gold
-part set) and a filter dropping near-zero cross-task interactions.
+part mask) and a filter dropping near-zero cross-task interactions.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from typing import Optional
 import numpy as np
 
 from ..parts import (
-    DEP_PART_TYPES,
-    FRAME_PART_TYPES,
+    FN_COST,
+    FP_COST,
     CandidateSpace,
-    CostConfig,
-    CrossTask,
     DependencyGraph,
     FrameParse,
     SpandepError,
@@ -31,9 +29,13 @@ from .factor_graph import GraphConstraints, build_factor_graph
 
 @dataclass
 class DecodeResult:
+    """``active`` is the decoded structure as a mask over ``space.parts``,
+    its cross-task bits set where both ends are active, so that
+    ``space.scores @ active`` is ``objective``."""
+
     parse: Optional[FrameParse]
     graph: DependencyGraph
-    parts: frozenset
+    active: np.ndarray
     objective: float
     status: str
     iterations: int
@@ -56,57 +58,52 @@ def decode(space: CandidateSpace,
         raise SpandepError(f"unknown decode mode {mode!r}")
     include_frames = mode != "dependencies_only"
     fg = build_factor_graph(space, include_frames=include_frames)
+    # the graph's variables are the space's ids from ``first`` to the cross
+    # parts
+    first = 0 if include_frames else space.head_ids.start
+    structural = slice(first, space.cross_ids.start)
 
     fixed = None
     if mode == "latent_completion":
         if gold_parse is None:
             raise SpandepError("latent completion requires a gold frame parse")
-        gold = frame_parts(space, gold_parse)
-        var_of = {part: v for v, part in enumerate(fg.labels)}
-        fixed = {var_of[part]: part in gold
-                 for part in var_of
-                 if isinstance(part, FRAME_PART_TYPES)}
+        gold = space.mask(frame_parts(space, gold_parse))
+        fixed = dict(enumerate(gold[:space.head_ids.start].tolist()))
 
     res = ad3_solve(fg, fixed=fixed)
-    parse, graph = assemble_structures(space, res.assignment)
-    return DecodeResult(parse=parse, graph=graph, parts=res.assignment,
+    active = np.zeros(len(space.parts), dtype=bool)
+    active[structural] = res.active
+    space.close_pairs(active)
+    parse, graph = assemble_structures(space, active)
+    return DecodeResult(parse=parse, graph=graph, active=active,
                         objective=res.objective, status=res.status,
                         iterations=res.iterations)
 
 
-def cost_augment(space: CandidateSpace, gold_parts,
-                 cost: CostConfig = CostConfig(), *,
+def cost_augment(space: CandidateSpace, gold: np.ndarray, *,
                  scope: str) -> CandidateSpace:
-    """Shift scores so MAP decoding maximizes score + weighted Hamming to gold.
+    """Shift scores so MAP decoding maximizes score + weighted Hamming to the
+    gold part mask.
 
-    Every in-scope candidate part gains the false-positive cost when absent
-    from ``gold_parts`` and loses the false-negative cost when present; the
-    gold-only constant term is dropped, so callers wanting the exact distance
-    should recompute it from the decoded parts.  ``scope`` limits the shift
-    to one side of the task ("frames" or "dependencies") or covers both
-    ("all").
+    Every in-scope candidate part gains ``FP_COST`` when outside ``gold``
+    and loses ``FN_COST`` when in it; the gold-only constant term is
+    dropped, so callers wanting the exact distance should recompute it from
+    the decoded mask.  ``scope`` limits the shift to one side of the task
+    ("frames" or "dependencies") or covers both ("all").
     """
-    gold = set(gold_parts)
-    if scope == "frames":
-        types = FRAME_PART_TYPES
-    elif scope == "dependencies":
-        types = DEP_PART_TYPES
-    elif scope == "all":
-        types = FRAME_PART_TYPES + DEP_PART_TYPES
-    else:
+    frames_end, deps_end = space.head_ids.start, space.cross_ids.start
+    spans = {"frames": (0, frames_end), "dependencies": (frames_end, deps_end),
+             "all": (0, deps_end)}
+    if scope not in spans:
         raise SpandepError(f"unknown cost scope {scope!r}")
-
-    bad = [p for p in gold if not isinstance(p, types)]
-    if bad:
-        raise SpandepError(f"gold parts outside cost scope: {sorted(map(str, bad))}")
+    lo, hi = spans[scope]
+    outside = np.flatnonzero(gold)
+    outside = outside[(outside < lo) | (outside >= hi)]
+    if len(outside):
+        raise SpandepError("gold parts outside cost scope: "
+                           f"{sorted(str(space.parts[i]) for i in outside)}")
     shift = np.zeros(len(space.parts))
-    for i, part in enumerate(space.parts):
-        if not isinstance(part, types):
-            continue
-        if part in gold:
-            shift[i] = -cost.false_negative_cost
-        else:
-            shift[i] = cost.false_positive_cost
+    shift[lo:hi] = np.where(gold[lo:hi], -FN_COST, FP_COST)
     return space.with_scores(space.scores + shift)
 
 
@@ -116,11 +113,12 @@ def drop_sparse_cross_task(space: CandidateSpace, tol: float = 1e-3) -> Candidat
     Cross-task parts sit after all structural parts, so the surviving parts
     keep their indices and stored part references stay valid.
     """
-    keep = [i for i, part in enumerate(space.parts)
-            if not isinstance(part, CrossTask) or abs(space.scores[i]) > tol]
-    if len(keep) == len(space.parts):
+    start = space.cross_ids.start
+    keep = np.abs(space.scores[start:]) > tol
+    if keep.all():
         return space
-    parts = tuple(space.parts[i] for i in keep)
-    scores = space.scores[np.asarray(keep, dtype=int)].copy()
+    kept = np.flatnonzero(keep) + start
+    parts = space.parts[:start] + tuple(space.parts[i] for i in kept.tolist())
+    scores = np.concatenate((space.scores[:start], space.scores[kept]))
     return CandidateSpace(space.sentence, space.target, space.frames,
                           parts, scores)

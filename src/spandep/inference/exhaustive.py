@@ -24,10 +24,10 @@ from .factor_graph import FactorGraph, GraphConstraints, Infeasible, clamp_graph
 MAX_BRUTE_VARS = 24
 
 
-def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
+def brute_force_map(graph: FactorGraph) -> tuple[np.ndarray, float]:
     """Exhaustive optimum of a factor graph.
 
-    Returns (labels of active variables, objective).  Ties prefer fewer
+    Returns (mask of active variables, objective).  Ties prefer fewer
     active variables, then the lexicographically smallest active index
     tuple.  Raises on infeasible graphs and on graphs still holding more
     than 24 constrained variables after propagation.
@@ -110,14 +110,12 @@ def brute_force_map(graph: FactorGraph) -> tuple[frozenset, float]:
         raise Infeasible("no feasible assignment")
 
     _, _, active_tuple = best
-    full = np.zeros(graph.nvars, dtype=bool)
     reduced = np.zeros(g.nvars, dtype=bool)
     reduced[list(active_tuple)] = True
     for v in free_unconstrained:
         reduced[v] = g.theta[v] > 0
     full = cr.lift(reduced)
-    labels = frozenset(graph.labels[v] for v in range(graph.nvars) if full[v])
-    return labels, graph.objective(full)
+    return full, graph.objective(full)
 
 
 def _best_label_assignment(arc_label_options):
@@ -233,10 +231,12 @@ def _enumerate_argsets(items):
 def exhaustive_joint_map(space: CandidateSpace,
                          constraints: GraphConstraints = GraphConstraints(),
                          max_argsets: int = 500_000
-                         ) -> tuple[frozenset, float]:
+                         ) -> tuple[np.ndarray, float]:
     """Exact joint optimum by structured enumeration.
 
-    Returns (active structural parts, objective including pair scores).
+    Returns (the optimum as a mask over ``space.parts``, its objective),
+    in ``decode``'s form: a cross-task part is active when both its ends
+    are.
     ``constraints`` is unused; kept only because perfbench/checks.py:138,140
     passes it.
     """
@@ -263,8 +263,7 @@ def exhaustive_joint_map(space: CandidateSpace,
         parts.append(space.root_arc_ids[k])
 
     if space.target is None:
-        active = frozenset(space.parts[p] for p in parts)
-        return active, total
+        return _closed_mask(space, parts), total
 
     # target-head tables (only when cross-task parts couple the tasks)
     couple = bool(space.cross_ids)
@@ -318,5 +317,10 @@ def exhaustive_joint_map(space: CandidateSpace,
 
     total += best_total
     parts.extend(best_parts)
-    active = frozenset(space.parts[p] for p in parts)
-    return active, total
+    return _closed_mask(space, parts), total
+
+
+def _closed_mask(space: CandidateSpace, ids: list[int]) -> np.ndarray:
+    active = np.zeros(len(space.parts), dtype=bool)
+    active[ids] = True
+    return space.close_pairs(active)

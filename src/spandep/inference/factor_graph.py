@@ -430,36 +430,34 @@ def build_factor_graph(space: CandidateSpace,
                        include_frames: bool = True) -> FactorGraph:
     """Factor graph over a scored candidate space.
 
+    Its variables are the space's parts from the first one (from the first
+    head part without frames) up to the cross-task parts, in id order.
     Construction, in order: frame XOR per target; argument-implies-predicate;
     one SemiMarkov over every argument variable; top XOR over virtual-root
     arcs; per token arc an XOR tying the arc to exactly one of its labels;
     arc-implies-head; one Pair factor per cross-task part.  The factors are
-    filled as index arrays from the space's per-type part ids.
+    filled as index arrays from the space's per-type id ranges.
     """
     parts = space.parts
-    frames = include_frames and bool(space.predicate_ids)
-    kept = np.ones(len(parts), dtype=bool)
-    kept[list(space.cross_ids)] = False
-    if not include_frames:
-        kept[list(space.predicate_ids)] = False
-        kept[list(space.argument_ids)] = False
-    keep = np.flatnonzero(kept)
-    var = np.cumsum(kept) - 1  # variable of each kept part
-    labels = parts if len(keep) == len(parts) else \
-        tuple(parts[pid] for pid in keep.tolist())
+    first = 0 if include_frames else space.head_ids.start
+    stop = space.cross_ids.start
+    labels = parts[first:stop]
+
+    def var(ids: range) -> np.ndarray:
+        return np.arange(ids.start - first, ids.stop - first)
 
     xors: list[tuple] = []   # (var, neg, sizes) chunks, in factor order
     imps: list[tuple] = []   # (a, b) chunks
     semis: tuple = ()
 
-    if frames:
-        preds = var[list(space.predicate_ids)]
+    if include_frames and space.predicate_ids:
+        preds = var(space.predicate_ids)
         xors.append((preds, np.zeros(len(preds), dtype=bool), [len(preds)]))
         pred_of_frame = {parts[p].frame: v
                          for p, v in zip(space.predicate_ids, preds.tolist())}
         if space.argument_ids:
-            args = [parts[i] for i in space.argument_ids]
-            arg_vars = var[list(space.argument_ids)]
+            args = parts[space.argument_ids.start:space.argument_ids.stop]
+            arg_vars = var(space.argument_ids)
             imps.append((arg_vars, _ids(pred_of_frame[a.frame] for a in args)))
             semis = (SemiMarkov(
                 tuple(arg_vars.tolist()),
@@ -467,12 +465,12 @@ def build_factor_graph(space: CandidateSpace,
                 space.n, space.n),)
 
     if space.root_arc_ids:
-        roots = var[list(space.root_arc_ids)]
+        roots = var(space.root_arc_ids)
         xors.append((roots, np.zeros(len(roots), dtype=bool), [len(roots)]))
 
-    arcs = np.array(space.arc_ids, dtype=int)
-    if len(arcs):
+    if space.arc_ids:
         # per arc with labels: the negated arc, then its labels
+        arcs = var(space.arc_ids)
         label_lists = [space.labels_for_arc.get(pid, ()) for pid in space.arc_ids]
         counts = _ids(map(len, label_lists))
         labeled = counts > 0
@@ -481,27 +479,26 @@ def build_factor_graph(space: CandidateSpace,
         neg = np.zeros(ends[-1] if len(ends) else 0, dtype=bool)
         neg[ends - sizes] = True
         lit = np.empty(len(neg), dtype=int)
-        lit[neg] = var[arcs[labeled]]
-        lit[~neg] = var[_ids(itertools.chain.from_iterable(label_lists))]
+        lit[neg] = arcs[labeled]
+        lit[~neg] = _ids(itertools.chain.from_iterable(label_lists)) - first
         xors.append((lit, neg, sizes))
 
         head_var = -np.ones(space.n, dtype=int)
         head_var[_ids(parts[i].token for i in space.head_ids)] = \
-            var[list(space.head_ids)]
+            var(space.head_ids)
         heads = head_var[_ids(parts[i].head for i in space.arc_ids)]
         has_head = heads >= 0
-        imps.append((var[arcs[has_head]], heads[has_head]))
+        imps.append((arcs[has_head], heads[has_head]))
 
-    pair_a = pair_b = np.zeros(0, dtype=int)
+    pair_a = pair_b = _NO_IDS
     pair_score = np.zeros(0)
     if include_frames and space.cross_ids:
-        cross = [parts[c] for c in space.cross_ids]
-        pair_a = var[_ids(c.arg_id for c in cross)]
-        pair_b = var[_ids(c.arc_id for c in cross)]
-        pair_score = space.scores[list(space.cross_ids)]
+        # with frames, variables are part ids
+        pair_a, pair_b = space.cross_arg, space.cross_arc
+        pair_score = space.scores[stop:]
 
     imp_a, imp_b = (np.concatenate(x) for x in zip(*imps)) if imps else \
-        (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        (_NO_IDS, _NO_IDS)
     return FactorGraph.from_arrays(
-        space.scores[keep], labels, Rows.join(xors), imp_a, imp_b,
+        space.scores[first:stop], labels, Rows.join(xors), imp_a, imp_b,
         pair_a, pair_b, pair_score, semis)

@@ -143,67 +143,56 @@ class ParserModel:
             return SpaceScores(g.input(np.zeros(0)), None)
         hs = self.encoder.encode(g, space.sentence, rng=rng, training=training)
 
+        # the space lists its parts in group order, so the segments
+        # concatenate into part-id order
         segments: list[Node] = []
-        covered = 0
-
-        def push(ids: Sequence[int], node: Node) -> None:
-            nonlocal covered
-            if list(ids) != list(range(covered, covered + len(ids))):
-                raise SpandepError("candidate space parts are not grouped by type")
-            covered += len(ids)
-            segments.append(node)
-
         terms = span_matrix = arc_rows = None
         span_row: dict[tuple[int, int], int] = {}
         if space.predicate_ids:
             g_tgt = self.encoder.target_representation(g, hs, space.target)
             terms = sc.target_terms(g, g_tgt, sc.lu_vec(g, space.target.lu))
             frames = [parts[i].frame for i in space.predicate_ids]
-            push(space.predicate_ids, sc.predicate_scores(g, frames, terms))
+            segments.append(sc.predicate_scores(g, frames, terms))
 
         if space.argument_ids:
-            spans = sorted({parts[i].span for i in space.argument_ids})
+            args = [parts[i] for i in space.argument_ids]
+            spans = sorted({a.span for a in args})
             span_row = {s: k for k, s in enumerate(spans)}
             span_matrix = self.encoder.span_representations(
                 g, hs, spans, space.target.start)
-            rows = g.lookup(span_matrix,
-                            [span_row[parts[i].span] for i in space.argument_ids])
-            push(space.argument_ids, sc.argument_scores(
-                g, [parts[i].frame for i in space.argument_ids],
-                [parts[i].role for i in space.argument_ids], rows, terms))
+            rows = g.lookup(span_matrix, [span_row[a.span] for a in args])
+            segments.append(sc.argument_scores(
+                g, [a.frame for a in args], [a.role for a in args], rows,
+                terms))
 
         if space.head_ids:
-            push(space.head_ids, sc.head_scores(
+            segments.append(sc.head_scores(
                 g, hs, [parts[i].token for i in space.head_ids]))
 
         if space.arc_ids:
             pairs = [(parts[i].head, parts[i].dep) for i in space.arc_ids]
             arc_rows = sc.arc_representations(g, hs, pairs)
-            push(space.arc_ids, sc.unlabeled_scores(g, arc_rows))
+            segments.append(sc.unlabeled_scores(g, arc_rows))
 
         if space.root_arc_ids:
-            push(space.root_arc_ids, sc.top_scores(
+            segments.append(sc.top_scores(
                 g, hs, [parts[i].dep for i in space.root_arc_ids]))
 
         if space.labeled_ids:
-            push(space.labeled_ids, sc.labeled_scores(
+            segments.append(sc.labeled_scores(
                 g, hs, [(parts[i].head, parts[i].dep, parts[i].label)
                         for i in space.labeled_ids]))
 
         cross_node = None
         if space.cross_ids:
-            arc_row_of = {pid: k for k, pid in enumerate(space.arc_ids)}
-            cargs = [parts[parts[i].arg_id] for i in space.cross_ids]
+            cargs = [parts[i] for i in space.cross_arg.tolist()]
             crows = g.lookup(span_matrix, [span_row[a.span] for a in cargs])
-            carcs = g.lookup(arc_rows, [arc_row_of[parts[i].arc_id]
-                                        for i in space.cross_ids])
+            carcs = g.lookup(arc_rows, space.cross_arc - space.arc_ids.start)
             cross_node = sc.cross_task_scores(
                 g, [a.frame for a in cargs], [a.role for a in cargs],
                 crows, carcs, terms)
-            push(space.cross_ids, cross_node)
+            segments.append(cross_node)
 
-        if covered != len(parts):
-            raise SpandepError(f"scored {covered} of {len(parts)} parts")
         node = segments[0] if len(segments) == 1 else g.concat(*segments)
         return SpaceScores(node, cross_node)
 

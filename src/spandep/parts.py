@@ -9,12 +9,15 @@ Conventions used throughout the package:
   * a distinguished index ``VIRTUAL_ROOT`` (-1) is the head of top arcs;
   * a candidate space lists its parts grouped by type, in a fixed order
     (predicates, arguments, heads, arcs, root arcs, labeled arcs, cross-task),
-    and part ids index both ``parts`` and the parallel ``scores`` array.
+    so each group is a range of part ids, and part ids index both ``parts``
+    and the parallel ``scores`` array;
+  * a decoded structure is a boolean mask over a space's parts.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -219,19 +222,11 @@ class CrossTask:
 Part = Union[Predicate, Argument, Head, UnlabeledArc, LabeledArc, CrossTask]
 
 FRAME_PART_TYPES = (Predicate, Argument)
-DEP_PART_TYPES = (Head, UnlabeledArc, LabeledArc)
 
 
-@dataclass(frozen=True)
-class CostConfig:
-    """Per-part counting costs for the weighted Hamming distance."""
-
-    false_positive_cost: float = 0.4
-    false_negative_cost: float = 0.6
-
-    def __post_init__(self):
-        if self.false_positive_cost < 0 or self.false_negative_cost < 0:
-            raise ValueError("costs must be nonnegative")
+# Weighted Hamming costs: each false-positive part, each false-negative part.
+FP_COST = 0.4
+FN_COST = 0.6
 
 
 @dataclass(frozen=True)
@@ -250,12 +245,24 @@ class SpaceLimits:
     allowed_arcs: Optional[frozenset[tuple[int, int]]] = None
 
 
+# The type groups of a candidate space, in the order its parts list them.
+GROUPS = ("predicate_ids", "argument_ids", "head_ids", "arc_ids",
+          "root_arc_ids", "labeled_ids", "cross_ids")
+# Group of each part type; a root arc (head VIRTUAL_ROOT) is one further on.
+_GROUP_OF = {Predicate: 0, Argument: 1, Head: 2, UnlabeledArc: 3,
+             LabeledArc: 5, CrossTask: 6}
+
+
 @dataclass
 class CandidateSpace:
     """All scoreable parts for one decoding instance, with parallel scores.
 
-    Index structures are derived once in ``__post_init__`` and never mutated;
-    ``with_scores`` produces a scored copy sharing the part list and index.
+    The parts come grouped by type in the order of ``GROUPS``, and each
+    ``*_ids`` attribute is the ``range`` of ids its group holds; the
+    construction raises ``ValueError`` on parts out of that order.
+    ``cross_arg`` and ``cross_arc`` hold the argument and arc id of each
+    cross-task part.  These indexes are derived once in ``__post_init__``
+    and never mutated; ``with_scores`` produces a scored copy sharing them.
     """
 
     sentence: Sentence
@@ -265,47 +272,59 @@ class CandidateSpace:
     scores: np.ndarray
 
     part_to_id: dict = field(init=False, repr=False)
-    predicate_ids: tuple[int, ...] = field(init=False, repr=False)
-    argument_ids: tuple[int, ...] = field(init=False, repr=False)
-    head_ids: tuple[int, ...] = field(init=False, repr=False)
-    arc_ids: tuple[int, ...] = field(init=False, repr=False)
-    root_arc_ids: tuple[int, ...] = field(init=False, repr=False)
-    labeled_ids: tuple[int, ...] = field(init=False, repr=False)
-    cross_ids: tuple[int, ...] = field(init=False, repr=False)
+    predicate_ids: range = field(init=False, repr=False)
+    argument_ids: range = field(init=False, repr=False)
+    head_ids: range = field(init=False, repr=False)
+    arc_ids: range = field(init=False, repr=False)
+    root_arc_ids: range = field(init=False, repr=False)
+    labeled_ids: range = field(init=False, repr=False)
+    cross_ids: range = field(init=False, repr=False)
+    cross_arg: np.ndarray = field(init=False, repr=False)
+    cross_arc: np.ndarray = field(init=False, repr=False)
     labels_for_arc: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.scores) != len(self.parts):
+        parts = self.parts
+        if len(self.scores) != len(parts):
             raise ValueError("scores length must equal parts length")
-        self.part_to_id = {p: i for i, p in enumerate(self.parts)}
-        if len(self.part_to_id) != len(self.parts):
+        self.part_to_id = {p: i for i, p in enumerate(parts)}
+        if len(self.part_to_id) != len(parts):
             raise ValueError("duplicate parts in candidate space")
-        by_type: dict[type, list[int]] = {}
-        for i, p in enumerate(self.parts):
-            by_type.setdefault(type(p), []).append(i)
-        self.predicate_ids = tuple(by_type.get(Predicate, ()))
-        self.argument_ids = tuple(by_type.get(Argument, ()))
-        self.head_ids = tuple(by_type.get(Head, ()))
-        arcs = by_type.get(UnlabeledArc, ())
-        self.arc_ids = tuple(i for i in arcs if not self.parts[i].is_root)
-        self.root_arc_ids = tuple(i for i in arcs if self.parts[i].is_root)
-        self.labeled_ids = tuple(by_type.get(LabeledArc, ()))
-        self.cross_ids = tuple(by_type.get(CrossTask, ()))
-        arc_of = {(self.parts[i].head, self.parts[i].dep): i for i in arcs}
+        try:
+            group = [_GROUP_OF[type(p)]
+                     + (type(p) is UnlabeledArc and p.head == VIRTUAL_ROOT)
+                     for p in parts]
+        except KeyError as e:
+            raise ValueError(f"not a part type: {e.args[0].__name__}") from None
+        for i in range(1, len(group)):
+            if group[i] < group[i - 1]:
+                raise ValueError(
+                    f"part {i} ({parts[i]}) comes after a "
+                    f"{GROUPS[group[i - 1]]} part; parts must be grouped "
+                    f"in the order {', '.join(GROUPS)}")
+        bounds = [bisect_left(group, k) for k in range(len(GROUPS) + 1)]
+        for k, name in enumerate(GROUPS):
+            setattr(self, name, range(bounds[k], bounds[k + 1]))
+
+        arc_of = {(parts[i].head, parts[i].dep): i
+                  for i in range(self.arc_ids.start, self.root_arc_ids.stop)}
         self.labels_for_arc = {}
         for i in self.labeled_ids:
-            la = self.parts[i]
+            la = parts[i]
             arc = arc_of.get((la.head, la.dep))
             if arc is None:
                 raise ValueError(f"labeled arc {la} has no unlabeled arc "
                                  "in the space")
             self.labels_for_arc.setdefault(arc, []).append(i)
-        for i in self.cross_ids:
-            c = self.parts[i]
-            arg = self.parts[c.arg_id]
-            arc = self.parts[c.arc_id]
-            if not isinstance(arg, Argument) or not isinstance(arc, UnlabeledArc):
+
+        cross = parts[self.cross_ids.start:]
+        self.cross_arg = np.array([c.arg_id for c in cross], dtype=int)
+        self.cross_arc = np.array([c.arc_id for c in cross], dtype=int)
+        for i, a, b in zip(self.cross_ids, self.cross_arg.tolist(),
+                           self.cross_arc.tolist()):
+            if a not in self.argument_ids or b not in self.arc_ids:
                 raise ValueError(f"cross-task part {i} references wrong part types")
+            arg, arc = parts[a], parts[b]
             if arc.head != self.target.start or not arg.start <= arc.dep <= arg.end:
                 raise ValueError(f"cross-task part {i} pairs incompatible argument and arc")
 
@@ -325,6 +344,19 @@ class CandidateSpace:
         scored = copy.copy(self)
         scored.scores = scores
         return scored
+
+    def mask(self, parts: Iterable[Part]) -> np.ndarray:
+        """The boolean mask over ``self.parts`` that is set on ``parts``."""
+        active = np.zeros(len(self.parts), dtype=bool)
+        active[[self.part_to_id[p] for p in parts]] = True
+        return active
+
+    def close_pairs(self, active: np.ndarray) -> np.ndarray:
+        """Set each cross-task bit of the mask ``active`` to the AND of its
+        argument's and its arc's bits, in place; returns ``active``."""
+        active[self.cross_ids.start:] = \
+            active[self.cross_arg] & active[self.cross_arc]
+        return active
 
 
 def enumerate_spans(n: int, max_len: int,
@@ -373,6 +405,7 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
                 for r in ontology.roles_for(f):
                     parts.append(Argument(f, i, j, r))
 
+    first_head = len(parts)
     if limits.include_dependencies:
         for t in range(n):
             parts.append(Head(t))
@@ -387,28 +420,23 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
 
     if target is not None and limits.include_dependencies and limits.include_cross_task:
         # Arcs leave the first token of the target and land inside the span.
-        ids = {p: i for i, p in enumerate(parts)}
-        t1 = target.start
-        for arg_id, p in enumerate(parts):
-            if not isinstance(p, Argument):
-                continue
-            for d in range(p.start, p.end + 1):
-                arc = UnlabeledArc(t1, d)
-                if arc in ids:
-                    parts.append(CrossTask(arg_id, ids[arc]))
+        arc_to = {d: first_head + n + k for k, (h, d) in enumerate(arc_list)
+                  if h == target.start}
+        for arg_id in range(len(frames), first_head):
+            p = parts[arg_id]
+            parts.extend(CrossTask(arg_id, arc_to[d])
+                         for d in range(p.start, p.end + 1) if d in arc_to)
 
     return CandidateSpace(sentence, target, frames, tuple(parts),
                           np.zeros(len(parts)))
 
 
-def weighted_hamming(predicted: Iterable[Part], gold: Iterable[Part],
-                     cost: CostConfig = CostConfig()) -> float:
-    """Weighted Hamming distance between two part sets: false positives count
-    ``false_positive_cost`` each, false negatives ``false_negative_cost``."""
-    predicted, gold = set(predicted), set(gold)
-    fp = len(predicted - gold)
-    fn = len(gold - predicted)
-    return cost.false_positive_cost * fp + cost.false_negative_cost * fn
+def weighted_hamming(predicted: np.ndarray, gold: np.ndarray) -> float:
+    """Weighted Hamming distance between two part masks: false positives
+    count ``FP_COST`` each, false negatives ``FN_COST``."""
+    fp = int(np.count_nonzero(predicted & ~gold))
+    fn = int(np.count_nonzero(gold & ~predicted))
+    return FP_COST * fp + FN_COST * fn
 
 
 def frame_parts(space: CandidateSpace, parse: FrameParse) -> set[Part]:
@@ -437,28 +465,27 @@ def dep_parts(space: CandidateSpace, graph: DependencyGraph) -> set[Part]:
     return parts
 
 
-def assemble_structures(space: CandidateSpace, active: Iterable[Part]
+def _active_parts(space: CandidateSpace, active: np.ndarray,
+                  ids: range) -> list[Part]:
+    on = np.flatnonzero(active[ids.start:ids.stop]) + ids.start
+    return [space.parts[i] for i in on.tolist()]
+
+
+def assemble_structures(space: CandidateSpace, active: np.ndarray
                         ) -> tuple[Optional[FrameParse], DependencyGraph]:
-    """Turn an active part set into (FrameParse or None, DependencyGraph)."""
-    active = set(active)
-    frame = None
-    args = set()
-    arcs = set()
-    top = None
-    for p in active:
-        if isinstance(p, Predicate):
-            if frame is not None:
-                raise SpandepError("multiple active predicate parts")
-            frame = p.frame
-        elif isinstance(p, Argument):
-            args.add((p.start, p.end, p.role))
-        elif isinstance(p, LabeledArc):
-            arcs.add((p.head, p.dep, p.label))
-        elif isinstance(p, UnlabeledArc) and p.is_root:
-            if top is not None:
-                raise SpandepError("multiple active top arcs")
-            top = p.dep
+    """Turn a part mask into (FrameParse or None, DependencyGraph)."""
+    preds = _active_parts(space, active, space.predicate_ids)
+    if len(preds) > 1:
+        raise SpandepError("multiple active predicate parts")
+    tops = _active_parts(space, active, space.root_arc_ids)
+    if len(tops) > 1:
+        raise SpandepError("multiple active top arcs")
     parse = None
-    if frame is not None:
-        parse = FrameParse(space.target, frame, frozenset(args))
-    return parse, DependencyGraph(frozenset(arcs), top)
+    if preds:
+        args = _active_parts(space, active, space.argument_ids)
+        parse = FrameParse(space.target, preds[0].frame,
+                           frozenset((a.start, a.end, a.role) for a in args))
+    arcs = _active_parts(space, active, space.labeled_ids)
+    return parse, DependencyGraph(
+        frozenset((p.head, p.dep, p.label) for p in arcs),
+        tops[0].dep if tops else None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .inference.factor_graph import build_factor_graph
 from .parts import (
     CandidateSpace,
     DependencyGraph,
@@ -33,19 +32,14 @@ _ROLE_POOL = ("R0", "R1", "R2")
 _LABEL_POOL = ("a1", "a2")
 
 
-def constrained_var_count(space: CandidateSpace) -> int:
-    """Number of factor-graph variables touched by at least one factor."""
-    g = build_factor_graph(space)
-    return int((g.degrees() > 0).sum())
-
-
 def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
                           score_scale: float = 1.5) -> CandidateSpace:
     """A random scored joint instance small enough for exhaustive search.
 
     Sentence length, frame/role counts, span and arc candidates are
-    sampled, then resampled until the constrained variable count fits under
-    ``max_vars``.
+    sampled, then resampled until the constrained variables fit under
+    ``max_vars``: in the space's factor graph, those are its structural
+    parts less the head parts that no arc leaves.
     """
     for _ in range(200):
         n = int(rng.integers(2, 5))
@@ -87,7 +81,9 @@ def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
         # an unused draw: it keeps each seed's sequence of spaces, which
         # the tests and oracle-check are written against
         rng.random()
-        if constrained_var_count(space) <= max_vars:
+        idle_heads = len(space.head_ids) - len(
+            {space.parts[i].head for i in space.arc_ids})
+        if space.cross_ids.start - idle_heads <= max_vars:
             return space
     raise RuntimeError("failed to sample an instance under the size cap")
 

@@ -30,7 +30,6 @@ from .inference.decode import DecodeResult, cost_augment, decode
 from .model import ParserModel, SpaceScores
 from .parts import (
     CandidateSpace,
-    CostConfig,
     DependencyGraph,
     FrameAnnotations,
     FrameParse,
@@ -42,7 +41,6 @@ from .parts import (
     dep_parts,
     frame_parts,
     weighted_hamming,
-    FRAME_PART_TYPES,
 )
 
 
@@ -137,39 +135,16 @@ class HingeResult:
                 + (self.completion_status not in (None, "exact")))
 
 
-def _part_sum(space: CandidateSpace, scores: np.ndarray, parts) -> float:
-    return float(sum(scores[space.part_to_id[p]] for p in parts))
-
-
-def _with_cross(space: CandidateSpace, parts) -> set:
-    """Close a decoded part set over its pair parts.
-
-    The decoder reports structural parts only; a cross-task score fires
-    whenever its argument and its arc are both active, so those parts are
-    added here to make plain part sums equal the decoder's objective."""
-    full = set(parts)
-    for cid in space.cross_ids:
-        c = space.parts[cid]
-        if space.parts[c.arg_id] in full and space.parts[c.arc_id] in full:
-            full.add(c)
-    return full
-
-
-def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
-           best: DecodeResult, plus, minus, delta: float,
+def _hinge(g: Graph, scored: SpaceScores, best: DecodeResult,
+           plus: np.ndarray, minus: np.ndarray, delta: float,
            completion_status: Optional[str] = None) -> HingeResult:
-    """The hinge S(plus) + delta - S(minus), truncated at zero, with the
-    node that backpropagates it: +1 on ``plus``, -1 on ``minus``."""
-    raw_scores = scored.node.value
-    value = (_part_sum(space, raw_scores, plus) + delta
-             - _part_sum(space, raw_scores, minus))
+    """The hinge S(plus) + delta - S(minus) over two part masks, truncated
+    at zero, with the node that backpropagates it: +1 on ``plus``, -1 on
+    ``minus``."""
+    a = plus - minus.astype(float)
+    value = float(scored.node.value @ a) + delta
     if value <= 0.0:
         return HingeResult(None, 0.0, best, scored.cross, completion_status)
-    a = np.zeros(len(space.parts))
-    for p in plus:
-        a[space.part_to_id[p]] += 1.0
-    for p in minus:
-        a[space.part_to_id[p]] -= 1.0
     node = g.add(g.inner(scored.node, g.input(a)),
                  g.input(np.asarray(delta)))
     return HingeResult(node, value, best, scored.cross, completion_status)
@@ -178,35 +153,33 @@ def _hinge(g: Graph, scored: SpaceScores, space: CandidateSpace,
 def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
                       gold_parse: FrameParse, g: Optional[Graph] = None,
                       rng: Optional[np.random.Generator] = None,
-                      training: bool = False,
-                      cost: CostConfig = CostConfig()) -> HingeResult:
+                      training: bool = False) -> HingeResult:
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
     raw = space.with_scores(scored.node.value.copy())
-    gold = frame_parts(space, gold_parse)
+    gold = space.mask(frame_parts(space, gold_parse))
 
-    best = decode(cost_augment(raw, gold, cost, scope="frames"), mode="joint")
-    delta = weighted_hamming(
-        [p for p in best.parts if isinstance(p, FRAME_PART_TYPES)], gold, cost)
+    best = decode(cost_augment(raw, gold, scope="frames"), mode="joint")
+    frames = slice(space.head_ids.start)
+    delta = weighted_hamming(best.active[frames], gold[frames])
     comp = decode(raw, mode="latent_completion", gold_parse=gold_parse)
-    return _hinge(g, scored, space, best, _with_cross(space, best.parts),
-                  _with_cross(space, comp.parts), delta, comp.status)
+    return _hinge(g, scored, best, best.active, comp.active, delta,
+                  comp.status)
 
 
 def sdp_hinge_loss(model: ParserModel, space: CandidateSpace,
                    gold_graph: DependencyGraph, g: Optional[Graph] = None,
                    rng: Optional[np.random.Generator] = None,
-                   training: bool = False,
-                   cost: CostConfig = CostConfig()) -> HingeResult:
+                   training: bool = False) -> HingeResult:
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
     raw = space.with_scores(scored.node.value.copy())
-    gold = dep_parts(space, gold_graph)
+    gold = space.mask(dep_parts(space, gold_graph))
 
-    best = decode(cost_augment(raw, gold, cost, scope="dependencies"),
+    best = decode(cost_augment(raw, gold, scope="dependencies"),
                   mode="dependencies_only")
-    delta = weighted_hamming(best.parts, gold, cost)
-    return _hinge(g, scored, space, best, best.parts, gold, delta)
+    delta = weighted_hamming(best.active, gold)
+    return _hinge(g, scored, best, best.active, gold, delta)
 
 
 def l1_penalty(g: Graph, cross: Optional[Node],
@@ -252,29 +225,29 @@ class TrainResult:
     best_dev_fn_f1: float
 
 
-def _predict_fn(models: Sequence[ParserModel], sentences: Sequence[Sentence],
-                instances: Sequence[FnInstance]) -> Tuple[List[Sentence], int]:
-    """The re-annotated sentences, and how many decodes were not certified
-    exact."""
+def _predict_fn(members: Sequence[ParserModel], sentences: Sequence[Sentence],
+                spaces: Sequence[CandidateSpace]) -> Tuple[List[Sentence], int]:
+    """``sentences`` re-annotated with the joint decode of each target's
+    space, and how many decodes were not certified exact."""
     parses: dict[int, list] = {id(s): [] for s in sentences}
     uncertified = 0
-    for inst in instances:
-        scored = ensemble_scores(models, inst.space)
-        res = decode(scored, mode="joint")
-        parses[id(inst.sentence)].append(res.parse)
+    for space in spaces:
+        res = decode(_mean_scores(members, space), mode="joint")
+        parses[id(space.sentence)].append(res.parse)
         uncertified += res.status != "exact"
     return [replace(s, supervision=FrameAnnotations(tuple(parses[id(s)])))
             for s in sentences], uncertified
 
 
-def _predict_dm(models: Sequence[ParserModel], instances: Sequence[DmInstance]
-                ) -> Tuple[List[Sentence], int]:
+def _predict_dm(members: Sequence[ParserModel],
+                spaces: Sequence[CandidateSpace]) -> Tuple[List[Sentence], int]:
+    """Each space's sentence carrying its decoded dependency graph, and how
+    many decodes were not certified exact."""
     out = []
     uncertified = 0
-    for inst in instances:
-        scored = ensemble_scores(models, inst.space)
-        res = decode(scored, mode="dependencies_only")
-        out.append(replace(inst.sentence, supervision=res.graph))
+    for space in spaces:
+        res = decode(_mean_scores(members, space), mode="dependencies_only")
+        out.append(replace(space.sentence, supervision=res.graph))
         uncertified += res.status != "exact"
     return out, uncertified
 
@@ -298,13 +271,17 @@ def _as_members(models) -> List[ParserModel]:
     return members
 
 
-def ensemble_scores(models, space: CandidateSpace) -> CandidateSpace:
-    """Score a space with the arithmetic mean of the members' part scores."""
-    members = _as_members(models)
+def _mean_scores(members: Sequence[ParserModel],
+                 space: CandidateSpace) -> CandidateSpace:
     acc = np.zeros(len(space.parts))
     for m in members:
         acc += m.scored_space(space).scores
     return space.with_scores(acc / len(members))
+
+
+def ensemble_scores(models, space: CandidateSpace) -> CandidateSpace:
+    """Score a space with the arithmetic mean of the members' part scores."""
+    return _mean_scores(_as_members(models), space)
 
 
 def predict_frames(models, sentences: Sequence[Sentence]) -> List[Sentence]:
@@ -325,7 +302,8 @@ def frame_predictions(models, sentences: Sequence[Sentence]
     first = members[0]
     instances = fn_instances(sentences, first.ontology,
                              first.config.fn_limits(first.dep_labels))
-    return _predict_fn(members, list(sentences), instances)
+    return _predict_fn(members, list(sentences),
+                       [inst.space for inst in instances])
 
 
 def predict_dependencies(models, sentences: Sequence[Sentence]
@@ -340,11 +318,9 @@ def dependency_predictions(models, sentences: Sequence[Sentence]
     certified exact."""
     members = _as_members(models)
     limits = members[0].config.dm_limits(members[0].dep_labels)
-    instances = [DmInstance(s.id, s, DependencyGraph(frozenset()),
-                            build_candidate_space(s, None, Ontology({}, {}),
-                                                  limits))
-                 for s in sentences]
-    return _predict_dm(members, instances)
+    return _predict_dm(members, [
+        build_candidate_space(s, None, Ontology({}, {}), limits)
+        for s in sentences])
 
 
 def train(model: ParserModel,
@@ -373,8 +349,9 @@ def train(model: ParserModel,
     dm_insts = dm_instances(dm_train, dm_lim)
     if not (fn_insts or ex_insts or dm_insts):
         raise SpandepError("no training instances")
-    dev_fn_insts = fn_instances(fn_dev, model.ontology, fn_lim)
-    dev_dm_insts = dm_instances(dm_dev, dm_lim)
+    dev_fn_spaces = [i.space for i in fn_instances(fn_dev, model.ontology,
+                                                   fn_lim)]
+    dev_dm_spaces = [i.space for i in dm_instances(dm_dev, dm_lim)]
 
     history: List[EpochStats] = []
     best_f1 = -math.inf
@@ -426,10 +403,10 @@ def train(model: ParserModel,
 
         dev_fn = dev_sdp = 0.0
         if fn_dev:
-            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_insts)
+            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_spaces)
             dev_fn = eval_frames(list(fn_dev), pred, model.ontology).f1
         if dm_dev:
-            pred, _ = _predict_dm([model], dev_dm_insts)
+            pred, _ = _predict_dm([model], dev_dm_spaces)
             dev_sdp = eval_sdp(list(dm_dev), pred).f1
 
         stats = EpochStats(epoch=epoch, lr=lr,

@@ -355,25 +355,26 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
                        tuple(pairs), tuple(semis), float(rng.normal()))
 
 
-def part_set_objective(space, parts):
-    """Total score of a structural part set, plus every cross-task score whose
-    argument and arc are both active."""
-    parts = set(parts)
-    total = sum(float(space.scores[space.part_to_id[p]]) for p in parts)
+def mask_objective(space, active):
+    """Total score of the structural parts set in a part mask, plus every
+    cross-task score whose argument and arc are both set; the mask's own
+    cross-task bits are ignored."""
+    on = {i for i in range(len(space.parts)) if active[i]}
+    total = sum(float(space.scores[i]) for i in on if i not in space.cross_ids)
     for cid in space.cross_ids:
         c = space.parts[cid]
-        if space.parts[c.arg_id] in parts and space.parts[c.arc_id] in parts:
+        if c.arg_id in on and c.arc_id in on:
             total += float(space.scores[cid])
     return total
 
 
-def assert_joint_feasible(space, parts):
-    """Raise AssertionError if a structural part set violates the joint
-    decoding constraints (checked directly from part semantics)."""
+def assert_joint_feasible(space, active):
+    """Raise AssertionError if the structural parts of a part mask violate
+    the joint decoding constraints (checked directly from part semantics)."""
     from spandep.parts import (Argument, Head, LabeledArc, Predicate,
                                UnlabeledArc)
 
-    parts = set(parts)
+    parts = {space.parts[i] for i in range(len(space.parts)) if active[i]}
     preds = [p for p in parts if isinstance(p, Predicate)]
     args = [p for p in parts if isinstance(p, Argument)]
     if space.predicate_ids:
@@ -403,6 +404,70 @@ def assert_joint_feasible(space, parts):
         n_labels = len(by_arc.get((ua.head, ua.dep), []))
         if space.labels_for_arc.get(space.part_to_id[ua]):
             assert n_labels == 1, f"arc needs exactly one label, got {n_labels}"
+
+
+def milp_map(space):
+    """Exact joint optimum as a mixed-integer program (HiGHS through
+    ``scipy.optimize.milp``, relative gap 0), with one binary per part.
+
+    Constraints: one predicate when the space has a target; each argument
+    at most its frame's predicate; at most one argument over each token;
+    each arc at most its head part; an arc's labels summing to the arc when
+    it has labels; one root arc; each pair part z linearised as z <= a,
+    z <= b, z >= a + b - 1.  Returns (mask over ``space.parts``, objective)
+    in ``decode``'s form.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    parts = space.parts
+    rows, cols, vals, lb, ub = [], [], [], [], []
+
+    def row(coef, lo, hi):
+        for i, v in coef:
+            rows.append(len(lb))
+            cols.append(i)
+            vals.append(v)
+        lb.append(lo)
+        ub.append(hi)
+
+    if space.predicate_ids:
+        row([(i, 1) for i in space.predicate_ids], 1, 1)
+    pred_of = {parts[i].frame: i for i in space.predicate_ids}
+    cover = {}
+    for i in space.argument_ids:
+        a = parts[i]
+        row([(i, 1), (pred_of[a.frame], -1)], -np.inf, 0)
+        for t in range(a.start, a.end + 1):
+            cover.setdefault(t, []).append(i)
+    for ids in cover.values():
+        row([(i, 1) for i in ids], -np.inf, 1)
+    head_of = {parts[i].token: i for i in space.head_ids}
+    for i in space.arc_ids:
+        if parts[i].head in head_of:
+            row([(i, 1), (head_of[parts[i].head], -1)], -np.inf, 0)
+        labels = space.labels_for_arc.get(i)
+        if labels:
+            row([(i, -1)] + [(j, 1) for j in labels], 0, 0)
+    if space.root_arc_ids:
+        row([(i, 1) for i in space.root_arc_ids], 1, 1)
+    for z, a, b in zip(space.cross_ids, space.cross_arg, space.cross_arc):
+        row([(z, 1), (int(a), -1)], -np.inf, 0)
+        row([(z, 1), (int(b), -1)], -np.inf, 0)
+        row([(z, 1), (int(a), -1), (int(b), -1)], -1, np.inf)
+
+    n = len(parts)
+    constraints = ()
+    if lb:
+        a = coo_matrix((vals, (rows, cols)), shape=(len(lb), n)).tocsr()
+        constraints = (LinearConstraint(a, lb, ub),)
+    res = milp(-np.asarray(space.scores, dtype=float), integrality=np.ones(n),
+               bounds=Bounds(0, 1), constraints=constraints,
+               options={"mip_rel_gap": 0})
+    if not res.success:
+        raise AssertionError(f"milp failed: {res.message}")
+    active = res.x > 0.5
+    return active, float(space.scores @ active)
 
 
 def build_factor_graph_by_parts(space, include_frames=True):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,31 +19,29 @@ from spandep.inference.factor_graph import (
     clamp_graph,
 )
 from spandep.parts import (
-    FRAME_PART_TYPES,
-    CostConfig,
     CrossTask,
     FrameParse,
-    Predicate,
+    SpandepError,
     frame_parts,
     weighted_hamming,
 )
 from spandep.synthetic import random_joint_instance
 
-from .oracles import assert_joint_feasible, part_set_objective
+from .oracles import assert_joint_feasible, mask_objective
 
 
 class TestFixtures:
     def test_single_variable_by_sign(self):
         on = ad3_solve(FactorGraph(np.array([1.0]), ("a",)))
-        assert on.assignment == frozenset({"a"}) and on.objective == 1.0
+        assert on.active.tolist() == [True] and on.objective == 1.0
         off = ad3_solve(FactorGraph(np.array([-1.0]), ("a",)))
-        assert off.assignment == frozenset() and off.objective == 0.0
+        assert off.active.tolist() == [False] and off.objective == 0.0
 
     def test_xor_argmax(self):
         g = FactorGraph(np.array([1.0, 3.0, 2.0]), ("a", "b", "c"),
                         xors=(Xor((0, 1, 2), (False,) * 3),))
         res = ad3_solve(g)
-        assert res.assignment == frozenset({"b"})
+        assert res.active.tolist() == [False, True, False]
         assert res.objective == pytest.approx(3.0)
         assert res.status == "exact"
 
@@ -51,7 +51,7 @@ class TestFixtures:
                         semis=(SemiMarkov((0, 1, 2), spans, 2, 2),))
         res = ad3_solve(g)
         assert res.objective == pytest.approx(2.5)
-        assert res.assignment == frozenset({"c"})
+        assert res.active.tolist() == [False, False, True]
 
     def test_status_exact_has_certificate(self):
         g = FactorGraph(np.array([0.5, 1.5]), ("a", "b"),
@@ -64,7 +64,7 @@ class TestFixtures:
         g = FactorGraph(np.array([5.0, 1.0]), ("a", "b"),
                         xors=(Xor((0, 1), (False, False)),))
         res = ad3_solve(g, fixed={0: False})
-        assert res.assignment == frozenset({"b"})
+        assert res.active.tolist() == [False, True]
         assert res.objective == pytest.approx(1.0)
 
 
@@ -78,9 +78,11 @@ class TestOracleEquivalence:
             _, want = brute_force_map(fg)
             res = ad3_solve(fg)
             assert res.objective == pytest.approx(want, abs=1e-6)
-            assert part_set_objective(space, res.assignment) == \
+            active = np.zeros(len(space.parts), dtype=bool)
+            active[:len(res.active)] = res.active
+            assert mask_objective(space, active) == \
                 pytest.approx(res.objective, abs=1e-9)
-            assert_joint_feasible(space, res.assignment)
+            assert_joint_feasible(space, active)
             assert res.dual >= want - 1e-6
             exact += res.status == "exact"
         assert exact >= 55  # the search budget should close almost all gaps
@@ -118,7 +120,7 @@ class TestDecode:
         space = random_joint_instance(rng)
         res = decode(space, mode="dependencies_only")
         assert res.parse is None
-        assert not any(isinstance(p, Predicate) for p in res.parts)
+        assert not res.active[space.predicate_ids.start:space.head_ids.start].any()
 
     def test_latent_completion_returns_gold_frames(self):
         rng = np.random.default_rng(6)
@@ -140,8 +142,8 @@ class TestDecode:
                      gold_parse=gold)
         fg = build_factor_graph(space)
         gold_set = frame_parts(space, gold)
-        fixed = {v: part in gold_set for v, part in enumerate(fg.labels)
-                 if isinstance(part, FRAME_PART_TYPES)}
+        fixed = {v: fg.labels[v] in gold_set
+                 for v in range(space.head_ids.start)}
         cr = clamp_graph(fg, fixed)
         _, sub_val = brute_force_map(cr.graph)
         assert res.objective == pytest.approx(sub_val, abs=1e-6)
@@ -154,7 +156,7 @@ class TestCostAugment:
         target = space.parts[space.predicate_ids[0]]
         gold = FrameParse(space.target, target.frame, frozenset())
         gold_set = frame_parts(ones, gold)
-        aug = cost_augment(ones, gold_set, CostConfig(), scope="frames")
+        aug = cost_augment(ones, ones.mask(gold_set), scope="frames")
         for i, part in enumerate(ones.parts):
             if isinstance(part, CrossTask):
                 assert aug.scores[i] == pytest.approx(1.0)
@@ -168,10 +170,21 @@ class TestCostAugment:
     def test_empty_gold_shifts_everything(self):
         space = random_joint_instance(np.random.default_rng(10))
         zeros = space.with_scores(np.zeros(len(space.parts)))
-        aug = cost_augment(zeros, set(), CostConfig(), scope="all")
+        aug = cost_augment(zeros, zeros.mask(()), scope="all")
         for i, part in enumerate(zeros.parts):
             want = 0.0 if isinstance(part, CrossTask) else 0.4
             assert aug.scores[i] == pytest.approx(want)
+
+    def test_gold_outside_scope_is_named(self):
+        space = random_joint_instance(np.random.default_rng(9))
+        arc = space.parts[space.arc_ids[0]]
+        gold = space.mask({arc, space.parts[space.predicate_ids[0]]})
+        with pytest.raises(SpandepError, match=re.escape(str(arc))):
+            cost_augment(space, gold, scope="frames")
+        pred = space.parts[space.predicate_ids[0]]
+        with pytest.raises(SpandepError, match=re.escape(str(pred))):
+            cost_augment(space, gold, scope="dependencies")
+        cost_augment(space, gold, scope="all")
 
     def test_augmented_decode_maximizes_score_plus_cost(self):
         rng = np.random.default_rng(12)
@@ -179,12 +192,12 @@ class TestCostAugment:
             space = random_joint_instance(rng)
             gold = decode(space).parse
             gold_set = frame_parts(space, gold)
-            aug = cost_augment(space, gold_set, CostConfig(), scope="frames")
+            gold_mask = space.mask(gold_set)
+            aug = cost_augment(space, gold_mask, scope="frames")
             got = decode(aug)
-            got_frames = {p for p in got.parts
-                          if type(p).__name__ in ("Predicate", "Argument")}
-            raw = part_set_objective(space, got.parts)
-            delta = weighted_hamming(got_frames, gold_set, CostConfig())
+            frames = slice(space.head_ids.start)
+            raw = mask_objective(space, got.active)
+            delta = weighted_hamming(got.active[frames], gold_mask[frames])
             fg = build_factor_graph(aug)
             _, want = brute_force_map(fg)
             assert raw + delta == pytest.approx(want + 0.6 * len(gold_set),
@@ -212,7 +225,8 @@ class TestDropSparse:
             reduced = drop_sparse_cross_task(space, tol=0.0)
             a = decode(space)
             b = decode(reduced)
-            assert a.parts == b.parts
+            start = space.cross_ids.start
+            assert (a.active[:start] == b.active[:start]).all()
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
     def test_referenced_parts_stay_valid(self):

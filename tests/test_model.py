@@ -88,7 +88,7 @@ class TestScoreSpace:
         res = model.score_space(Graph(), space)
         assert res.cross is None
         assert res.node.value.shape == (len(space.parts),)
-        assert space.arc_ids == () and space.head_ids == ()
+        assert not space.arc_ids and not space.head_ids
 
     def test_dependencies_only_space(self):
         model = tiny_model()

@@ -186,7 +186,7 @@ class TestLatentHinge:
             gold = frame_parts(inst.space, inst.parse)
             raw = model.scored_space(inst.space)
             _, aug_val = exhaustive_joint_map(
-                cost_augment(raw, gold, scope="frames"))
+                cost_augment(raw, inst.space.mask(gold), scope="frames"))
             best_term = aug_val + 0.6 * len(gold)
             m = 1e4
             shift = np.zeros(len(inst.space.parts))
@@ -214,16 +214,16 @@ class TestLatentHinge:
         # The loss never undercuts the frame distance of the model's own
         # (unaugmented) joint prediction.
         from spandep.inference.decode import decode
-        from spandep.parts import FRAME_PART_TYPES, weighted_hamming
+        from spandep.parts import weighted_hamming
         c = small_corpus(seed=41, n_fn=10)
         lim = TINY.fn_limits(c["dep_labels"])
         model = build_model(c, seed=7)
         for inst in fn_instances(c["fn_train"], c["ontology"], lim)[:6]:
             res = latent_hinge_loss(model, inst.space, inst.parse)
             plain = decode(model.scored_space(inst.space), mode="joint")
-            dist = weighted_hamming(
-                [p for p in plain.parts if isinstance(p, FRAME_PART_TYPES)],
-                frame_parts(inst.space, inst.parse))
+            frames = slice(inst.space.head_ids.start)
+            gold = inst.space.mask(frame_parts(inst.space, inst.parse))
+            dist = weighted_hamming(plain.active[frames], gold[frames])
             assert res.value >= dist - 1e-9
 
 
@@ -245,7 +245,7 @@ class TestSdpHinge:
             res = sdp_hinge_loss(model, space, gold_graph)
             gold = dep_parts(space, gold_graph)
             raw = model.scored_space(space)
-            aug = cost_augment(raw, gold, scope="dependencies")
+            aug = cost_augment(raw, space.mask(gold), scope="dependencies")
             fg = build_factor_graph(aug, include_frames=False)
             _, aug_val = brute_force_map(fg)
             gold_score = sum(raw.scores[raw.part_to_id[p]] for p in gold)
@@ -295,6 +295,39 @@ class TestSdpHinge:
             g.backward(res.node)
             clip_and_step(model.store, 0.5)
         assert reached
+
+
+class TestDecodedMasks:
+    def test_mask_scores_to_the_objective_in_every_mode(self):
+        # the decoded mask covers every part, its pair bits included, so
+        # its score is the decoder's objective
+        from spandep.inference.decode import decode
+        c = small_corpus(seed=17, n_fn=8)
+        model = build_model(c, seed=2)
+        fn = fn_instances(c["fn_train"], c["ontology"],
+                          TINY.fn_limits(c["dep_labels"]))[:5]
+        dm = dm_instances(c["dm_train"], TINY.dm_limits(c["dep_labels"]))[:2]
+        runs = [(i.space, i.parse, mode) for i in fn for mode in
+                ("joint", "dependencies_only", "latent_completion")]
+        runs += [(i.space, None, "dependencies_only") for i in dm]
+        pairs_on = 0
+        for space, parse, mode in runs:
+            space = model.scored_space(space)
+            res = decode(space, mode=mode, gold_parse=parse)
+            assert res.active.dtype == bool
+            assert res.active.shape == (len(space.parts),)
+            assert space.scores @ res.active == \
+                pytest.approx(res.objective, abs=1e-9)
+            for i in space.cross_ids:
+                c_part = space.parts[i]
+                assert res.active[i] == (res.active[c_part.arg_id]
+                                         and res.active[c_part.arc_id])
+                pairs_on += bool(res.active[i])
+            if mode == "latent_completion":
+                frames = slice(space.head_ids.start)
+                gold = space.mask(frame_parts(space, parse))
+                assert (res.active[frames] == gold[frames]).all()
+        assert pairs_on
 
 
 class TestHingeGradients:
