@@ -671,9 +671,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self.values
 
-    def names(self) -> list[str]:
-        return list(self.values)
-
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0

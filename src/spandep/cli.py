@@ -29,6 +29,7 @@ from .evaluation import (
     write_length_bins_csv,
 )
 from .formats import (
+    FormatError,
     load_embeddings,
     load_model,
     read_frames,
@@ -173,6 +174,12 @@ def cmd_train(args) -> int:
     model_config = ModelConfig(word_dropout=args.word_dropout,
                                joint=not args.no_joint,
                                include_cross_task=not args.no_cross_task)
+    if pretrained:
+        width = len(next(iter(pretrained.values())))
+        if width != model_config.word_dim:
+            raise FormatError(
+                args.embeddings, 1, f"vectors are {width}-dimensional but "
+                f"the encoder expects {model_config.word_dim}")
     model = ParserModel.build(
         model_config, ontology, _dep_labels(dm_train),
         list(fn_train) + list(fn_ex) + list(dm_train),

@@ -13,8 +13,4 @@ from .factor_graph import (  # noqa: F401
     build_factor_graph,
     clamp_graph,
 )
-from .semimarkov import (  # noqa: F401
-    semi_markov_log_partition,
-    semi_markov_map,
-    semi_markov_marginals,
-)
+from .semimarkov import semi_markov_map, semi_markov_marginals  # noqa: F401

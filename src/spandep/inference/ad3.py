@@ -144,8 +144,7 @@ class _SemiGroup:
     def __init__(self, factors):
         self.factors = factors
         self.vars = [np.array(f.vars, dtype=int) for f in factors]
-        self.proj = [SemiMarkovProjector(f.spans, f.n, f.max_len)
-                     for f in factors]
+        self.proj = [SemiMarkovProjector(f.spans, f.n) for f in factors]
         self.lam = [np.zeros(len(f.vars)) for f in factors]
         self.u = [np.zeros(len(f.vars)) for f in factors]
 
@@ -170,7 +169,7 @@ class _SemiGroup:
         total = 0.0
         for i, f in enumerate(self.factors):
             eta = omega[self.vars[i]] + self.lam[i]
-            _, val = semi_markov_map(f.spans, eta, f.n, f.max_len,
+            _, val = semi_markov_map(f.spans, eta, f.n,
                                      table=self.proj[i].table)
             total += val
         return total
@@ -296,8 +295,7 @@ def _rounding_repair(graph: FactorGraph, p: np.ndarray) -> np.ndarray:
             continue
         if g.semis:
             f = g.semis[0]
-            chosen, _ = semi_markov_map(f.spans, g.theta[list(f.vars)],
-                                        f.n, f.max_len)
+            chosen, _ = semi_markov_map(f.spans, g.theta[list(f.vars)], f.n)
             on = {f.vars[k] for k in chosen}
             for v in f.vars:
                 decisions[inv[v]] = v in on

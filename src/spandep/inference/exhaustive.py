@@ -67,7 +67,7 @@ def brute_force_map(graph: FactorGraph) -> tuple[np.ndarray, float]:
         if name == "Implication":
             return not assign[f.a] or assign[f.b]
         covered = set()
-        for v, (i, j, _k) in zip(f.vars, f.spans):
+        for v, (i, j) in zip(f.vars, f.spans):
             if not assign[v]:
                 continue
             toks = set(range(i, j + 1))

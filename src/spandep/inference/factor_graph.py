@@ -69,9 +69,8 @@ class Pair:
 @dataclass(frozen=True)
 class SemiMarkov:
     vars: tuple[int, ...]
-    spans: tuple[tuple[int, int, object], ...]
+    spans: tuple[tuple[int, int], ...]   # (start, end) of each variable
     n: int
-    max_len: int
 
 
 # no settings; kept only because perfbench/checks.py:21 imports it
@@ -165,12 +164,12 @@ class FactorView(Sequence):
 
 
 class FactorGraph:
-    """Unary scores, one label per variable, and the factors as index
-    arrays.  Construct from factor dataclasses, or with ``from_arrays``."""
+    """Unary scores and the factors as index arrays.  Construct from
+    factor dataclasses, or with ``from_arrays``."""
 
-    def __init__(self, theta, labels: tuple, xors=(), imps=(), pairs=(),
-                 semis=(), offset: float = 0.0):
-        self._setup(theta, labels, Rows.of(xors),
+    def __init__(self, theta, xors=(), imps=(), pairs=(), semis=(),
+                 offset: float = 0.0):
+        self._setup(theta, Rows.of(xors),
                     _ids(f.a for f in imps), _ids(f.b for f in imps),
                     _ids(f.a for f in pairs), _ids(f.b for f in pairs),
                     np.array([f.score for f in pairs], dtype=float),
@@ -183,7 +182,7 @@ class FactorGraph:
             raise ValueError(f"variable {self._slots[bad][0]} out of range")
 
     @classmethod
-    def from_arrays(cls, theta, labels: tuple, xor: Rows,
+    def from_arrays(cls, theta, xor: Rows,
                     imp_a: np.ndarray, imp_b: np.ndarray,
                     pair_a: np.ndarray, pair_b: np.ndarray,
                     pair_score: np.ndarray, semis: tuple = (),
@@ -191,28 +190,25 @@ class FactorGraph:
         """A graph over index arrays that are in range by construction, as
         ``build_factor_graph``, ``clamp_graph`` and ``peel`` make them."""
         graph = cls.__new__(cls)
-        graph._setup(theta, labels, xor, imp_a, imp_b, pair_a, pair_b,
+        graph._setup(theta, xor, imp_a, imp_b, pair_a, pair_b,
                      pair_score, semis, offset)
         return graph
 
-    def _setup(self, theta, labels, xor, imp_a, imp_b, pair_a, pair_b,
+    def _setup(self, theta, xor, imp_a, imp_b, pair_a, pair_b,
                pair_score, semis, offset) -> None:
         self.theta = np.asarray(theta, dtype=float)
-        self.labels = labels
         self.xor = xor
         self.imp_a, self.imp_b = imp_a, imp_b
         self.pair_a, self.pair_b, self.pair_score = pair_a, pair_b, pair_score
         self.semis = semis
         self.offset = offset
-        if len(self.labels) != self.nvars:
-            raise ValueError("labels length != variable count")
 
     @cached_property
     def _semi(self) -> list:
         """(variables, starts, ends) arrays per segmentation factor."""
         return [(np.array(f.vars, dtype=int),
-                 np.array([i for i, _j, _k in f.spans], dtype=int),
-                 np.array([j for _i, j, _k in f.spans], dtype=int))
+                 np.array([i for i, _j in f.spans], dtype=int),
+                 np.array([j for _i, j in f.spans], dtype=int))
                 for f in self.semis]
 
     @cached_property
@@ -373,9 +369,9 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
         semis = tuple(f for f in graph.semis if f.vars)
         if len(semis) < len(graph.semis):
             graph = FactorGraph.from_arrays(
-                graph.theta, graph.labels, graph.xor, graph.imp_a,
-                graph.imp_b, graph.pair_a, graph.pair_b, graph.pair_score,
-                semis, graph.offset)
+                graph.theta, graph.xor, graph.imp_a, graph.imp_b,
+                graph.pair_a, graph.pair_b, graph.pair_score, semis,
+                graph.offset)
         return ClampResult(graph, {}, np.arange(n))
 
     state = np.full(n, FREE, dtype=np.int8)
@@ -416,11 +412,10 @@ def clamp_graph(graph: FactorGraph, fixed: Mapping[int, bool]) -> ClampResult:
             semis.append(SemiMarkov(
                 tuple(new[vars_[kept]].tolist()),
                 tuple(sp for sp, k in zip(f.spans, kept.tolist()) if k),
-                f.n, f.max_len))
+                f.n))
 
-    labels = tuple(graph.labels[v] for v in free.tolist())
     reduced = FactorGraph.from_arrays(
-        theta, labels, xor, new[graph.imp_a[imp]], new[graph.imp_b[imp]],
+        theta, xor, new[graph.imp_a[imp]], new[graph.imp_b[imp]],
         new[graph.pair_a[both_free]], new[graph.pair_b[both_free]],
         graph.pair_score[both_free], tuple(semis), offset)
     return ClampResult(reduced, forced, free)
@@ -441,7 +436,6 @@ def build_factor_graph(space: CandidateSpace,
     parts = space.parts
     first = 0 if include_frames else space.head_ids.start
     stop = space.cross_ids.start
-    labels = parts[first:stop]
 
     def var(ids: range) -> np.ndarray:
         return np.arange(ids.start - first, ids.stop - first)
@@ -459,10 +453,9 @@ def build_factor_graph(space: CandidateSpace,
             args = parts[space.argument_ids.start:space.argument_ids.stop]
             arg_vars = var(space.argument_ids)
             imps.append((arg_vars, _ids(pred_of_frame[a.frame] for a in args)))
-            semis = (SemiMarkov(
-                tuple(arg_vars.tolist()),
-                tuple((a.start, a.end, (a.frame, a.role)) for a in args),
-                space.n, space.n),)
+            semis = (SemiMarkov(tuple(arg_vars.tolist()),
+                                tuple((a.start, a.end) for a in args),
+                                space.n),)
 
     if space.root_arc_ids:
         roots = var(space.root_arc_ids)
@@ -500,5 +493,5 @@ def build_factor_graph(space: CandidateSpace,
     imp_a, imp_b = (np.concatenate(x) for x in zip(*imps)) if imps else \
         (_NO_IDS, _NO_IDS)
     return FactorGraph.from_arrays(
-        space.scores[first:stop], labels, Rows.join(xors), imp_a, imp_b,
+        space.scores[first:stop], Rows.join(xors), imp_a, imp_b,
         pair_a, pair_b, pair_score, semis)

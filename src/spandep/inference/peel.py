@@ -143,7 +143,7 @@ def peel(graph: FactorGraph) -> Peeled:
         # everything folded; pair and segmentation factors are never folded
         # and would have kept their variables, so none is left
         return Peeled(FactorGraph.from_arrays(
-            np.zeros(0), (), NO_ROWS, *[np.zeros(0, dtype=int)] * 4,
+            np.zeros(0), NO_ROWS, *[np.zeros(0, dtype=int)] * 4,
             np.zeros(0), (), offset), keep, steps, graph.nvars)
     new = np.full(graph.nvars, -1)
     new[keep] = np.arange(len(keep))
@@ -151,12 +151,12 @@ def peel(graph: FactorGraph) -> Peeled:
     xor_rows[xors] = True
     imp = np.array([k for k, _ in imps], dtype=int)
     core = FactorGraph.from_arrays(
-        np.array(theta)[keep], tuple(graph.labels[v] for v in keep.tolist()),
+        np.array(theta)[keep],
         graph.xor.select(xor_rows, np.ones(len(graph.xor.var), dtype=bool),
                          new),
         new[graph.imp_a[imp]], new[graph.imp_b[imp]],
         new[graph.pair_a], new[graph.pair_b], graph.pair_score,
-        tuple(SemiMarkov(tuple(new[list(f.vars)].tolist()), f.spans, f.n,
-                         f.max_len) for f in graph.semis),
+        tuple(SemiMarkov(tuple(new[list(f.vars)].tolist()), f.spans, f.n)
+              for f in graph.semis),
         offset)
     return Peeled(core, keep, steps, graph.nvars)

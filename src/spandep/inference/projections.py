@@ -92,12 +92,11 @@ class SemiMarkovProjector:
     tuples with their indicator columns cached in ``self.basis``.
     """
 
-    def __init__(self, spans, n: int, max_len: int):
+    def __init__(self, spans, n: int):
         self.spans = tuple(spans)
         self.n = n
-        self.max_len = max_len
         self.m = len(self.spans)
-        self.table = SpanTable(self.spans, n, max_len)
+        self.table = SpanTable(self.spans, n)
         self.vertices: list[tuple[int, ...]] = []
         self.basis = np.zeros((self.m, 0))
         self.mu = np.zeros(0)
@@ -158,7 +157,7 @@ class SemiMarkovProjector:
         if self.m == 0:
             return np.zeros(0)
         if not self.vertices:
-            chosen, _ = semi_markov_map(self.spans, z, self.n, self.max_len,
+            chosen, _ = semi_markov_map(self.spans, z, self.n,
                                         table=self.table)
             self._add_vertex(chosen, self._vertex(chosen))
             self.mu[:] = 1.0
@@ -169,7 +168,7 @@ class SemiMarkovProjector:
             x = self.basis @ self.mu
             grad = x - z
             chosen, _ = semi_markov_map(self.spans, -grad, self.n,
-                                        self.max_len, table=self.table)
+                                        table=self.table)
             v = self._vertex(chosen)
             if grad @ x - grad @ v <= tol * (1.0 + abs(grad @ x)):
                 break

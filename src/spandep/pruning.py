@@ -1,13 +1,13 @@
 """Pretrained lightweight pruners for argument spans and dependency arcs.
 
 Both pruners share one reduced-size model: an encoder at the small preset
-plus two unlabeled heads.  The span head scores candidate spans for a
-semi-Markov segmentation model trained by maximum likelihood with roles
-collapsed to a single is-argument label; its posteriors gate spans at the
-1/n² threshold, under the length cap ``ModelConfig.max_span_len`` that the
-pruner's checkpoint records.  The arc head is an independent per-arc
-logistic model; its sigmoid posteriors gate arcs by per-dependent top-K
-with a floor.
+plus two unlabeled heads.  The span head scores the (start, end) pairs that
+``enumerate_spans`` lists under the length cap ``ModelConfig.max_span_len``
+(which the pruner's checkpoint records), one item per span with roles
+collapsed, for a semi-Markov segmentation model trained by maximum
+likelihood; its posteriors gate spans at the 1/n² threshold.  The arc
+head is an independent per-arc logistic model; its sigmoid posteriors gate
+arcs by per-dependent top-K with a floor.
 
 Boundary convention throughout: a posterior exactly equal to a threshold
 is retained.
@@ -176,8 +176,7 @@ class PrunerModel:
         n, cap = len(sentence), self.config.max_span_len
         spans = enumerate_spans(n, cap)
         node = self.span_scores(Graph(), sentence, target, spans)
-        items = [(i, j, "arg") for i, j in spans]
-        _, post = semi_markov_marginals(items, node.value, n, cap)
+        _, post = semi_markov_marginals(spans, node.value, n)
         return spans, post
 
     # --- arc head ---------------------------------------------------------
@@ -235,8 +234,7 @@ def span_nll(g: Graph, pruner: PrunerModel, sentence: Sentence,
                   if j - i + 1 <= cap)
     scores = pruner.span_scores(g, sentence, parse.target, spans,
                                 rng=rng, training=training)
-    items = [(i, j, "arg") for i, j in spans]
-    return nll_node(g, scores, items, n, cap, gold)
+    return nll_node(g, scores, spans, n, gold)
 
 
 def _arc_nll(g: Graph, pruner: PrunerModel, sentence: Sentence,

@@ -334,9 +334,10 @@ def train(model: ParserModel,
           log_path=None) -> TrainResult:
     """Run the full training loop and restore the best-dev-F1 parameters.
 
-    Candidate spaces and word dropout come from ``model.config``.  Without
-    a frame dev set there is nothing to select on, so the final parameters
-    are kept as-is.
+    Candidate spaces and word dropout come from ``model.config``.  A gold
+    structure with a part outside its instance's space is an error naming
+    the instance, raised before the first step.  Without a frame dev set
+    there is nothing to select on, so the final parameters are kept as-is.
     """
     rng = np.random.default_rng(config.seed)
     model.store.l2 = config.l2
@@ -349,6 +350,15 @@ def train(model: ParserModel,
     dm_insts = dm_instances(dm_train, dm_lim)
     if not (fn_insts or ex_insts or dm_insts):
         raise SpandepError("no training instances")
+    for inst in (*fn_insts, *ex_insts, *dm_insts):
+        try:
+            if isinstance(inst, FnInstance):
+                frame_parts(inst.space, inst.parse)
+            else:
+                dep_parts(inst.space, inst.graph)
+        except SpandepError as err:
+            raise SpandepError(f"training instance {inst.id!r}: {err}") \
+                from None
     dev_fn_spaces = [i.space for i in fn_instances(fn_dev, model.ontology,
                                                    fn_lim)]
     dev_dm_spaces = [i.space for i in dm_instances(dm_dev, dm_lim)]

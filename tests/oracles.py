@@ -177,43 +177,40 @@ def lstm_by_cells(g, rows, w, b, reverse=False):
     return [out[t] for t in range(len(rows))]
 
 
-def enumerate_segmentations(spans, n, max_len):
+def enumerate_segmentations(spans, n):
     """Yield every feasible index subset (as a tuple) of non-overlapping
-    spans obeying the length cap, including the empty tuple."""
-    usable = [idx for idx, (i, j, _k) in enumerate(spans) if j - i + 1 <= max_len]
+    spans, including the empty tuple."""
 
     def extend(prefix, covered, rest):
         yield tuple(prefix)
         for pos, idx in enumerate(rest):
-            i, j, _k = spans[idx]
+            i, j = spans[idx]
             if any(t in covered for t in range(i, j + 1)):
                 continue
             yield from extend(prefix + [idx], covered | set(range(i, j + 1)),
                               rest[pos + 1:])
 
-    yield from extend([], set(), usable)
+    yield from extend([], set(), list(range(len(spans))))
 
 
-def map_by_enumeration(spans, scores, n, max_len):
+def map_by_enumeration(spans, scores, n):
     """(best subset, best value) over all feasible segmentations."""
     best_val = 0.0
     best = ()
-    for subset in enumerate_segmentations(spans, n, max_len):
+    for subset in enumerate_segmentations(spans, n):
         val = sum(scores[i] for i in subset)
         if val > best_val + 1e-12:
             best_val, best = val, subset
     return best, best_val
 
 
-def semi_markov_map_by_lists(spans, scores, n, max_len):
+def semi_markov_map_by_lists(spans, scores, n):
     """The list-based semi-Markov MAP, rebuilding its cell index on every
     call: the reference for ``semi_markov_map`` down to its tie-breaking
     (per cell the best item, earliest index on ties; at each token, among
     equal totals, fewer segments, then skipping, then the earliest start)."""
     cell = {}
-    for idx, (i, j, _k) in enumerate(spans):
-        if j - i + 1 > max_len:
-            continue
+    for idx, (i, j) in enumerate(spans):
         cur = cell.get((i, j))
         if cur is None or scores[idx] > scores[cur]:
             cell[(i, j)] = idx
@@ -255,7 +252,7 @@ def check_assignment_by_loops(graph, active):
             return False
     for f in graph.semis:
         covered = set()
-        for v, (i, j, _k) in zip(f.vars, f.spans):
+        for v, (i, j) in zip(f.vars, f.spans):
             if not active[v]:
                 continue
             toks = set(range(i, j + 1))
@@ -276,31 +273,33 @@ def objective_by_loops(graph, active):
     return val
 
 
-def log_partition_by_enumeration(spans, scores, n, max_len):
+def log_partition_by_enumeration(spans, scores, n):
     total = [sum(scores[i] for i in subset)
-             for subset in enumerate_segmentations(spans, n, max_len)]
+             for subset in enumerate_segmentations(spans, n)]
     m = max(total)
     return m + math.log(sum(math.exp(t - m) for t in total))
 
 
-def marginals_by_enumeration(spans, scores, n, max_len):
-    logz = log_partition_by_enumeration(spans, scores, n, max_len)
+def marginals_by_enumeration(spans, scores, n):
+    logz = log_partition_by_enumeration(spans, scores, n)
     post = np.zeros(len(spans))
-    for subset in enumerate_segmentations(spans, n, max_len):
+    for subset in enumerate_segmentations(spans, n):
         w = math.exp(sum(scores[i] for i in subset) - logz)
         for i in subset:
             post[i] += w
     return logz, post
 
 
-def random_span_problem(rng, n_max=8, max_len=3, n_keys=2, scale=2.0):
-    """A random labeled-span scoring problem small enough to enumerate."""
+def random_span_problem(rng, n_max=8, max_width=4, copies=2, scale=2.0):
+    """A random span scoring problem small enough to enumerate: spans up to
+    ``max_width`` tokens wide, each listed 1 to ``copies`` times (as a span
+    is once per role), about a fifth of them dropped."""
     n = int(rng.integers(1, n_max + 1))
     spans = []
     for i in range(n):
-        for j in range(i, min(n, i + max_len + 1)):  # a few over-long spans too
-            for k in range(int(rng.integers(1, n_keys + 1))):
-                spans.append((i, j, f"k{k}"))
+        for j in range(i, min(n, i + max_width)):
+            for _ in range(int(rng.integers(1, copies + 1))):
+                spans.append((i, j))
     keep = rng.random(len(spans)) < 0.8
     spans = [s for s, m in zip(spans, keep) if m]
     scores = rng.normal(scale=scale, size=len(spans))
@@ -328,9 +327,9 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
     xors = [Xor(tuple(core[:3]), neg(3))]
     pairs = [Pair(core[0], core[-1], float(rng.normal(scale=2.0))),
              Pair(core[2], core[1], float(rng.normal(scale=2.0)))]
-    spans = [(int(i), int(i) + int(rng.integers(0, 2)), "s")
+    spans = [(int(i), int(i) + int(rng.integers(0, 2)))
              for i in rng.integers(0, n_tokens - 1, size=n_core)]
-    semis = [SemiMarkov(tuple(core), tuple(spans), n_tokens, 2)]
+    semis = [SemiMarkov(tuple(core), tuple(spans), n_tokens)]
     imps = []
     for _ in range(n_trees):
         r = core[int(rng.integers(0, n_core))]
@@ -351,8 +350,8 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
     xors.append(Xor(tuple(top), neg(len(top))))
     new()  # isolated
     theta = rng.normal(scale=1.5, size=nv[0])
-    return FactorGraph(theta, tuple(range(nv[0])), tuple(xors), tuple(imps),
-                       tuple(pairs), tuple(semis), float(rng.normal()))
+    return FactorGraph(theta, tuple(xors), tuple(imps), tuple(pairs),
+                       tuple(semis), float(rng.normal()))
 
 
 def mask_objective(space, active):
@@ -493,10 +492,10 @@ def build_factor_graph_by_parts(space, include_frames=True):
             imps.append(Implication(var_of_part[pid],
                                     pred_var_of_frame[a.frame]))
             arg_vars.append(var_of_part[pid])
-            arg_spans.append((a.start, a.end, (a.frame, a.role)))
+            arg_spans.append((a.start, a.end))
         if arg_vars:
             semis.append(SemiMarkov(tuple(arg_vars), tuple(arg_spans),
-                                    space.n, space.n))
+                                    space.n))
     if space.root_arc_ids:
         root_vars = tuple(var_of_part[p] for p in space.root_arc_ids)
         xors.append(Xor(root_vars, (False,) * len(root_vars)))
@@ -517,9 +516,8 @@ def build_factor_graph_by_parts(space, include_frames=True):
             c = space.parts[cid]
             pairs.append(Pair(var_of_part[c.arg_id], var_of_part[c.arc_id],
                               float(space.scores[cid])))
-    return FactorGraph(space.scores[keep].copy(),
-                       tuple(space.parts[p] for p in keep), tuple(xors),
-                       tuple(imps), tuple(pairs), tuple(semis))
+    return FactorGraph(space.scores[keep].copy(), tuple(xors), tuple(imps),
+                       tuple(pairs), tuple(semis))
 
 
 def clamp_by_loops(graph, fixed):
@@ -565,13 +563,13 @@ def clamp_by_loops(graph, fixed):
                 changed |= assign(f.a, False)
         for f in graph.semis:
             blocked = set()
-            for v, (i, j, _k) in zip(f.vars, f.spans):
+            for v, (i, j) in zip(f.vars, f.spans):
                 if val.get(v):
                     toks = set(range(i, j + 1))
                     if blocked & toks:
                         raise Infeasible("overlapping clamped spans")
                     blocked |= toks
-            for v, (i, j, _k) in zip(f.vars, f.spans):
+            for v, (i, j) in zip(f.vars, f.spans):
                 if v not in val and blocked & set(range(i, j + 1)):
                     changed |= assign(v, False)
 
@@ -609,9 +607,7 @@ def clamp_by_loops(graph, fixed):
         kept = [(new[v], sp) for v, sp in zip(f.vars, f.spans) if v not in val]
         if kept:
             semis.append(SemiMarkov(tuple(v for v, _ in kept),
-                                    tuple(sp for _, sp in kept),
-                                    f.n, f.max_len))
-    reduced = FactorGraph(theta, tuple(graph.labels[v] for v in free_vars),
-                          tuple(xors), tuple(imps), tuple(pairs),
+                                    tuple(sp for _, sp in kept), f.n))
+    reduced = FactorGraph(theta, tuple(xors), tuple(imps), tuple(pairs),
                           tuple(semis), offset)
     return reduced, val, np.array(free_vars, dtype=int)

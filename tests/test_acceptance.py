@@ -101,12 +101,12 @@ def test_criterion_02_semi_markov_dp():
         from .oracles import random_span_problem
         rng = np.random.default_rng(7)
         for _ in range(50):
-            spans, scores, n = random_span_problem(rng, n_max=8, max_len=3)
-            _, got_val = semi_markov_map(spans, scores, n, 3)
-            _, want_val = map_by_enumeration(spans, scores, n, 3)
+            spans, scores, n = random_span_problem(rng, n_max=8, max_width=4)
+            _, got_val = semi_markov_map(spans, scores, n)
+            _, want_val = map_by_enumeration(spans, scores, n)
             assert got_val == pytest.approx(want_val, abs=1e-6)
-            got_lz, got_post = semi_markov_marginals(spans, scores, n, 3)
-            want_lz, want_post = marginals_by_enumeration(spans, scores, n, 3)
+            got_lz, got_post = semi_markov_marginals(spans, scores, n)
+            want_lz, want_post = marginals_by_enumeration(spans, scores, n)
             assert got_lz == pytest.approx(want_lz, abs=1e-8)
             np.testing.assert_allclose(got_post, want_post, atol=1e-8)
 

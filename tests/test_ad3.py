@@ -32,13 +32,13 @@ from .oracles import assert_joint_feasible, mask_objective
 
 class TestFixtures:
     def test_single_variable_by_sign(self):
-        on = ad3_solve(FactorGraph(np.array([1.0]), ("a",)))
+        on = ad3_solve(FactorGraph(np.array([1.0])))
         assert on.active.tolist() == [True] and on.objective == 1.0
-        off = ad3_solve(FactorGraph(np.array([-1.0]), ("a",)))
+        off = ad3_solve(FactorGraph(np.array([-1.0])))
         assert off.active.tolist() == [False] and off.objective == 0.0
 
     def test_xor_argmax(self):
-        g = FactorGraph(np.array([1.0, 3.0, 2.0]), ("a", "b", "c"),
+        g = FactorGraph(np.array([1.0, 3.0, 2.0]),
                         xors=(Xor((0, 1, 2), (False,) * 3),))
         res = ad3_solve(g)
         assert res.active.tolist() == [False, True, False]
@@ -46,22 +46,22 @@ class TestFixtures:
         assert res.status == "exact"
 
     def test_semi_markov_factor(self):
-        spans = ((0, 0, "x"), (1, 1, "y"), (0, 1, "z"))
-        g = FactorGraph(np.array([1.0, 1.0, 2.5]), ("a", "b", "c"),
-                        semis=(SemiMarkov((0, 1, 2), spans, 2, 2),))
+        spans = ((0, 0), (1, 1), (0, 1))
+        g = FactorGraph(np.array([1.0, 1.0, 2.5]),
+                        semis=(SemiMarkov((0, 1, 2), spans, 2),))
         res = ad3_solve(g)
         assert res.objective == pytest.approx(2.5)
         assert res.active.tolist() == [False, False, True]
 
     def test_status_exact_has_certificate(self):
-        g = FactorGraph(np.array([0.5, 1.5]), ("a", "b"),
+        g = FactorGraph(np.array([0.5, 1.5]),
                         xors=(Xor((0, 1), (False, False)),))
         res = ad3_solve(g)
         assert res.status == "exact"
         assert res.objective >= res.dual - 1e-6
 
     def test_fixed_pins_variables(self):
-        g = FactorGraph(np.array([5.0, 1.0]), ("a", "b"),
+        g = FactorGraph(np.array([5.0, 1.0]),
                         xors=(Xor((0, 1), (False, False)),))
         res = ad3_solve(g, fixed={0: False})
         assert res.active.tolist() == [False, True]
@@ -142,7 +142,7 @@ class TestDecode:
                      gold_parse=gold)
         fg = build_factor_graph(space)
         gold_set = frame_parts(space, gold)
-        fixed = {v: fg.labels[v] in gold_set
+        fixed = {v: space.parts[v] in gold_set
                  for v in range(space.head_ids.start)}
         cr = clamp_graph(fg, fixed)
         _, sub_val = brute_force_map(cr.graph)

@@ -290,6 +290,19 @@ class TestTrainPredictRoundTrip:
         assert rc == 0, capsys.readouterr().err
         assert model_path.exists()
 
+    def test_wrong_width_embeddings_exit_one(self, paths, corpus, capsys):
+        emb = paths["dir"] / "vectors.txt"
+        word = corpus["fn_train"][0].forms[0]
+        emb.write_text(f"{word} 0.1 0.2 0.3\n", encoding="utf-8")
+        model_path = paths["dir"] / "emb-model.zip"
+        rc = cli(self.train_args(paths, model_path,
+                                 ("--embeddings", str(emb))))
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{emb}:1: vectors are 3-dimensional but the encoder " \
+            f"expects {ModelConfig().word_dim}" in err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("flag", ["--no-cross-task", "--no-joint"])
     def test_predict_decodes_the_trained_space(self, paths, corpus, flag,
                                                capsys, monkeypatch):

@@ -21,26 +21,24 @@ from .oracles import assert_joint_feasible, mask_objective, milp_map
 
 class TestBruteForce:
     def test_empty_graph(self):
-        active, val = brute_force_map(FactorGraph(np.array([]), ()))
+        active, val = brute_force_map(FactorGraph(np.array([])))
         assert active.tolist() == [] and val == 0.0
 
     def test_pair_tie_prefers_fewer_parts(self):
-        g = FactorGraph(np.array([-1.0, -1.0]), ("a", "b"),
-                        pairs=(Pair(0, 1, 2.0),))
+        g = FactorGraph(np.array([-1.0, -1.0]), pairs=(Pair(0, 1, 2.0),))
         active, val = brute_force_map(g)
         assert val == pytest.approx(0.0)
         assert active.tolist() == [False, False]
 
     def test_pair_strictly_worth_it(self):
-        g = FactorGraph(np.array([-1.0, -1.0]), ("a", "b"),
-                        pairs=(Pair(0, 1, 2.5),))
+        g = FactorGraph(np.array([-1.0, -1.0]), pairs=(Pair(0, 1, 2.5),))
         active, val = brute_force_map(g)
         assert active.tolist() == [True, True]
         assert val == pytest.approx(0.5)
 
     def test_infeasible_raises(self):
         # exactly one of a/b must be on, but unary XORs force both off
-        g = FactorGraph(np.zeros(2), ("a", "b"),
+        g = FactorGraph(np.zeros(2),
                         xors=(Xor((0, 1), (False, False)),
                               Xor((0,), (True,)),
                               Xor((1,), (True,))))
@@ -49,13 +47,12 @@ class TestBruteForce:
 
     def test_size_cap(self):
         n = 30
-        g = FactorGraph(np.ones(n), tuple(range(n)),
-                        xors=(Xor(tuple(range(n)), (False,) * n),))
+        g = FactorGraph(np.ones(n), xors=(Xor(tuple(range(n)), (False,) * n),))
         with pytest.raises(SpandepError):
             brute_force_map(g)
 
     def test_unconstrained_vars_by_sign(self):
-        g = FactorGraph(np.array([0.5, -0.5, 2.0]), ("a", "b", "c"),
+        g = FactorGraph(np.array([0.5, -0.5, 2.0]),
                         xors=(Xor((0,), (False,)),))
         active, val = brute_force_map(g)
         assert active.tolist() == [True, False, True]

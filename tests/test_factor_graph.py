@@ -47,8 +47,16 @@ def joint_space(scores=None):
     return space.with_scores(scores)
 
 
-def var_of(fg):
-    return {part: v for v, part in enumerate(fg.labels)}
+def graph_parts(space, include_frames=True):
+    """The part of each variable of ``build_factor_graph(space,
+    include_frames)``: the space's parts from the first one (from the first
+    head part without frames) up to the cross-task parts."""
+    first = 0 if include_frames else space.head_ids.start
+    return space.parts[first:space.cross_ids.start]
+
+
+def var_of(space):
+    return {part: v for v, part in enumerate(graph_parts(space))}
 
 
 class TestConstruction:
@@ -66,18 +74,21 @@ class TestConstruction:
         assert len(fg.pairs) == len(space.cross_ids) == 15
 
     def test_frame_xor_size(self):
-        fg = build_factor_graph(joint_space())
+        space = joint_space()
+        fg = build_factor_graph(space)
         frames = [f for f in fg.xors if len(f.vars) == 2 and not any(f.neg)]
-        preds = {v for v, p in enumerate(fg.labels) if isinstance(p, Predicate)}
+        preds = {v for v, p in enumerate(graph_parts(space))
+                 if isinstance(p, Predicate)}
         assert any(set(f.vars) == preds for f in frames)
 
     def test_label_xor_negates_only_the_arc(self):
-        fg = build_factor_graph(joint_space())
+        space = joint_space()
+        fg = build_factor_graph(space)
         arc_xors = [f for f in fg.xors if any(f.neg)]
         assert len(arc_xors) == 6
         for f in arc_xors:
             assert f.neg[0] is True and not any(f.neg[1:])
-            assert isinstance(fg.labels[f.vars[0]], UnlabeledArc)
+            assert isinstance(graph_parts(space)[f.vars[0]], UnlabeledArc)
 
     def test_no_target_gives_dependency_graph_only(self):
         sent = make_sentence(["w0", "w1"])
@@ -85,13 +96,16 @@ class TestConstruction:
         limits = SpaceLimits(dep_labels=("a1",))
         space = build_candidate_space(sent, None, onto, limits)
         fg = build_factor_graph(space)
-        assert not any(isinstance(p, (Predicate, Argument)) for p in fg.labels)
+        assert not any(isinstance(p, (Predicate, Argument))
+                       for p in graph_parts(space))
+        assert fg.nvars == len(graph_parts(space))
         assert fg.semis == () and fg.pairs == ()
 
     def test_include_frames_false_drops_frame_side(self):
         space = joint_space()
         fg = build_factor_graph(space, include_frames=False)
-        assert not any(isinstance(p, (Predicate, Argument)) for p in fg.labels)
+        assert not any(isinstance(p, (Predicate, Argument))
+                       for p in graph_parts(space, include_frames=False))
         assert fg.pairs == () and fg.semis == ()
         assert fg.nvars == 3 + 6 + 3 + 12
 
@@ -100,7 +114,7 @@ class TestClamp:
     def test_frame_choice_propagates(self):
         space = joint_space()
         fg = build_factor_graph(space)
-        v = var_of(fg)
+        v = var_of(space)
         pred0 = v[Predicate((0, 0), "lu.v", "F0")]
         pred1 = v[Predicate((0, 0), "lu.v", "F1")]
         cr = clamp_graph(fg, {pred0: True})
@@ -110,40 +124,37 @@ class TestClamp:
                 assert cr.forced[vid] is False
 
     def test_two_true_in_xor_is_infeasible(self):
-        g = FactorGraph(np.zeros(2), ("a", "b"),
-                        xors=(Xor((0, 1), (False, False)),))
+        g = FactorGraph(np.zeros(2), xors=(Xor((0, 1), (False, False)),))
         with pytest.raises(Infeasible):
             clamp_graph(g, {0: True, 1: True})
 
     def test_all_false_xor_is_infeasible(self):
-        g = FactorGraph(np.zeros(2), ("a", "b"),
-                        xors=(Xor((0, 1), (False, False)),))
+        g = FactorGraph(np.zeros(2), xors=(Xor((0, 1), (False, False)),))
         with pytest.raises(Infeasible):
             clamp_graph(g, {0: False, 1: False})
 
     def test_last_free_literal_forced_true(self):
-        g = FactorGraph(np.zeros(3), ("a", "b", "c"),
+        g = FactorGraph(np.zeros(3),
                         xors=(Xor((0, 1, 2), (False, False, False)),))
         cr = clamp_graph(g, {0: False, 1: False})
         assert cr.forced[2] is True
         assert cr.graph.nvars == 0
 
     def test_implication_propagates_both_ways(self):
-        g = FactorGraph(np.zeros(2), ("a", "b"), imps=(Implication(0, 1),))
+        g = FactorGraph(np.zeros(2), imps=(Implication(0, 1),))
         assert clamp_graph(g, {0: True}).forced[1] is True
         assert clamp_graph(g, {1: False}).forced[0] is False
 
     def test_semi_markov_blocks_overlaps(self):
-        spans = ((0, 1, "x"), (1, 2, "y"), (2, 2, "z"))
-        g = FactorGraph(np.zeros(3), ("a", "b", "c"),
-                        semis=(SemiMarkov((0, 1, 2), spans, 3, 3),))
+        spans = ((0, 1), (1, 2), (2, 2))
+        g = FactorGraph(np.zeros(3),
+                        semis=(SemiMarkov((0, 1, 2), spans, 3),))
         cr = clamp_graph(g, {0: True})
         assert cr.forced[1] is False
         assert 2 in cr.free  # (2,2) does not overlap (0,1)
 
     def test_pair_absorption(self):
-        g = FactorGraph(np.array([1.0, 2.0]), ("a", "b"),
-                        pairs=(Pair(0, 1, 0.25),))
+        g = FactorGraph(np.array([1.0, 2.0]), pairs=(Pair(0, 1, 0.25),))
         one = clamp_graph(g, {0: True})
         assert one.graph.theta[one.free.tolist().index(1)] == \
             pytest.approx(2.25)
@@ -156,14 +167,14 @@ class TestClamp:
             pytest.approx(2.0)
 
     def test_lift_round_trip(self):
-        g = FactorGraph(np.zeros(4), tuple("abcd"), imps=(Implication(0, 1),))
+        g = FactorGraph(np.zeros(4), imps=(Implication(0, 1),))
         cr = clamp_graph(g, {0: True})
         reduced = np.array([True, False])  # vars 2 and 3
         full = cr.lift(reduced)
         assert full.tolist() == [True, True, True, False]
 
     def test_objective_and_check(self):
-        g = FactorGraph(np.array([1.0, -0.5]), ("a", "b"),
+        g = FactorGraph(np.array([1.0, -0.5]),
                         xors=(Xor((0, 1), (False, False)),),
                         pairs=(Pair(0, 1, 3.0),), offset=0.25)
         on_first = np.array([True, False])
@@ -192,14 +203,14 @@ class TestFlatIndex:
         assert feasible > 0
 
     def test_semi_markov_overlap_at_a_shared_start(self):
-        spans = ((0, 2, "x"), (0, 0, "y"), (3, 3, "z"))
-        g = FactorGraph(np.zeros(3), tuple("abc"),
-                        semis=(SemiMarkov((0, 1, 2), spans, 4, 4),))
+        spans = ((0, 2), (0, 0), (3, 3))
+        g = FactorGraph(np.zeros(3),
+                        semis=(SemiMarkov((0, 1, 2), spans, 4),))
         assert not g.check_assignment(np.array([True, True, False]))
         assert g.check_assignment(np.array([True, False, True]))
 
     def test_degrees_count_every_slot(self):
-        g = FactorGraph(np.zeros(4), tuple("abcd"),
+        g = FactorGraph(np.zeros(4),
                         xors=(Xor((0, 1), (False, True)),
                               Xor((1, 2), (False, False))),
                         imps=(Implication(2, 3),),
@@ -211,7 +222,7 @@ class TestFlatIndex:
                     {"imps": (Implication(-1, 0),)},
                     {"pairs": (Pair(0, 2, 1.0),)}):
             with pytest.raises(ValueError, match="out of range"):
-                FactorGraph(np.zeros(2), ("a", "b"), **bad)
+                FactorGraph(np.zeros(2), **bad)
 
 
 class TestClampPassThrough:
@@ -222,8 +233,7 @@ class TestClampPassThrough:
         assert cr.lift(np.ones(g.nvars, dtype=bool)).all()
 
     def test_single_literal_xor_still_propagates(self):
-        g = FactorGraph(np.zeros(3), tuple("abc"),
-                        xors=(Xor((0,), (True,)),),
+        g = FactorGraph(np.zeros(3), xors=(Xor((0,), (True,)),),
                         imps=(Implication(1, 0),))
         cr = clamp_graph(g, {})
         assert cr.forced == {0: False, 1: False}
@@ -231,8 +241,7 @@ class TestClampPassThrough:
 
 
 def assert_same_graph(got, want):
-    """Same variables and factor arrays; offsets to rounding."""
-    assert got.labels == want.labels
+    """Same unary scores and factor arrays; offsets to rounding."""
     np.testing.assert_array_equal(got.theta, want.theta)
     for name in ("var", "neg", "ptr"):
         np.testing.assert_array_equal(getattr(got.xor, name),
@@ -291,7 +300,7 @@ class TestArraysMatchObjectBuild:
         gold = frame_parts(space, FrameParse(Target(1, 1, "lu.v"), "F1",
                                              frozenset({(2, 3, "R1"),
                                                         (0, 0, "R0")})))
-        fixed = {v: part in gold for v, part in enumerate(fg.labels)
+        fixed = {v: part in gold for v, part in enumerate(graph_parts(space))
                  if isinstance(part, (Predicate, Argument))}
         got = clamp_graph(fg, fixed)
         want, forced, free = clamp_by_loops(fg, fixed)

@@ -80,7 +80,7 @@ class TestPeel:
 
     def test_graph_without_leaves_passes_through(self):
         # every variable sits in the XOR and in two pairs
-        g = FactorGraph(np.array([0.5, -1.0, 2.0]), ("a", "b", "c"),
+        g = FactorGraph(np.array([0.5, -1.0, 2.0]),
                         xors=(Xor((0, 1, 2), (False, True, False)),),
                         pairs=(Pair(0, 1, 1.0), Pair(1, 2, -0.5),
                                Pair(0, 2, 0.25)))
@@ -91,7 +91,7 @@ class TestPeel:
 
     def test_chain_folds_into_one_variable(self):
         # label XOR on arc 1, arc 1 => head 0, nothing else: all peels
-        g = FactorGraph(np.array([-0.5, 0.25, 1.0, -2.0]), tuple("habc"),
+        g = FactorGraph(np.array([-0.5, 0.25, 1.0, -2.0]),
                         xors=(Xor((1, 2, 3), (True, False, False)),),
                         imps=(Implication(1, 0),))
         peeled = peel(g)
@@ -110,9 +110,10 @@ class TestFactorGraphStructure:
         for _ in range(20):
             space = random_joint_instance(rng)
             fg = build_factor_graph(space)
-            core = peel(clamp_graph(fg, {}).graph).core
+            cr = clamp_graph(fg, {})
+            keep = cr.free[peel(cr.graph).keep]  # variable v is part v
             t1 = space.target.start
-            for part in core.labels:
+            for part in (space.parts[v] for v in keep.tolist()):
                 head = getattr(part, "head", getattr(part, "token", t1))
                 assert isinstance(part, FRAME_PART_TYPES) or head == t1, part
             deps = build_factor_graph(space, include_frames=False)

@@ -116,11 +116,11 @@ def _simplex_proj_ref(v):
     return np.maximum(v - tau, 0)
 
 
-def segmentation_lp_oracle(z, spans, n, max_len):
+def segmentation_lp_oracle(z, spans, n):
     """Projection onto the hull via its vertex representation: projected
     gradient over the vertex-weight simplex."""
     verts = [np.zeros(len(spans))]
-    for subset in enumerate_segmentations(spans, n, max_len):
+    for subset in enumerate_segmentations(spans, n):
         v = np.zeros(len(spans))
         v[list(subset)] = 1.0
         verts.append(v)
@@ -143,28 +143,27 @@ def test_semimarkov_projection_vs_vertex_qp():
     rng = np.random.default_rng(23)
     for _ in range(15):
         n = int(rng.integers(1, 5))
-        spans = [(i, j, "a") for i in range(n)
-                 for j in range(i, min(n, i + 2))]
+        spans = [(i, j) for i in range(n) for j in range(i, min(n, i + 2))]
         z = rng.normal(scale=1.5, size=len(spans))
-        got = SemiMarkovProjector(spans, n, 2).project(z)
-        want = segmentation_lp_oracle(z, spans, n, 2)
+        got = SemiMarkovProjector(spans, n).project(z)
+        want = segmentation_lp_oracle(z, spans, n)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_semimarkov_projection_idempotent_on_vertex():
-    spans = [(0, 0, "a"), (1, 2, "a"), (1, 1, "b")]
+    spans = [(0, 0), (1, 2), (1, 1)]
     z = np.array([1.0, 1.0, 0.0])  # a feasible vertex already
-    got = SemiMarkovProjector(spans, 3, 3).project(z)
+    got = SemiMarkovProjector(spans, 3).project(z)
     np.testing.assert_allclose(got, z, atol=1e-9)
 
 
 def test_semimarkov_projector_warm_start_consistent():
     rng = np.random.default_rng(5)
     n = 4
-    spans = [(i, j, "a") for i in range(n) for j in range(i, min(n, i + 2))]
-    proj = SemiMarkovProjector(spans, n, 2)
+    spans = [(i, j) for i in range(n) for j in range(i, min(n, i + 2))]
+    proj = SemiMarkovProjector(spans, n)
     for _ in range(10):
         z = rng.normal(scale=2, size=len(spans))
         warm = proj.project(z)
-        cold = SemiMarkovProjector(spans, n, 2).project(z)
+        cold = SemiMarkovProjector(spans, n).project(z)
         np.testing.assert_allclose(warm, cold, atol=1e-6)

@@ -34,7 +34,7 @@ from spandep.pruning import (
     span_threshold,
 )
 
-from .oracles import concat_affine
+from .oracles import concat_affine, marginals_by_enumeration
 
 ONT = Ontology({"sit.v": ("Rest",)}, {"Rest": ("Agent", "Place")})
 
@@ -225,6 +225,30 @@ class TestSpanPruner:
         assert all(j - i + 1 <= 2 for i, j in res.retained)
         assert res.report.candidate_total == len(spans)
         assert res.report.gold_retained == 0
+
+    @pytest.mark.parametrize("n, cap, args", [
+        (1, 20, []),
+        (3, 20, [(0, 1, "Agent")]),
+        (5, 2, [(0, 1, "Agent"), (3, 3, "Place")]),
+        (7, 3, [(0, 2, "Agent"), (4, 5, "Place")]),
+        (7, 20, [(1, 5, "Agent")]),
+    ], ids=["n1", "n3", "n5-cap2", "n7-cap3", "n7"])
+    def test_dp_on_model_scores_matches_enumeration(self, n, cap, args):
+        """Posteriors and NLL from the pruner's own span scores, against
+        enumerating every segmentation of the spans it enumerates."""
+        sent = fn_sentence([f"w{i}" for i in range(n)], (n - 1, n - 1), args)
+        target = Target(n - 1, n - 1, "sit.v")
+        pruner = PrunerModel.build([sent], np.random.default_rng(n),
+                                   config=replace(TINY, max_span_len=cap))
+        pruner.store.values["pr.span.w"] *= 20.0  # spread the scores
+        spans, post = pruner.span_posteriors(sent, target)
+        scores = pruner.span_scores(Graph(), sent, target, spans).value
+        assert spans == enumerate_spans(n, cap)
+        logz, want = marginals_by_enumeration(spans, scores, n)
+        np.testing.assert_allclose(post, want, rtol=0, atol=1e-9)
+        loss = span_nll(Graph(), pruner, sent, sent.supervision.parses[0])
+        gold = sum(scores[spans.index((i, j))] for i, j, _ in args)
+        assert float(loss.value) == pytest.approx(logz - gold, abs=1e-9)
 
 
 class TestArcPruner:

@@ -478,6 +478,49 @@ class TestTrainLoop:
         with pytest.raises(SpandepError, match="no training instances"):
             train(model, [], [], config=TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("where", ["fn_train", "fn_exemplar",
+                                       "dm_train"])
+    def test_gold_outside_the_space_fails_before_training(self, where,
+                                                          monkeypatch):
+        """A gold argument over the 20-token cap, or a gold arc label the
+        model does not know, names its instance before any loss runs."""
+        import spandep.training as tr
+        ont = Ontology({"lu.v": ("F0",)}, {"F0": ("R0",)})
+        target = Target(0, 0, "lu.v")
+
+        def fn(id, args):
+            parse = FrameParse(target, "F0", frozenset(args))
+            return make_sentence([f"w{t}" for t in range(23)], id=id,
+                                 supervision=FrameAnnotations((parse,)))
+
+        def dm(id, label):
+            graph = DependencyGraph(frozenset({(0, 1, label)}), top=0)
+            return make_sentence(["w0", "w1"], id=id, supervision=graph)
+
+        ok_fn, ok_dm = fn("ok", {(1, 20, "R0")}), dm("ok-dm", "a")
+        data = {"fn_train": [ok_fn], "fn_exemplar": [], "dm_train": [ok_dm]}
+        if where == "dm_train":
+            data[where].append(dm("bad", "b"))
+            want = "training instance 'bad': .*LabeledArc"
+        else:
+            data[where].append(fn("bad", {(1, 22, "R0")}))
+            want = r"training instance 'bad#0-0': .*start=1, end=22"
+        model = ParserModel.build(TINY, ont, ("a",), [ok_fn, ok_dm],
+                                  np.random.default_rng(0))
+        before = {k: v.copy() for k, v in model.store.values.items()}
+        calls = []
+        monkeypatch.setattr(tr, "latent_hinge_loss",
+                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(tr, "sdp_hinge_loss",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(SpandepError, match=want):
+            train(model, data["fn_train"], data["dm_train"],
+                  fn_exemplar=data["fn_exemplar"],
+                  config=TrainConfig(max_epochs=1, exemplar_fraction=1.0))
+        assert calls == []
+        for k, v in model.store.values.items():
+            np.testing.assert_array_equal(v, before[k])
+
     def test_nonfinite_loss_names_instance(self, monkeypatch):
         import spandep.training as tr
         c = small_corpus(n_fn=2, n_dm=0, n_dm_dev=0)
