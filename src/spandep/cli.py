@@ -227,17 +227,18 @@ def cmd_predict(args) -> int:
     members = _load_members(args)
     if args.format == "fn":
         sentences = read_frames(args.input, members[0].ontology)
-        pred, uncertified = frame_predictions(members, sentences)
-        decodes = sum(len(s.supervision.parses) for s in sentences)
+        pred, uncertified, sizes = frame_predictions(members, sentences)
         write_frames(pred, args.output)
     else:
         sentences = read_sdp(args.input)
-        pred, uncertified = dependency_predictions(members, sentences)
-        decodes = len(sentences)
+        pred, uncertified, sizes = dependency_predictions(members, sentences)
         write_sdp(pred, args.output)
     print(f"wrote {len(sentences)} sentences to {args.output}")
-    print(f"{uncertified} of {decodes} decodes not certified exact",
+    print(f"{uncertified} of {len(sizes)} decodes not certified exact",
           file=sys.stderr)
+    if sizes:
+        print(f"candidate parts per space: mean {sum(sizes) / len(sizes):.1f}"
+              f", max {max(sizes)}", file=sys.stderr)
     return 0
 
 

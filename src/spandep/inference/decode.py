@@ -16,6 +16,7 @@ import numpy as np
 from ..parts import (
     FN_COST,
     FP_COST,
+    SPACE_ARRAYS,
     CandidateSpace,
     DependencyGraph,
     FrameParse,
@@ -71,7 +72,7 @@ def decode(space: CandidateSpace,
         fixed = dict(enumerate(gold[:space.head_ids.start].tolist()))
 
     res = ad3_solve(fg, fixed=fixed)
-    active = np.zeros(len(space.parts), dtype=bool)
+    active = np.zeros(len(space), dtype=bool)
     active[structural] = res.active
     space.close_pairs(active)
     parse, graph = assemble_structures(space, active)
@@ -102,7 +103,7 @@ def cost_augment(space: CandidateSpace, gold: np.ndarray, *,
     if len(outside):
         raise SpandepError("gold parts outside cost scope: "
                            f"{sorted(str(space.parts[i]) for i in outside)}")
-    shift = np.zeros(len(space.parts))
+    shift = np.zeros(len(space))
     shift[lo:hi] = np.where(gold[lo:hi], -FN_COST, FP_COST)
     return space.with_scores(space.scores + shift)
 
@@ -117,8 +118,10 @@ def drop_sparse_cross_task(space: CandidateSpace, tol: float = 1e-3) -> Candidat
     keep = np.abs(space.scores[start:]) > tol
     if keep.all():
         return space
-    kept = np.flatnonzero(keep) + start
-    parts = space.parts[:start] + tuple(space.parts[i] for i in kept.tolist())
-    scores = np.concatenate((space.scores[:start], space.scores[kept]))
-    return CandidateSpace(space.sentence, space.target, space.frames,
-                          parts, scores)
+    arrays = {name: getattr(space, name) for name in SPACE_ARRAYS}
+    arrays["cross_arg"] = space.cross_arg[keep]
+    arrays["cross_arc"] = space.cross_arc[keep]
+    scores = np.concatenate((space.scores[:start], space.scores[start:][keep]))
+    return CandidateSpace.from_arrays(space.sentence, space.target,
+                                      space.frames, space.roles, space.labels,
+                                      scores, **arrays)

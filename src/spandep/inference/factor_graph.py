@@ -22,7 +22,6 @@ latent-completion decoding and the branch-and-bound fallback in the solver.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -433,7 +432,6 @@ def build_factor_graph(space: CandidateSpace,
     arc-implies-head; one Pair factor per cross-task part.  The factors are
     filled as index arrays from the space's per-type id ranges.
     """
-    parts = space.parts
     first = 0 if include_frames else space.head_ids.start
     stop = space.cross_ids.start
 
@@ -447,14 +445,17 @@ def build_factor_graph(space: CandidateSpace,
     if include_frames and space.predicate_ids:
         preds = var(space.predicate_ids)
         xors.append((preds, np.zeros(len(preds), dtype=bool), [len(preds)]))
-        pred_of_frame = {parts[p].frame: v
-                         for p, v in zip(space.predicate_ids, preds.tolist())}
         if space.argument_ids:
-            args = parts[space.argument_ids.start:space.argument_ids.stop]
+            pred_of_frame = np.full(len(space.frames), -1)
+            pred_of_frame[space.pred_frame] = preds
+            arg_preds = pred_of_frame[space.arg_frame]
+            if (arg_preds < 0).any():
+                raise SpandepError("an argument's frame has no predicate part")
             arg_vars = var(space.argument_ids)
-            imps.append((arg_vars, _ids(pred_of_frame[a.frame] for a in args)))
+            imps.append((arg_vars, arg_preds))
             semis = (SemiMarkov(tuple(arg_vars.tolist()),
-                                tuple((a.start, a.end) for a in args),
+                                tuple(zip(space.arg_start.tolist(),
+                                          space.arg_end.tolist())),
                                 space.n),)
 
     if space.root_arc_ids:
@@ -462,10 +463,13 @@ def build_factor_graph(space: CandidateSpace,
         xors.append((roots, np.zeros(len(roots), dtype=bool), [len(roots)]))
 
     if space.arc_ids:
-        # per arc with labels: the negated arc, then its labels
+        # per arc with labels: the negated arc, then its labels in id order
+        # (labels of root arcs join no XOR)
         arcs = var(space.arc_ids)
-        label_lists = [space.labels_for_arc.get(pid, ()) for pid in space.arc_ids]
-        counts = _ids(map(len, label_lists))
+        own = space.lab_arc - space.arc_ids.start
+        order = np.argsort(own, kind="stable")
+        order = order[own[order] < len(arcs)]
+        counts = np.bincount(own[order], minlength=len(arcs))
         labeled = counts > 0
         sizes = counts[labeled] + 1
         ends = np.cumsum(sizes)
@@ -473,13 +477,12 @@ def build_factor_graph(space: CandidateSpace,
         neg[ends - sizes] = True
         lit = np.empty(len(neg), dtype=int)
         lit[neg] = arcs[labeled]
-        lit[~neg] = _ids(itertools.chain.from_iterable(label_lists)) - first
+        lit[~neg] = space.labeled_ids.start + order - first
         xors.append((lit, neg, sizes))
 
         head_var = -np.ones(space.n, dtype=int)
-        head_var[_ids(parts[i].token for i in space.head_ids)] = \
-            var(space.head_ids)
-        heads = head_var[_ids(parts[i].head for i in space.arc_ids)]
+        head_var[space.head_token] = var(space.head_ids)
+        heads = head_var[space.arc_head[:len(arcs)]]
         has_head = heads >= 0
         imps.append((arcs[has_head], heads[has_head]))
 

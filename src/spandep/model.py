@@ -138,59 +138,61 @@ class ParserModel:
                     rng: Optional[np.random.Generator] = None,
                     training: bool = False) -> SpaceScores:
         sc = self.scorers
-        parts = space.parts
-        if not parts:
+        if not len(space):
             return SpaceScores(g.input(np.zeros(0)), None)
         hs = self.encoder.encode(g, space.sentence, rng=rng, training=training)
 
         # the space lists its parts in group order, so the segments
         # concatenate into part-id order
         segments: list[Node] = []
-        terms = span_matrix = arc_rows = None
-        span_row: dict[tuple[int, int], int] = {}
+        terms = span_matrix = span_of = arc_rows = frame_ids = role_ids = None
         if space.predicate_ids:
             g_tgt = self.encoder.target_representation(g, hs, space.target)
             terms = sc.target_terms(g, g_tgt, sc.lu_vec(g, space.target.lu))
-            frames = [parts[i].frame for i in space.predicate_ids]
-            segments.append(sc.predicate_scores(g, frames, terms))
+            frame_ids = sc.ids("frame", space.frames)
+            segments.append(sc.predicate_scores(
+                g, frame_ids[space.pred_frame], terms))
 
         if space.argument_ids:
-            args = [parts[i] for i in space.argument_ids]
-            spans = sorted({a.span for a in args})
-            span_row = {s: k for k, s in enumerate(spans)}
+            # each distinct span once, in (start, end) order
+            n = space.n
+            keys, span_of = np.unique(space.arg_start * n + space.arg_end,
+                                      return_inverse=True)
+            starts, ends = np.divmod(keys, n)
             span_matrix = self.encoder.span_representations(
-                g, hs, spans, space.target.start)
-            rows = g.lookup(span_matrix, [span_row[a.span] for a in args])
+                g, hs, list(zip(starts.tolist(), ends.tolist())),
+                space.target.start)
+            role_ids = sc.ids("role", space.roles)
             segments.append(sc.argument_scores(
-                g, [a.frame for a in args], [a.role for a in args], rows,
-                terms))
+                g, frame_ids[space.arg_frame], role_ids[space.arg_role],
+                g.lookup(span_matrix, span_of), terms))
 
         if space.head_ids:
-            segments.append(sc.head_scores(
-                g, hs, [parts[i].token for i in space.head_ids]))
+            segments.append(sc.head_scores(g, hs, space.head_token))
 
-        if space.arc_ids:
-            pairs = [(parts[i].head, parts[i].dep) for i in space.arc_ids]
-            arc_rows = sc.arc_representations(g, hs, pairs)
+        n_arcs = len(space.arc_ids)
+        if n_arcs:
+            arc_rows = sc.arc_representations(
+                g, hs, space.arc_head[:n_arcs], space.arc_dep[:n_arcs])
             segments.append(sc.unlabeled_scores(g, arc_rows))
 
         if space.root_arc_ids:
-            segments.append(sc.top_scores(
-                g, hs, [parts[i].dep for i in space.root_arc_ids]))
+            segments.append(sc.top_scores(g, hs, space.arc_dep[n_arcs:]))
 
         if space.labeled_ids:
+            own = space.lab_arc - space.arc_ids.start
             segments.append(sc.labeled_scores(
-                g, hs, [(parts[i].head, parts[i].dep, parts[i].label)
-                        for i in space.labeled_ids]))
+                g, hs, space.arc_head[own], space.arc_dep[own],
+                sc.ids("label", space.labels)[space.lab_label]))
 
         cross_node = None
         if space.cross_ids:
-            cargs = [parts[i] for i in space.cross_arg.tolist()]
-            crows = g.lookup(span_matrix, [span_row[a.span] for a in cargs])
+            arg = space.cross_arg - space.argument_ids.start
+            crows = g.lookup(span_matrix, span_of[arg])
             carcs = g.lookup(arc_rows, space.cross_arc - space.arc_ids.start)
             cross_node = sc.cross_task_scores(
-                g, [a.frame for a in cargs], [a.role for a in cargs],
-                crows, carcs, terms)
+                g, frame_ids[space.arg_frame[arg]],
+                role_ids[space.arg_role[arg]], crows, carcs, terms)
             segments.append(cross_node)
 
         node = segments[0] if len(segments) == 1 else g.concat(*segments)

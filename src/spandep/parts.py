@@ -9,16 +9,16 @@ Conventions used throughout the package:
   * a distinguished index ``VIRTUAL_ROOT`` (-1) is the head of top arcs;
   * a candidate space lists its parts grouped by type, in a fixed order
     (predicates, arguments, heads, arcs, root arcs, labeled arcs, cross-task),
-    so each group is a range of part ids, and part ids index both ``parts``
-    and the parallel ``scores`` array;
+    so each group is a range of part ids; it stores them as integer arrays
+    per group, and part ids index those, the parallel ``scores`` array and
+    the ``parts`` view;
   * a decoded structure is a boolean mask over a space's parts.
 """
 
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -251,44 +251,73 @@ GROUPS = ("predicate_ids", "argument_ids", "head_ids", "arc_ids",
 # Group of each part type; a root arc (head VIRTUAL_ROOT) is one further on.
 _GROUP_OF = {Predicate: 0, Argument: 1, Head: 2, UnlabeledArc: 3,
              LabeledArc: 5, CrossTask: 6}
+# The integer arrays that hold a candidate space's parts (see CandidateSpace).
+SPACE_ARRAYS = ("pred_frame", "arg_frame", "arg_start", "arg_end",
+                "arg_role", "head_token", "arc_head", "arc_dep", "lab_arc",
+                "lab_label", "cross_arg", "cross_arc")
+
+_NO_IDS = np.zeros(0, dtype=int)
 
 
-@dataclass
+class _Keys:
+    """The part ids of one part type, found by an integer key per part."""
+
+    __slots__ = ("keys", "ids")
+
+    def __init__(self, keys: np.ndarray, first: int):
+        order = keys.argsort(kind="stable")
+        self.keys, self.ids = keys[order], order + first
+
+    def find(self, key: int) -> int:
+        """The id of the part with ``key``, -1 when no part has it."""
+        pos = int(self.keys.searchsorted(key))
+        if pos < len(self.keys) and self.keys[pos] == key:
+            return int(self.ids[pos])
+        return -1
+
+
 class CandidateSpace:
     """All scoreable parts for one decoding instance, with parallel scores.
 
-    The parts come grouped by type in the order of ``GROUPS``, and each
-    ``*_ids`` attribute is the ``range`` of ids its group holds; the
-    construction raises ``ValueError`` on parts out of that order.
-    ``cross_arg`` and ``cross_arc`` hold the argument and arc id of each
-    cross-task part.  These indexes are derived once in ``__post_init__``
-    and never mutated; ``with_scores`` produces a scored copy sharing them.
+    The parts are integer arrays, one set per type group.  Part ids number
+    the groups consecutively in the order of ``GROUPS``; each ``*_ids``
+    attribute is the ``range`` of ids its group holds, and ids index the
+    parallel ``scores`` array.  The arrays (``SPACE_ARRAYS``):
+
+      * ``pred_frame``: each predicate's frame, an index into ``frames``
+        (its target is the space's);
+      * ``arg_frame``, ``arg_start``, ``arg_end``, ``arg_role``: each
+        argument's frame, inclusive span and role, an index into ``roles``;
+      * ``head_token``: each head part's token;
+      * ``arc_head``, ``arc_dep``: the tokens of the arcs in ``arc_ids``
+        then of the root arcs in ``root_arc_ids`` (head ``VIRTUAL_ROOT``);
+      * ``lab_arc``, ``lab_label``: each labeled arc's arc, as a part id,
+        and its label, an index into ``labels``;
+      * ``cross_arg``, ``cross_arc``: each cross-task part's argument and
+        arc, as part ids.
+
+    ``build_candidate_space`` fills the arrays with numpy (through
+    ``from_arrays``).  The constructor takes the same space as a tuple of
+    ``Part`` objects in group order and derives the arrays; it raises
+    ``ValueError`` on parts out of that order, duplicates, a part the
+    arrays cannot hold (a predicate of another target, an argument of a
+    frame outside ``frames``, a token outside the sentence), a labeled arc
+    without its arc, and a cross-task part that does not pair an argument
+    with an arc from the target's first token into its span.
+
+    Everything ``ids_of`` and ``mask`` look parts up in is built at
+    construction.  ``parts``, ``part_to_id`` and ``labels_for_arc`` are
+    views built on first access; ``with_scores`` copies share the arrays,
+    the lookup keys and the views.
     """
 
-    sentence: Sentence
-    target: Optional[Target]
-    frames: tuple[str, ...]
-    parts: tuple[Part, ...]
-    scores: np.ndarray
-
-    part_to_id: dict = field(init=False, repr=False)
-    predicate_ids: range = field(init=False, repr=False)
-    argument_ids: range = field(init=False, repr=False)
-    head_ids: range = field(init=False, repr=False)
-    arc_ids: range = field(init=False, repr=False)
-    root_arc_ids: range = field(init=False, repr=False)
-    labeled_ids: range = field(init=False, repr=False)
-    cross_ids: range = field(init=False, repr=False)
-    cross_arg: np.ndarray = field(init=False, repr=False)
-    cross_arc: np.ndarray = field(init=False, repr=False)
-    labels_for_arc: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        parts = self.parts
-        if len(self.scores) != len(parts):
+    def __init__(self, sentence: Sentence, target: Optional[Target],
+                 frames: tuple[str, ...], parts: Sequence[Part],
+                 scores: np.ndarray):
+        parts = tuple(parts)
+        if len(scores) != len(parts):
             raise ValueError("scores length must equal parts length")
-        self.part_to_id = {p: i for i, p in enumerate(parts)}
-        if len(self.part_to_id) != len(parts):
+        if len(set(parts)) != len(parts):
             raise ValueError("duplicate parts in candidate space")
         try:
             group = [_GROUP_OF[type(p)]
@@ -302,53 +331,237 @@ class CandidateSpace:
                     f"part {i} ({parts[i]}) comes after a "
                     f"{GROUPS[group[i - 1]]} part; parts must be grouped "
                     f"in the order {', '.join(GROUPS)}")
-        bounds = [bisect_left(group, k) for k in range(len(GROUPS) + 1)]
-        for k, name in enumerate(GROUPS):
-            setattr(self, name, range(bounds[k], bounds[k + 1]))
 
-        arc_of = {(parts[i].head, parts[i].dep): i
-                  for i in range(self.arc_ids.start, self.root_arc_ids.stop)}
-        self.labels_for_arc = {}
-        for i in self.labeled_ids:
-            la = parts[i]
-            arc = arc_of.get((la.head, la.dep))
-            if arc is None:
-                raise ValueError(f"labeled arc {la} has no unlabeled arc "
-                                 "in the space")
-            self.labels_for_arc.setdefault(arc, []).append(i)
+        self._names(sentence, target, frames,
+                    tuple(dict.fromkeys(p.role for p in parts
+                                        if type(p) is Argument)),
+                    tuple(dict.fromkeys(p.label for p in parts
+                                        if type(p) is LabeledArc)))
+        rows: dict[type, list] = {kind: [] for kind in _GROUP_OF}
+        for i, p in enumerate(parts):
+            fields = (p.arg_id, p.arc_id) if type(p) is CrossTask \
+                else self._fields(p)
+            if fields is None:
+                raise ValueError(f"part {i} ({p}) does not fit the space's "
+                                 "target, frames or sentence")
+            rows[type(p)].append(fields)
+        # a labeled arc refers to its arc by part id
+        first_arc = sum(len(rows[k]) for k in (Predicate, Argument, Head))
+        arc_of = {arc: first_arc + k
+                  for k, arc in enumerate(rows[UnlabeledArc])}
+        first_labeled = first_arc + len(rows[UnlabeledArc])
+        for k, (h, d, label) in enumerate(rows[LabeledArc]):
+            if (h, d) not in arc_of:
+                raise ValueError(f"labeled arc {parts[first_labeled + k]} "
+                                 "has no unlabeled arc in the space")
+            rows[LabeledArc][k] = (arc_of[h, d], label)
 
-        cross = parts[self.cross_ids.start:]
-        self.cross_arg = np.array([c.arg_id for c in cross], dtype=int)
-        self.cross_arc = np.array([c.arc_id for c in cross], dtype=int)
-        for i, a, b in zip(self.cross_ids, self.cross_arg.tolist(),
-                           self.cross_arc.tolist()):
+        def cols(kind, width):
+            return np.array(rows[kind], dtype=int).reshape(-1, width).T
+
+        (pred_frame,) = cols(Predicate, 1)
+        arg_frame, arg_start, arg_end, arg_role = cols(Argument, 4)
+        (head_token,) = cols(Head, 1)
+        arc_head, arc_dep = cols(UnlabeledArc, 2)
+        lab_arc, lab_label = cols(LabeledArc, 2)
+        cross_arg, cross_arc = cols(CrossTask, 2)
+        self._fill(scores, pred_frame=pred_frame, arg_frame=arg_frame,
+                   arg_start=arg_start, arg_end=arg_end, arg_role=arg_role,
+                   head_token=head_token, arc_head=arc_head, arc_dep=arc_dep,
+                   lab_arc=lab_arc, lab_label=lab_label, cross_arg=cross_arg,
+                   cross_arc=cross_arc)
+
+        for i, a, b in zip(self.cross_ids, cross_arg.tolist(),
+                           cross_arc.tolist()):
             if a not in self.argument_ids or b not in self.arc_ids:
                 raise ValueError(f"cross-task part {i} references wrong part types")
-            arg, arc = parts[a], parts[b]
-            if arc.head != self.target.start or not arg.start <= arc.dep <= arg.end:
+            a -= self.argument_ids.start
+            b -= self.arc_ids.start
+            if arc_head[b] != target.start or \
+                    not arg_start[a] <= arc_dep[b] <= arg_end[a]:
                 raise ValueError(f"cross-task part {i} pairs incompatible argument and arc")
 
+    @classmethod
+    def from_arrays(cls, sentence: Sentence, target: Optional[Target],
+                    frames: tuple[str, ...], roles: tuple[str, ...],
+                    labels: tuple[str, ...], scores: np.ndarray,
+                    **arrays: np.ndarray) -> "CandidateSpace":
+        """A space from its ``SPACE_ARRAYS``, given by name, unchecked."""
+        space = cls.__new__(cls)
+        space._names(sentence, target, frames, roles, labels)
+        space._fill(scores, **arrays)
+        return space
+
+    def _names(self, sentence, target, frames, roles, labels):
+        self.sentence, self.target, self.frames = sentence, target, frames
+        self.roles, self.labels = roles, labels
+        self._frame_ix = {f: k for k, f in enumerate(frames)}
+        self._role_ix = {r: k for k, r in enumerate(roles)}
+        self._label_ix = {lab: k for k, lab in enumerate(labels)}
+
+    def _fill(self, scores, *, pred_frame, arg_frame, arg_start, arg_end,
+              arg_role, head_token, arc_head, arc_dep, lab_arc, lab_label,
+              cross_arg, cross_arc):
+        self.pred_frame, self.arg_frame = pred_frame, arg_frame
+        self.arg_start, self.arg_end, self.arg_role = arg_start, arg_end, arg_role
+        self.head_token, self.arc_head, self.arc_dep = head_token, arc_head, arc_dep
+        self.lab_arc, self.lab_label = lab_arc, lab_label
+        self.cross_arg, self.cross_arc = cross_arg, cross_arc
+        n_roots = int(np.count_nonzero(arc_head == VIRTUAL_ROOT))
+        sizes = (len(pred_frame), len(arg_frame), len(head_token),
+                 len(arc_head) - n_roots, n_roots, len(lab_arc), len(cross_arg))
+        stop = 0
+        for name, size in zip(GROUPS, sizes):
+            setattr(self, name, range(stop, stop + size))
+            stop += size
+        self.scores = scores
+
+        own = lab_arc - self.arc_ids.start
+        self._keys = {
+            Predicate: _Keys(pred_frame, 0),
+            Argument: _Keys(self._key(Argument, arg_frame, arg_start,
+                                      arg_end, arg_role),
+                            self.argument_ids.start),
+            Head: _Keys(head_token, self.head_ids.start),
+            UnlabeledArc: _Keys(self._key(UnlabeledArc, arc_head, arc_dep),
+                                self.arc_ids.start),
+            LabeledArc: _Keys(self._key(LabeledArc, arc_head[own],
+                                        arc_dep[own], lab_label),
+                              self.labeled_ids.start),
+            CrossTask: _Keys(self._key(CrossTask, cross_arg, cross_arc),
+                             self.cross_ids.start),
+        }
+        self._views: dict = {}
+
+    def _key(self, kind: type, *cols):
+        """The lookup key of parts of type ``kind`` from their fields as
+        integers (see ``_fields``): a mixed-radix number, so a key names
+        one part."""
+        n = self.n
+        if kind is Argument:
+            frame, start, end, role = cols
+            return ((frame * n + start) * n + end) * len(self.roles) + role
+        if kind is UnlabeledArc:
+            head, dep = cols
+            return (head + 1) * n + dep
+        if kind is LabeledArc:
+            head, dep, label = cols
+            return ((head + 1) * n + dep) * len(self.labels) + label
+        if kind is CrossTask:
+            arg, arc = cols
+            return arg * self.cross_ids.start + arc
+        return cols[0]
+
+    def _fields(self, p: Part) -> Optional[tuple[int, ...]]:
+        """The integer fields ``_key`` takes for ``p``, or None when no part
+        of the space can equal ``p``."""
+        n, kind = self.n, type(p)
+        if kind is Predicate:
+            t, frame = self.target, self._frame_ix.get(p.frame)
+            if t is None or frame is None or (p.target, p.lu) != (t.span, t.lu):
+                return None
+            return (frame,)
+        if kind is Argument:
+            frame, role = self._frame_ix.get(p.frame), self._role_ix.get(p.role)
+            if frame is None or role is None or not 0 <= p.start <= p.end < n:
+                return None
+            return (frame, p.start, p.end, role)
+        if kind is Head:
+            return (p.token,) if 0 <= p.token < n else None
+        if kind is UnlabeledArc or kind is LabeledArc:
+            if not (VIRTUAL_ROOT <= p.head < n and 0 <= p.dep < n):
+                return None
+            if kind is UnlabeledArc:
+                return (p.head, p.dep)
+            label = self._label_ix.get(p.label)
+            return None if label is None else (p.head, p.dep, label)
+        if kind is CrossTask:
+            # the key takes both ids below the first cross-task id
+            stop = self.cross_ids.start
+            if not (0 <= p.arg_id < stop and 0 <= p.arc_id < stop):
+                return None
+            return (p.arg_id, p.arc_id)
+        return None
+
     def __len__(self) -> int:
-        return len(self.parts)
+        return self.cross_ids.stop
 
     @property
     def n(self) -> int:
         return len(self.sentence)
 
+    def _view(self, name: str, make):
+        views = self._views
+        if name not in views:
+            views[name] = make()
+        return views[name]
+
+    @property
+    def parts(self) -> tuple[Part, ...]:
+        """The parts as ``Part`` objects, in id order."""
+        return self._view("parts", self._make_parts)
+
+    @property
+    def part_to_id(self) -> dict:
+        """Each part's id."""
+        return self._view("part_to_id",
+                          lambda: {p: i for i, p in enumerate(self.parts)})
+
+    @property
+    def labels_for_arc(self) -> dict:
+        """The ids of each arc's labeled arcs, by the arc's id."""
+        def make():
+            out: dict[int, list[int]] = {}
+            for i, arc in zip(self.labeled_ids, self.lab_arc.tolist()):
+                out.setdefault(arc, []).append(i)
+            return out
+        return self._view("labels_for_arc", make)
+
+    def _make_parts(self) -> tuple[Part, ...]:
+        t, frames, roles, labels = self.target, self.frames, self.roles, \
+            self.labels
+        own = self.lab_arc - self.arc_ids.start
+        return (
+            *(Predicate(t.span, t.lu, frames[f])
+              for f in self.pred_frame.tolist()),
+            *(Argument(frames[f], i, j, roles[r]) for f, i, j, r in zip(
+                self.arg_frame.tolist(), self.arg_start.tolist(),
+                self.arg_end.tolist(), self.arg_role.tolist())),
+            *map(Head, self.head_token.tolist()),
+            *map(UnlabeledArc, self.arc_head.tolist(), self.arc_dep.tolist()),
+            *(LabeledArc(h, d, labels[k]) for h, d, k in zip(
+                self.arc_head[own].tolist(), self.arc_dep[own].tolist(),
+                self.lab_label.tolist())),
+            *map(CrossTask, self.cross_arg.tolist(), self.cross_arc.tolist()))
+
     def with_scores(self, scores: np.ndarray) -> "CandidateSpace":
-        """A copy carrying ``scores`` that shares this space's parts and
-        derived index."""
+        """A copy carrying ``scores`` that shares this space's arrays,
+        lookup keys and views."""
         scores = np.asarray(scores, dtype=float)
-        if scores.shape != (len(self.parts),):
-            raise ValueError(f"expected {len(self.parts)} scores, got {scores.shape}")
+        if scores.shape != (len(self),):
+            raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
         scored = copy.copy(self)
         scored.scores = scores
         return scored
 
+    def ids_of(self, parts: Iterable[Part]) -> np.ndarray:
+        """The id of each of ``parts``, -1 for a part the space lacks."""
+        ids = []
+        for p in parts:
+            fields = self._fields(p)
+            ids.append(-1 if fields is None else
+                       self._keys[type(p)].find(self._key(type(p), *fields)))
+        return np.array(ids, dtype=int)
+
     def mask(self, parts: Iterable[Part]) -> np.ndarray:
-        """The boolean mask over ``self.parts`` that is set on ``parts``."""
-        active = np.zeros(len(self.parts), dtype=bool)
-        active[[self.part_to_id[p] for p in parts]] = True
+        """The boolean mask over the space's parts that is set on ``parts``;
+        ``KeyError`` names a part the space lacks."""
+        parts = list(parts)
+        ids = self.ids_of(parts)
+        if (ids < 0).any():
+            raise KeyError(parts[int(np.argmin(ids))])
+        active = np.zeros(len(self), dtype=bool)
+        active[ids] = True
         return active
 
     def close_pairs(self, active: np.ndarray) -> np.ndarray:
@@ -359,21 +572,44 @@ class CandidateSpace:
         return active
 
 
+def span_array(n: int, max_len: int,
+               allowed: Optional[frozenset[tuple[int, int]]] = None
+               ) -> np.ndarray:
+    """The (start, end) spans of length at most ``max_len``, as rows,
+    start-major and ends ascending; only ``allowed`` ones when given."""
+    start, end = np.triu_indices(n)
+    keep = end - start < max_len
+    if allowed is not None:
+        keep &= np.fromiter(((i, j) in allowed for i, j in
+                             zip(start.tolist(), end.tolist())),
+                            dtype=bool, count=len(start))
+    return np.stack((start[keep], end[keep]), axis=1)
+
+
+def arc_array(n: int,
+              allowed: Optional[frozenset[tuple[int, int]]] = None
+              ) -> np.ndarray:
+    """Ordered (head, dep) token pairs without self arcs, as rows,
+    head-major; only ``allowed`` ones when given."""
+    head, dep = np.divmod(np.arange(n * n), n)
+    keep = head != dep
+    if allowed is not None:
+        keep &= np.fromiter(((h, d) in allowed for h, d in
+                             zip(head.tolist(), dep.tolist())),
+                            dtype=bool, count=n * n)
+    return np.stack((head[keep], dep[keep]), axis=1)
+
+
 def enumerate_spans(n: int, max_len: int,
                     allowed: Optional[frozenset[tuple[int, int]]] = None) -> list[tuple[int, int]]:
-    spans = [(i, j) for i in range(n) for j in range(i, min(n, i + max_len))]
-    if allowed is not None:
-        spans = [s for s in spans if s in allowed]
-    return spans
+    """``span_array`` as a list of tuples."""
+    return list(map(tuple, span_array(n, max_len, allowed).tolist()))
 
 
 def enumerate_arcs(n: int,
                    allowed: Optional[frozenset[tuple[int, int]]] = None) -> list[tuple[int, int]]:
-    """Ordered (head, dep) token pairs without self arcs, head-major."""
-    arcs = [(h, d) for h in range(n) for d in range(n) if h != d]
-    if allowed is not None:
-        arcs = [a for a in arcs if a in allowed]
-    return arcs
+    """``arc_array`` as a list of tuples."""
+    return list(map(tuple, arc_array(n, allowed).tolist()))
 
 
 def build_candidate_space(sentence: Sentence, target: Optional[Target],
@@ -390,45 +626,65 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
     n = len(sentence)
     if n == 0:
         raise SpandepError("empty sentence")
-    parts: list[Part] = []
-
     frames: tuple[str, ...] = ()
+    roles: tuple[str, ...] = ()
+    labels: tuple[str, ...] = ()
+    a = dict.fromkeys(SPACE_ARRAYS, _NO_IDS)
+
     if target is not None:
         frames = ontology.frames_for(target.lu)
         if target.end >= n:
             raise SpandepError(f"target span {target.span} out of range for n={n}")
-        for f in frames:
-            parts.append(Predicate(target.span, target.lu, f))
-        spans = enumerate_spans(n, limits.max_span_len, limits.allowed_spans)
-        for f in frames:
-            for (i, j) in spans:
-                for r in ontology.roles_for(f):
-                    parts.append(Argument(f, i, j, r))
+        a["pred_frame"] = np.arange(len(frames))
+        spans = span_array(n, limits.max_span_len, limits.allowed_spans)
+        if len(spans) and frames:
+            # frame-major, then span, then the frame's roles
+            roles = tuple(dict.fromkeys(r for f in frames
+                                        for r in ontology.roles_for(f)))
+            role_ix = {r: k for k, r in enumerate(roles)}
+            per_frame = [np.array([role_ix[r] for r in ontology.roles_for(f)])
+                         for f in frames]
+            a["arg_frame"] = np.repeat(np.arange(len(frames)),
+                                       [len(spans) * len(rs) for rs in per_frame])
+            rows = np.concatenate([np.repeat(spans, len(rs), axis=0)
+                                   for rs in per_frame])
+            a["arg_start"], a["arg_end"] = rows[:, 0], rows[:, 1]
+            a["arg_role"] = np.concatenate([np.tile(rs, len(spans))
+                                            for rs in per_frame])
 
-    first_head = len(parts)
     if limits.include_dependencies:
-        for t in range(n):
-            parts.append(Head(t))
-        arc_list = enumerate_arcs(n, limits.allowed_arcs)
-        for (h, d) in arc_list:
-            parts.append(UnlabeledArc(h, d))
-        for d in range(n):
-            parts.append(UnlabeledArc(VIRTUAL_ROOT, d))
-        for (h, d) in arc_list:
-            for lab in limits.dep_labels:
-                parts.append(LabeledArc(h, d, lab))
+        first_arc = len(frames) + len(a["arg_frame"]) + n
+        arcs = arc_array(n, limits.allowed_arcs)
+        a["head_token"] = np.arange(n)
+        a["arc_head"] = np.concatenate((arcs[:, 0], np.full(n, VIRTUAL_ROOT)))
+        a["arc_dep"] = np.concatenate((arcs[:, 1], np.arange(n)))
+        if len(arcs) and limits.dep_labels:
+            labels = tuple(limits.dep_labels)
+            if len(set(labels)) != len(labels):
+                raise ValueError("duplicate parts in candidate space")
+            a["lab_arc"] = np.repeat(first_arc + np.arange(len(arcs)),
+                                     len(labels))
+            a["lab_label"] = np.arange(len(arcs) * len(labels)) % len(labels)
 
-    if target is not None and limits.include_dependencies and limits.include_cross_task:
-        # Arcs leave the first token of the target and land inside the span.
-        arc_to = {d: first_head + n + k for k, (h, d) in enumerate(arc_list)
-                  if h == target.start}
-        for arg_id in range(len(frames), first_head):
-            p = parts[arg_id]
-            parts.extend(CrossTask(arg_id, arc_to[d])
-                         for d in range(p.start, p.end + 1) if d in arc_to)
+        if target is not None and limits.include_cross_task:
+            # arcs leave the first token of the target and land inside the
+            # span; pairs run argument-major, dependents ascending
+            from_t1 = np.flatnonzero(arcs[:, 0] == target.start)
+            arc_to = np.full(n, -1)
+            arc_to[arcs[from_t1, 1]] = first_arc + from_t1
+            width = a["arg_end"] - a["arg_start"] + 1
+            owner = np.repeat(np.arange(len(width)), width)
+            dep = np.arange(len(owner)) - np.repeat(np.cumsum(width) - width,
+                                                    width) + a["arg_start"][owner]
+            arc = arc_to[dep]
+            keep = arc >= 0
+            a["cross_arg"] = len(frames) + owner[keep]
+            a["cross_arc"] = arc[keep]
 
-    return CandidateSpace(sentence, target, frames, tuple(parts),
-                          np.zeros(len(parts)))
+    size = sum(len(a[k]) for k in ("pred_frame", "arg_frame", "head_token",
+                                   "arc_head", "lab_arc", "cross_arg"))
+    return CandidateSpace.from_arrays(sentence, target, frames, roles, labels,
+                                      np.zeros(size), **a)
 
 
 def weighted_hamming(predicted: np.ndarray, gold: np.ndarray) -> float:
@@ -439,15 +695,22 @@ def weighted_hamming(predicted: np.ndarray, gold: np.ndarray) -> float:
     return FP_COST * fp + FN_COST * fn
 
 
+def _gold(space: CandidateSpace, parts: set[Part]) -> set[Part]:
+    """``parts``, after checking that the space holds each of them."""
+    listed = list(parts)
+    missing = [p for p, i in zip(listed, space.ids_of(listed).tolist())
+               if i < 0]
+    if missing:
+        raise SpandepError(f"gold parts outside candidate space: {sorted(map(str, missing))}")
+    return parts
+
+
 def frame_parts(space: CandidateSpace, parse: FrameParse) -> set[Part]:
     """The Predicate/Argument parts realizing ``parse`` in ``space``."""
     parts: set[Part] = {Predicate(parse.target.span, parse.target.lu, parse.frame)}
     for (i, j, r) in parse.arguments:
         parts.add(Argument(parse.frame, i, j, r))
-    missing = [p for p in parts if p not in space.part_to_id]
-    if missing:
-        raise SpandepError(f"gold parts outside candidate space: {sorted(map(str, missing))}")
-    return parts
+    return _gold(space, parts)
 
 
 def dep_parts(space: CandidateSpace, graph: DependencyGraph) -> set[Part]:
@@ -459,33 +722,35 @@ def dep_parts(space: CandidateSpace, graph: DependencyGraph) -> set[Part]:
         parts.add(LabeledArc(h, d, lab))
     if graph.top is not None:
         parts.add(UnlabeledArc(VIRTUAL_ROOT, graph.top))
-    missing = [p for p in parts if p not in space.part_to_id]
-    if missing:
-        raise SpandepError(f"gold parts outside candidate space: {sorted(map(str, missing))}")
-    return parts
-
-
-def _active_parts(space: CandidateSpace, active: np.ndarray,
-                  ids: range) -> list[Part]:
-    on = np.flatnonzero(active[ids.start:ids.stop]) + ids.start
-    return [space.parts[i] for i in on.tolist()]
+    return _gold(space, parts)
 
 
 def assemble_structures(space: CandidateSpace, active: np.ndarray
                         ) -> tuple[Optional[FrameParse], DependencyGraph]:
     """Turn a part mask into (FrameParse or None, DependencyGraph)."""
-    preds = _active_parts(space, active, space.predicate_ids)
+    def on(ids: range) -> np.ndarray:
+        return np.flatnonzero(active[ids.start:ids.stop])
+
+    preds = on(space.predicate_ids)
     if len(preds) > 1:
         raise SpandepError("multiple active predicate parts")
-    tops = _active_parts(space, active, space.root_arc_ids)
+    tops = on(space.root_arc_ids)
     if len(tops) > 1:
         raise SpandepError("multiple active top arcs")
     parse = None
-    if preds:
-        args = _active_parts(space, active, space.argument_ids)
-        parse = FrameParse(space.target, preds[0].frame,
-                           frozenset((a.start, a.end, a.role) for a in args))
-    arcs = _active_parts(space, active, space.labeled_ids)
+    if len(preds):
+        args = on(space.argument_ids)
+        roles = [space.roles[r] for r in space.arg_role[args].tolist()]
+        parse = FrameParse(
+            space.target, space.frames[space.pred_frame[preds[0]]],
+            frozenset(zip(space.arg_start[args].tolist(),
+                          space.arg_end[args].tolist(), roles)))
+    labeled = on(space.labeled_ids)
+    own = space.lab_arc[labeled] - space.arc_ids.start
+    labels = [space.labels[k] for k in space.lab_label[labeled].tolist()]
+    top = None
+    if len(tops):
+        top = int(space.arc_dep[len(space.arc_ids) + tops[0]])
     return parse, DependencyGraph(
-        frozenset((p.head, p.dep, p.label) for p in arcs),
-        tops[0].dep if tops else None)
+        frozenset(zip(space.arc_head[own].tolist(),
+                      space.arc_dep[own].tolist(), labels)), top)

@@ -14,7 +14,9 @@ arcs) is computed as the sum of per-token and per-label projections through
 row blocks of the first weight matrix, so its cost grows with the tokens and
 labels, not with the parts.
 
-Every part type is scored in batch, a whole part list per call.
+Every part type is scored in batch, a whole part list per call.  Parts
+come in as integer arrays: token indices, and frame, role and label ids as
+rows of the embedding tables (``Scorers.ids`` maps names to them).
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ class Scorers:
     def lu_vec(self, g: Graph, lu: str) -> Node:
         return self._vec(g, "lu", self.lu_ix, lu)
 
+    def ids(self, table: str, names: Sequence[str]) -> np.ndarray:
+        """The rows of ``names`` in the ``table`` embeddings ("frame",
+        "role" or "label")."""
+        index = {"frame": self.frame_ix, "role": self.role_ix,
+                 "label": self.label_ix}[table]
+        try:
+            return np.array([index[k] for k in names], dtype=int)
+        except KeyError as err:
+            raise SpandepError(f"unknown {table}: {err.args[0]!r}") from None
+
     def _mlp(self, g: Graph, blocks, tag: str) -> Node:
         """Two tanh layers over the row-wise concatenation of the gathered
         ``blocks`` (see ``gathered_affine``), one output row per part."""
@@ -114,35 +126,32 @@ class Scorers:
             u1_t=g.transpose(self._p(g, "u1")),
             u2_t=g.transpose(self._p(g, "u2")))
 
-    def _frame_rows(self, g: Graph, frames: Sequence[str],
+    def _frame_rows(self, g: Graph, frames: Sequence[int],
                     terms: TargetTerms) -> Node:
-        ids = [self.frame_ix[f] for f in frames]
-        return g.matmul(g.lookup(self._p(g, "emb.frame"), ids),
+        return g.matmul(g.lookup(self._p(g, "emb.frame"), frames),
                         terms.w1_t)
 
-    def predicate_scores(self, g: Graph, frames: Sequence[str],
+    def predicate_scores(self, g: Graph, frames: Sequence[int],
                          terms: TargetTerms) -> Node:
         """Scores for predicate parts sharing one target, as a vector node."""
         return g.matvec(self._frame_rows(g, frames, terms), terms.fixed)
 
     def _arg_products(self, g: Graph, frames, roles, span_rows: Node,
                       terms: TargetTerms) -> Node:
-        role_ids = [self.role_ix[r] for r in roles]
         a = self._frame_rows(g, frames, terms)
         d = g.matmul(span_rows, terms.u1_t)
-        e = g.matmul(g.lookup(self._p(g, "emb.role"), role_ids),
-                     terms.u2_t)
+        e = g.matmul(g.lookup(self._p(g, "emb.role"), roles), terms.u2_t)
         return g.mul(g.mul(a, d), e)
 
-    def argument_scores(self, g: Graph, frames: Sequence[str],
-                        roles: Sequence[str], span_rows: Node,
+    def argument_scores(self, g: Graph, frames: Sequence[int],
+                        roles: Sequence[int], span_rows: Node,
                         terms: TargetTerms) -> Node:
         """span_rows holds one span representation per part, row-aligned."""
         return g.matvec(self._arg_products(g, frames, roles, span_rows, terms),
                         terms.fixed)
 
-    def cross_task_scores(self, g: Graph, frames: Sequence[str],
-                          roles: Sequence[str], span_rows: Node,
+    def cross_task_scores(self, g: Graph, frames: Sequence[int],
+                          roles: Sequence[int], span_rows: Node,
                           arc_rows: Node, terms: TargetTerms) -> Node:
         prod = g.mul(self._arg_products(g, frames, roles, span_rows, terms),
                      g.matmul(arc_rows, g.transpose(self._p(g, "v2"))))
@@ -155,28 +164,21 @@ class Scorers:
         return g.matvec(self._mlp(g, [(hs, tokens)], "head"),
                         self._p(g, "head.w"))
 
-    def arc_representations(self, g: Graph, hs: Node,
-                            pairs: Sequence[tuple[int, int]]) -> Node:
+    def arc_representations(self, g: Graph, hs: Node, heads: Sequence[int],
+                            deps: Sequence[int]) -> Node:
         """g^ua for each (head, dep) pair: the first layer is the head
         token's and the dependent's projections, each computed once per
         token, added per pair."""
-        return self._mlp(g, [(hs, [h for h, _ in pairs]),
-                             (hs, [d for _, d in pairs])], "ua")
+        return self._mlp(g, [(hs, heads), (hs, deps)], "ua")
 
     def unlabeled_scores(self, g: Graph, arc_rows: Node) -> Node:
         """Takes the matrix from ``arc_representations`` so cross-task scoring
         can reuse the same rows."""
         return g.matvec(arc_rows, self._p(g, "ua.w"))
 
-    def labeled_scores(self, g: Graph, hs: Node,
-                       triples: Sequence[tuple[int, int, str]]) -> Node:
-        heads, deps, labels = zip(*triples)
-        try:
-            label_ids = [self.label_ix[label] for label in labels]
-        except KeyError as err:
-            raise SpandepError(f"unknown label: {err.args[0]!r}") from None
-        blocks = [(hs, heads), (hs, deps),
-                  (self._p(g, "emb.label"), label_ids)]
+    def labeled_scores(self, g: Graph, hs: Node, heads: Sequence[int],
+                       deps: Sequence[int], labels: Sequence[int]) -> Node:
+        blocks = [(hs, heads), (hs, deps), (self._p(g, "emb.label"), labels)]
         return g.matvec(self._mlp(g, blocks, "lab"), self._p(g, "lab.w"))
 
     def top_scores(self, g: Graph, hs: Node,

@@ -77,12 +77,12 @@ def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
                              allowed_arcs=frozenset(chosen))
         space = build_candidate_space(sent, target, ontology, limits)
         space = space.with_scores(rng.normal(0.0, score_scale,
-                                             size=len(space.parts)))
+                                             size=len(space)))
         # an unused draw: it keeps each seed's sequence of spaces, which
         # the tests and oracle-check are written against
         rng.random()
         idle_heads = len(space.head_ids) - len(
-            {space.parts[i].head for i in space.arc_ids})
+            np.unique(space.arc_head[:len(space.arc_ids)]))
         if space.cross_ids.start - idle_heads <= max_vars:
             return space
     raise RuntimeError("failed to sample an instance under the size cap")

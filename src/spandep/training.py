@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,18 +89,23 @@ class DmInstance:
 Instance = Union[FnInstance, DmInstance]
 
 
-def fn_instances(sentences: Sequence[Sentence], ontology: Ontology,
-                 limits: SpaceLimits) -> List[FnInstance]:
-    out = []
+def _fn_instances(sentences: Iterable[Sentence], ontology: Ontology,
+                  limits: SpaceLimits) -> Iterator[FnInstance]:
+    """``fn_instances`` one at a time, each space built when it is
+    reached."""
     for s in sentences:
         if not isinstance(s.supervision, FrameAnnotations):
             raise SpandepError(f"sentence {s.id!r} carries no frame annotations")
         for parse in s.supervision.parses:
             t = parse.target
-            out.append(FnInstance(
+            yield FnInstance(
                 id=f"{s.id}#{t.start}-{t.end}", sentence=s, parse=parse,
-                space=build_candidate_space(s, t, ontology, limits)))
-    return out
+                space=build_candidate_space(s, t, ontology, limits))
+
+
+def fn_instances(sentences: Sequence[Sentence], ontology: Ontology,
+                 limits: SpaceLimits) -> List[FnInstance]:
+    return list(_fn_instances(sentences, ontology, limits))
 
 
 def dm_instances(sentences: Sequence[Sentence],
@@ -196,7 +201,8 @@ class EpochStats:
     the seconds of ``seconds`` spent in the hinge functions (scoring and
     decoding), in backpropagation and in the parameter updates;
     ``uncertified`` counts the training decodes, cost-augmented and latent
-    completion alike, that were not certified exact."""
+    completion alike, that were not certified exact; ``mean_parts`` is the
+    mean number of candidate parts of the epoch's training spaces."""
 
     epoch: int
     lr: float
@@ -208,13 +214,14 @@ class EpochStats:
     backward_s: float
     step_s: float
     uncertified: int
+    mean_parts: float
 
     def tsv(self) -> str:
         return (f"{self.epoch}\t{self.lr:.10g}\t{self.mean_loss:.6f}\t"
                 f"{self.dev_fn_f1:.4f}\t{self.dev_sdp_f1:.4f}\t"
                 f"{self.seconds:.3f}\t{self.hinge_s:.3f}\t"
                 f"{self.backward_s:.3f}\t{self.step_s:.3f}\t"
-                f"{self.uncertified}")
+                f"{self.uncertified}\t{self.mean_parts:.1f}")
 
 
 @dataclass
@@ -225,31 +232,39 @@ class TrainResult:
     best_dev_fn_f1: float
 
 
+# what a prediction pass returns: the predicted sentences, how many decodes
+# were not certified exact, and the number of parts of each decoded space
+Predictions = Tuple[List[Sentence], int, List[int]]
+
+
 def _predict_fn(members: Sequence[ParserModel], sentences: Sequence[Sentence],
-                spaces: Sequence[CandidateSpace]) -> Tuple[List[Sentence], int]:
+                spaces: Iterable[CandidateSpace]) -> Predictions:
     """``sentences`` re-annotated with the joint decode of each target's
-    space, and how many decodes were not certified exact."""
+    space."""
     parses: dict[int, list] = {id(s): [] for s in sentences}
     uncertified = 0
+    sizes = []
     for space in spaces:
         res = decode(_mean_scores(members, space), mode="joint")
         parses[id(space.sentence)].append(res.parse)
         uncertified += res.status != "exact"
+        sizes.append(len(space))
     return [replace(s, supervision=FrameAnnotations(tuple(parses[id(s)])))
-            for s in sentences], uncertified
+            for s in sentences], uncertified, sizes
 
 
 def _predict_dm(members: Sequence[ParserModel],
-                spaces: Sequence[CandidateSpace]) -> Tuple[List[Sentence], int]:
-    """Each space's sentence carrying its decoded dependency graph, and how
-    many decodes were not certified exact."""
+                spaces: Iterable[CandidateSpace]) -> Predictions:
+    """Each space's sentence carrying its decoded dependency graph."""
     out = []
     uncertified = 0
+    sizes = []
     for space in spaces:
         res = decode(_mean_scores(members, space), mode="dependencies_only")
         out.append(replace(space.sentence, supervision=res.graph))
         uncertified += res.status != "exact"
-    return out, uncertified
+        sizes.append(len(space))
+    return out, uncertified, sizes
 
 
 def _as_members(models) -> List[ParserModel]:
@@ -273,7 +288,7 @@ def _as_members(models) -> List[ParserModel]:
 
 def _mean_scores(members: Sequence[ParserModel],
                  space: CandidateSpace) -> CandidateSpace:
-    acc = np.zeros(len(space.parts))
+    acc = np.zeros(len(space))
     for m in members:
         acc += m.scored_space(space).scores
     return space.with_scores(acc / len(members))
@@ -294,16 +309,16 @@ def predict_frames(models, sentences: Sequence[Sentence]) -> List[Sentence]:
     return frame_predictions(models, sentences)[0]
 
 
-def frame_predictions(models, sentences: Sequence[Sentence]
-                      ) -> Tuple[List[Sentence], int]:
-    """``predict_frames``'s sentences, and how many decodes were not
-    certified exact."""
+def frame_predictions(models, sentences: Sequence[Sentence]) -> Predictions:
+    """``predict_frames``'s sentences, how many decodes were not certified
+    exact, and the number of parts of each space.  Each space is built just
+    before it is scored."""
     members = _as_members(models)
     first = members[0]
-    instances = fn_instances(sentences, first.ontology,
-                             first.config.fn_limits(first.dep_labels))
+    instances = _fn_instances(sentences, first.ontology,
+                              first.config.fn_limits(first.dep_labels))
     return _predict_fn(members, list(sentences),
-                       [inst.space for inst in instances])
+                       (inst.space for inst in instances))
 
 
 def predict_dependencies(models, sentences: Sequence[Sentence]
@@ -313,14 +328,15 @@ def predict_dependencies(models, sentences: Sequence[Sentence]
 
 
 def dependency_predictions(models, sentences: Sequence[Sentence]
-                           ) -> Tuple[List[Sentence], int]:
-    """``predict_dependencies``'s sentences, and how many decodes were not
-    certified exact."""
+                           ) -> Predictions:
+    """``predict_dependencies``'s sentences, how many decodes were not
+    certified exact, and the number of parts of each space.  Each space is
+    built just before it is scored."""
     members = _as_members(models)
     limits = members[0].config.dm_limits(members[0].dep_labels)
-    return _predict_dm(members, [
+    return _predict_dm(members, (
         build_candidate_space(s, None, Ontology({}, {}), limits)
-        for s in sentences])
+        for s in sentences))
 
 
 def train(model: ParserModel,
@@ -413,10 +429,10 @@ def train(model: ParserModel,
 
         dev_fn = dev_sdp = 0.0
         if fn_dev:
-            pred, _ = _predict_fn([model], list(fn_dev), dev_fn_spaces)
+            pred, _, _ = _predict_fn([model], list(fn_dev), dev_fn_spaces)
             dev_fn = eval_frames(list(fn_dev), pred, model.ontology).f1
         if dm_dev:
-            pred, _ = _predict_dm([model], dev_dm_spaces)
+            pred, _, _ = _predict_dm([model], dev_dm_spaces)
             dev_sdp = eval_sdp(list(dm_dev), pred).f1
 
         stats = EpochStats(epoch=epoch, lr=lr,
@@ -424,7 +440,9 @@ def train(model: ParserModel,
                            dev_fn_f1=dev_fn, dev_sdp_f1=dev_sdp,
                            seconds=time.perf_counter() - t0,
                            hinge_s=hinge_s, backward_s=backward_s,
-                           step_s=step_s, uncertified=uncertified)
+                           step_s=step_s, uncertified=uncertified,
+                           mean_parts=float(np.mean([len(i.space) for i in pool]))
+                           if pool else 0.0)
         history.append(stats)
         if fn_dev and dev_fn > best_f1:
             best_f1 = dev_fn

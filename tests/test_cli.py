@@ -412,6 +412,8 @@ class TestPredictCertification:
             got = capsys.readouterr()
             assert "not certified" not in got.out
             assert "0 of 2 decodes not certified exact" in got.err
+            assert re.search(r"candidate parts per space: mean \d+\.\d, "
+                             r"max \d+\n", got.err)
 
     def test_rounded_decodes_are_counted(self, paths, corpus, capsys,
                                          monkeypatch):

@@ -216,7 +216,7 @@ class TestDependencyScorers:
         with pytest.raises(SpandepError, match="unknown label"):
             score_labeled(sc, g, hs, 0, 1, "nope")
         with pytest.raises(SpandepError, match="unknown label"):
-            sc.labeled_scores(g, hs, [(0, 1, "nope")])
+            sc.ids("label", ["nope"])
 
     def test_part_types_have_disjoint_parameters(self):
         sc, store = small_scorers()
@@ -241,7 +241,7 @@ class TestBatchEqualsSingle:
         rng = np.random.default_rng(10)
         g_tgt = g.input(rng.normal(size=4))
         g_lu = sc.lu_vec(g, "play.v")
-        batch = sc.predicate_scores(g, ["F0", "F1", "F0"],
+        batch = sc.predicate_scores(g, sc.ids("frame", ["F0", "F1", "F0"]),
                                     sc.target_terms(g, g_tgt, g_lu))
         for k, frame in enumerate(["F0", "F1", "F0"]):
             single = score_predicate(sc, g, frame_vec(sc, g, frame), g_tgt, g_lu)
@@ -258,9 +258,9 @@ class TestBatchEqualsSingle:
         span_rows = g.input(rng.normal(size=(3, 4)))
         arc_rows = g.input(rng.normal(size=(3, 4)))
         terms = sc.target_terms(g, g_tgt, g_lu)
-        args = sc.argument_scores(g, frames, roles, span_rows, terms)
-        cross = sc.cross_task_scores(g, frames, roles, span_rows, arc_rows,
-                                     terms)
+        ids = sc.ids("frame", frames), sc.ids("role", roles)
+        args = sc.argument_scores(g, *ids, span_rows, terms)
+        cross = sc.cross_task_scores(g, *ids, span_rows, arc_rows, terms)
         for k in range(3):
             sr = g.select_row(span_rows, k)
             ar = g.select_row(arc_rows, k)
@@ -279,9 +279,10 @@ class TestBatchEqualsSingle:
         pairs = [(0, 1), (2, 0), (3, 1)]
         triples = [(0, 1, "a1"), (0, 1, "a2"), (2, 3, "a1")]
         heads = sc.head_scores(g, hs, tokens)
-        reps = sc.arc_representations(g, hs, pairs)
+        reps = sc.arc_representations(g, hs, *zip(*pairs))
         uas = sc.unlabeled_scores(g, reps)
-        labs = sc.labeled_scores(g, hs, triples)
+        lh, ld, labels = zip(*triples)
+        labs = sc.labeled_scores(g, hs, lh, ld, sc.ids("label", labels))
         tops = sc.top_scores(g, hs, tokens)
         for k, t in enumerate(tokens):
             assert heads.value[k] == pytest.approx(
@@ -307,9 +308,9 @@ def test_gradients_through_all_scorers():
     g_tgt = g.input(rng.normal(size=3))
     g_lu = sc.lu_vec(g, "play.v")
     span_rows = g.input(rng.normal(size=(2, 3)))
-    arc_rows = sc.arc_representations(g, hs, [(0, 1), (0, 2)])
-    frames = ["F0", "F1"]
-    roles = ["R1", "R0"]
+    arc_rows = sc.arc_representations(g, hs, [0, 0], [1, 2])
+    frames = sc.ids("frame", ["F0", "F1"])
+    roles = sc.ids("role", ["R1", "R0"])
     terms = sc.target_terms(g, g_tgt, g_lu)
     loss = reduce(g.add, [
         g.sum(sc.predicate_scores(g, frames, terms)),
@@ -318,7 +319,8 @@ def test_gradients_through_all_scorers():
                                    terms)),
         g.sum(sc.head_scores(g, hs, [0, 1])),
         g.sum(sc.unlabeled_scores(g, arc_rows)),
-        g.sum(sc.labeled_scores(g, hs, [(0, 1, "a1"), (1, 2, "a2")])),
+        g.sum(sc.labeled_scores(g, hs, [0, 1], [1, 2],
+                                sc.ids("label", ["a1", "a2"]))),
         g.sum(sc.top_scores(g, hs, [0, 2])),
     ])
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=8)

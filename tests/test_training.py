@@ -450,9 +450,9 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines == [st.tsv() for st in res.history]
         pat = re.compile(r"^\d+\t[0-9.]+\t[0-9.+-]+\t[01]\.\d{4}"
-                         r"\t[01]\.\d{4}(\t\d+\.\d{3}){4}\t\d+$")
+                         r"\t[01]\.\d{4}(\t\d+\.\d{3}){4}\t\d+\t\d+\.\d$")
         for line in lines:
-            assert len(line.split("\t")) == 10, line
+            assert len(line.split("\t")) == 11, line
             assert pat.match(line), line
         for st in res.history:
             assert min(st.hinge_s, st.backward_s, st.step_s) > 0.0
@@ -663,6 +663,32 @@ class TestEnsembleAndPredict:
             assert gold_targets == pred_targets
         res = eval_frames(gold, pred, c["ontology"])
         assert 0.0 <= res.f1 <= 1.0
+
+    def test_predict_builds_each_space_just_before_scoring_it(
+            self, monkeypatch):
+        import spandep.training as tr
+        c = small_corpus(n_fn=3, n_dm=3)
+        model = build_model(c)
+        events = []
+        build, score = tr.build_candidate_space, ParserModel.scored_space
+
+        def build_logged(*args, **kwargs):
+            events.append("build")
+            return build(*args, **kwargs)
+
+        def score_logged(self, space):
+            events.append("score")
+            return score(self, space)
+
+        monkeypatch.setattr(tr, "build_candidate_space", build_logged)
+        monkeypatch.setattr(ParserModel, "scored_space", score_logged)
+        fn, dm = list(c["fn_train"]), list(c["dm_train"])
+        n_targets = sum(len(s.supervision.parses) for s in fn)
+        for predict, sentences, spaces in ((predict_frames, fn, n_targets),
+                                           (predict_dependencies, dm, len(dm))):
+            events.clear()
+            predict(model, sentences)
+            assert events == ["build", "score"] * spaces
 
     def test_predict_dependencies_without_gold(self):
         c = small_corpus(n_fn=2, n_dm=3)
