@@ -113,9 +113,11 @@ def _frame_annotations(sentence: Sentence, side: str) -> FrameAnnotations:
     return sup
 
 
-def _aligned_parses(
+def _aligned(
     gold: Sequence[Sentence], predicted: Sequence[Sentence],
-) -> Iterator[Tuple[int, FrameParse, FrameParse]]:
+) -> Iterator[Tuple[int, Sentence, Sentence]]:
+    """The gold and predicted sentences pairwise, numbered, after checking
+    that the corpora and each pair's token counts agree."""
     if len(gold) != len(predicted):
         raise SpandepError(
             f"corpora differ in size: {len(gold)} gold vs "
@@ -125,6 +127,13 @@ def _aligned_parses(
             raise SpandepError(
                 f"sentence {g.id!r}: token counts differ "
                 f"({len(g)} gold vs {len(p)} predicted)")
+        yield i, g, p
+
+
+def _aligned_parses(
+    gold: Sequence[Sentence], predicted: Sequence[Sentence],
+) -> Iterator[Tuple[int, FrameParse, FrameParse]]:
+    for i, g, p in _aligned(gold, predicted):
         ga = _frame_annotations(g, "gold")
         pa = _frame_annotations(p, "predicted")
         gkeys = {(fp.target.start, fp.target.end, fp.target.lu): fp
@@ -188,17 +197,9 @@ def eval_sdp(
     include_top: bool = True,
 ) -> SdpEvalResult:
     """Micro labeled P/R/F1 over (head, dependent, label) triples."""
-    if len(gold) != len(predicted):
-        raise SpandepError(
-            f"corpora differ in size: {len(gold)} gold vs "
-            f"{len(predicted)} predicted sentences")
     gold_parts = set()
     pred_parts = set()
-    for i, (g, p) in enumerate(zip(gold, predicted)):
-        if len(g) != len(p):
-            raise SpandepError(
-                f"sentence {g.id!r}: token counts differ "
-                f"({len(g)} gold vs {len(p)} predicted)")
+    for i, g, p in _aligned(gold, predicted):
         gg = _graph(g, "gold")
         pg = _graph(p, "predicted")
         gold_parts.update((i, *arc) for arc in gg.arcs)

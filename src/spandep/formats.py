@@ -233,15 +233,40 @@ def read_ontology(path) -> Ontology:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(path, e.lineno, f"bad JSON: {e.msg}") from None
-    _require_keys(path, 1, data, ("frames", "lus"))
-    frame_to_roles = {}
-    for name, body in data["frames"].items():
-        _require_keys(path, 1, body, ("roles",))
-        frame_to_roles[name] = tuple(body["roles"])
+    return _ontology(path, 1, data, optional=())
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _ontology(path, where, data, optional) -> Ontology:
+    """The ontology in the JSON value ``data``: an object whose ``frames``
+    maps each frame to an object with a ``roles`` list, and whose ``lus``
+    maps each lexical unit to a list of frames.  Anything else is a
+    ``FormatError`` at ``where`` that names the key; ``optional`` is
+    ``_require_keys``'s, for the objects ``data`` and each frame."""
+    def check(ok, what):
+        if not ok:
+            raise FormatError(path, where, what)
+
+    check(isinstance(data, dict), "the ontology must be an object")
+    _require_keys(path, where, data, ("frames", "lus"), optional)
+    frames, lus = data["frames"], data["lus"]
+    check(isinstance(frames, dict), "'frames' must be an object")
+    check(isinstance(lus, dict), "'lus' must be an object")
+    for name, body in frames.items():
+        check(isinstance(body, dict), f"frame {name!r} must be an object")
+        _require_keys(path, where, body, ("roles",), optional)
+        check(_strings(body["roles"]),
+              f"'roles' of frame {name!r} must be a list of strings")
+    for lu, names in lus.items():
+        check(_strings(names),
+              f"lexical unit {lu!r} must list its frames as strings")
     try:
-        return Ontology(data["lus"], frame_to_roles)
+        return Ontology(lus, {f: body["roles"] for f, body in frames.items()})
     except ValueError as e:
-        raise FormatError(path, 1, str(e)) from None
+        raise FormatError(path, where, str(e)) from None
 
 
 def ontology_to_dict(ontology: Ontology) -> dict:
@@ -393,11 +418,10 @@ def _load_from_manifest(cls, path, expected_kind: str,
         if not allow_ontology_mismatch:
             raise FormatError(path, 0, message + " (pass the override to load anyway)")
         warnings.warn(message)
-    ont_data = manifest["ontology"]
-    _require_keys(path, "ontology", ont_data, ("frames", "lus"),
-                  optional=None)
-    ont = Ontology(ont_data["lus"],
-                   {f: tuple(b["roles"]) for f, b in ont_data["frames"].items()})
+    ont = _ontology(path, "ontology", manifest["ontology"], optional=None)
+    if not _strings(manifest["dep_labels"]):
+        raise FormatError(path, "manifest",
+                          "'dep_labels' must be a list of strings")
     vocab = manifest["vocabularies"]
     _require_keys(path, "vocabularies", vocab,
                   ("words", "lemmas", "pos", "word_counts"), optional=None)

@@ -22,7 +22,6 @@ from ..parts import (
     FrameParse,
     SpandepError,
     assemble_structures,
-    frame_parts,
 )
 from .ad3 import ad3_solve
 from .factor_graph import GraphConstraints, build_factor_graph
@@ -30,7 +29,7 @@ from .factor_graph import GraphConstraints, build_factor_graph
 
 @dataclass
 class DecodeResult:
-    """``active`` is the decoded structure as a mask over ``space.parts``,
+    """``active`` is the decoded structure as a mask over the space's parts,
     its cross-task bits set where both ends are active, so that
     ``space.scores @ active`` is ``objective``."""
 
@@ -68,7 +67,7 @@ def decode(space: CandidateSpace,
     if mode == "latent_completion":
         if gold_parse is None:
             raise SpandepError("latent completion requires a gold frame parse")
-        gold = space.mask(frame_parts(space, gold_parse))
+        gold = space.gold_mask(gold_parse)
         fixed = dict(enumerate(gold[:space.head_ids.start].tolist()))
 
     res = ad3_solve(fg, fixed=fixed)

@@ -130,27 +130,27 @@ def _best_label_assignment(arc_label_options):
 
 
 def _head_subproblems(space: CandidateSpace):
-    """Group arc/label/head parts by head token."""
+    """Group arc/label/head parts by head token: the arcs of each head, the
+    head part of each token, and the ways each arc can be on, as (value,
+    ids): with each of its labels, or alone when it has none."""
     arcs_by_head: dict[int, list[int]] = {}
-    for pid in space.arc_ids:
-        arcs_by_head.setdefault(space.parts[pid].head, []).append(pid)
-    head_part: dict[int, int] = {space.parts[p].token: p for p in space.head_ids}
-    return arcs_by_head, head_part
+    for pid, head in zip(space.arc_ids, space.arc_head.tolist()):
+        arcs_by_head.setdefault(head, []).append(pid)
+    head_part = dict(zip(space.head_token.tolist(), space.head_ids))
+    labels_of: dict[int, list[int]] = {}
+    for lid, arc in zip(space.labeled_ids, space.lab_arc.tolist()):
+        labels_of.setdefault(arc, []).append(lid)
+    score = space.scores.tolist()
+    on = {pid: [(score[pid] + score[lid], [pid, lid])
+                for lid in labels_of[pid]]
+          if pid in labels_of else [(score[pid], [pid])]
+          for pid in space.arc_ids}
+    return arcs_by_head, head_part, on
 
 
-def _best_for_head(space, h, arc_pids, head_part):
+def _best_for_head(space, h, arc_pids, head_part, on):
     """(value, parts) optimizing head h's arcs, labels and Head part."""
-    options_per_arc = []
-    for pid in arc_pids:
-        opts = [(0.0, [])]  # off
-        ua_score = float(space.scores[pid])
-        labels = space.labels_for_arc.get(pid, [])
-        if labels:
-            for lid in labels:
-                opts.append((ua_score + float(space.scores[lid]), [pid, lid]))
-        else:
-            opts.append((ua_score, [pid]))
-        options_per_arc.append(opts)
+    options_per_arc = [[(0.0, [])] + on[pid] for pid in arc_pids]
 
     hs = float(space.scores[head_part[h]]) if h in head_part else 0.0
     hpart = [head_part[h]] if h in head_part else []
@@ -176,7 +176,7 @@ def _best_for_head(space, h, arc_pids, head_part):
     return (best_val or 0.0), (best_parts or [])
 
 
-def _t1_tables(space, t1_arcs, head_part, t1):
+def _t1_tables(space, t1_arcs, head_part, on, t1):
     """For the target-head token: per arc-subset best labeled value/parts."""
     m = len(t1_arcs)
     hs = float(space.scores[head_part[t1]]) if t1 in head_part else 0.0
@@ -194,16 +194,7 @@ def _t1_tables(space, t1_arcs, head_part, t1):
             else:
                 base_parts.append([])
             continue
-        opts = []
-        for pid in chosen:
-            ua = float(space.scores[pid])
-            labels = space.labels_for_arc.get(pid, [])
-            if labels:
-                opts.append([(ua + float(space.scores[lid]), [pid, lid])
-                             for lid in labels])
-            else:
-                opts.append([(ua, [pid])])
-        val, best = _best_label_assignment(opts)
+        val, best = _best_label_assignment([on[pid] for pid in chosen])
         base_val[mask] = val + hs
         base_parts.append([p for ps in best for p in ps] + hpart)
     return base_val, base_parts, masks
@@ -234,13 +225,13 @@ def exhaustive_joint_map(space: CandidateSpace,
                          ) -> tuple[np.ndarray, float]:
     """Exact joint optimum by structured enumeration.
 
-    Returns (the optimum as a mask over ``space.parts``, its objective),
+    Returns (the optimum as a mask over the space's parts, its objective),
     in ``decode``'s form: a cross-task part is active when both its ends
     are.
     ``constraints`` is unused; kept only because perfbench/checks.py:138,140
     passes it.
     """
-    arcs_by_head, head_part = _head_subproblems(space)
+    arcs_by_head, head_part, on = _head_subproblems(space)
     t1 = space.target.start if space.target is not None else None
 
     total = 0.0
@@ -251,7 +242,7 @@ def exhaustive_joint_map(space: CandidateSpace,
         if h == t1 and space.cross_ids:
             continue
         val, ps = _best_for_head(space, h, arcs_by_head.get(h, []),
-                                 head_part)
+                                 head_part, on)
         total += val
         parts.extend(ps)
 
@@ -270,21 +261,20 @@ def exhaustive_joint_map(space: CandidateSpace,
     if couple:
         t1_arcs = arcs_by_head.get(t1, [])
         base_val, base_parts, masks = _t1_tables(space, t1_arcs, head_part,
-                                                 t1)
+                                                 on, t1)
         arc_pos = {pid: k for k, pid in enumerate(t1_arcs)}
-        cross_score: dict[tuple[int, int], float] = {}
-        for cid in space.cross_ids:
-            c = space.parts[cid]
-            cross_score[(c.arg_id, c.arc_id)] = float(space.scores[cid])
+        cross_score = dict(zip(
+            zip(space.cross_arg.tolist(), space.cross_arc.tolist()),
+            space.scores[space.cross_ids.start:].tolist()))
 
+    args = list(zip(space.argument_ids, space.arg_frame.tolist(),
+                    space.arg_start.tolist(), space.arg_end.tolist(),
+                    space.scores[space.argument_ids.start:
+                                 space.argument_ids.stop].tolist()))
     best_total, best_parts = None, None
-    for fid in space.predicate_ids:
-        frame = space.parts[fid].frame
+    for fid, frame in zip(space.predicate_ids, space.pred_frame.tolist()):
         fscore = float(space.scores[fid])
-        items = [(pid, space.parts[pid].start, space.parts[pid].end,
-                  float(space.scores[pid]))
-                 for pid in space.argument_ids
-                 if space.parts[pid].frame == frame]
+        items = [(pid, i, j, s) for pid, f, i, j, s in args if f == frame]
         argsets = _enumerate_argsets(items)
         if len(argsets) > max_argsets:
             raise SpandepError(f"too many argument sets ({len(argsets)})")
@@ -321,6 +311,6 @@ def exhaustive_joint_map(space: CandidateSpace,
 
 
 def _closed_mask(space: CandidateSpace, ids: list[int]) -> np.ndarray:
-    active = np.zeros(len(space.parts), dtype=bool)
+    active = np.zeros(len(space), dtype=bool)
     active[ids] = True
     return space.close_pairs(active)

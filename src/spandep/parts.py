@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -259,23 +260,6 @@ SPACE_ARRAYS = ("pred_frame", "arg_frame", "arg_start", "arg_end",
 _NO_IDS = np.zeros(0, dtype=int)
 
 
-class _Keys:
-    """The part ids of one part type, found by an integer key per part."""
-
-    __slots__ = ("keys", "ids")
-
-    def __init__(self, keys: np.ndarray, first: int):
-        order = keys.argsort(kind="stable")
-        self.keys, self.ids = keys[order], order + first
-
-    def find(self, key: int) -> int:
-        """The id of the part with ``key``, -1 when no part has it."""
-        pos = int(self.keys.searchsorted(key))
-        if pos < len(self.keys) and self.keys[pos] == key:
-            return int(self.ids[pos])
-        return -1
-
-
 class CandidateSpace:
     """All scoreable parts for one decoding instance, with parallel scores.
 
@@ -305,10 +289,9 @@ class CandidateSpace:
     without its arc, and a cross-task part that does not pair an argument
     with an arc from the target's first token into its span.
 
-    Everything ``ids_of`` and ``mask`` look parts up in is built at
-    construction.  ``parts``, ``part_to_id`` and ``labels_for_arc`` are
-    views built on first access; ``with_scores`` copies share the arrays,
-    the lookup keys and the views.
+    ``gold_mask`` reads the arrays and needs nothing built beforehand.
+    ``parts`` and ``labels_for_arc`` are ``Part``-level views built on
+    first access; ``with_scores`` copies share the arrays and the views.
     """
 
     def __init__(self, sentence: Sentence, target: Optional[Target],
@@ -338,21 +321,24 @@ class CandidateSpace:
                     tuple(dict.fromkeys(p.label for p in parts
                                         if type(p) is LabeledArc)))
         rows: dict[type, list] = {kind: [] for kind in _GROUP_OF}
-        for i, p in enumerate(parts):
-            fields = (p.arg_id, p.arc_id) if type(p) is CrossTask \
-                else self._fields(p)
-            if fields is None:
-                raise ValueError(f"part {i} ({p}) does not fit the space's "
-                                 "target, frames or sentence")
-            rows[type(p)].append(fields)
+        for p in parts:
+            rows[type(p)].append(tuple(vars(p).values()))
+        first = dict(zip(_GROUP_OF, accumulate(map(len, rows.values()),
+                                               initial=0)))
+        for kind in (Predicate, Argument, Head, UnlabeledArc, LabeledArc):
+            rows[kind], bounds = self._digits(kind, rows[kind])
+            for k, digits in enumerate(rows[kind]):
+                if not _fits(digits, bounds) or \
+                        kind is Argument and digits[1] > digits[2]:
+                    i = first[kind] + k
+                    raise ValueError(f"part {i} ({parts[i]}) does not fit the "
+                                     "space's target, frames or sentence")
         # a labeled arc refers to its arc by part id
-        first_arc = sum(len(rows[k]) for k in (Predicate, Argument, Head))
-        arc_of = {arc: first_arc + k
+        arc_of = {arc: first[UnlabeledArc] + k
                   for k, arc in enumerate(rows[UnlabeledArc])}
-        first_labeled = first_arc + len(rows[UnlabeledArc])
         for k, (h, d, label) in enumerate(rows[LabeledArc]):
             if (h, d) not in arc_of:
-                raise ValueError(f"labeled arc {parts[first_labeled + k]} "
+                raise ValueError(f"labeled arc {parts[first[LabeledArc] + k]} "
                                  "has no unlabeled arc in the space")
             rows[LabeledArc][k] = (arc_of[h, d], label)
 
@@ -363,6 +349,7 @@ class CandidateSpace:
         arg_frame, arg_start, arg_end, arg_role = cols(Argument, 4)
         (head_token,) = cols(Head, 1)
         arc_head, arc_dep = cols(UnlabeledArc, 2)
+        arc_head = arc_head - 1  # the digit is the head plus one
         lab_arc, lab_label = cols(LabeledArc, 2)
         cross_arg, cross_arc = cols(CrossTask, 2)
         self._fill(scores, pred_frame=pred_frame, arg_frame=arg_frame,
@@ -395,9 +382,6 @@ class CandidateSpace:
     def _names(self, sentence, target, frames, roles, labels):
         self.sentence, self.target, self.frames = sentence, target, frames
         self.roles, self.labels = roles, labels
-        self._frame_ix = {f: k for k, f in enumerate(frames)}
-        self._role_ix = {r: k for k, r in enumerate(roles)}
-        self._label_ix = {lab: k for k, lab in enumerate(labels)}
 
     def _fill(self, scores, *, pred_frame, arg_frame, arg_start, arg_end,
               arg_role, head_token, arc_head, arc_dep, lab_arc, lab_label,
@@ -415,73 +399,7 @@ class CandidateSpace:
             setattr(self, name, range(stop, stop + size))
             stop += size
         self.scores = scores
-
-        own = lab_arc - self.arc_ids.start
-        self._keys = {
-            Predicate: _Keys(pred_frame, 0),
-            Argument: _Keys(self._key(Argument, arg_frame, arg_start,
-                                      arg_end, arg_role),
-                            self.argument_ids.start),
-            Head: _Keys(head_token, self.head_ids.start),
-            UnlabeledArc: _Keys(self._key(UnlabeledArc, arc_head, arc_dep),
-                                self.arc_ids.start),
-            LabeledArc: _Keys(self._key(LabeledArc, arc_head[own],
-                                        arc_dep[own], lab_label),
-                              self.labeled_ids.start),
-            CrossTask: _Keys(self._key(CrossTask, cross_arg, cross_arc),
-                             self.cross_ids.start),
-        }
         self._views: dict = {}
-
-    def _key(self, kind: type, *cols):
-        """The lookup key of parts of type ``kind`` from their fields as
-        integers (see ``_fields``): a mixed-radix number, so a key names
-        one part."""
-        n = self.n
-        if kind is Argument:
-            frame, start, end, role = cols
-            return ((frame * n + start) * n + end) * len(self.roles) + role
-        if kind is UnlabeledArc:
-            head, dep = cols
-            return (head + 1) * n + dep
-        if kind is LabeledArc:
-            head, dep, label = cols
-            return ((head + 1) * n + dep) * len(self.labels) + label
-        if kind is CrossTask:
-            arg, arc = cols
-            return arg * self.cross_ids.start + arc
-        return cols[0]
-
-    def _fields(self, p: Part) -> Optional[tuple[int, ...]]:
-        """The integer fields ``_key`` takes for ``p``, or None when no part
-        of the space can equal ``p``."""
-        n, kind = self.n, type(p)
-        if kind is Predicate:
-            t, frame = self.target, self._frame_ix.get(p.frame)
-            if t is None or frame is None or (p.target, p.lu) != (t.span, t.lu):
-                return None
-            return (frame,)
-        if kind is Argument:
-            frame, role = self._frame_ix.get(p.frame), self._role_ix.get(p.role)
-            if frame is None or role is None or not 0 <= p.start <= p.end < n:
-                return None
-            return (frame, p.start, p.end, role)
-        if kind is Head:
-            return (p.token,) if 0 <= p.token < n else None
-        if kind is UnlabeledArc or kind is LabeledArc:
-            if not (VIRTUAL_ROOT <= p.head < n and 0 <= p.dep < n):
-                return None
-            if kind is UnlabeledArc:
-                return (p.head, p.dep)
-            label = self._label_ix.get(p.label)
-            return None if label is None else (p.head, p.dep, label)
-        if kind is CrossTask:
-            # the key takes both ids below the first cross-task id
-            stop = self.cross_ids.start
-            if not (0 <= p.arg_id < stop and 0 <= p.arc_id < stop):
-                return None
-            return (p.arg_id, p.arc_id)
-        return None
 
     def __len__(self) -> int:
         return self.cross_ids.stop
@@ -502,14 +420,9 @@ class CandidateSpace:
         return self._view("parts", self._make_parts)
 
     @property
-    def part_to_id(self) -> dict:
-        """Each part's id."""
-        return self._view("part_to_id",
-                          lambda: {p: i for i, p in enumerate(self.parts)})
-
-    @property
     def labels_for_arc(self) -> dict:
-        """The ids of each arc's labeled arcs, by the arc's id."""
+        """The ids of each arc's labeled arcs, by the arc's id; kept for
+        perfbench/checks.py:102."""
         def make():
             out: dict[int, list[int]] = {}
             for i, arc in zip(self.labeled_ids, self.lab_arc.tolist()):
@@ -535,8 +448,8 @@ class CandidateSpace:
             *map(CrossTask, self.cross_arg.tolist(), self.cross_arc.tolist()))
 
     def with_scores(self, scores: np.ndarray) -> "CandidateSpace":
-        """A copy carrying ``scores`` that shares this space's arrays,
-        lookup keys and views."""
+        """A copy carrying ``scores`` that shares this space's arrays and
+        views."""
         scores = np.asarray(scores, dtype=float)
         if scores.shape != (len(self),):
             raise ValueError(f"expected {len(self)} scores, got {scores.shape}")
@@ -544,25 +457,79 @@ class CandidateSpace:
         scored.scores = scores
         return scored
 
-    def ids_of(self, parts: Iterable[Part]) -> np.ndarray:
-        """The id of each of ``parts``, -1 for a part the space lacks."""
-        ids = []
-        for p in parts:
-            fields = self._fields(p)
-            ids.append(-1 if fields is None else
-                       self._keys[type(p)].find(self._key(type(p), *fields)))
-        return np.array(ids, dtype=int)
-
-    def mask(self, parts: Iterable[Part]) -> np.ndarray:
-        """The boolean mask over the space's parts that is set on ``parts``;
-        ``KeyError`` names a part the space lacks."""
-        parts = list(parts)
-        ids = self.ids_of(parts)
-        if (ids < 0).any():
-            raise KeyError(parts[int(np.argmin(ids))])
+    def gold_mask(self, gold: Union[FrameParse, DependencyGraph]
+                  ) -> np.ndarray:
+        """The mask over the space's parts set on the parts that realize
+        ``gold``: a parse's predicate and arguments, or a graph's heads,
+        arcs, labeled arcs and top arc.  Each part type takes one search of
+        integer keys made from ``gold``'s tuples among keys made from the
+        space's arrays.  A part the space lacks is a ``SpandepError`` that
+        names it."""
+        # the gold parts by type, each as its ``Part``'s fields
+        if isinstance(gold, FrameParse):
+            t = gold.target
+            rows = {Predicate: [(t.span, t.lu, gold.frame)],
+                    Argument: [(gold.frame, *arg) for arg in gold.arguments]}
+        else:
+            top = [] if gold.top is None else [(VIRTUAL_ROOT, gold.top)]
+            rows = {Head: [(h,) for h, _, _ in gold.arcs],
+                    UnlabeledArc: [(h, d) for h, d, _ in gold.arcs] + top,
+                    LabeledArc: list(gold.arcs)}
         active = np.zeros(len(self), dtype=bool)
-        active[ids] = True
+        missing = set()
+        for kind, fields in rows.items():
+            first, have = self._columns(kind)
+            digits, bounds = self._digits(kind, fields)
+            want = [_key(d, bounds) if _fits(d, bounds) else -1
+                    for d in digits]
+            ids = _find(_key(have, bounds), np.array(want, dtype=int))
+            lost = [kind(*fields[k]) for k, i in enumerate(ids.tolist())
+                    if i < 0]
+            missing.update(lost)
+            if not lost:
+                active[first + ids] = True
+        if missing:
+            raise SpandepError("gold parts outside candidate space: "
+                               f"{sorted(map(str, missing))}")
         return active
+
+    def _digits(self, kind: type, rows: list[tuple]):
+        """Parts of type ``kind``, each given by its ``Part``'s fields in
+        order, as integer digits, with the bound of each digit: names become
+        indices into the space's (-1 when absent) and arc heads the head
+        plus one, so a part the arrays cannot hold has a digit out of
+        bounds.  The digits of a predicate are its frame's."""
+        n, frames, roles, labels = self.n, self.frames, self.roles, self.labels
+        if kind is Predicate:
+            t = self.target
+            return [(_index(frames, f) if t is not None
+                     and (span, lu) == (t.span, t.lu) else -1,)
+                    for span, lu, f in rows], (len(frames),)
+        if kind is Argument:
+            return [(_index(frames, f), i, j, _index(roles, r))
+                    for f, i, j, r in rows], (len(frames), n, n, len(roles))
+        if kind is Head:
+            return rows, (n,)
+        if kind is UnlabeledArc:
+            return [(h + 1, d) for h, d in rows], (n + 1, n)
+        return [(h + 1, d, _index(labels, lab)) for h, d, lab in rows], \
+            (n + 1, n, len(labels))
+
+    def _columns(self, kind: type) -> tuple[int, tuple[np.ndarray, ...]]:
+        """The first id of the parts of type ``kind``, and their digits
+        (see ``_digits``) as columns of the space's arrays."""
+        if kind is Predicate:
+            return 0, (self.pred_frame,)
+        if kind is Argument:
+            return self.argument_ids.start, (self.arg_frame, self.arg_start,
+                                             self.arg_end, self.arg_role)
+        if kind is Head:
+            return self.head_ids.start, (self.head_token,)
+        if kind is UnlabeledArc:
+            return self.arc_ids.start, (self.arc_head + 1, self.arc_dep)
+        own = self.lab_arc - self.arc_ids.start
+        return self.labeled_ids.start, (self.arc_head[own] + 1,
+                                        self.arc_dep[own], self.lab_label)
 
     def close_pairs(self, active: np.ndarray) -> np.ndarray:
         """Set each cross-task bit of the mask ``active`` to the AND of its
@@ -570,6 +537,35 @@ class CandidateSpace:
         active[self.cross_ids.start:] = \
             active[self.cross_arg] & active[self.cross_arc]
         return active
+
+
+def _index(names: tuple[str, ...], name: str) -> int:
+    """The position of ``name`` in ``names``, -1 when absent."""
+    return names.index(name) if name in names else -1
+
+
+def _fits(digits: tuple[int, ...], bounds: tuple[int, ...]) -> bool:
+    return all(0 <= d < b for d, b in zip(digits, bounds))
+
+
+def _key(digits, bounds: tuple[int, ...]):
+    """The mixed-radix number whose digit k, below ``bounds[k]``, is
+    ``digits[k]``: an int from ints, an array from integer columns."""
+    key = 0
+    for digit, bound in zip(digits, bounds):
+        key = key * bound + digit
+    return key
+
+
+def _find(have: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The index in ``have`` of each key in ``want`` (the lowest, for a key
+    ``have`` holds twice), -1 for a key it lacks."""
+    if not len(have):
+        return np.full(len(want), -1)
+    order = have.argsort(kind="stable")
+    pos = order[np.minimum(have.searchsorted(want, sorter=order),
+                           len(have) - 1)]
+    return np.where(have[pos] == want, pos, -1)
 
 
 def span_array(n: int, max_len: int,
@@ -695,34 +691,10 @@ def weighted_hamming(predicted: np.ndarray, gold: np.ndarray) -> float:
     return FP_COST * fp + FN_COST * fn
 
 
-def _gold(space: CandidateSpace, parts: set[Part]) -> set[Part]:
-    """``parts``, after checking that the space holds each of them."""
-    listed = list(parts)
-    missing = [p for p, i in zip(listed, space.ids_of(listed).tolist())
-               if i < 0]
-    if missing:
-        raise SpandepError(f"gold parts outside candidate space: {sorted(map(str, missing))}")
-    return parts
-
-
 def frame_parts(space: CandidateSpace, parse: FrameParse) -> set[Part]:
-    """The Predicate/Argument parts realizing ``parse`` in ``space``."""
-    parts: set[Part] = {Predicate(parse.target.span, parse.target.lu, parse.frame)}
-    for (i, j, r) in parse.arguments:
-        parts.add(Argument(parse.frame, i, j, r))
-    return _gold(space, parts)
-
-
-def dep_parts(space: CandidateSpace, graph: DependencyGraph) -> set[Part]:
-    """The Head/UnlabeledArc/LabeledArc parts realizing ``graph`` in ``space``."""
-    parts: set[Part] = set()
-    for (h, d, lab) in graph.arcs:
-        parts.add(Head(h))
-        parts.add(UnlabeledArc(h, d))
-        parts.add(LabeledArc(h, d, lab))
-    if graph.top is not None:
-        parts.add(UnlabeledArc(VIRTUAL_ROOT, graph.top))
-    return _gold(space, parts)
+    """The Predicate/Argument parts realizing ``parse`` in ``space``, as
+    ``Part`` objects; kept for perfbench/checks.py:28,116,136."""
+    return {space.parts[i] for i in np.flatnonzero(space.gold_mask(parse))}
 
 
 def assemble_structures(space: CandidateSpace, active: np.ndarray

@@ -38,8 +38,6 @@ from .parts import (
     SpaceLimits,
     SpandepError,
     build_candidate_space,
-    dep_parts,
-    frame_parts,
     weighted_hamming,
 )
 
@@ -162,7 +160,7 @@ def latent_hinge_loss(model: ParserModel, space: CandidateSpace,
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
     raw = space.with_scores(scored.node.value.copy())
-    gold = space.mask(frame_parts(space, gold_parse))
+    gold = space.gold_mask(gold_parse)
 
     best = decode(cost_augment(raw, gold, scope="frames"), mode="joint")
     frames = slice(space.head_ids.start)
@@ -179,7 +177,7 @@ def sdp_hinge_loss(model: ParserModel, space: CandidateSpace,
     g = g if g is not None else Graph()
     scored = model.score_space(g, space, rng=rng, training=training)
     raw = space.with_scores(scored.node.value.copy())
-    gold = space.mask(dep_parts(space, gold_graph))
+    gold = space.gold_mask(gold_graph)
 
     best = decode(cost_augment(raw, gold, scope="dependencies"),
                   mode="dependencies_only")
@@ -368,10 +366,8 @@ def train(model: ParserModel,
         raise SpandepError("no training instances")
     for inst in (*fn_insts, *ex_insts, *dm_insts):
         try:
-            if isinstance(inst, FnInstance):
-                frame_parts(inst.space, inst.parse)
-            else:
-                dep_parts(inst.space, inst.graph)
+            inst.space.gold_mask(inst.parse if isinstance(inst, FnInstance)
+                                 else inst.graph)
         except SpandepError as err:
             raise SpandepError(f"training instance {inst.id!r}: {err}") \
                 from None

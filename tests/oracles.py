@@ -354,6 +354,43 @@ def random_factor_graph(rng, n_core=4, n_trees=4, n_tokens=4):
                        tuple(semis), float(rng.normal()))
 
 
+def parse_parts(parse):
+    """The Predicate and Argument parts of a frame parse."""
+    from spandep.parts import Argument, Predicate
+
+    t = parse.target
+    return {Predicate(t.span, t.lu, parse.frame),
+            *(Argument(parse.frame, i, j, r) for i, j, r in parse.arguments)}
+
+
+def graph_parts(graph):
+    """The Head, UnlabeledArc and LabeledArc parts of a dependency graph,
+    its top as the root arc into it."""
+    from spandep.parts import VIRTUAL_ROOT, Head, LabeledArc, UnlabeledArc
+
+    parts = set()
+    for h, d, lab in graph.arcs:
+        parts.update((Head(h), UnlabeledArc(h, d), LabeledArc(h, d, lab)))
+    if graph.top is not None:
+        parts.add(UnlabeledArc(VIRTUAL_ROOT, graph.top))
+    return parts
+
+
+def part_ids(space):
+    """Each part's id, read off ``space.parts``: the reference the gold
+    masks are checked against."""
+    return {p: i for i, p in enumerate(space.parts)}
+
+
+def mask_of(space, parts):
+    """The mask over ``space``'s parts set on ``parts``, each found through
+    ``part_ids``; ``KeyError`` names a part the space lacks."""
+    ids = part_ids(space)
+    active = np.zeros(len(space), dtype=bool)
+    active[[ids[p] for p in parts]] = True
+    return active
+
+
 def mask_objective(space, active):
     """Total score of the structural parts set in a part mask, plus every
     cross-task score whose argument and arc are both set; the mask's own
@@ -401,7 +438,7 @@ def assert_joint_feasible(space, active):
     for ua in arcs:
         assert ua.head in heads, "arc without head part"
         n_labels = len(by_arc.get((ua.head, ua.dep), []))
-        if space.labels_for_arc.get(space.part_to_id[ua]):
+        if space.labels_for_arc.get(space.parts.index(ua)):
             assert n_labels == 1, f"arc needs exactly one label, got {n_labels}"
 
 

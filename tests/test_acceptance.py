@@ -50,7 +50,12 @@ from spandep.training import (
     train,
 )
 
-from .oracles import map_by_enumeration, marginals_by_enumeration, mask_objective
+from .oracles import (
+    map_by_enumeration,
+    marginals_by_enumeration,
+    mask_objective,
+    mask_of,
+)
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
@@ -151,9 +156,9 @@ def test_criterion_04_weighted_hamming_fixtures():
     with criterion(4, "weighted Hamming reproduces 0.4 / 0.6 / 0.0"):
         space = build_candidate_space(make_sentence(["a", "b"]), None,
                                       Ontology({}, {}), SpaceLimits())
-        gold = space.mask({Head(0), UnlabeledArc(0, 1)})
-        extra = space.mask({Head(0), UnlabeledArc(0, 1), Head(1)})
-        short = space.mask({Head(0)})
+        gold = mask_of(space, {Head(0), UnlabeledArc(0, 1)})
+        extra = mask_of(space, {Head(0), UnlabeledArc(0, 1), Head(1)})
+        short = mask_of(space, {Head(0)})
         assert weighted_hamming(extra, gold) == 0.4
         assert weighted_hamming(short, gold) == 0.6
         assert weighted_hamming(gold.copy(), gold) == 0.0

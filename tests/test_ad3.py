@@ -27,7 +27,7 @@ from spandep.parts import (
 )
 from spandep.synthetic import random_joint_instance
 
-from .oracles import assert_joint_feasible, mask_objective
+from .oracles import assert_joint_feasible, mask_objective, mask_of
 
 
 class TestFixtures:
@@ -156,7 +156,7 @@ class TestCostAugment:
         target = space.parts[space.predicate_ids[0]]
         gold = FrameParse(space.target, target.frame, frozenset())
         gold_set = frame_parts(ones, gold)
-        aug = cost_augment(ones, ones.mask(gold_set), scope="frames")
+        aug = cost_augment(ones, ones.gold_mask(gold), scope="frames")
         for i, part in enumerate(ones.parts):
             if isinstance(part, CrossTask):
                 assert aug.scores[i] == pytest.approx(1.0)
@@ -170,7 +170,7 @@ class TestCostAugment:
     def test_empty_gold_shifts_everything(self):
         space = random_joint_instance(np.random.default_rng(10))
         zeros = space.with_scores(np.zeros(len(space.parts)))
-        aug = cost_augment(zeros, zeros.mask(()), scope="all")
+        aug = cost_augment(zeros, mask_of(zeros, ()), scope="all")
         for i, part in enumerate(zeros.parts):
             want = 0.0 if isinstance(part, CrossTask) else 0.4
             assert aug.scores[i] == pytest.approx(want)
@@ -178,7 +178,7 @@ class TestCostAugment:
     def test_gold_outside_scope_is_named(self):
         space = random_joint_instance(np.random.default_rng(9))
         arc = space.parts[space.arc_ids[0]]
-        gold = space.mask({arc, space.parts[space.predicate_ids[0]]})
+        gold = mask_of(space, {arc, space.parts[space.predicate_ids[0]]})
         with pytest.raises(SpandepError, match=re.escape(str(arc))):
             cost_augment(space, gold, scope="frames")
         pred = space.parts[space.predicate_ids[0]]
@@ -191,8 +191,7 @@ class TestCostAugment:
         for _ in range(10):
             space = random_joint_instance(rng)
             gold = decode(space).parse
-            gold_set = frame_parts(space, gold)
-            gold_mask = space.mask(gold_set)
+            gold_mask = space.gold_mask(gold)
             aug = cost_augment(space, gold_mask, scope="frames")
             got = decode(aug)
             frames = slice(space.head_ids.start)
@@ -200,7 +199,7 @@ class TestCostAugment:
             delta = weighted_hamming(got.active[frames], gold_mask[frames])
             fg = build_factor_graph(aug)
             _, want = brute_force_map(fg)
-            assert raw + delta == pytest.approx(want + 0.6 * len(gold_set),
+            assert raw + delta == pytest.approx(want + 0.6 * gold_mask.sum(),
                                                 abs=1e-6)
 
 

@@ -112,9 +112,15 @@ class TestArgumentHandling:
         (lambda m: m["hyperparameters"].update(bilstm_dim=5), "bilstm_dim"),
         (lambda m: m["hyperparameters"].update(mlp_dim=0), "mlp_dim"),
         (lambda m: m["hyperparameters"].update(joint="no"), "joint"),
+        (lambda m: m["ontology"]["lus"].update({"new.v": ["Nope"]}),
+         "new.v"),
+        (lambda m: m["ontology"]["frames"].update(Bare={}), "roles"),
+        (lambda m: m["ontology"].update(lus=["x"]), "lus"),
+        (lambda m: m.update(dep_labels=5), "dep_labels"),
     ], ids=["unknown-hyperparameter", "no-vocabularies", "zero-span-cap",
             "string-width", "odd-bilstm-width", "zero-mlp-width",
-            "string-switch"])
+            "string-switch", "undefined-frame", "frame-without-roles",
+            "list-of-lexical-units", "number-of-labels"])
     def test_bad_manifest_is_a_located_error(self, paths, corpus, capsys,
                                              edit, key):
         model = ParserModel.build(TINY, corpus["ontology"],
@@ -189,6 +195,23 @@ class TestEvaluate:
                   "--pred", str(paths["dm_train"])])
         assert rc == 0
         assert "F1 1.000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ontology, key", [
+        ({"frames": [], "lus": {}}, "'frames'"),
+        ({"frames": {}, "lus": ["x"]}, "'lus'"),
+        ({"frames": {"Rest": {"roles": 3}}, "lus": {}}, "'roles'"),
+    ], ids=["list-of-frames", "list-of-lexical-units", "number-of-roles"])
+    def test_malformed_ontology_is_a_located_error(self, paths, capsys,
+                                                   ontology, key):
+        bad = paths["dir"] / "bad-ontology.json"
+        bad.write_text(json.dumps(ontology), encoding="utf-8")
+        rc = cli(["evaluate", "--task", "fn",
+                  "--gold", str(paths["fn_train"]),
+                  "--pred", str(paths["fn_train"]),
+                  "--ontology", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{bad}:1:" in err and key in err
 
     def test_fn_requires_ontology(self, paths, capsys):
         rc = cli(["evaluate", "--task", "fn",

@@ -12,7 +12,7 @@ from spandep.inference.factor_graph import (
 )
 from spandep.inference.decode import cost_augment
 from spandep.model import ModelConfig, ParserModel
-from spandep.parts import SpandepError, frame_parts
+from spandep.parts import SpandepError
 from spandep.synthetic import random_joint_instance, synthetic_corpus
 from spandep.training import fn_instances
 
@@ -108,6 +108,6 @@ class TestMilpOracle:
                              config.fn_limits(corpus["dep_labels"]))
         for inst in insts:
             space = model.scored_space(inst.space)
-            gold = space.mask(frame_parts(space, inst.parse))
             assert_same_optimum(space)
-            assert_same_optimum(cost_augment(space, gold, scope="frames"))
+            assert_same_optimum(cost_augment(
+                space, space.gold_mask(inst.parse), scope="frames"))

@@ -269,6 +269,12 @@ def tiny_model(seed=0):
                              np.random.default_rng(seed))
 
 
+def _add_frame(m, roles, lu=None):
+    m["ontology"]["frames"]["Bare"] = {} if roles is None else {"roles": roles}
+    if lu is not None:
+        m["ontology"]["lus"][lu] = ["Bare"]
+
+
 BAD_MANIFESTS = {
     "unknown-hyperparameter": (
         lambda m: m["hyperparameters"].update(future_knob=1),
@@ -287,6 +293,18 @@ BAD_MANIFESTS = {
                        "hyperparameters", "mlp_dim must be at least 1"),
     "string-switch": (lambda m: m["hyperparameters"].update(joint="no"),
                       "hyperparameters", "joint must be a bool, got 'no'"),
+    "undefined-frame": (
+        lambda m: m["ontology"]["lus"].update({"new.v": ["Nope"]}),
+        "ontology", "lexical unit 'new.v' lists undefined frame 'Nope'"),
+    "frame-without-roles": (lambda m: _add_frame(m, None), "ontology",
+                            "missing field 'roles'"),
+    "frame-with-no-roles": (lambda m: _add_frame(m, [], lu="bare.v"),
+                            "ontology",
+                            "frame 'Bare' reachable from 'bare.v' has no roles"),
+    "list-of-lexical-units": (lambda m: m["ontology"].update(lus=["x"]),
+                              "ontology", "'lus' must be an object"),
+    "number-of-labels": (lambda m: m.update(dep_labels=5), "manifest",
+                         "'dep_labels' must be a list of strings"),
 }
 
 

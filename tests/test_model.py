@@ -162,7 +162,7 @@ class TestPerPartCrossCheck:
         chosen = [space.parts[i] for i in ids]
         total = float(space.scores[ids].sum())
         assert total == pytest.approx(
-            sum(space.scores[space.part_to_id[p]] for p in chosen), rel=1e-12)
+            sum(space.scores[space.parts.index(p)] for p in chosen), rel=1e-12)
 
 
 def test_gradients_through_space_scoring():

@@ -19,13 +19,14 @@ from spandep.parts import (
     UnlabeledArc,
     assemble_structures,
     build_candidate_space,
-    dep_parts,
     enumerate_arcs,
     frame_parts,
     make_sentence,
     weighted_hamming,
 )
 from spandep.synthetic import random_joint_instance
+
+from .oracles import mask_of
 
 ONT = Ontology(
     {"run.v": ("Motion", "Operate"), "eat.v": ("Ingest",)},
@@ -98,7 +99,7 @@ def test_cross_task_pairing():
         sent, Target(1, 1, "run.v"), ONT,
         SpaceLimits(dep_labels=("ARG1",)))
     arg = Argument("Motion", 2, 4, "Theme")
-    arg_id = space.part_to_id[arg]
+    arg_id = space.parts.index(arg)
     arcs = [space.parts[space.parts[c].arc_id] for c in space.cross_ids
             if space.parts[c].arg_id == arg_id]
     assert sorted(a.dep for a in arcs) == [2, 3, 4]
@@ -180,8 +181,8 @@ HAMMING_SPACE = build_candidate_space(
 
 
 def hamming(predicted, gold):
-    m = HAMMING_SPACE.mask
-    return weighted_hamming(m(predicted), m(gold))
+    return weighted_hamming(mask_of(HAMMING_SPACE, predicted),
+                            mask_of(HAMMING_SPACE, gold))
 
 
 def test_hamming_identity_fixture():
@@ -227,7 +228,7 @@ def test_frame_parts_round_trip():
                                   SpaceLimits(include_dependencies=False))
     parse = FrameParse(space.target, "Motion",
                        frozenset({(0, 0, "Theme"), (2, 2, "Path")}))
-    got, dep = assemble_structures(space, space.mask(frame_parts(space, parse)))
+    got, dep = assemble_structures(space, space.gold_mask(parse))
     assert got == parse
     assert dep == DependencyGraph()
 
@@ -237,10 +238,11 @@ def test_dep_parts_round_trip():
     space = build_candidate_space(sent, None, ONT,
                                   SpaceLimits(dep_labels=("A", "B")))
     graph = DependencyGraph(frozenset({(0, 1, "A"), (0, 2, "B")}), top=0)
-    parts = dep_parts(space, graph)
+    gold = space.gold_mask(graph)
+    parts = {space.parts[i] for i in np.flatnonzero(gold)}
     assert Head(0) in parts and Head(1) not in parts
     assert UnlabeledArc(VIRTUAL_ROOT, 0) in parts
-    _, got = assemble_structures(space, space.mask(parts))
+    _, got = assemble_structures(space, gold)
     assert got == graph
 
 
@@ -265,7 +267,7 @@ def test_with_scores_shares_parts():
     space = build_candidate_space(sent, None, ONT, SpaceLimits(dep_labels=("A",)))
     scored = space.with_scores(np.arange(len(space), dtype=float))
     assert scored.parts is space.parts
-    assert scored.scores[scored.part_to_id[space.parts[1]]] == 1.0
+    assert scored.scores[scored.parts.index(space.parts[1])] == 1.0
     with pytest.raises(ValueError):
         space.with_scores(np.zeros(3))
     with pytest.raises(ValueError):
@@ -279,7 +281,7 @@ def test_with_scores_shares_the_derived_index():
     assert space.cross_ids and space.labels_for_arc
     scored = space.with_scores(np.ones(len(space)))
     again = scored.with_scores(np.zeros(len(space)))
-    for name in ("part_to_id", "predicate_ids", "argument_ids", "head_ids",
+    for name in ("parts", "predicate_ids", "argument_ids", "head_ids",
                  "arc_ids", "root_arc_ids", "labeled_ids", "cross_ids",
                  "cross_arg", "cross_arc", "labels_for_arc"):
         assert getattr(again, name) is getattr(space, name), name
@@ -295,7 +297,7 @@ def test_labels_for_arc_groups_labels_under_their_arc():
     want = {}
     for i in space.labeled_ids:
         la = space.parts[i]
-        arc = space.part_to_id[UnlabeledArc(la.head, la.dep)]
+        arc = space.parts.index(UnlabeledArc(la.head, la.dep))
         want.setdefault(arc, []).append(i)
     assert space.labels_for_arc == want
     assert sorted(space.labels_for_arc) == sorted(space.arc_ids)

@@ -167,8 +167,7 @@ class TestModelScored:
         other is feasible and no better than it."""
         fn, _ = scored
         for space, gold in fn[:6]:
-            for s in (space, cost_augment(space,
-                                          space.mask(frame_parts(space, gold)),
+            for s in (space, cost_augment(space, space.gold_mask(gold),
                                           scope="frames")):
                 res = decode(s, mode="joint")
                 assert_joint_feasible(s, res.active)

@@ -2,11 +2,12 @@
 
 A space built by ``build_candidate_space`` holds its parts as integer arrays.
 It must equal the space the Part-tuple constructor derives from its
-``parts``, gold lookups must read the arrays, and scoring, decoding, the
-hinges and prediction must build no ``Part`` objects beyond the gold ones.
+``parts``, gold masks must read the arrays, and scoring, decoding, the
+hinges, prediction and the joint oracle must build no ``Part`` objects.
 """
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spandep.inference.decode import decode
+from spandep.inference.exhaustive import exhaustive_joint_map
 from spandep.model import ModelConfig, ParserModel
 from spandep.parts import (
     GROUPS,
@@ -34,7 +36,6 @@ from spandep.parts import (
     Target,
     UnlabeledArc,
     build_candidate_space,
-    dep_parts,
     frame_parts,
     make_sentence,
 )
@@ -44,6 +45,8 @@ from spandep.training import (
     predict_frames,
     sdp_hinge_loss,
 )
+
+from .oracles import graph_parts, mask_of, parse_parts, part_ids
 
 ONT = Ontology(
     {"run.v": ("Motion", "Operate"), "eat.v": ("Ingest",)},
@@ -85,15 +88,8 @@ def twin_of(space):
                           space.parts, space.scores)
 
 
-def reference_mask(space, parts):
-    """The gold mask through a dict over all parts."""
-    active = np.zeros(len(space), dtype=bool)
-    active[[space.part_to_id[p] for p in parts]] = True
-    return active
-
-
 def outside_message(space, parts):
-    missing = [p for p in parts if p not in space.part_to_id]
+    missing = [p for p in parts if p not in part_ids(space)]
     return f"gold parts outside candidate space: {sorted(map(str, missing))}"
 
 
@@ -111,9 +107,6 @@ def test_arrays_equal_the_part_tuple_constructor(space):
         assert got.tolist() == want.tolist(), name
     assert (twin.roles, twin.labels) == (space.roles, space.labels)
     assert twin.labels_for_arc == space.labels_for_arc
-    assert twin.part_to_id == space.part_to_id
-    assert space.ids_of(space.parts).tolist() == list(range(len(space)))
-    assert twin.ids_of(space.parts).tolist() == list(range(len(space)))
 
 
 @given(spaces(), st.data())
@@ -133,11 +126,14 @@ def test_gold_masks_read_the_arrays(space, data):
                 kept.add((a.start, a.end, a.role))
                 used.update(range(a.start, a.end + 1))
         parse = FrameParse(space.target, frame, frozenset(kept))
-        gold = frame_parts(space, parse)
-        assert frame_parts(twin, parse) == gold
-        want = reference_mask(space, gold)
-        assert (space.mask(gold) == want).all()
-        assert (twin.mask(gold) == want).all()
+        gold = parse_parts(parse)
+        want = mask_of(space, gold)
+        for s in (space, twin):
+            got = s.gold_mask(parse)
+            assert (got == want).all()
+            # perfbench/checks.py:pinned_space relies on this
+            assert frame_parts(s, parse) == gold == \
+                {s.parts[i] for i in np.flatnonzero(got)}
 
     if space.labeled_ids:
         picked = data.draw(st.lists(st.sampled_from(
@@ -147,17 +143,15 @@ def test_gold_masks_read_the_arrays(space, data):
         top = data.draw(st.sampled_from(range(space.n)))
         graph = DependencyGraph(
             frozenset((h, d, lab) for (h, d), lab in arcs.items()), top)
-        gold = dep_parts(space, graph)
-        assert dep_parts(twin, graph) == gold
-        want = reference_mask(space, gold)
-        assert (space.mask(gold) == want).all()
-        assert (twin.mask(gold) == want).all()
+        want = mask_of(space, graph_parts(graph))
+        assert (space.gold_mask(graph) == want).all()
+        assert (twin.gold_mask(graph) == want).all()
 
 
 @given(spaces(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_gold_outside_the_space_keeps_its_message(space, data):
-    n = space.n
+    n, twin = space.n, twin_of(space)
     if space.target is not None:
         frame = space.frames[0]
         role = data.draw(st.sampled_from(ONT.roles_for(frame) + ("Nope",)))
@@ -167,12 +161,16 @@ def test_gold_outside_the_space_keeps_its_message(space, data):
                            frozenset({(start, end, role)}))
         gold = {Predicate(space.target.span, space.target.lu, frame),
                 Argument(frame, start, end, role)}
-        if any(p not in space.part_to_id for p in gold):
-            with pytest.raises(SpandepError,
-                               match=re.escape(outside_message(space, gold))):
-                frame_parts(space, parse)
-        else:
+        if gold <= part_ids(space).keys():
             assert frame_parts(space, parse) == gold
+            for s in (space, twin):
+                assert (s.gold_mask(parse) == mask_of(space, gold)).all()
+        else:
+            for lookup in (partial(frame_parts, space), space.gold_mask,
+                           twin.gold_mask):
+                with pytest.raises(SpandepError, match=re.escape(
+                        outside_message(space, gold))):
+                    lookup(parse)
 
     if n > 1:
         head, dep = data.draw(st.sampled_from(
@@ -184,12 +182,13 @@ def test_gold_outside_the_space_keeps_its_message(space, data):
                 LabeledArc(head, dep, label)}
         if graph.top is not None:
             gold.add(UnlabeledArc(VIRTUAL_ROOT, graph.top))
-        if any(p not in space.part_to_id for p in gold):
-            with pytest.raises(SpandepError,
-                               match=re.escape(outside_message(space, gold))):
-                dep_parts(space, graph)
-        else:
-            assert dep_parts(space, graph) == gold
+        for s in (space, twin):
+            if gold <= part_ids(space).keys():
+                assert (s.gold_mask(graph) == mask_of(space, gold)).all()
+            else:
+                with pytest.raises(SpandepError, match=re.escape(
+                        outside_message(space, gold))):
+                    s.gold_mask(graph)
 
 
 # --- no Part objects on the hot path ----------------------------------------
@@ -233,17 +232,10 @@ def test_hot_path_builds_only_gold_parts(joint, made):
     decode(scored, mode="dependencies_only")
     if joint:
         assert space.cross_ids
-        assert predict_frames([model], [fn_sent])
-    assert predict_dependencies([model], [dm_sent])
-    assert made == []
-
-    if joint:
-        gold = frame_parts(space, PARSE)
-        made.clear()
         decode(scored, mode="latent_completion", gold_parse=PARSE)
         latent_hinge_loss(model, space, PARSE)
-        assert made and set(made) <= gold
-    gold = dep_parts(space, GRAPH)
-    made.clear()
+        exhaustive_joint_map(scored)
+        assert predict_frames([model], [fn_sent])
     sdp_hinge_loss(model, space, GRAPH)
-    assert made and set(made) <= gold
+    assert predict_dependencies([model], [dm_sent])
+    assert made == []

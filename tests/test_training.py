@@ -18,7 +18,6 @@ from spandep.parts import (
     SpandepError,
     Target,
     build_candidate_space,
-    dep_parts,
     frame_parts,
     make_sentence,
 )
@@ -186,7 +185,8 @@ class TestLatentHinge:
             gold = frame_parts(inst.space, inst.parse)
             raw = model.scored_space(inst.space)
             _, aug_val = exhaustive_joint_map(
-                cost_augment(raw, inst.space.mask(gold), scope="frames"))
+                cost_augment(raw, inst.space.gold_mask(inst.parse),
+                             scope="frames"))
             best_term = aug_val + 0.6 * len(gold)
             m = 1e4
             shift = np.zeros(len(inst.space.parts))
@@ -222,7 +222,7 @@ class TestLatentHinge:
             res = latent_hinge_loss(model, inst.space, inst.parse)
             plain = decode(model.scored_space(inst.space), mode="joint")
             frames = slice(inst.space.head_ids.start)
-            gold = inst.space.mask(frame_parts(inst.space, inst.parse))
+            gold = inst.space.gold_mask(inst.parse)
             dist = weighted_hamming(plain.active[frames], gold[frames])
             assert res.value >= dist - 1e-9
 
@@ -243,13 +243,13 @@ class TestSdpHinge:
             model, space, gold_graph = dep_fixture(
                 n=n, labels=("a", "b"), arcs=arcs, top=0, seed=seed)
             res = sdp_hinge_loss(model, space, gold_graph)
-            gold = dep_parts(space, gold_graph)
+            gold = space.gold_mask(gold_graph)
             raw = model.scored_space(space)
-            aug = cost_augment(raw, space.mask(gold), scope="dependencies")
+            aug = cost_augment(raw, gold, scope="dependencies")
             fg = build_factor_graph(aug, include_frames=False)
             _, aug_val = brute_force_map(fg)
-            gold_score = sum(raw.scores[raw.part_to_id[p]] for p in gold)
-            expect = aug_val + 0.6 * len(gold) - gold_score
+            gold_score = raw.scores @ gold
+            expect = aug_val + 0.6 * gold.sum() - gold_score
             assert res.value == pytest.approx(max(expect, 0.0), abs=1e-6)
 
     def test_invariant_to_root_score_shift(self):
@@ -325,7 +325,7 @@ class TestDecodedMasks:
                 pairs_on += bool(res.active[i])
             if mode == "latent_completion":
                 frames = slice(space.head_ids.start)
-                gold = space.mask(frame_parts(space, parse))
+                gold = space.gold_mask(parse)
                 assert (res.active[frames] == gold[frames]).all()
         assert pairs_on
 
