@@ -9,7 +9,8 @@ which is what the finite-difference checker needs.
 
 Ops are coarse where it pays: ``lstm`` runs a whole recurrent sweep over the
 rows of a matrix as one node and keeps its gate activations in ``ctx`` for
-the backward pass, batched consumers gather rows with ``lookup``, and
+the backward pass, batched consumers gather rows with ``lookup`` (whose
+backward sums the rows gathered from one table row before adding them), and
 ``gathered_affine`` gives the first layer of an MLP over concatenated rows
 from per-row products of row slices of its weight matrix.
 
@@ -272,10 +273,19 @@ def _b_param(node):
 
 @_bk("lookup")
 def _b_lookup(node):
+    """Sums the gathered rows' gradients once per table row, with one
+    ``bincount`` over (row, column) cells, then adds each sum into its
+    table row once.  A row's sum keeps the order of the gathers."""
     (table,) = node.parents
     if table.grad is None:
         table.grad = np.zeros_like(table.value)
-    np.add.at(table.grad, node.ctx, node.grad)
+    n_rows, width = table.value.shape
+    # a negative index counts from the end, as in the forward gather
+    rows, inv = np.unique(node.ctx % n_rows, return_inverse=True)
+    cells = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=node.grad.ravel(),
+                       minlength=rows.size * width)
+    table.grad[rows] += sums.reshape(rows.size, width)
 
 
 @_bk("select_row")

@@ -145,7 +145,7 @@ class ParserModel:
         # the space lists its parts in group order, so the segments
         # concatenate into part-id order
         segments: list[Node] = []
-        terms = span_matrix = span_of = arc_rows = frame_ids = role_ids = None
+        terms = arg_products = arc_rows = frame_ids = None
         if space.predicate_ids:
             g_tgt = self.encoder.target_representation(g, hs, space.target)
             terms = sc.target_terms(g, g_tgt, sc.lu_vec(g, space.target.lu))
@@ -162,10 +162,11 @@ class ParserModel:
             span_matrix = self.encoder.span_representations(
                 g, hs, list(zip(starts.tolist(), ends.tolist())),
                 space.target.start)
-            role_ids = sc.ids("role", space.roles)
-            segments.append(sc.argument_scores(
-                g, frame_ids[space.arg_frame], role_ids[space.arg_role],
-                g.lookup(span_matrix, span_of), terms))
+            arg_products = sc.argument_products(
+                g, frame_ids[space.arg_frame],
+                sc.ids("role", space.roles)[space.arg_role],
+                g.lookup(span_matrix, span_of), terms)
+            segments.append(sc.argument_scores(g, arg_products, terms))
 
         if space.head_ids:
             segments.append(sc.head_scores(g, hs, space.head_token))
@@ -187,12 +188,10 @@ class ParserModel:
 
         cross_node = None
         if space.cross_ids:
-            arg = space.cross_arg - space.argument_ids.start
-            crows = g.lookup(span_matrix, span_of[arg])
-            carcs = g.lookup(arc_rows, space.cross_arc - space.arc_ids.start)
             cross_node = sc.cross_task_scores(
-                g, frame_ids[space.arg_frame[arg]],
-                role_ids[space.arg_role[arg]], crows, carcs, terms)
+                g, arg_products, arc_rows,
+                space.cross_arg - space.argument_ids.start,
+                space.cross_arc - space.arc_ids.start, terms)
             segments.append(cross_node)
 
         node = segments[0] if len(segments) == 1 else g.concat(*segments)

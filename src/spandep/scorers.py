@@ -6,6 +6,10 @@ product of one dot product per input slot.  Slot order is fr/tgt/lu for
 predicates, plus span/role for arguments, plus arc-weight/arc-representation
 for cross-task parts.  The arc-weight slot consumes the unlabeled scorer's
 own final linear weight vector, which ties the two tasks' parameters.
+A cross-task part pairs an argument with an arc, and there are many more
+pairs than arguments or arcs.  So the argument's frame/span/role product is
+taken once per argument (the argument score uses it too) and the arc's
+product once per arc; a cross part gathers the two rows and multiplies them.
 
 Dependency parts are scored by a two-layer tanh MLP and a final linear layer,
 with separate parameters per part type (head, unlabeled, labeled, top).  An
@@ -136,25 +140,32 @@ class Scorers:
         """Scores for predicate parts sharing one target, as a vector node."""
         return g.matvec(self._frame_rows(g, frames, terms), terms.fixed)
 
-    def _arg_products(self, g: Graph, frames, roles, span_rows: Node,
-                      terms: TargetTerms) -> Node:
+    def argument_products(self, g: Graph, frames: Sequence[int],
+                          roles: Sequence[int], span_rows: Node,
+                          terms: TargetTerms) -> Node:
+        """One row per argument: the product of its frame, span and role
+        slots, which its argument score and its cross-task scores share.
+        span_rows holds one span representation per argument, row-aligned."""
         a = self._frame_rows(g, frames, terms)
         d = g.matmul(span_rows, terms.u1_t)
         e = g.matmul(g.lookup(self._p(g, "emb.role"), roles), terms.u2_t)
         return g.mul(g.mul(a, d), e)
 
-    def argument_scores(self, g: Graph, frames: Sequence[int],
-                        roles: Sequence[int], span_rows: Node,
+    def argument_scores(self, g: Graph, products: Node,
                         terms: TargetTerms) -> Node:
-        """span_rows holds one span representation per part, row-aligned."""
-        return g.matvec(self._arg_products(g, frames, roles, span_rows, terms),
-                        terms.fixed)
+        """Takes the rows from ``argument_products``."""
+        return g.matvec(products, terms.fixed)
 
-    def cross_task_scores(self, g: Graph, frames: Sequence[int],
-                          roles: Sequence[int], span_rows: Node,
-                          arc_rows: Node, terms: TargetTerms) -> Node:
-        prod = g.mul(self._arg_products(g, frames, roles, span_rows, terms),
-                     g.matmul(arc_rows, g.transpose(self._p(g, "v2"))))
+    def cross_task_scores(self, g: Graph, products: Node, arc_rows: Node,
+                          cross_arg: Sequence[int], cross_arc: Sequence[int],
+                          terms: TargetTerms) -> Node:
+        """Part k pairs argument ``cross_arg[k]`` (a row of ``products``)
+        with arc ``cross_arc[k]`` (a row of ``arc_rows``).  The arc slot's
+        product is taken once per arc; each part then costs one product of
+        gathered rows."""
+        arc_products = g.matmul(arc_rows, g.transpose(self._p(g, "v2")))
+        prod = g.mul(g.lookup(products, cross_arg),
+                     g.lookup(arc_products, cross_arc))
         fixed = g.mul(terms.fixed,
                       g.matvec(self._p(g, "v1"), self._p(g, "ua.w")))
         return g.matvec(prod, fixed)

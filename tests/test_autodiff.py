@@ -204,6 +204,57 @@ def test_lookup_accumulates_repeats():
                                   [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+def _lookup_backward(table_grad, idx, upstream):
+    """lookup's backward rule alone: ``upstream`` flows back through the
+    rows ``idx`` of a table whose gradient starts as ``table_grad``."""
+    g = Graph()
+    table = g.input(np.zeros_like(table_grad))
+    table.grad = table_grad.copy()
+    rows = g.lookup(table, idx)
+    rows.grad = upstream
+    autodiff._BACKWARD["lookup"](rows)
+    return table.grad
+
+
+def _add_at(table_grad, idx, upstream):
+    out = table_grad.copy()
+    np.add.at(out, np.asarray(idx, dtype=int), upstream)
+    return out
+
+
+@pytest.mark.parametrize("n_rows, idx, preset", [
+    (6, [4, 1, 4, 0, 5, 1, 4], False),   # repeated and unsorted
+    (4, [2] * 9, False),                 # all equal
+    (3, [], False),                      # empty
+    (1, [0, 0, 0], False),               # one-row table
+    (5, [3, 0, 3, 3, 1], True),          # gradient already holds values
+    (4, [-1, 3, 0, -1, -4], False),      # negative indices, as in numpy
+])
+def test_lookup_backward_matches_add_at(n_rows, idx, preset):
+    rng = np.random.default_rng(len(idx) + n_rows)
+    start = rng.uniform(0.5, 2.0, size=(n_rows, 3)) if preset \
+        else np.zeros((n_rows, 3))
+    # positive terms when the table's gradient is preset: the preset value
+    # then joins each row's sum last rather than first, and a sum of
+    # positive terms stays within a few ulps under reordering
+    upstream = rng.uniform(0.5, 2.0, size=(len(idx), 3)) if preset \
+        else rng.normal(size=(len(idx), 3))
+    got = _lookup_backward(start, idx, upstream)
+    np.testing.assert_allclose(got, _add_at(start, idx, upstream),
+                               rtol=1e-15, atol=0)
+
+
+def test_lookup_backward_keeps_inf_in_its_row():
+    upstream = np.ones((4, 3))
+    upstream[1, 2] = np.inf            # gathered row 1 is table row 3
+    got = _lookup_backward(np.zeros((4, 3)), [1, 3, 1, 0], upstream)
+    assert got[3, 2] == np.inf
+    assert np.isfinite(np.delete(got, 3, axis=0)).all()
+    assert np.isfinite(got[3, :2]).all()
+    np.testing.assert_array_equal(
+        got, _add_at(np.zeros((4, 3)), [1, 3, 1, 0], upstream))
+
+
 def test_softplus_stable_at_extremes():
     g = Graph()
     out = g.softplus(g.input([-800.0, 0.0, 800.0]))

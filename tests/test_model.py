@@ -98,6 +98,29 @@ class TestScoreSpace:
         assert res.cross is None
         assert res.node.value.shape == (len(space.parts),)
 
+    def test_cross_scoring_has_no_per_pair_products(self):
+        # cross parts outnumber the arguments and the arcs here; scoring
+        # them may take only one product with a row per cross part, the
+        # product of the gathered argument and arc rows
+        words = ["sat", "the", "cat", "on", "a", "mat"]
+        sent = make_sentence(words, words, ["VB"] + ["NN"] * 5)
+        model = ParserModel.build(TINY, ONT, ("a1", "a2"), [sent],
+                                  np.random.default_rng(0))
+        space = build_candidate_space(
+            sent, Target(0, 0, "sit.v"), ONT,
+            SpaceLimits(max_span_len=4, dep_labels=("a1", "a2")))
+        n_cross = len(space.cross_ids)
+        assert n_cross > max(len(space.argument_ids), len(space.arc_ids),
+                             len(space.labeled_ids))
+        g = Graph()
+        model.score_space(g, space)
+        per_pair = [node for node in g.nodes
+                    if node.op in ("matmul", "mul")
+                    and node.value.shape[0] == n_cross]
+        assert len(per_pair) == 1
+        assert per_pair[0].op == "mul"
+        assert [p.op for p in per_pair[0].parents] == ["lookup", "lookup"]
+
     def test_word_dropout_only_under_training(self):
         model = tiny_model()
         model.encoder.word_counts.clear()  # every word count 0: p = 1

@@ -248,6 +248,8 @@ class TestBatchEqualsSingle:
             assert batch.value[k] == pytest.approx(float(single.value), rel=1e-12)
 
     def test_arguments_and_cross(self):
+        # many-to-many pairs: argument 0 meets arcs 0, 2 and 3, arc 2 meets
+        # every argument, and arc 4 meets none
         sc, _ = small_scorers()
         g = Graph()
         rng = np.random.default_rng(11)
@@ -256,20 +258,28 @@ class TestBatchEqualsSingle:
         frames = ["F0", "F1", "F1"]
         roles = ["R0", "R2", "R1"]
         span_rows = g.input(rng.normal(size=(3, 4)))
-        arc_rows = g.input(rng.normal(size=(3, 4)))
+        arc_rows = g.input(rng.normal(size=(5, 4)))
+        cross_arg = [0, 2, 1, 0, 2, 0]
+        cross_arc = [2, 1, 2, 0, 2, 3]
         terms = sc.target_terms(g, g_tgt, g_lu)
-        ids = sc.ids("frame", frames), sc.ids("role", roles)
-        args = sc.argument_scores(g, *ids, span_rows, terms)
-        cross = sc.cross_task_scores(g, *ids, span_rows, arc_rows, terms)
+        products = sc.argument_products(
+            g, sc.ids("frame", frames), sc.ids("role", roles), span_rows,
+            terms)
+        args = sc.argument_scores(g, products, terms)
+        cross = sc.cross_task_scores(g, products, arc_rows, cross_arg,
+                                     cross_arc, terms)
+
+        def slots(k):
+            return (frame_vec(sc, g, frames[k]), g_tgt, g_lu,
+                    g.select_row(span_rows, k), role_vec(sc, g, roles[k]))
+
         for k in range(3):
-            sr = g.select_row(span_rows, k)
-            ar = g.select_row(arc_rows, k)
-            a = score_argument(sc, g, frame_vec(sc, g, frames[k]), g_tgt, g_lu,
-                               sr, role_vec(sc, g, roles[k]))
-            c = score_cross_task(sc, g, frame_vec(sc, g, frames[k]), g_tgt,
-                                 g_lu, sr, role_vec(sc, g, roles[k]), ar)
+            a = score_argument(sc, g, *slots(k))
             assert args.value[k] == pytest.approx(float(a.value), rel=1e-12)
-            assert cross.value[k] == pytest.approx(float(c.value), rel=1e-12)
+        assert cross.shape == (len(cross_arg),)
+        for k, (a, c) in enumerate(zip(cross_arg, cross_arc)):
+            ref = score_cross_task(sc, g, *slots(a), g.select_row(arc_rows, c))
+            assert cross.value[k] == pytest.approx(float(ref.value), rel=1e-12)
 
     def test_dependency_batches(self):
         sc, _ = small_scorers()
@@ -312,10 +322,11 @@ def test_gradients_through_all_scorers():
     frames = sc.ids("frame", ["F0", "F1"])
     roles = sc.ids("role", ["R1", "R0"])
     terms = sc.target_terms(g, g_tgt, g_lu)
+    products = sc.argument_products(g, frames, roles, span_rows, terms)
     loss = reduce(g.add, [
         g.sum(sc.predicate_scores(g, frames, terms)),
-        g.sum(sc.argument_scores(g, frames, roles, span_rows, terms)),
-        g.sum(sc.cross_task_scores(g, frames, roles, span_rows, arc_rows,
+        g.sum(sc.argument_scores(g, products, terms)),
+        g.sum(sc.cross_task_scores(g, products, arc_rows, [1, 0, 1], [0, 1, 1],
                                    terms)),
         g.sum(sc.head_scores(g, hs, [0, 1])),
         g.sum(sc.unlabeled_scores(g, arc_rows)),
