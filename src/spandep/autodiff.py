@@ -9,10 +9,14 @@ which is what the finite-difference checker needs.
 
 Ops are coarse where it pays: ``lstm`` runs a whole recurrent sweep over the
 rows of a matrix as one node and keeps its gate activations in ``ctx`` for
-the backward pass, batched consumers gather rows with ``lookup`` (whose
-backward sums the rows gathered from one table row before adding them), and
-``gathered_affine`` gives the first layer of an MLP over concatenated rows
-from per-row products of row slices of its weight matrix.
+the backward pass, and batched consumers gather rows inside the op that
+uses them.  ``lookup`` gathers rows alone, ``gather_sum`` sums rows gathered
+from several matrices, and ``pair_dots`` takes one weighted dot product per
+(row, row) pair of two matrices; their backward passes scatter gradients
+straight into the source rows, summing the rows gathered from one source
+row before adding them.  ``gathered_affine`` gives the first layer of an MLP
+over concatenated rows from per-row products of row slices of its weight
+matrix, summed by one ``gather_sum``.
 
 Supported shapes are scalars, vectors and matrices; no broadcasting beyond
 the bias row in ``affine`` and no GPU paths.
@@ -21,7 +25,7 @@ the bias row in ``affine`` and no GPU paths.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +112,24 @@ def _f_param(node):
 def _f_lookup(node):
     (table,) = node.parents
     return table.value[node.ctx]
+
+
+@_op("gather_sum")
+def _f_gather_sum(node):
+    out = None
+    for x, ids in zip(node.parents, node.ctx):
+        if out is None:
+            out = x.value.copy() if ids is None else x.value[ids]
+        else:
+            out += x.value if ids is None else x.value[ids]
+    return out
+
+
+@_op("pair_dots")
+def _f_pair_dots(node):
+    p, q, w = (x.value for x in node.parents)
+    rows, cols = node.ctx
+    return ((p * w) @ q.T)[rows, cols]
 
 
 @_op("select_row")
@@ -271,21 +293,51 @@ def _b_param(node):
     pass
 
 
-@_bk("lookup")
-def _b_lookup(node):
-    """Sums the gathered rows' gradients once per table row, with one
-    ``bincount`` over (row, column) cells, then adds each sum into its
+def _scatter_rows(table: Node, ids: np.ndarray, grad: np.ndarray) -> None:
+    """Add row k of ``grad`` into row ``ids[k]`` of ``table``'s gradient.
+    The rows bound for one table row are summed first, with one
+    ``bincount`` over (row, column) cells, and each sum is added into its
     table row once.  A row's sum keeps the order of the gathers."""
-    (table,) = node.parents
     if table.grad is None:
         table.grad = np.zeros_like(table.value)
     n_rows, width = table.value.shape
     # a negative index counts from the end, as in the forward gather
-    rows, inv = np.unique(node.ctx % n_rows, return_inverse=True)
+    rows, inv = np.unique(ids % n_rows, return_inverse=True)
     cells = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
-    sums = np.bincount(cells, weights=node.grad.ravel(),
+    sums = np.bincount(cells, weights=grad.ravel(),
                        minlength=rows.size * width)
     table.grad[rows] += sums.reshape(rows.size, width)
+
+
+@_bk("lookup")
+def _b_lookup(node):
+    _scatter_rows(node.parents[0], node.ctx, node.grad)
+
+
+@_bk("gather_sum")
+def _b_gather_sum(node):
+    for x, ids in zip(node.parents, node.ctx):
+        if ids is None:
+            accumulate(x, node.grad)
+        else:
+            _scatter_rows(x, ids, node.grad)
+
+
+@_bk("pair_dots")
+def _b_pair_dots(node):
+    """With D the (rows of p) x (rows of q) matrix holding each pair's
+    gradient at its cell (repeated pairs summed), the gradients are
+    (D q) * w, D^T (p * w) and the column sums of p * (D q)."""
+    p, q, w = node.parents
+    rows, cols = node.ctx
+    n_p, n_q = p.value.shape[0], q.value.shape[0]
+    # a negative index counts from the end, as in the forward gather
+    d = np.bincount(rows % n_p * n_q + cols % n_q, weights=node.grad,
+                    minlength=n_p * n_q).reshape(n_p, n_q)
+    dq = d @ q.value
+    accumulate(p, dq * w.value)
+    accumulate(q, d.T @ (p.value * w.value))
+    accumulate(w, np.einsum("ij,ij->j", p.value, dq))
 
 
 @_bk("select_row")
@@ -485,6 +537,36 @@ class Graph:
             raise ShapeError(f"lookup table must be a matrix, got {table.shape}")
         return self._push("lookup", (table,), np.asarray(indices, dtype=int))
 
+    def gather_sum(self, blocks: Sequence[tuple[Node, Optional[Sequence[int]]]]
+                   ) -> Node:
+        """Row k is the sum over blocks ``(x, ids)`` of ``x[ids[k]]``, or of
+        ``x[k]`` when ``ids`` is None, as one node: no gathered block or
+        partial sum is kept, nor its gradient."""
+        xs = tuple(x for x, _ in blocks)
+        index = [None if ids is None else np.asarray(ids, dtype=int)
+                 for _, ids in blocks]
+        if any(x.value.ndim != 2 for x in xs) or len(
+                {(x.value.shape[0] if ids is None else ids.size,
+                  x.value.shape[1]) for x, ids in zip(xs, index)}) != 1:
+            raise ShapeError(f"gather_sum: blocks {[x.shape for x in xs]} "
+                             f"do not gather rows of one shape")
+        return self._push("gather_sum", xs, index)
+
+    def pair_dots(self, p: Node, q: Node, w: Node, rows: Sequence[int],
+                  cols: Sequence[int]) -> Node:
+        """Entry k is ``sum(p[rows[k]] * w * q[cols[k]])``.  The dot products
+        come from one product of ``p * w`` with ``q``'s transpose, one cell
+        per (row of p, row of q), so no row per pair is ever built."""
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        if p.value.ndim != 2 or q.value.ndim != 2 \
+                or w.value.shape != (p.value.shape[1],) \
+                or q.value.shape[1] != p.value.shape[1] \
+                or rows.shape != cols.shape or rows.ndim != 1:
+            raise ShapeError(f"pair_dots: p{p.shape} q{q.shape} w{w.shape} "
+                             f"rows{rows.shape} cols{cols.shape}")
+        return self._push("pair_dots", (p, q, w), (rows, cols))
+
     def select_row(self, x: Node, i: int) -> Node:
         if x.value.ndim != 2:
             raise ShapeError(f"select_row needs a matrix, got {x.shape}")
@@ -624,23 +706,21 @@ def gathered_affine(g: Graph,
     building the concatenation.
 
     Each block ``(x, ids)`` is projected through its own contiguous row
-    slice of ``w`` once per row of ``x``, then gathered by ``ids`` (taken
-    whole when ``ids`` is None); the gathered products are summed and the
-    bias joins the first block's projection.  A part then costs one row
-    addition per block rather than a row of the full product."""
-    out, start = None, 0
+    slice of ``w`` once per row of ``x`` (the bias joins the first block's
+    projection), and one ``gather_sum`` adds the projections' rows picked
+    by ``ids`` (taken whole when ``ids`` is None).  A part then costs one
+    row addition per block rather than a row of the full product."""
+    projected, start = [], 0
     for x, ids in blocks:
         stop = start + x.value.shape[-1]
         w_k = g.slice_rows(w, start, stop)
-        proj = g.affine(x, w_k, b) if out is None else g.matmul(x, w_k)
-        if ids is not None:
-            proj = g.lookup(proj, ids)
-        out = proj if out is None else g.add(out, proj)
+        projected.append((g.matmul(x, w_k) if projected
+                          else g.affine(x, w_k, b), ids))
         start = stop
     if start != w.value.shape[0]:
         raise ShapeError(f"gathered_affine: blocks cover {start} of "
                          f"{w.value.shape[0]} rows of w")
-    return out
+    return g.gather_sum(projected)
 
 
 class ParameterStore:
@@ -648,34 +728,56 @@ class ParameterStore:
 
     Single writer during training; inference readers never mutate.  The ℓ2
     penalty is λ‖w‖² with gradient 2λw (note the factor 2).
+
+    ``saved`` maps names to arrays read from a checkpoint: ``add`` takes
+    such an array as the parameter's value, uncopied, when its shape is the
+    one asked for, and then draws no initial value.
     """
 
-    def __init__(self, l2: float = 1e-6, clip: float = 1.0):
+    def __init__(self, l2: float = 1e-6, clip: float = 1.0,
+                 saved: Optional[Mapping[str, np.ndarray]] = None):
         self.values: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] = {}
         self.l2 = float(l2)
         self.clip = float(clip)
+        self._saved = dict(saved or {})
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """One gradient accumulator per parameter, each made (zero) when
+        the accumulators are first asked for after the parameter was added.
+        A store used only for inference never holds them."""
+        if len(self._grads) != len(self.values):
+            for name, value in self.values.items():
+                if name not in self._grads:
+                    self._grads[name] = np.zeros_like(value)
+        return self._grads
 
     def add(self, name: str, shape: tuple[int, ...],
             rng: Optional[np.random.Generator] = None,
             init: str | np.ndarray = "auto") -> np.ndarray:
+        """``init`` is an array, "zeros", "normal" (0.1 times a standard
+        normal draw) or "auto": zeros for vectors, and for matrices uniform
+        in ±sqrt(6 / (fan_in + fan_out))."""
         if name in self.values:
             raise ValueError(f"duplicate parameter {name!r}")
-        if isinstance(init, np.ndarray):
+        saved = self._saved.pop(name, None)
+        if saved is not None and saved.shape == tuple(shape):
+            value = np.asarray(saved, dtype=float)
+        elif isinstance(init, np.ndarray):
             value = np.array(init, dtype=float)
             if value.shape != tuple(shape):
                 raise ShapeError(f"{name}: init shape {value.shape} != {shape}")
         elif init == "zeros" or (init == "auto" and len(shape) == 1):
             value = np.zeros(shape)
+        elif rng is None:
+            raise ValueError(f"{name}: random init needs an rng")
+        elif init == "normal":
+            value = 0.1 * rng.standard_normal(shape)
         else:
-            # matrices: uniform in +-sqrt(6 / (fan_in + fan_out))
-            fan_in, fan_out = shape[0], shape[-1]
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            if rng is None:
-                raise ValueError(f"{name}: random init needs an rng")
+            bound = math.sqrt(6.0 / (shape[0] + shape[-1]))
             value = rng.uniform(-bound, bound, size=shape)
         self.values[name] = value
-        self.grads[name] = np.zeros(shape)
         return value
 
     def __contains__(self, name: str) -> bool:

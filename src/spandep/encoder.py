@@ -97,7 +97,8 @@ class Encoder:
         self.bilstm_layers = config.bilstm_layers
         self.prefix = prefix
 
-        word_table = 0.1 * rng.standard_normal((len(words), word_dim))
+        word_table = store.add(f"{prefix}.word", (len(words), word_dim),
+                               rng=rng, init="normal")
         if pretrained_words is not None:
             loaded_dim = len(next(iter(pretrained_words.values())))
             if loaded_dim != word_dim:
@@ -107,11 +108,10 @@ class Encoder:
             for i, tok in enumerate(words.tokens):
                 if tok in pretrained_words:
                     word_table[i] = pretrained_words[tok]
-        store.add(f"{prefix}.word", (len(words), word_dim), init=word_table)
-        store.add(f"{prefix}.lemma", (len(lemmas), lemma_dim),
-                  init=0.1 * rng.standard_normal((len(lemmas), lemma_dim)))
-        store.add(f"{prefix}.pos", (len(pos_tags), pos_dim),
-                  init=0.1 * rng.standard_normal((len(pos_tags), pos_dim)))
+        store.add(f"{prefix}.lemma", (len(lemmas), lemma_dim), rng=rng,
+                  init="normal")
+        store.add(f"{prefix}.pos", (len(pos_tags), pos_dim), rng=rng,
+                  init="normal")
 
         half = bilstm_dim // 2
         in_dim = word_dim + lemma_dim + pos_dim

@@ -378,8 +378,10 @@ def save_model(model: ParserModel, path) -> None:
     save_checkpoint(model.store, model_manifest(model), path)
 
 
-def _restore_params(store: ParameterStore, params: Mapping[str, np.ndarray],
+def _check_restored(store: ParameterStore, params: Mapping[str, np.ndarray],
                     path) -> None:
+    """Fail unless the store took every checkpoint array as its value: the
+    names must be the same, and each shape the one the model asked for."""
     missing = set(store.values) - set(params)
     extra = set(params) - set(store.values)
     if missing or extra:
@@ -390,7 +392,6 @@ def _restore_params(store: ParameterStore, params: Mapping[str, np.ndarray],
             raise FormatError(
                 path, 0, f"parameter {name!r} has shape {value.shape}, "
                 f"expected {store.values[name].shape}")
-        store.values[name][...] = value
 
 
 def load_model(path, ontology: Optional[Ontology] = None,
@@ -404,7 +405,8 @@ def _load_from_manifest(cls, path, expected_kind: str,
                         allow_ontology_mismatch: bool = False):
     """Rebuild a ``cls`` (``ParserModel`` or ``PrunerModel``) from a
     checkpoint: its config, ontology and vocabularies from the manifest,
-    then its parameters."""
+    and its parameters as the arrays read, each taken by the store as the
+    model adds it."""
     params, manifest = load_checkpoint(path)
     kind = manifest.get("kind")
     if kind != expected_kind:
@@ -436,6 +438,7 @@ def _load_from_manifest(cls, path, expected_kind: str,
     model = cls(
         config, ont, tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
         Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
-        dict(vocab["word_counts"]), rng=np.random.default_rng(0))
-    _restore_params(model.store, params, path)
+        dict(vocab["word_counts"]), rng=np.random.default_rng(0),
+        store=ParameterStore(saved=params))
+    _check_restored(model.store, params, path)
     return model

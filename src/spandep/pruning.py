@@ -138,15 +138,13 @@ class PrunerModel:
         self.encoder = Encoder(self.store, config, words, lemmas, pos_tags,
                                word_counts, rng, prefix="pr.enc")
         mlp = config.mlp_dim
-        self.store.add("pr.span.w", (mlp,),
-                       init=0.1 * rng.standard_normal(mlp))
+        self.store.add("pr.span.w", (mlp,), rng=rng, init="normal")
         arc_in = 2 * config.bilstm_dim
         self.store.add("pr.arc.w1", (arc_in, mlp), rng=rng)
         self.store.add("pr.arc.b1", (mlp,))
         self.store.add("pr.arc.w2", (mlp, mlp), rng=rng)
         self.store.add("pr.arc.b2", (mlp,))
-        self.store.add("pr.arc.w", (mlp,),
-                       init=0.1 * rng.standard_normal(mlp))
+        self.store.add("pr.arc.w", (mlp,), rng=rng, init="normal")
 
     @classmethod
     def build(cls, train_sentences: Sequence[Sentence],

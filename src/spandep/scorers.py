@@ -9,14 +9,16 @@ own final linear weight vector, which ties the two tasks' parameters.
 A cross-task part pairs an argument with an arc, and there are many more
 pairs than arguments or arcs.  So the argument's frame/span/role product is
 taken once per argument (the argument score uses it too) and the arc's
-product once per arc; a cross part gathers the two rows and multiplies them.
+product once per arc that a cross part uses; one small matrix product of
+the two then holds every pair's score, and the parts' pairs are read from
+it.  No row per cross part is built, in the forward or the backward pass.
 
 Dependency parts are scored by a two-layer tanh MLP and a final linear layer,
 with separate parameters per part type (head, unlabeled, labeled, top).  An
 arc's first layer over [h_head; h_dep] (plus the label embedding for labeled
 arcs) is computed as the sum of per-token and per-label projections through
-row blocks of the first weight matrix, so its cost grows with the tokens and
-labels, not with the parts.
+row blocks of the first weight matrix, so its products grow with the tokens
+and labels, not with the parts; one ``gather_sum`` node adds a part's rows.
 
 Every part type is scored in batch, a whole part list per call.  Parts
 come in as integer arrays: token indices, and frame, role and label ids as
@@ -65,8 +67,8 @@ class Scorers:
         self.label_ix = {l: i for i, l in enumerate(dep_labels)}
 
         def table(name, n, dim):
-            store.add(f"{prefix}.emb.{name}", (max(n, 1), dim),
-                      init=0.1 * rng.standard_normal((max(n, 1), dim)))
+            store.add(f"{prefix}.emb.{name}", (max(n, 1), dim), rng=rng,
+                      init="normal")
 
         table("frame", len(frames), label_dim)
         table("lu", len(lus), label_dim)
@@ -84,8 +86,8 @@ class Scorers:
             store.add(f"{prefix}.{tag}.b1", (mlp_dim,))
             store.add(f"{prefix}.{tag}.w2", (mlp_dim, mlp_dim), rng=rng)
             store.add(f"{prefix}.{tag}.b2", (mlp_dim,))
-            store.add(f"{prefix}.{tag}.w", (mlp_dim,),
-                      init=0.1 * rng.standard_normal(mlp_dim))
+            store.add(f"{prefix}.{tag}.w", (mlp_dim,), rng=rng,
+                      init="normal")
 
     # --- parameter access -----------------------------------------------
 
@@ -161,14 +163,16 @@ class Scorers:
                           terms: TargetTerms) -> Node:
         """Part k pairs argument ``cross_arg[k]`` (a row of ``products``)
         with arc ``cross_arc[k]`` (a row of ``arc_rows``).  The arc slot's
-        product is taken once per arc; each part then costs one product of
-        gathered rows."""
-        arc_products = g.matmul(arc_rows, g.transpose(self._p(g, "v2")))
-        prod = g.mul(g.lookup(products, cross_arg),
-                     g.lookup(arc_products, cross_arc))
+        product is taken once per arc that some part uses, and one
+        ``pair_dots`` scores every (argument, arc) cell at once and picks
+        the parts' cells."""
+        arcs, arc_of = np.unique(np.asarray(cross_arc, dtype=int),
+                                 return_inverse=True)
+        arc_products = g.matmul(g.lookup(arc_rows, arcs),
+                                g.transpose(self._p(g, "v2")))
         fixed = g.mul(terms.fixed,
                       g.matvec(self._p(g, "v1"), self._p(g, "ua.w")))
-        return g.matvec(prod, fixed)
+        return g.pair_dots(products, arc_products, fixed, cross_arg, arc_of)
 
     def head_scores(self, g: Graph, hs: Node,
                     tokens: Sequence[int]) -> Node:

@@ -384,6 +384,16 @@ def test_bias_init_zero():
     np.testing.assert_array_equal(b, np.zeros(7))
 
 
+def test_grads_made_on_first_use():
+    store = ParameterStore()
+    store.add("a", (2, 3), rng=np.random.default_rng(2))
+    assert store._grads == {}
+    assert list(store.grads) == ["a"] and not store.grads["a"].any()
+    store.add("b", (4,))
+    assert list(store.grads) == ["a", "b"]
+    assert store.grads["b"].shape == (4,)
+
+
 def test_duplicate_name_rejected():
     store = ParameterStore()
     store.add("w", (2,))
@@ -478,3 +488,176 @@ def test_non_finite_gradient_names_parameter_among_finite(bad):
         clip_and_step(store, 0.1)
     for k, v in before.items():
         np.testing.assert_array_equal(store.values[k], v)
+
+
+# --- gather_sum and pair_dots ----------------------------------------------
+
+GATHER_CASES = {
+    # (rows of each block's matrix, ids per block; None takes it whole)
+    "repeated-unsorted": [(4, [3, 1, 3, 0, 2, 3]), (5, [0, 4, 4, 1, 0, 2])],
+    "whole-block": [(3, [2, 0, 2, 1]), (4, None), (2, [1, 1, 0, 1])],
+    "whole-first": [(5, None), (2, [1, 0, 0, 1, 1])],
+    "negative": [(4, [-1, 3, 0, -4]), (4, [0, 1, 2, 3])],
+    "no-rows": [(3, []), (2, [])],
+    "one-block": [(6, [5, 0, 5])],
+}
+
+
+def _gather_problem(case, seed=0):
+    rng = np.random.default_rng(seed)
+    blocks = GATHER_CASES[case]
+    k = len(blocks[0][1]) if blocks[0][1] is not None else blocks[0][0]
+    return ([rng.normal(size=(n, 3)) for n, _ in blocks],
+            [ids for _, ids in blocks], rng.normal(size=(k, 3)))
+
+
+@pytest.mark.parametrize("case", sorted(GATHER_CASES))
+def test_gather_sum_matches_lookup_add(case):
+    mats, ids, upstream = _gather_problem(case)
+
+    def run(fused):
+        g = Graph()
+        xs = [g.input(m) for m in mats]
+        if fused:
+            out = g.gather_sum(list(zip(xs, ids)))
+        else:
+            picked = [x if i is None else g.lookup(x, i)
+                      for x, i in zip(xs, ids)]
+            out = reduce(g.add, picked)
+        g.backward(g.sum(g.mul(out, g.input(upstream))))
+        return out.value, [x.grad for x in xs]
+
+    value, grads = run(True)
+    ref_value, ref_grads = run(False)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+    for got, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_gather_sum_is_one_node_and_checks_shapes():
+    g = Graph()
+    a, b = g.input(np.ones((3, 2))), g.input(np.ones((2, 2)))
+    before = len(g.nodes)
+    out = g.gather_sum([(a, [0, 2]), (b, None)])
+    assert len(g.nodes) == before + 1 and out.shape == (2, 2)
+    with pytest.raises(ShapeError):
+        g.gather_sum([(a, [0, 1, 2]), (b, None)])
+    with pytest.raises(ShapeError):
+        g.gather_sum([(a, [0]), (g.input(np.ones((2, 3))), [1])])
+    with pytest.raises(ShapeError):
+        g.gather_sum([(g.input(np.ones(3)), [0])])
+    with pytest.raises(ShapeError):
+        g.gather_sum([(g.input(np.ones((2, 2, 2))), [0])])
+
+
+def test_gather_sum_keeps_inf_in_its_row():
+    g = Graph()
+    a = g.input(np.ones((4, 3)))
+    b = g.input(np.ones((2, 3)))
+    out = g.gather_sum([(a, [1, 3, 1, 0]), (b, [0, 1, 1, 0])])
+    out.grad = np.ones((4, 3))
+    out.grad[1, 2] = np.inf            # row 1 gathers a[3] and b[1]
+    autodiff._BACKWARD["gather_sum"](out)
+    assert a.grad[3, 2] == np.inf and b.grad[1, 2] == np.inf
+    assert np.isfinite(np.delete(a.grad, 3, axis=0)).all()
+    assert np.isfinite(b.grad[0]).all() and np.isfinite(b.grad[1, :2]).all()
+
+
+def test_grad_check_gather_sum_and_pair_dots():
+    rng = np.random.default_rng(23)
+    store = ParameterStore()
+    store.add("x", (4, 3), rng=rng)
+    store.add("y", (3, 3), rng=rng)
+    store.add("p", (3, 3), rng=rng)
+    store.add("w", (3,), init=rng.normal(size=3))
+    g = Graph()
+    x, y = g.param(store, "x"), g.param(store, "y")
+    summed = g.gather_sum([(x, [3, 0, 3, 1, 2]), (y, [2, 2, 0, 1, 0]),
+                           (g.input(rng.normal(size=(5, 3))), None)])
+    q = g.tanh(summed)
+    dots = g.pair_dots(g.param(store, "p"), q, g.param(store, "w"),
+                       [2, 0, 2, 1, 2], [4, 4, 0, 3, 4])
+    loss = g.add(g.sum(g.mul(dots, dots)), g.sum(g.tanh(summed)))
+    report = grad_check(g, loss, store, tolerance=1e-6, max_entries=12)
+    assert report["pass"], report
+
+
+PAIR_CASES = {
+    # (rows of p, rows of q, rows, cols)
+    "repeated-unsorted": (3, 4, [2, 0, 2, 1, 2, 0], [3, 3, 0, 1, 3, 2]),
+    "some-pairs-only": (3, 3, [0, 0, 1], [2, 0, 2]),
+    "one-q-row": (4, 1, [3, 0, 1], [0, 0, 0]),
+    "no-pairs": (3, 2, [], []),
+    "negative": (3, 4, [-1, 0, 2], [3, -4, -1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pair_dots_matches_gathered_rows(case):
+    n_p, n_q, rows, cols = PAIR_CASES[case]
+    rng = np.random.default_rng(n_p + n_q)
+    pv, qv, wv = (rng.normal(size=(n_p, 3)), rng.normal(size=(n_q, 3)),
+                  rng.normal(size=3))
+    upstream = rng.normal(size=len(rows))
+
+    def run(fused):
+        g = Graph()
+        p, q, w = g.input(pv), g.input(qv), g.input(wv)
+        if fused:
+            out = g.pair_dots(p, q, w, rows, cols)
+        else:
+            out = g.matvec(g.mul(g.lookup(p, rows), g.lookup(q, cols)), w)
+        g.backward(g.inner(out, g.input(upstream)))
+        return out.value, [p.grad, q.grad, w.grad]
+
+    value, grads = run(True)
+    ref_value, ref_grads = run(False)
+    assert value.shape == (len(rows),)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-15)
+    for got, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+
+def test_pair_dots_checks_pairs():
+    g = Graph()
+    p, q, w = g.input(np.ones((3, 2))), g.input(np.ones((2, 2))), \
+        g.input(np.ones(2))
+    with pytest.raises(ShapeError):
+        g.pair_dots(p, q, w, [0, 1], [0])
+    with pytest.raises(ShapeError):
+        g.pair_dots(p, q, w, [[0, 1]], [[0, 1]])
+    with pytest.raises(ShapeError):
+        g.pair_dots(p, q, g.input(np.ones(3)), [0], [0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pair_dots_unpaired_overflow_stays_out():
+    # p[0] . q[0] overflows, but no pair reads it: values and gradients of
+    # the pairs that exist stay finite
+    g = Graph()
+    p = g.input([[1e200], [1.0]])
+    q = g.input([[1e200], [1.0]])
+    out = g.pair_dots(p, q, g.input([1.0]), [0, 1], [1, 0])
+    np.testing.assert_array_equal(out.value, [1e200, 1e200])
+    g.backward(g.sum(out))
+    for x in (p, q):
+        np.testing.assert_array_equal(x.grad, [[1.0], [1e200]])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_pair_dots_non_finite_gradient_is_caught():
+    # an inf reaching one pair's score leaves every other row of p and q
+    # finite, and the step refuses the non-finite gradient
+    store = ParameterStore()
+    store.add("p", (3, 2), init=np.ones((3, 2)))
+    store.add("q", (2, 2), init=np.ones((2, 2)))
+    store.add("w", (2,), init=np.ones(2))
+    g = Graph()
+    out = g.pair_dots(g.param(store, "p"), g.param(store, "q"),
+                      g.param(store, "w"), [0, 1, 2], [1, 0, 0])
+    g.backward(g.inner(out, g.input([1.0, np.inf, 1.0])))
+    assert np.isfinite(np.delete(store.grads["p"], 1, axis=0)).all()
+    assert np.isfinite(store.grads["q"][1]).all()
+    assert not np.isfinite(store.grads["p"][1]).all()
+    with pytest.raises(NonFiniteGradient):
+        clip_and_step(store, 0.1)

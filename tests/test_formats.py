@@ -2,6 +2,7 @@ import io
 import struct
 import warnings
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,12 +261,14 @@ class TestEmbeddings:
             load_embeddings(_write(tmp_path, "e.txt", ""))
 
 
+TINY_CONFIG = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3,
+                          rank=2, label_dim=3, bilstm_layers=1, bilstm_dim=4)
+
+
 def tiny_model(seed=0):
-    cfg = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
-                      label_dim=3, bilstm_layers=1, bilstm_dim=4)
     sent = make_sentence(["the", "cat", "sat"], ["the", "cat", "sit"],
                          ["DT", "NN", "VB"])
-    return ParserModel.build(cfg, ONT, ("a1", "a2"), [sent],
+    return ParserModel.build(TINY_CONFIG, ONT, ("a1", "a2"), [sent],
                              np.random.default_rng(seed))
 
 
@@ -467,6 +470,78 @@ class TestCheckpoints:
                 zf.writestr(f"params/{name}.npy", buf.getvalue())
         with pytest.raises(FormatError, match=r"'sc\.w1' has shape"):
             load_model(p)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_parameter_set_mismatch_located(self, tmp_path, change):
+        model = tiny_model()
+        params = dict(model.store.values)
+        if change == "missing":
+            name = "sc.v2"
+            del params[name]
+        else:
+            name = "sc.zz"
+            params[name] = np.zeros(2)
+        store = ParameterStore()
+        for k, v in params.items():
+            store.add(k, v.shape, init=v)
+        from spandep.formats import model_manifest
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(store, model_manifest(model), p)
+        with pytest.raises(FormatError,
+                           match=f"parameter set mismatch near '{name}'"):
+            load_model(p)
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        # the store takes each checkpoint array as the model adds it, so
+        # loading draws no initial value only to overwrite it
+        model = tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        calls = []
+        make_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: Recording(make_rng(*args)))
+        back = load_model(p)
+        assert calls == []
+        assert_same_params(model, back)
+
+    def test_reloaded_model_trains_like_the_original(self, tmp_path):
+        from spandep.parts import build_candidate_space
+        from spandep.synthetic import synthetic_corpus
+        from spandep.training import TrainConfig, train
+        c = synthetic_corpus(np.random.default_rng(7), n_fn=2, n_dm=2,
+                             n_fn_dev=0, n_dm_dev=0)
+        model = ParserModel.build(
+            replace(TINY_CONFIG, max_span_len=4), c["ontology"],
+            c["dep_labels"], c["fn_train"] + c["dm_train"],
+            np.random.default_rng(0))
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        back = load_model(p)
+        back.scored_space(build_candidate_space(
+            c["fn_train"][0], c["fn_train"][0].supervision.parses[0].target,
+            c["ontology"], back.config.fn_limits(c["dep_labels"])))
+        assert back.store._grads == {}     # prediction needs no gradients
+        values = list(back.store.values.values())
+        assert all(v.flags.writeable for v in values)
+        assert not any(np.may_share_memory(a, b)
+                       for i, a in enumerate(values) for b in values[i + 1:])
+        before = {k: v.copy() for k, v in back.store.values.items()}
+        for m in (model, back):
+            train(m, c["fn_train"], c["dm_train"],
+                  config=TrainConfig(max_epochs=1, seed=0))
+        assert any(not np.array_equal(v, before[k])
+                   for k, v in back.store.values.items())
+        assert_same_params(model, back)
 
     def test_hash_is_content_addressed(self):
         a = Ontology({"x.v": ("F",)}, {"F": ("R",)})

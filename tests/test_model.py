@@ -99,9 +99,12 @@ class TestScoreSpace:
         assert res.node.value.shape == (len(space.parts),)
 
     def test_cross_scoring_has_no_per_pair_products(self):
-        # cross parts outnumber the arguments and the arcs here; scoring
-        # them may take only one product with a row per cross part, the
-        # product of the gathered argument and arc rows
+        # cross parts outnumber the arguments, the arcs and the labeled
+        # parts here, and labeled parts outnumber the arcs and the tokens.
+        # No node may hold a row per cross part except the cross score
+        # vector itself, and the labeled-arc first layer is one gather_sum
+        # over per-token and per-label projections, with no lookup or add
+        # holding a row per labeled part
         words = ["sat", "the", "cat", "on", "a", "mat"]
         sent = make_sentence(words, words, ["VB"] + ["NN"] * 5)
         model = ParserModel.build(TINY, ONT, ("a1", "a2"), [sent],
@@ -109,17 +112,23 @@ class TestScoreSpace:
         space = build_candidate_space(
             sent, Target(0, 0, "sit.v"), ONT,
             SpaceLimits(max_span_len=4, dep_labels=("a1", "a2")))
-        n_cross = len(space.cross_ids)
+        n_cross, n_lab = len(space.cross_ids), len(space.labeled_ids)
         assert n_cross > max(len(space.argument_ids), len(space.arc_ids),
-                             len(space.labeled_ids))
+                             n_lab)
+        assert n_lab > max(len(space.arc_ids), len(space.argument_ids),
+                           len(words))
         g = Graph()
-        model.score_space(g, space)
+        scores = model.score_space(g, space)
         per_pair = [node for node in g.nodes
-                    if node.op in ("matmul", "mul")
-                    and node.value.shape[0] == n_cross]
-        assert len(per_pair) == 1
-        assert per_pair[0].op == "mul"
-        assert [p.op for p in per_pair[0].parents] == ["lookup", "lookup"]
+                    if node.value.shape[:1] == (n_cross,)]
+        assert per_pair == [scores.cross]
+        assert scores.cross.op == "pair_dots"
+        first = [node for node in g.nodes
+                 if node.op in ("lookup", "add", "gather_sum")
+                 and node.value.shape[:1] == (n_lab,)]
+        assert [node.op for node in first] == ["gather_sum"]
+        assert all(p.value.shape[0] < n_lab for p in first[0].parents)
+        assert g.nodes[first[0].id + 1].op == "tanh"
 
     def test_word_dropout_only_under_training(self):
         model = tiny_model()

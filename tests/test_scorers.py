@@ -281,6 +281,49 @@ class TestBatchEqualsSingle:
             ref = score_cross_task(sc, g, *slots(a), g.select_row(arc_rows, c))
             assert cross.value[k] == pytest.approx(float(ref.value), rel=1e-12)
 
+    @pytest.mark.parametrize("cross_arg, cross_arc", [
+        ([2, 0, 2, 1, 2], [3, 3, 0, 3, 1]),   # repeated and unsorted
+        ([0, 0, 2], [4, 1, 4]),               # argument 1 meets no arc
+        ([1, 0, 2], [2, 2, 2]),               # one arc
+        ([], []),                             # no cross parts
+    ], ids=["repeated", "some-pairs", "one-arc", "none"])
+    def test_cross_pairs_match_oracle(self, cross_arg, cross_arc):
+        sc, store = small_scorers()
+        g = Graph()
+        rng = np.random.default_rng(13)
+        g_tgt = g.input(rng.normal(size=4))
+        g_lu = sc.lu_vec(g, "play.v")
+        frames, roles = ["F1", "F0", "F1"], ["R1", "R1", "R0"]
+        span_rows = g.input(rng.normal(size=(3, 4)))
+        arc_rows = g.input(rng.normal(size=(5, 4)))
+        terms = sc.target_terms(g, g_tgt, g_lu)
+        products = sc.argument_products(
+            g, sc.ids("frame", frames), sc.ids("role", roles), span_rows,
+            terms)
+        cross = sc.cross_task_scores(g, products, arc_rows, cross_arg,
+                                     cross_arc, terms)
+        assert cross.shape == (len(cross_arg),)
+        grads = {}
+        if cross_arg:
+            g.backward(g.sum(cross))
+            grads = {k: v.copy() for k, v in store.grads.items()}
+            store.zero_grads()
+        g_ref = Graph()
+        refs = []
+        for a, c in zip(cross_arg, cross_arc):
+            refs.append(score_cross_task(
+                sc, g_ref, frame_vec(sc, g_ref, frames[a]),
+                g_ref.input(g_tgt.value), sc.lu_vec(g_ref, "play.v"),
+                g_ref.input(span_rows.value[a]), role_vec(sc, g_ref, roles[a]),
+                g_ref.input(arc_rows.value[c])))
+        np.testing.assert_allclose(cross.value, [float(r.value) for r in refs],
+                                   rtol=1e-12, atol=1e-15)
+        if refs:
+            g_ref.backward(reduce(g_ref.add, refs))
+            for name, grad in grads.items():
+                np.testing.assert_allclose(grad, store.grads[name],
+                                           rtol=1e-12, atol=1e-15)
+
     def test_dependency_batches(self):
         sc, _ = small_scorers()
         g = Graph()

@@ -534,6 +534,18 @@ class TestTrainLoop:
             tr.train(model, c["fn_train"], [],
                      config=TrainConfig(max_epochs=1, seed=0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_cross_score_names_instance(self):
+        # an inf in the arc slot's factor makes the cross-task scores that
+        # use it non-finite; training stops at the first such instance
+        import spandep.training as tr
+        c = small_corpus(n_fn=2, n_dm=0, n_dm_dev=0)
+        model = build_model(c)
+        model.store.values["sc.v2"][0, 0] = np.inf
+        with pytest.raises(SpandepError, match="non-finite loss at instance"):
+            tr.train(model, c["fn_train"], [],
+                     config=TrainConfig(max_epochs=1, seed=0))
+
     def test_basic_configuration_trains(self):
         c = small_corpus(n_fn=3, n_dm=3)
         cfg = TrainConfig(max_epochs=1, seed=0)
