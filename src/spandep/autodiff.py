@@ -7,16 +7,18 @@ by op name.  Keeping forward rules in the same registry lets ``recompute``
 re-evaluate the whole graph after a parameter has been perturbed in place,
 which is what the finite-difference checker needs.
 
-Ops are coarse where it pays: ``lstm`` runs a whole recurrent sweep over the
-rows of a matrix as one node and keeps its gate activations in ``ctx`` for
-the backward pass, and batched consumers gather rows inside the op that
-uses them.  ``lookup`` gathers rows alone, ``gather_sum`` sums rows gathered
-from several matrices, and ``pair_dots`` takes one weighted dot product per
-(row, row) pair of two matrices; their backward passes scatter gradients
-straight into the source rows, summing the rows gathered from one source
-row before adding them.  ``gathered_affine`` gives the first layer of an MLP
-over concatenated rows from per-row products of row slices of its weight
-matrix, summed by one ``gather_sum``.
+Each job has one op.  ``rows`` takes one row or a contiguous run of rows
+by a basic index, and ``concat`` joins vectors end to end or matrices side
+by side.  Ops are coarse where it pays: ``lstm`` runs a whole recurrent
+sweep over the rows of a matrix as one node and keeps its gate activations
+in ``ctx`` for the backward pass, and batched consumers gather rows inside
+the op that uses them.  ``gather_sum`` gathers rows by index arrays, from one
+matrix or summed over several, and ``pair_dots`` takes one weighted dot
+product per (row, row) pair of two matrices; their backward passes scatter
+gradients straight into the source rows, summing the rows gathered from one
+source row before adding them.  ``gathered_affine`` gives the first layer
+of an MLP over concatenated rows from per-row products of row slices of its
+weight matrix, summed by one ``gather_sum``.
 
 Supported shapes are scalars, vectors and matrices; no broadcasting beyond
 the bias row in ``affine`` and no GPU paths.
@@ -39,15 +41,14 @@ class NonFiniteGradient(Exception):
 
 
 class Node:
-    __slots__ = ("op", "parents", "ctx", "value", "grad", "id")
+    __slots__ = ("op", "parents", "ctx", "value", "grad")
 
-    def __init__(self, op: str, parents: tuple, ctx, value: np.ndarray, id: int):
+    def __init__(self, op: str, parents: tuple, ctx, value: np.ndarray):
         self.op = op
         self.parents = parents
         self.ctx = ctx
         self.value = value
         self.grad: Optional[np.ndarray] = None
-        self.id = id
 
     @property
     def shape(self):
@@ -108,12 +109,6 @@ def _f_param(node):
     return store.values[pname]
 
 
-@_op("lookup")
-def _f_lookup(node):
-    (table,) = node.parents
-    return table.value[node.ctx]
-
-
 @_op("gather_sum")
 def _f_gather_sum(node):
     out = None
@@ -132,27 +127,14 @@ def _f_pair_dots(node):
     return ((p * w) @ q.T)[rows, cols]
 
 
-@_op("select_row")
-def _f_select_row(node):
-    (x,) = node.parents
-    return x.value[node.ctx]
-
-
-@_op("slice_rows")
-def _f_slice_rows(node):
-    (x,) = node.parents
-    a, b = node.ctx
-    return x.value[a:b]
+@_op("rows")
+def _f_rows(node):
+    return node.parents[0].value[node.ctx]
 
 
 @_op("concat")
 def _f_concat(node):
-    return np.concatenate([p.value for p in node.parents])
-
-
-@_op("concat_cols")
-def _f_concat_cols(node):
-    return np.concatenate([p.value for p in node.parents], axis=1)
+    return np.concatenate([p.value for p in node.parents], axis=-1)
 
 
 @_op("add")
@@ -309,11 +291,6 @@ def _scatter_rows(table: Node, ids: np.ndarray, grad: np.ndarray) -> None:
     table.grad[rows] += sums.reshape(rows.size, width)
 
 
-@_bk("lookup")
-def _b_lookup(node):
-    _scatter_rows(node.parents[0], node.ctx, node.grad)
-
-
 @_bk("gather_sum")
 def _b_gather_sum(node):
     for x, ids in zip(node.parents, node.ctx):
@@ -340,38 +317,20 @@ def _b_pair_dots(node):
     accumulate(w, np.einsum("ij,ij->j", p.value, dq))
 
 
-@_bk("select_row")
-def _b_select_row(node):
+@_bk("rows")
+def _b_rows(node):
     (x,) = node.parents
     if x.grad is None:
         x.grad = np.zeros_like(x.value)
     x.grad[node.ctx] += node.grad
 
 
-@_bk("slice_rows")
-def _b_slice_rows(node):
-    (x,) = node.parents
-    a, b = node.ctx
-    if x.grad is None:
-        x.grad = np.zeros_like(x.value)
-    x.grad[a:b] += node.grad
-
-
 @_bk("concat")
 def _b_concat(node):
     off = 0
     for p in node.parents:
-        k = p.value.shape[0]
-        accumulate(p, node.grad[off:off + k])
-        off += k
-
-
-@_bk("concat_cols")
-def _b_concat_cols(node):
-    off = 0
-    for p in node.parents:
-        k = p.value.shape[1]
-        accumulate(p, node.grad[:, off:off + k])
+        k = p.value.shape[-1]
+        accumulate(p, node.grad[..., off:off + k])
         off += k
 
 
@@ -510,33 +469,26 @@ class Graph:
         self._param_cache: dict[tuple[int, str], Node] = {}
 
     def _push(self, op: str, parents: tuple, ctx=None) -> Node:
-        node = Node(op, parents, ctx, None, len(self.nodes))
+        node = Node(op, parents, ctx, None)
         node.value = np.asarray(_FORWARD[op](node), dtype=float)
         self.nodes.append(node)
         return node
 
     # leaves
     def input(self, value) -> Node:
-        node = Node("input", (), None, np.asarray(value, dtype=float),
-                    len(self.nodes))
+        node = Node("input", (), None, np.asarray(value, dtype=float))
         self.nodes.append(node)
         return node
 
     def param(self, store: "ParameterStore", name: str) -> Node:
         key = (id(store), name)
         if key not in self._param_cache:
-            node = Node("param", (), (store, name), store.values[name],
-                        len(self.nodes))
+            node = Node("param", (), (store, name), store.values[name])
             self.nodes.append(node)
             self._param_cache[key] = node
         return self._param_cache[key]
 
     # ops
-    def lookup(self, table: Node, indices: Sequence[int]) -> Node:
-        if table.value.ndim != 2:
-            raise ShapeError(f"lookup table must be a matrix, got {table.shape}")
-        return self._push("lookup", (table,), np.asarray(indices, dtype=int))
-
     def gather_sum(self, blocks: Sequence[tuple[Node, Optional[Sequence[int]]]]
                    ) -> Node:
         """Row k is the sum over blocks ``(x, ids)`` of ``x[ids[k]]``, or of
@@ -567,30 +519,22 @@ class Graph:
                              f"rows{rows.shape} cols{cols.shape}")
         return self._push("pair_dots", (p, q, w), (rows, cols))
 
-    def select_row(self, x: Node, i: int) -> Node:
-        if x.value.ndim != 2:
-            raise ShapeError(f"select_row needs a matrix, got {x.shape}")
-        return self._push("select_row", (x,), int(i))
-
-    def slice_rows(self, x: Node, a: int, b: int) -> Node:
-        """Rows ``a:b`` of a matrix (entries of a vector); the backward
-        pass adds into that slice of the parent's gradient."""
-        if x.value.ndim == 0 or not 0 <= a < b <= x.value.shape[0]:
-            raise ShapeError(f"slice_rows {a}:{b} of {x.shape}")
-        return self._push("slice_rows", (x,), (int(a), int(b)))
+    def rows(self, x: Node, a: int, b: Optional[int] = None) -> Node:
+        """Row ``a`` (counted from the end when negative), or rows ``a:b``,
+        of a matrix or vector, as a view; backward adds into those rows."""
+        index = int(a) if b is None else slice(int(a), int(b))
+        n = x.value.shape[0] if x.value.ndim else 0
+        if not (-n <= a < n if b is None else 0 <= a < b <= n):
+            raise ShapeError(f"rows {index} of {x.shape}")
+        return self._push("rows", (x,), index)
 
     def concat(self, *xs: Node) -> Node:
-        for x in xs:
-            if x.value.ndim != 1:
-                raise ShapeError(f"concat needs vectors, got {x.shape}")
+        """Vectors end to end, or matrices with equal rows side by side."""
+        if len({x.value.shape[:-1] for x in xs}) != 1 \
+                or not 1 <= xs[0].value.ndim <= 2:
+            raise ShapeError(f"concat needs vectors or matrices with equal "
+                             f"rows, got {[x.shape for x in xs]}")
         return self._push("concat", tuple(xs))
-
-    def concat_cols(self, *xs: Node) -> Node:
-        rows = {x.value.shape[0] for x in xs}
-        if any(x.value.ndim != 2 for x in xs) or len(rows) != 1:
-            raise ShapeError(f"concat_cols needs matrices with equal rows, got "
-                             f"{[x.shape for x in xs]}")
-        return self._push("concat_cols", tuple(xs))
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
@@ -671,11 +615,7 @@ class Graph:
         """Re-run forward in construction order (parameters may have changed
         in place)."""
         for node in self.nodes:
-            if node.op == "param":
-                store, pname = node.ctx
-                node.value = store.values[pname]
-            elif node.op != "input":
-                node.value = np.asarray(_FORWARD[node.op](node), dtype=float)
+            node.value = np.asarray(_FORWARD[node.op](node), dtype=float)
 
     def zero_grad(self) -> None:
         for node in self.nodes:
@@ -702,7 +642,7 @@ class Graph:
 def gathered_affine(g: Graph,
                     blocks: Sequence[tuple[Node, Optional[Sequence[int]]]],
                     w: Node, b: Node) -> Node:
-    """``affine(concat_cols(x1[ids1], x2[ids2], ...), w, b)`` without
+    """``affine(concat(x1[ids1], x2[ids2], ...), w, b)`` without
     building the concatenation.
 
     Each block ``(x, ids)`` is projected through its own contiguous row
@@ -713,7 +653,7 @@ def gathered_affine(g: Graph,
     projected, start = [], 0
     for x, ids in blocks:
         stop = start + x.value.shape[-1]
-        w_k = g.slice_rows(w, start, stop)
+        w_k = g.rows(w, start, stop)
         projected.append((g.matmul(x, w_k) if projected
                           else g.affine(x, w_k, b), ids))
         start = stop
@@ -755,19 +695,15 @@ class ParameterStore:
 
     def add(self, name: str, shape: tuple[int, ...],
             rng: Optional[np.random.Generator] = None,
-            init: str | np.ndarray = "auto") -> np.ndarray:
-        """``init`` is an array, "zeros", "normal" (0.1 times a standard
-        normal draw) or "auto": zeros for vectors, and for matrices uniform
-        in ±sqrt(6 / (fan_in + fan_out))."""
+            init: str = "auto") -> np.ndarray:
+        """``init`` is "zeros", "normal" (0.1 times a standard normal draw)
+        or "auto": zeros for vectors, and for matrices uniform in
+        ±sqrt(6 / (fan_in + fan_out))."""
         if name in self.values:
             raise ValueError(f"duplicate parameter {name!r}")
         saved = self._saved.pop(name, None)
         if saved is not None and saved.shape == tuple(shape):
             value = np.asarray(saved, dtype=float)
-        elif isinstance(init, np.ndarray):
-            value = np.array(init, dtype=float)
-            if value.shape != tuple(shape):
-                raise ShapeError(f"{name}: init shape {value.shape} != {shape}")
         elif init == "zeros" or (init == "auto" and len(shape) == 1):
             value = np.zeros(shape)
         elif rng is None:

@@ -151,11 +151,10 @@ class Encoder:
         word_ids = self.word_indices(sentence, rng=rng, training=training)
         lemma_ids = [self.lemmas.index(t.lemma) for t in sentence.tokens]
         pos_ids = [self.pos_tags.index(t.pos) for t in sentence.tokens]
-        return g.concat_cols(
-            g.lookup(g.param(self.store, f"{self.prefix}.word"), word_ids),
-            g.lookup(g.param(self.store, f"{self.prefix}.lemma"), lemma_ids),
-            g.lookup(g.param(self.store, f"{self.prefix}.pos"), pos_ids),
-        )
+        gather = lambda table, ids: g.gather_sum(
+            [(g.param(self.store, f"{self.prefix}.{table}"), ids)])
+        return g.concat(gather("word", word_ids), gather("lemma", lemma_ids),
+                        gather("pos", pos_ids))
 
     # --- BiLSTM -------------------------------------------------------------
 
@@ -168,8 +167,8 @@ class Encoder:
     def bilstm(self, g: Graph, x: Node) -> Node:
         """Stacked bidirectional pass over the rows of an (n, d) matrix."""
         for layer in range(self.bilstm_layers):
-            x = g.concat_cols(self._sweep(g, x, layer, "fw"),
-                              self._sweep(g, x, layer, "bw"))
+            x = g.concat(self._sweep(g, x, layer, "fw"),
+                         self._sweep(g, x, layer, "bw"))
         return x
 
     def encode(self, g: Graph, sentence: Sentence,
@@ -207,6 +206,6 @@ class Encoder:
     def target_representation(self, g: Graph, hs: Node,
                               target: Target) -> Node:
         length = np.array([math.log2(target.end - target.start + 2)])
-        x = g.concat(g.select_row(hs, target.start),
-                     g.select_row(hs, target.end), g.input(length))
+        x = g.concat(g.rows(hs, target.start), g.rows(hs, target.end),
+                     g.input(length))
         return self._mlp(g, g.affine(x, *self._w1(g, "tgt")), "tgt")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import warnings
 import zipfile
 import zlib
 from dataclasses import fields
@@ -197,9 +196,13 @@ def read_frames(path, ontology: Ontology) -> list[Sentence]:
                                              frozenset(args)))
                 except ValueError as e:
                     raise FormatError(path, lineno, str(e)) from None
+            try:
+                sup = FrameAnnotations(tuple(parses))
+            except ValueError as e:
+                raise FormatError(path, lineno, str(e)) from None
             tokens = tuple(Token(f, l, p) for f, l, p in zip(toks, lems, tags))
             sentences.append(Sentence(tokens, id=str(rec["id"]),
-                                      supervision=FrameAnnotations(tuple(parses))))
+                                      supervision=sup))
     return sentences
 
 
@@ -394,19 +397,17 @@ def _check_restored(store: ParameterStore, params: Mapping[str, np.ndarray],
                 f"expected {store.values[name].shape}")
 
 
-def load_model(path, ontology: Optional[Ontology] = None,
-               allow_ontology_mismatch: bool = False) -> ParserModel:
-    return _load_from_manifest(ParserModel, path, "model", ontology,
-                               allow_ontology_mismatch)
+def load_model(path, ontology: Optional[Ontology] = None) -> ParserModel:
+    return _load_from_manifest(ParserModel, path, "model", ontology)
 
 
 def _load_from_manifest(cls, path, expected_kind: str,
-                        ontology: Optional[Ontology] = None,
-                        allow_ontology_mismatch: bool = False):
+                        ontology: Optional[Ontology] = None):
     """Rebuild a ``cls`` (``ParserModel`` or ``PrunerModel``) from a
     checkpoint: its config, ontology and vocabularies from the manifest,
     and its parameters as the arrays read, each taken by the store as the
-    model adds it."""
+    model adds it.  The model always takes the checkpoint's own ontology;
+    an ``ontology`` given must hash as the checkpoint's."""
     params, manifest = load_checkpoint(path)
     kind = manifest.get("kind")
     if kind != expected_kind:
@@ -416,10 +417,8 @@ def _load_from_manifest(cls, path, expected_kind: str,
                   ("hyperparameters", "vocabularies", "dep_labels",
                    "ontology", "ontology_hash"), optional=None)
     if ontology is not None and ontology_hash(ontology) != manifest["ontology_hash"]:
-        message = f"{path}: ontology hash differs from the checkpoint's"
-        if not allow_ontology_mismatch:
-            raise FormatError(path, 0, message + " (pass the override to load anyway)")
-        warnings.warn(message)
+        raise FormatError(path, 0, "ontology hash differs from the checkpoint's"
+                          " (load without an ontology to use the checkpoint's)")
     ont = _ontology(path, "ontology", manifest["ontology"], optional=None)
     if not _strings(manifest["dep_labels"]):
         raise FormatError(path, "manifest",

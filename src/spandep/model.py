@@ -165,7 +165,7 @@ class ParserModel:
             arg_products = sc.argument_products(
                 g, frame_ids[space.arg_frame],
                 sc.ids("role", space.roles)[space.arg_role],
-                g.lookup(span_matrix, span_of), terms)
+                g.gather_sum([(span_matrix, span_of)]), terms)
             segments.append(sc.argument_scores(g, arg_products, terms))
 
         if space.head_ids:

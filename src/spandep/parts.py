@@ -86,7 +86,17 @@ class DependencyGraph:
 
 @dataclass(frozen=True)
 class FrameAnnotations:
+    """One parse per target: no (start, end) target span appears twice."""
+
     parses: tuple[FrameParse, ...]
+
+    def __post_init__(self):
+        seen = set()
+        for p in self.parses:
+            if p.target.span in seen:
+                raise ValueError(f"target span [{p.target.start}, "
+                                 f"{p.target.end}] annotated twice")
+            seen.add(p.target.span)
 
 
 Supervision = Union[FrameAnnotations, DependencyGraph, None]

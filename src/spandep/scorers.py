@@ -97,7 +97,7 @@ class Scorers:
     def _vec(self, g: Graph, table: str, index: dict, key: str) -> Node:
         if key not in index:
             raise SpandepError(f"unknown {table}: {key!r}")
-        return g.select_row(self._p(g, f"emb.{table}"), index[key])
+        return g.rows(self._p(g, f"emb.{table}"), index[key])
 
     def lu_vec(self, g: Graph, lu: str) -> Node:
         return self._vec(g, "lu", self.lu_ix, lu)
@@ -134,7 +134,7 @@ class Scorers:
 
     def _frame_rows(self, g: Graph, frames: Sequence[int],
                     terms: TargetTerms) -> Node:
-        return g.matmul(g.lookup(self._p(g, "emb.frame"), frames),
+        return g.matmul(g.gather_sum([(self._p(g, "emb.frame"), frames)]),
                         terms.w1_t)
 
     def predicate_scores(self, g: Graph, frames: Sequence[int],
@@ -150,7 +150,8 @@ class Scorers:
         span_rows holds one span representation per argument, row-aligned."""
         a = self._frame_rows(g, frames, terms)
         d = g.matmul(span_rows, terms.u1_t)
-        e = g.matmul(g.lookup(self._p(g, "emb.role"), roles), terms.u2_t)
+        e = g.matmul(g.gather_sum([(self._p(g, "emb.role"), roles)]),
+                     terms.u2_t)
         return g.mul(g.mul(a, d), e)
 
     def argument_scores(self, g: Graph, products: Node,
@@ -168,7 +169,7 @@ class Scorers:
         the parts' cells."""
         arcs, arc_of = np.unique(np.asarray(cross_arc, dtype=int),
                                  return_inverse=True)
-        arc_products = g.matmul(g.lookup(arc_rows, arcs),
+        arc_products = g.matmul(g.gather_sum([(arc_rows, arcs)]),
                                 g.transpose(self._p(g, "v2")))
         fixed = g.mul(terms.fixed,
                       g.matvec(self._p(g, "v1"), self._p(g, "ua.w")))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -238,16 +239,19 @@ Predictions = Tuple[List[Sentence], int, List[int]]
 def _predict_fn(members: Sequence[ParserModel], sentences: Sequence[Sentence],
                 spaces: Iterable[CandidateSpace]) -> Predictions:
     """``sentences`` re-annotated with the joint decode of each target's
-    space."""
-    parses: dict[int, list] = {id(s): [] for s in sentences}
+    space.  The spaces come one per target in sentence order, so parses go
+    to sentences by position, even to one sentence object given twice."""
+    decoded = []
     uncertified = 0
     sizes = []
     for space in spaces:
         res = decode(_mean_scores(members, space), mode="joint")
-        parses[id(space.sentence)].append(res.parse)
+        decoded.append(res.parse)
         uncertified += res.status != "exact"
         sizes.append(len(space))
-    return [replace(s, supervision=FrameAnnotations(tuple(parses[id(s)])))
+    parses = iter(decoded)
+    return [replace(s, supervision=FrameAnnotations(tuple(
+                islice(parses, len(s.supervision.parses)))))
             for s in sentences], uncertified, sizes
 
 

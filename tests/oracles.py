@@ -13,8 +13,8 @@ import numpy as np
 def concat_affine(g, blocks, w, b):
     """``affine`` over the row-wise concatenation of the gathered blocks,
     built as a matrix: the reference for ``gathered_affine``."""
-    x = g.concat_cols(*(x if ids is None else g.lookup(x, ids)
-                        for x, ids in blocks))
+    x = g.concat(*(x if ids is None else g.gather_sum([(x, ids)])
+                   for x, ids in blocks))
     return g.affine(x, w, b)
 
 
@@ -84,12 +84,12 @@ def score_cross_task(sc, g, g_fr, g_tgt, g_lu, g_span, g_role, g_arc):
 def arc_representation(sc, g, hs, head, dep):
     """g^ua for one ordered (head, dep) token pair."""
     return _concat_mlp(g, sc.store, f"{sc.prefix}.ua",
-                       g.concat(g.select_row(hs, head), g.select_row(hs, dep)))
+                       g.concat(g.rows(hs, head), g.rows(hs, dep)))
 
 
 def score_head(sc, g, hs, token):
     return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.head",
-                               g.select_row(hs, token)),
+                               g.rows(hs, token)),
                    sc._p(g, "head.w"))
 
 
@@ -99,7 +99,7 @@ def score_unlabeled(sc, g, hs, head, dep):
 
 
 def score_labeled(sc, g, hs, head, dep, label):
-    x = g.concat(g.select_row(hs, head), g.select_row(hs, dep),
+    x = g.concat(g.rows(hs, head), g.rows(hs, dep),
                  label_vec(sc, g, label))
     return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.lab", x),
                    sc._p(g, "lab.w"))
@@ -107,7 +107,7 @@ def score_labeled(sc, g, hs, head, dep, label):
 
 def score_top(sc, g, hs, dep):
     return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.top",
-                               g.select_row(hs, dep)),
+                               g.rows(hs, dep)),
                    sc._p(g, "top.w"))
 
 
@@ -115,7 +115,7 @@ def span_representation(enc, g, hs, span, target_start):
     from spandep.encoder import discrete_features
 
     i, j = span
-    x = g.concat(g.select_row(hs, i), g.select_row(hs, j),
+    x = g.concat(g.rows(hs, i), g.rows(hs, j),
                  g.input(discrete_features(span, target_start)))
     return _concat_mlp(g, enc.store, f"{enc.prefix}.span", x)
 
@@ -126,10 +126,10 @@ def lstm_cell(g, x, h_prev, c_prev, w, b):
     gate order input/forget/output/candidate."""
     hdim = h_prev.value.shape[0]
     z = g.affine(g.concat(x, h_prev), w, b)
-    i = g.sigmoid(g.slice_rows(z, 0, hdim))
-    f = g.sigmoid(g.slice_rows(z, hdim, 2 * hdim))
-    o = g.sigmoid(g.slice_rows(z, 2 * hdim, 3 * hdim))
-    cand = g.tanh(g.slice_rows(z, 3 * hdim, 4 * hdim))
+    i = g.sigmoid(g.rows(z, 0, hdim))
+    f = g.sigmoid(g.rows(z, hdim, 2 * hdim))
+    o = g.sigmoid(g.rows(z, 2 * hdim, 3 * hdim))
+    cand = g.tanh(g.rows(z, 3 * hdim, 4 * hdim))
     c = g.add(g.mul(f, c_prev), g.mul(i, cand))
     h = g.mul(o, g.tanh(c))
     return h, c

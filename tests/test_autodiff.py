@@ -14,6 +14,8 @@ from spandep.autodiff import (
     grad_check,
 )
 
+from spandep.inference.semimarkov import nll_node
+
 from .oracles import lstm_by_cells, lstm_cell, lstm_sweep
 
 RNG = np.random.default_rng(7)
@@ -22,7 +24,7 @@ RNG = np.random.default_rng(7)
 def test_forward_affine_identity():
     g = Graph()
     store = ParameterStore()
-    store.add("w", (3, 3), init=np.eye(3))
+    store.add("w", (3, 3), init="zeros")[...] = np.eye(3)
     store.add("b", (3,))
     v = g.input([1.0, -2.0, 0.5])
     out = g.affine(v, g.param(store, "w"), g.param(store, "b"))
@@ -43,7 +45,7 @@ def test_forward_inner():
 
 def test_backward_inner_linearity():
     store = ParameterStore()
-    store.add("w", (3,), init=np.array([0.5, -1.0, 2.0]))
+    store.add("w", (3,), init="zeros")[...] = np.array([0.5, -1.0, 2.0])
     g = Graph()
     x = g.input([1.0, 2.0, 3.0])
     loss = g.inner(g.param(store, "w"), x)
@@ -53,7 +55,7 @@ def test_backward_inner_linearity():
 
 def test_backward_tanh_at_zero():
     store = ParameterStore()
-    store.add("u", (2,), init=np.zeros(2))
+    store.add("u", (2,), init="zeros")
     g = Graph()
     loss = g.sum(g.tanh(g.param(store, "u")))
     g.backward(loss)
@@ -98,10 +100,10 @@ def test_grad_check_three_layer_graph():
     rng = np.random.default_rng(3)
     store = ParameterStore()
     store.add("w1", (5, 6), rng=rng)
-    store.add("b1", (6,), init=rng.normal(size=6) * 0.1)
+    store.add("b1", (6,), init="zeros")[...] = rng.normal(size=6) * 0.1
     store.add("w2", (6, 4), rng=rng)
-    store.add("b2", (4,), init=rng.normal(size=4) * 0.1)
-    store.add("v", (4,), init=rng.normal(size=4))
+    store.add("b2", (4,), init="zeros")[...] = rng.normal(size=4) * 0.1
+    store.add("v", (4,), init="zeros")[...] = rng.normal(size=4)
     g = Graph()
     loss = _random_three_layer(store, g, rng)
     report = grad_check(g, loss, store, tolerance=1e-4)
@@ -110,7 +112,7 @@ def test_grad_check_three_layer_graph():
 
 def test_grad_check_linear_graph_tight():
     store = ParameterStore()
-    store.add("w", (4,), init=np.array([1.0, -2.0, 3.0, 0.25]))
+    store.add("w", (4,), init="zeros")[...] = np.array([1.0, -2.0, 3.0, 0.25])
     g = Graph()
     loss = g.inner(g.param(store, "w"), g.input([2.0, 0.5, -1.0, 4.0]))
     report = grad_check(g, loss, store, tolerance=1e-10)
@@ -121,7 +123,7 @@ def test_grad_check_linear_graph_tight():
 def test_grad_check_detects_corrupted_backward():
     # mutation test: break tanh's backward rule and the FD check must fail
     store = ParameterStore()
-    store.add("u", (3,), init=np.array([0.3, -0.7, 1.1]))
+    store.add("u", (3,), init="zeros")[...] = np.array([0.3, -0.7, 1.1])
     g = Graph()
     loss = g.sum(g.tanh(g.param(store, "u")))
     good = autodiff._BACKWARD["tanh"]
@@ -142,29 +144,107 @@ def test_grad_check_every_op():
     store = ParameterStore()
     store.add("table", (5, 3), rng=rng)
     store.add("w", (3, 4), rng=rng)
-    store.add("b", (4,), init=rng.normal(size=4) * 0.1)
+    store.add("b", (4,), init="zeros")[...] = rng.normal(size=4) * 0.1
     store.add("m", (4, 4), rng=rng)
-    store.add("v", (4,), init=rng.normal(size=4))
+    store.add("v", (4,), init="zeros")[...] = rng.normal(size=4)
     g = Graph()
-    rows = g.lookup(g.param(store, "table"), [0, 2, 4, 2])
+    rows = g.gather_sum([(g.param(store, "table"), [0, 2, 4, 2])])
     h = g.tanh(g.affine(rows, g.param(store, "w"), g.param(store, "b")))
     h = g.matmul(h, g.param(store, "m"))
-    r0 = g.select_row(h, 1)
-    sl = g.slice_rows(h, 1, 3)
+    r0 = g.rows(h, 1)
+    sl = g.rows(h, 1, 3)
     parts = [
         g.sum(g.mul(h, h)),
         g.sum(g.sigmoid(h)),
         g.sum(g.abs(sl)),
         g.inner(r0, g.param(store, "v")),
         g.sum(g.sub(h, g.scale(h, 0.25))),
-        g.sum(g.tanh(g.lookup(h, [3, 0, 3]))),
+        g.sum(g.tanh(g.gather_sum([(h, [3, 0, 3])]))),
         g.sum(g.concat(r0, g.param(store, "v"))),
-        g.sum(g.concat_cols(h, g.scale(h, 2.0))),
+        g.sum(g.concat(h, g.scale(h, 2.0))),
         g.sum(g.matvec(g.param(store, "m"), r0)),
     ]
     loss = reduce(g.add, parts)
     report = grad_check(g, loss, store, tolerance=1e-4, max_entries=25)
     assert report["pass"], report
+
+
+# Per registered op, small graphs whose output the op makes.  Each builder
+# takes the graph and ``p``, which adds a random parameter of a shape.
+OP_GRAPHS = {
+    "gather_sum": [
+        lambda g, p: g.gather_sum([(p(4, 3), [3, 0, 3]), (p(2, 3), [1, 1, 0]),
+                                   (p(3, 3), None)]),
+        lambda g, p: g.gather_sum([(p(4, 3), [2, -1, 2, 0])]),
+    ],
+    "pair_dots": [lambda g, p: g.pair_dots(p(3, 2), p(4, 2), p(2),
+                                           [2, 0, 2, 1], [3, 3, 0, 1])],
+    "rows": [lambda g, p: g.rows(p(4, 3), 2),
+             lambda g, p: g.rows(p(4, 3), -1),
+             lambda g, p: g.rows(p(4, 3), 1, 3)],
+    "concat": [lambda g, p: g.concat(p(2), p(3), p(1)),
+               lambda g, p: g.concat(p(3, 2), p(3, 1))],
+    "add": [lambda g, p: g.add(p(2, 3), p(2, 3))],
+    "sub": [lambda g, p: g.sub(p(2, 3), p(2, 3))],
+    "mul": [lambda g, p: g.mul(p(2, 3), p(2, 3))],
+    "scale": [lambda g, p: g.scale(p(3), -1.5)],
+    "tanh": [lambda g, p: g.tanh(p(2, 3))],
+    "sigmoid": [lambda g, p: g.sigmoid(p(2, 3))],
+    "abs": [lambda g, p: g.abs(p(2, 3))],
+    "sum": [lambda g, p: g.sum(p(2, 3))],
+    "inner": [lambda g, p: g.inner(p(3), p(3))],
+    "matvec": [lambda g, p: g.matvec(p(2, 3), p(3))],
+    "matmul": [lambda g, p: g.matmul(p(2, 3), p(3, 2))],
+    "affine": [lambda g, p: g.affine(p(3), p(3, 2), p(2)),
+               lambda g, p: g.affine(p(4, 3), p(3, 2), p(2))],
+    "transpose": [lambda g, p: g.transpose(p(2, 3))],
+    "softplus": [lambda g, p: g.softplus(p(2, 3))],
+    "lstm": [lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8)),
+             lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8), reverse=True)],
+    "semimarkov_nll": [lambda g, p: nll_node(
+        g, p(5), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)], 3, [1, 4])],
+}
+
+
+@pytest.mark.parametrize("op", sorted(set(autodiff._FORWARD)
+                                      - {"input", "param"}))
+def test_every_registered_op_passes_grad_check(op):
+    """An op without a graph here fails, so none lands unchecked."""
+    assert set(autodiff._FORWARD) == set(autodiff._BACKWARD)
+    assert op in OP_GRAPHS, f"no gradient check for op {op!r}"
+    for k, build in enumerate(OP_GRAPHS[op]):
+        rng = np.random.default_rng(k)
+        store = ParameterStore()
+        g = Graph()
+
+        def p(*shape):
+            name = f"p{len(store.values)}"
+            store.add(name, shape, init="zeros")[...] = rng.normal(size=shape)
+            return g.param(store, name)
+
+        out = build(g, p)
+        assert out.op == op
+        loss = g.sum(g.mul(out, g.input(rng.normal(size=out.shape))))
+        report = grad_check(g, loss, store, tolerance=1e-6)
+        assert report["pass"], (k, report)
+
+
+def test_rows_and_concat_check_shapes():
+    g = Graph()
+    m = g.input(np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(g.rows(m, -1).value, [4.0, 5.0])
+    np.testing.assert_array_equal(g.rows(m, 1, 3).value, [[2.0, 3.0],
+                                                          [4.0, 5.0]])
+    for args in ((3,), (-4,), (2, 2), (0, 4), (-1, 2)):
+        with pytest.raises(ShapeError, match=r"\(3, 2\)"):
+            g.rows(m, *args)
+    with pytest.raises(ShapeError):
+        g.rows(g.input(1.0), 0)
+    v, cube = g.input(np.ones(2)), g.input(np.ones((3, 2, 2)))
+    assert g.concat(v, v).shape == (4,) and g.concat(m, m).shape == (3, 4)
+    for xs in ((m, v), (m, g.input(np.ones((2, 2)))), (cube, cube), ()):
+        with pytest.raises(ShapeError):
+            g.concat(*xs)
 
 
 def test_grad_check_reshaping_ops():
@@ -176,8 +256,8 @@ def test_grad_check_reshaping_ops():
     parts = [
         g.sum(g.tanh(g.transpose(m))),
         g.sum(g.transpose(g.mul(m, m))),
-        g.sum(g.mul(g.lookup(g.transpose(m), [1, 3, 1]),
-                    g.lookup(g.transpose(m), [0, 2, 2]))),
+        g.sum(g.mul(g.gather_sum([(g.transpose(m), [1, 3, 1])]),
+                    g.gather_sum([(g.transpose(m), [0, 2, 2])]))),
         g.sum(g.matmul(g.transpose(m), m)),
         g.sum(g.softplus(m)),
     ]
@@ -194,9 +274,10 @@ def test_transpose_values():
 
 def test_lookup_accumulates_repeats():
     store = ParameterStore()
-    store.add("m", (3, 2), init=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    store.add("m", (3, 2), init="zeros")[...] = [[1.0, 2.0], [3.0, 4.0],
+                                                 [5.0, 6.0]]
     g = Graph()
-    picked = g.lookup(g.param(store, "m"), [2, 0, 2])
+    picked = g.gather_sum([(g.param(store, "m"), [2, 0, 2])])
     np.testing.assert_array_equal(picked.value, [[5.0, 6.0], [1.0, 2.0],
                                                  [5.0, 6.0]])
     g.backward(g.sum(picked))
@@ -205,14 +286,15 @@ def test_lookup_accumulates_repeats():
 
 
 def _lookup_backward(table_grad, idx, upstream):
-    """lookup's backward rule alone: ``upstream`` flows back through the
-    rows ``idx`` of a table whose gradient starts as ``table_grad``."""
+    """A one-block ``gather_sum``'s backward rule alone: ``upstream`` flows
+    back through the rows ``idx`` of a table whose gradient starts as
+    ``table_grad``."""
     g = Graph()
     table = g.input(np.zeros_like(table_grad))
     table.grad = table_grad.copy()
-    rows = g.lookup(table, idx)
+    rows = g.gather_sum([(table, idx)])
     rows.grad = upstream
-    autodiff._BACKWARD["lookup"](rows)
+    autodiff._BACKWARD["gather_sum"](rows)
     return table.grad
 
 
@@ -266,7 +348,7 @@ def test_softplus_stable_at_extremes():
 
 def test_abs_subgradient_zero_at_zero():
     store = ParameterStore()
-    store.add("u", (3,), init=np.array([0.0, -2.0, 3.0]))
+    store.add("u", (3,), init="zeros")[...] = np.array([0.0, -2.0, 3.0])
     g = Graph()
     loss = g.sum(g.abs(g.param(store, "u")))
     g.backward(loss)
@@ -279,7 +361,7 @@ def test_lstm_cell_grad_check():
     dx, dh = 3, 4
     store.add("w", (dx + dh, 4 * dh), rng=rng)
     store.add("b", (4 * dh,))
-    store.add("v", (dh,), init=rng.normal(size=dh))
+    store.add("v", (dh,), init="zeros")[...] = rng.normal(size=dh)
     g = Graph()
     x = g.input(rng.normal(size=dx))
     h0 = g.input(np.zeros(dh))
@@ -294,11 +376,12 @@ def test_lstm_cell_grad_check():
 def _lstm_problem(n, seed, dx=5, dh=4):
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    store.add("x", (n, dx), init=rng.normal(size=(n, dx)))
+    store.add("x", (n, dx), init="zeros")[...] = rng.normal(size=(n, dx))
     # weights large enough that some gates saturate
-    store.add("w", (dx + dh, 4 * dh), init=2.0 * rng.normal(size=(dx + dh, 4 * dh)))
-    store.add("b", (4 * dh,), init=rng.normal(size=4 * dh))
-    store.add("v", (n, dh), init=rng.normal(size=(n, dh)))
+    store.add("w", (dx + dh, 4 * dh), init="zeros")[...] = \
+        2.0 * rng.normal(size=(dx + dh, 4 * dh))
+    store.add("b", (4 * dh,), init="zeros")[...] = rng.normal(size=4 * dh)
+    store.add("v", (n, dh), init="zeros")[...] = rng.normal(size=(n, dh))
     return store
 
 
@@ -316,11 +399,11 @@ def test_fused_lstm_matches_cells(n, reverse):
             states = hs.value
             loss = g.sum(g.mul(hs, v))
         else:
-            cells = lstm_by_cells(g, [g.select_row(x, t) for t in range(n)],
+            cells = lstm_by_cells(g, [g.rows(x, t) for t in range(n)],
                                   w, b, reverse=reverse)
             np.testing.assert_allclose(states, [h.value for h in cells],
                                        rtol=0, atol=1e-12)
-            loss = reduce(g.add, [g.inner(h, g.select_row(v, t))
+            loss = reduce(g.add, [g.inner(h, g.rows(v, t))
                                   for t, h in enumerate(cells)])
         g.backward(loss)
         grads.append(store.grads)
@@ -358,7 +441,7 @@ def test_fused_lstm_shape_checked():
 
 def test_param_node_shared_within_graph():
     store = ParameterStore()
-    store.add("w", (2,), init=np.array([1.0, 2.0]))
+    store.add("w", (2,), init="zeros")[...] = np.array([1.0, 2.0])
     g = Graph()
     a = g.param(store, "w")
     b = g.param(store, "w")
@@ -403,7 +486,7 @@ def test_duplicate_name_rejected():
 
 def test_clip_halves_gradients():
     store = ParameterStore(l2=0.0, clip=1.0)
-    store.add("a", (2,), init=np.zeros(2))
+    store.add("a", (2,), init="zeros")
     store.grads["a"][:] = [2.0, 0.0]  # norm 2, clip 1 -> halved
     clip_and_step(store, learning_rate=1.0)
     np.testing.assert_allclose(store.values["a"], [-1.0, 0.0])
@@ -413,8 +496,8 @@ def test_clip_halves_gradients():
 def test_clip_norm_invariant():
     store = ParameterStore(l2=0.0, clip=1.0)
     rng = np.random.default_rng(9)
-    store.add("a", (5,), init=np.zeros(5))
-    store.add("b", (3, 3), init=np.zeros((3, 3)))
+    store.add("a", (5,), init="zeros")
+    store.add("b", (3, 3), init="zeros")
     store.grads["a"][:] = rng.normal(size=5) * 10
     store.grads["b"][:] = rng.normal(size=(3, 3)) * 10
     norm_before = store.grad_norm()
@@ -427,7 +510,7 @@ def test_clip_norm_invariant():
 
 def test_zero_grad_zero_l2_keeps_parameters():
     store = ParameterStore(l2=0.0)
-    store.add("w", (3,), init=np.array([1.0, -1.0, 2.0]))
+    store.add("w", (3,), init="zeros")[...] = np.array([1.0, -1.0, 2.0])
     clip_and_step(store, 0.33)
     np.testing.assert_array_equal(store.values["w"], [1.0, -1.0, 2.0])
 
@@ -435,7 +518,7 @@ def test_zero_grad_zero_l2_keeps_parameters():
 def test_l2_step_closed_form():
     # w=1, grad 0, l2=1e-6, lr=0.33: w <- 1 - 0.33 * (2 * 1e-6 * 1)
     store = ParameterStore(l2=1e-6)
-    store.add("w", (1,), init=np.array([1.0]))
+    store.add("w", (1,), init="zeros")[...] = np.array([1.0])
     clip_and_step(store, 0.33)
     assert store.values["w"][0] == pytest.approx(1.0 - 0.33 * 2e-6, abs=1e-15)
 
@@ -461,8 +544,8 @@ def test_clip_and_step_matches_reference(grad_scale):
     rng = np.random.default_rng(31)
     store = ParameterStore(l2=1e-3, clip=1.0)
     store.add("a", (4, 3), rng=rng)
-    store.add("b", (5,), init=rng.normal(size=5))
-    store.add("c", (2, 2, 2), init=rng.normal(size=(2, 2, 2)))
+    store.add("b", (5,), init="zeros")[...] = rng.normal(size=5)
+    store.add("c", (2, 2, 2), init="zeros")[...] = rng.normal(size=(2, 2, 2))
     for g in store.grads.values():
         g[...] = grad_scale * rng.normal(size=g.shape)
     clipped = store.grad_norm() > store.clip
@@ -478,9 +561,9 @@ def test_clip_and_step_matches_reference(grad_scale):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_gradient_names_parameter_among_finite(bad):
     store = ParameterStore()
-    store.add("fine", (3,), init=np.ones(3))
+    store.add("fine", (3,), init="zeros")[...] = np.ones(3)
     store.add("broken", (2, 2), init="zeros")
-    store.add("after", (2,), init=np.ones(2))
+    store.add("after", (2,), init="zeros")[...] = np.ones(2)
     store.grads["fine"][:] = 1e3
     store.grads["broken"][1, 0] = bad
     before = {k: v.copy() for k, v in store.values.items()}
@@ -513,25 +596,20 @@ def _gather_problem(case, seed=0):
 
 @pytest.mark.parametrize("case", sorted(GATHER_CASES))
 def test_gather_sum_matches_lookup_add(case):
+    """Against numpy: the value sums ``m[ids]`` over the blocks, and each
+    block's gradient adds the upstream rows at ``ids``."""
     mats, ids, upstream = _gather_problem(case)
-
-    def run(fused):
-        g = Graph()
-        xs = [g.input(m) for m in mats]
-        if fused:
-            out = g.gather_sum(list(zip(xs, ids)))
-        else:
-            picked = [x if i is None else g.lookup(x, i)
-                      for x, i in zip(xs, ids)]
-            out = reduce(g.add, picked)
-        g.backward(g.sum(g.mul(out, g.input(upstream))))
-        return out.value, [x.grad for x in xs]
-
-    value, grads = run(True)
-    ref_value, ref_grads = run(False)
-    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
-    for got, ref in zip(grads, ref_grads):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    g = Graph()
+    xs = [g.input(m) for m in mats]
+    out = g.gather_sum(list(zip(xs, ids)))
+    g.backward(g.sum(g.mul(out, g.input(upstream))))
+    picked = [m if i is None else m[np.asarray(i, dtype=int)]
+              for m, i in zip(mats, ids)]
+    np.testing.assert_allclose(out.value, reduce(np.add, picked),
+                               rtol=1e-12, atol=0)
+    for x, m, i in zip(xs, mats, ids):
+        ref = upstream if i is None else _add_at(np.zeros_like(m), i, upstream)
+        np.testing.assert_allclose(x.grad, ref, rtol=1e-12, atol=0)
 
 
 def test_gather_sum_is_one_node_and_checks_shapes():
@@ -569,7 +647,7 @@ def test_grad_check_gather_sum_and_pair_dots():
     store.add("x", (4, 3), rng=rng)
     store.add("y", (3, 3), rng=rng)
     store.add("p", (3, 3), rng=rng)
-    store.add("w", (3,), init=rng.normal(size=3))
+    store.add("w", (3,), init="zeros")[...] = rng.normal(size=3)
     g = Graph()
     x, y = g.param(store, "x"), g.param(store, "y")
     summed = g.gather_sum([(x, [3, 0, 3, 1, 2]), (y, [2, 2, 0, 1, 0]),
@@ -606,7 +684,8 @@ def test_pair_dots_matches_gathered_rows(case):
         if fused:
             out = g.pair_dots(p, q, w, rows, cols)
         else:
-            out = g.matvec(g.mul(g.lookup(p, rows), g.lookup(q, cols)), w)
+            out = g.matvec(g.mul(g.gather_sum([(p, rows)]),
+                                 g.gather_sum([(q, cols)])), w)
         g.backward(g.inner(out, g.input(upstream)))
         return out.value, [p.grad, q.grad, w.grad]
 
@@ -649,9 +728,9 @@ def test_pair_dots_non_finite_gradient_is_caught():
     # an inf reaching one pair's score leaves every other row of p and q
     # finite, and the step refuses the non-finite gradient
     store = ParameterStore()
-    store.add("p", (3, 2), init=np.ones((3, 2)))
-    store.add("q", (2, 2), init=np.ones((2, 2)))
-    store.add("w", (2,), init=np.ones(2))
+    store.add("p", (3, 2), init="zeros")[...] = np.ones((3, 2))
+    store.add("q", (2, 2), init="zeros")[...] = np.ones((2, 2))
+    store.add("w", (2,), init="zeros")[...] = np.ones(2)
     g = Graph()
     out = g.pair_dots(g.param(store, "p"), g.param(store, "q"),
                       g.param(store, "w"), [0, 1, 2], [1, 0, 0])

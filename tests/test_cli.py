@@ -213,6 +213,18 @@ class TestEvaluate:
         assert rc == 1, err
         assert f"{bad}:1:" in err and key in err
 
+    def test_target_annotated_twice_exits_one(self, paths, capsys):
+        lines = paths["fn_train"].read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        rec["annotations"].append(dict(rec["annotations"][0], arguments=[]))
+        bad = paths["dir"] / "twice.jsonl"
+        bad.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        rc = cli(["evaluate", "--task", "fn", "--gold", str(bad),
+                  "--pred", str(bad), "--ontology", str(paths["ontology"])])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{bad}:1:" in err and "annotated twice" in err
+
     def test_fn_requires_ontology(self, paths, capsys):
         rc = cli(["evaluate", "--task", "fn",
                   "--gold", str(paths["fn_train"]),

@@ -290,7 +290,7 @@ def test_encode_matches_per_step_cells():
 
     g = Graph()
     emb = enc.embed(g, sent)
-    rows = [g.select_row(emb, t) for t in range(5)]
+    rows = [g.rows(emb, t) for t in range(5)]
     for layer in range(2):
         fw, bw = (lstm_by_cells(g, rows,
                                 g.param(store, f"enc.lstm{layer}.{d}.w"),

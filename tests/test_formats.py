@@ -203,6 +203,18 @@ class TestFrames:
         with pytest.raises(FormatError, match=r":1: overlapping"):
             read_frames(_write(tmp_path, "f.jsonl", rec), ONT)
 
+    def test_target_annotated_twice_located(self, tmp_path):
+        good = ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], '
+                '"annotations": []}\n')
+        ann = ('{"target": [0, 0], "lu": "sit.v", "frame": "Meet", '
+               '"arguments": [%s]}')
+        rec = ('{"id": "y", "tokens": ["a", "b"], "lemmas": ["a", "b"], '
+               '"pos": ["X", "X"], "annotations": [' + ann % "" + ", "
+               + ann % '{"start": 1, "end": 1, "role": "Place"}' + ']}\n')
+        with pytest.raises(FormatError,
+                           match=r":2: target span \[0, 0\] annotated twice"):
+            read_frames(_write(tmp_path, "f.jsonl", good + rec), ONT)
+
     def test_length_mismatch(self, tmp_path):
         rec = ('{"id": "x", "tokens": ["a", "b"], "lemmas": ["a"], '
                '"pos": ["X", "X"], "annotations": []}\n')
@@ -338,7 +350,7 @@ class TestCheckpoints:
         store = ParameterStore()
         rng = np.random.default_rng(1)
         store.add("a.w", (3, 4), rng=rng)
-        store.add("b", (5,), init=rng.normal(size=5))
+        store.add("b", (5,), init="zeros")[...] = rng.normal(size=5)
         p = tmp_path / "m.ckpt"
         save_checkpoint(store, {"kind": "model"}, p)
         params, manifest = load_checkpoint(p)
@@ -437,13 +449,9 @@ class TestCheckpoints:
         p = tmp_path / "m.ckpt"
         save_model(model, p)
         other = Ontology({"x.v": ("F",)}, {"F": ("R",)})
-        with pytest.raises(FormatError, match="ontology hash"):
+        with pytest.raises(FormatError, match="ontology hash.*load without "
+                                              "an ontology"):
             load_model(p, ontology=other)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            back = load_model(p, ontology=other, allow_ontology_mismatch=True)
-        assert any("ontology hash" in str(w.message) for w in caught)
-        assert back.ontology.frames == model.ontology.frames
 
     def test_matching_ontology_loads_quietly(self, tmp_path):
         model = tiny_model()
@@ -483,7 +491,7 @@ class TestCheckpoints:
             params[name] = np.zeros(2)
         store = ParameterStore()
         for k, v in params.items():
-            store.add(k, v.shape, init=v)
+            store.add(k, v.shape, init="zeros")[...] = v
         from spandep.formats import model_manifest
         p = tmp_path / "m.ckpt"
         save_checkpoint(store, model_manifest(model), p)

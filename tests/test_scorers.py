@@ -271,14 +271,14 @@ class TestBatchEqualsSingle:
 
         def slots(k):
             return (frame_vec(sc, g, frames[k]), g_tgt, g_lu,
-                    g.select_row(span_rows, k), role_vec(sc, g, roles[k]))
+                    g.rows(span_rows, k), role_vec(sc, g, roles[k]))
 
         for k in range(3):
             a = score_argument(sc, g, *slots(k))
             assert args.value[k] == pytest.approx(float(a.value), rel=1e-12)
         assert cross.shape == (len(cross_arg),)
         for k, (a, c) in enumerate(zip(cross_arg, cross_arc)):
-            ref = score_cross_task(sc, g, *slots(a), g.select_row(arc_rows, c))
+            ref = score_cross_task(sc, g, *slots(a), g.rows(arc_rows, c))
             assert cross.value[k] == pytest.approx(float(ref.value), rel=1e-12)
 
     @pytest.mark.parametrize("cross_arg, cross_arc", [

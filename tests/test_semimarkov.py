@@ -118,7 +118,8 @@ def test_nll_grad_matches_finite_differences():
     n = 5
     spans = [(i, j) for i in range(n) for j in range(i, min(n, i + 3))]
     store = ParameterStore()
-    store.add("s", (len(spans),), init=rng.normal(size=len(spans)))
+    store.add("s", (len(spans),), init="zeros")[...] = \
+        rng.normal(size=len(spans))
     g = Graph()
     loss = nll_node(g, g.param(store, "s"), spans, n, gold_indices=[0])
     report = grad_check(g, loss, store, tolerance=1e-4)
@@ -129,7 +130,7 @@ def test_nll_nonnegative_and_zero_gradient_at_optimum():
     # gold is one of the outcomes, so logZ >= gold score
     spans = [(0, 0), (1, 1)]
     store = ParameterStore()
-    store.add("s", (2,), init=np.array([0.3, -0.2]))
+    store.add("s", (2,), init="zeros")[...] = np.array([0.3, -0.2])
     g = Graph()
     loss = nll_node(g, g.param(store, "s"), spans, 2, gold_indices=[0, 1])
     assert float(loss.value) >= 0.0

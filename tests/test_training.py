@@ -676,6 +676,15 @@ class TestEnsembleAndPredict:
         res = eval_frames(gold, pred, c["ontology"])
         assert 0.0 <= res.f1 <= 1.0
 
+    def test_predict_frames_keys_parses_by_position(self):
+        # one sentence object given twice gets its own parses per copy
+        c = small_corpus(n_fn=2, n_dm=2)
+        s = c["fn_train"][0]
+        pred = predict_frames(build_model(c), [s, s])
+        gold_targets = [p.target for p in s.supervision.parses]
+        for p_s in pred:
+            assert [p.target for p in p_s.supervision.parses] == gold_targets
+
     def test_predict_builds_each_space_just_before_scoring_it(
             self, monkeypatch):
         import spandep.training as tr
