@@ -666,20 +666,16 @@ def gathered_affine(g: Graph,
 class ParameterStore:
     """Named dense parameters with gradient accumulators.
 
-    Single writer during training; inference readers never mutate.  The ℓ2
-    penalty is λ‖w‖² with gradient 2λw (note the factor 2).
+    Single writer during training; inference readers never mutate.
 
     ``saved`` maps names to arrays read from a checkpoint: ``add`` takes
     such an array as the parameter's value, uncopied, when its shape is the
     one asked for, and then draws no initial value.
     """
 
-    def __init__(self, l2: float = 1e-6, clip: float = 1.0,
-                 saved: Optional[Mapping[str, np.ndarray]] = None):
+    def __init__(self, saved: Optional[Mapping[str, np.ndarray]] = None):
         self.values: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
-        self.l2 = float(l2)
-        self.clip = float(clip)
         self._saved = dict(saved or {})
 
     @property
@@ -727,21 +723,23 @@ class ParameterStore:
         return math.sqrt(sum(float(np.vdot(g, g)) for g in self.grads.values()))
 
 
-def clip_and_step(store: ParameterStore, learning_rate: float) -> None:
-    """Clip the global gradient norm to ``store.clip``, take an SGD step with
-    the ℓ2 penalty folded in, and zero the accumulators.
+def clip_and_step(store: ParameterStore, learning_rate: float, clip: float,
+                  l2: float) -> None:
+    """Clip the global gradient norm to ``clip``, take an SGD step with the
+    ℓ2 penalty folded in, and zero the accumulators.
 
-    Same update as ``w -= lr * (clip(g) + 2λw)``, done in place.  A NaN or
-    inf entry makes the norm non-finite, so only then are the parameters
-    scanned to name the offending one."""
+    The ℓ2 penalty is λ‖w‖² with gradient 2λw (note the factor 2), λ being
+    ``l2``.  Same update as ``w -= lr * (clip(g) + 2λw)``, done in place.
+    A NaN or inf entry makes the norm non-finite, so only then are the
+    parameters scanned to name the offending one."""
     norm = store.grad_norm()
     if not math.isfinite(norm):
         for name, g in store.grads.items():
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(
                     f"non-finite gradient for parameter {name!r}")
-    scale = store.clip / norm if norm > store.clip > 0 else 1.0
-    decay = 1.0 - 2.0 * learning_rate * store.l2
+    scale = clip / norm if norm > clip > 0 else 1.0
+    decay = 1.0 - 2.0 * learning_rate * l2
     for name, w in store.values.items():
         g = store.grads[name]
         g *= learning_rate * scale

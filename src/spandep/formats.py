@@ -146,7 +146,21 @@ def _require_keys(path, where, obj, required, optional=()):
         raise FormatError(path, where, f"missing field {missing[0]!r}")
 
 
+def _int_pair(value) -> bool:
+    """A two-item list of ints; JSON's true and false are not ints here."""
+    return (isinstance(value, list) and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int)
+
+
+def _mistyped(path, where, key, want) -> FormatError:
+    return FormatError(path, where, f"{key!r} must be {want}")
+
+
 def read_frames(path, ontology: Ontology) -> list[Sentence]:
+    """One sentence per JSON record.  Targets and argument bounds are ints,
+    ``lu``, ``frame`` and ``role`` strings, ``tokens``, ``lemmas`` and
+    ``pos`` lists of strings; anything else is a ``FormatError`` that names
+    the line and the field."""
     sentences = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -157,40 +171,68 @@ def read_frames(path, ontology: Ontology) -> list[Sentence]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise FormatError(path, lineno, f"bad JSON: {e.msg}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(path, lineno, "a record must be an object")
             _require_keys(path, lineno, rec,
                           ("id", "tokens", "lemmas", "pos", "annotations"))
+            for key in ("tokens", "lemmas", "pos"):
+                if not _strings(rec[key]):
+                    raise _mistyped(path, lineno, key, "a list of strings")
             toks, lems, tags = rec["tokens"], rec["lemmas"], rec["pos"]
             if not (len(toks) == len(lems) == len(tags)):
                 raise FormatError(path, lineno, "token/lemma/pos length mismatch")
             if not toks:
                 raise FormatError(path, lineno, "empty sentence")
+            if not isinstance(rec["annotations"], list):
+                raise _mistyped(path, lineno, "annotations", "a list")
             n = len(toks)
             parses = []
             for ann in rec["annotations"]:
+                if not isinstance(ann, dict):
+                    raise FormatError(path, lineno,
+                                      "an annotation must be an object")
                 _require_keys(path, lineno, ann,
                               ("target", "lu", "frame", "arguments"))
+                if not _int_pair(ann["target"]):
+                    raise _mistyped(path, lineno, "target", "a pair of ints")
                 ts, te = ann["target"]
                 if not 0 <= ts <= te < n:
                     raise FormatError(path, lineno,
                                       f"target span [{ts}, {te}] out of range")
                 lu, frame = ann["lu"], ann["frame"]
+                if type(lu) is not str:
+                    raise _mistyped(path, lineno, "lu", "a string")
+                if type(frame) is not str:
+                    raise _mistyped(path, lineno, "frame", "a string")
                 if lu not in ontology.lu_to_frames:
                     raise FormatError(path, lineno, f"unknown lexical unit {lu!r}")
                 if frame not in ontology.frames_for(lu):
                     raise FormatError(path, lineno,
                                       f"frame {frame!r} not licensed by {lu!r}")
+                if not isinstance(ann["arguments"], list):
+                    raise _mistyped(path, lineno, "arguments", "a list")
                 args = set()
                 for a in ann["arguments"]:
+                    if not isinstance(a, dict):
+                        raise FormatError(path, lineno,
+                                          "an argument must be an object")
                     _require_keys(path, lineno, a, ("start", "end", "role"))
-                    if a["role"] not in ontology.roles_for(frame):
+                    start, end, role = a["start"], a["end"], a["role"]
+                    if type(start) is not int:
+                        raise _mistyped(path, lineno, "start", "an int")
+                    if type(end) is not int:
+                        raise _mistyped(path, lineno, "end", "an int")
+                    if type(role) is not str:
+                        raise _mistyped(path, lineno, "role", "a string")
+                    if role not in ontology.roles_for(frame):
                         raise FormatError(
                             path, lineno,
-                            f"role {a['role']!r} not in frame {frame!r}")
-                    if not 0 <= a["start"] <= a["end"] < n:
+                            f"role {role!r} not in frame {frame!r}")
+                    if not 0 <= start <= end < n:
                         raise FormatError(
                             path, lineno,
-                            f"argument span [{a['start']}, {a['end']}] out of range")
-                    args.add((a["start"], a["end"], a["role"]))
+                            f"argument span [{start}, {end}] out of range")
+                    args.add((start, end, role))
                 try:
                     parses.append(FrameParse(Target(ts, te, lu), frame,
                                              frozenset(args)))
@@ -240,7 +282,15 @@ def read_ontology(path) -> Ontology:
 
 
 def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    """A list of strings.  ``str.join`` checks every item's type in C, several
+    times faster than a generator over the items."""
+    if not isinstance(value, list):
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _ontology(path, where, data, optional) -> Ontology:

@@ -88,12 +88,12 @@ def cost_augment(space: CandidateSpace, gold: np.ndarray, *,
     Every in-scope candidate part gains ``FP_COST`` when outside ``gold``
     and loses ``FN_COST`` when in it; the gold-only constant term is
     dropped, so callers wanting the exact distance should recompute it from
-    the decoded mask.  ``scope`` limits the shift to one side of the task
-    ("frames" or "dependencies") or covers both ("all").
+    the decoded mask.  ``scope`` limits the shift to one side of the task,
+    "frames" or "dependencies".
     """
-    frames_end, deps_end = space.head_ids.start, space.cross_ids.start
-    spans = {"frames": (0, frames_end), "dependencies": (frames_end, deps_end),
-             "all": (0, deps_end)}
+    frames_end = space.head_ids.start
+    spans = {"frames": (0, frames_end),
+             "dependencies": (frames_end, space.cross_ids.start)}
     if scope not in spans:
         raise SpandepError(f"unknown cost scope {scope!r}")
     lo, hi = spans[scope]

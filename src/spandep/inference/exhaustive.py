@@ -6,9 +6,10 @@ constrained variables.
 
 ``exhaustive_joint_map`` is a structured oracle for full joint instances
 that are far too large for flat enumeration: it enumerates frames and
-non-overlapping argument sets explicitly and optimizes the dependency side
-per head token, which is exact because only arcs out of the target's first
-token interact with the frame side (through the pair scores).
+non-overlapping argument sets (at most ``MAX_ARGSETS`` per frame)
+explicitly and optimizes the dependency side per head token, which is exact
+because only arcs out of the target's first token interact with the frame
+side (through the pair scores).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..parts import CandidateSpace, SpandepError
 from .factor_graph import FactorGraph, GraphConstraints, Infeasible, clamp_graph
 
 MAX_BRUTE_VARS = 24
+MAX_ARGSETS = 500_000
 
 
 def brute_force_map(graph: FactorGraph) -> tuple[np.ndarray, float]:
@@ -220,8 +222,7 @@ def _enumerate_argsets(items):
 
 
 def exhaustive_joint_map(space: CandidateSpace,
-                         constraints: GraphConstraints = GraphConstraints(),
-                         max_argsets: int = 500_000
+                         constraints: GraphConstraints = GraphConstraints()
                          ) -> tuple[np.ndarray, float]:
     """Exact joint optimum by structured enumeration.
 
@@ -276,7 +277,7 @@ def exhaustive_joint_map(space: CandidateSpace,
         fscore = float(space.scores[fid])
         items = [(pid, i, j, s) for pid, f, i, j, s in args if f == frame]
         argsets = _enumerate_argsets(items)
-        if len(argsets) > max_argsets:
+        if len(argsets) > MAX_ARGSETS:
             raise SpandepError(f"too many argument sets ({len(argsets)})")
 
         arg_scores = np.array([sum(items[k][3] for k in s) for s in argsets])

@@ -116,11 +116,7 @@ class ParserModel:
         self.encoder = Encoder(
             self.store, config, words, lemmas, pos_tags, word_counts, rng,
             pretrained_words=pretrained_words, prefix="enc")
-        self.scorers = Scorers(
-            self.store, ontology.frames, tuple(ontology.lu_to_frames),
-            ontology.roles, self.dep_labels, rng, rank=config.rank,
-            label_dim=config.label_dim, mlp_dim=config.mlp_dim,
-            bilstm_dim=config.bilstm_dim, prefix="sc")
+        self.scorers = Scorers(self.store, config, ontology, self.dep_labels, rng)
 
     @classmethod
     def build(cls, config: ModelConfig, ontology: Ontology,

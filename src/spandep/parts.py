@@ -606,16 +606,14 @@ def arc_array(n: int,
     return np.stack((head[keep], dep[keep]), axis=1)
 
 
-def enumerate_spans(n: int, max_len: int,
-                    allowed: Optional[frozenset[tuple[int, int]]] = None) -> list[tuple[int, int]]:
+def enumerate_spans(n: int, max_len: int) -> list[tuple[int, int]]:
     """``span_array`` as a list of tuples."""
-    return list(map(tuple, span_array(n, max_len, allowed).tolist()))
+    return list(map(tuple, span_array(n, max_len).tolist()))
 
 
-def enumerate_arcs(n: int,
-                   allowed: Optional[frozenset[tuple[int, int]]] = None) -> list[tuple[int, int]]:
+def enumerate_arcs(n: int) -> list[tuple[int, int]]:
     """``arc_array`` as a list of tuples."""
-    return list(map(tuple, arc_array(n, allowed).tolist()))
+    return list(map(tuple, arc_array(n).tolist()))
 
 
 def build_candidate_space(sentence: Sentence, target: Optional[Target],

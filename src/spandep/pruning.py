@@ -7,7 +7,7 @@ plus two unlabeled heads.  The span head scores the (start, end) pairs that
 collapsed, for a semi-Markov segmentation model trained by maximum
 likelihood; its posteriors gate spans at the 1/n² threshold.  The arc
 head is an independent per-arc logistic model; its sigmoid posteriors gate
-arcs by per-dependent top-K with a floor.
+arcs by per-dependent top-K.
 
 Boundary convention throughout: a posterior exactly equal to a threshold
 is retained.
@@ -37,6 +37,7 @@ from .parts import (
     enumerate_arcs,
     enumerate_spans,
 )
+from .training import TrainConfig
 
 Span = Tuple[int, int]
 Arc = Tuple[int, int]
@@ -48,13 +49,10 @@ class PruneConfig:
     ``ModelConfig.max_span_len``, saved in its checkpoint."""
 
     arc_top_k: int = 20
-    arc_posterior_floor: float = 0.0
 
     def __post_init__(self):
         if self.arc_top_k < 1:
             raise SpandepError("arc_top_k must be at least 1")
-        if not 0.0 <= self.arc_posterior_floor <= 1.0:
-            raise SpandepError("arc_posterior_floor must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def retain_spans(spans: Sequence[Span], posteriors: np.ndarray, n: int,
 
 def retain_arcs(pairs: Sequence[Arc], posteriors: np.ndarray,
                 config: PruneConfig) -> List[Arc]:
-    """Per-dependent top-K heads by posterior, subject to the floor.
+    """Per-dependent top-K heads by posterior.
 
     Ties break toward the lower head index so the rule is deterministic.
     """
@@ -110,9 +108,7 @@ def retain_arcs(pairs: Sequence[Arc], posteriors: np.ndarray,
     kept = []
     for d, cands in by_dep.items():
         cands.sort(key=lambda hp: (-hp[1], hp[0]))
-        for h, p in cands[:config.arc_top_k]:
-            if p >= config.arc_posterior_floor:
-                kept.append((h, d))
+        kept.extend((h, d) for h, _p in cands[:config.arc_top_k])
     return sorted(kept)
 
 
@@ -253,7 +249,8 @@ def _pretrain(corpus: Sequence[Sentence], examples: Sequence,
               ontology: Optional[Ontology] = None) -> PrunerModel:
     """Seeded SGD shared by both pruners: one generator builds the pruner,
     permutes ``examples`` each epoch and drives word dropout; each example
-    takes one clipped step on ``loss(g, pruner, *example)``."""
+    takes one clipped step on ``loss(g, pruner, *example)``, with
+    ``TrainConfig``'s default clip and ℓ2."""
     rng = np.random.default_rng(seed)
     pruner = PrunerModel.build(corpus, rng, config=model_config,
                                ontology=ontology)
@@ -262,7 +259,8 @@ def _pretrain(corpus: Sequence[Sentence], examples: Sequence,
             g = Graph()
             g.backward(loss(g, pruner, *examples[int(k)], rng=rng,
                             training=True))
-            clip_and_step(pruner.store, lr)
+            clip_and_step(pruner.store, lr, TrainConfig.clip,
+                          TrainConfig.l2)
     return pruner
 
 

@@ -28,12 +28,15 @@ rows of the embedding tables (``Scorers.ids`` maps names to them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .autodiff import Graph, Node, ParameterStore, gathered_affine
-from .parts import SpandepError
+from .parts import Ontology, SpandepError
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 _DEP_IN = {"head": 1, "ua": 2, "lab": 2, "top": 1}
 
@@ -51,48 +54,43 @@ class TargetTerms:
 
 
 class Scorers:
-    """Owns label embeddings, rank factors, and the dependency MLPs."""
+    """Owns label embeddings, rank factors, and the dependency MLPs.
 
-    def __init__(self, store: ParameterStore, frames: Sequence[str],
-                 lus: Sequence[str], roles: Sequence[str],
-                 dep_labels: Sequence[str], rng: np.random.Generator,
-                 rank: int = 100, label_dim: int = 100, mlp_dim: int = 100,
-                 bilstm_dim: int = 200, prefix: str = "sc"):
+    Widths come from a ``ModelConfig``; parameters are registered into
+    ``store`` under the ``sc`` prefix."""
+
+    def __init__(self, store: ParameterStore, config: ModelConfig,
+                 ontology: Ontology, dep_labels: Sequence[str],
+                 rng: np.random.Generator):
+        rank, label_dim = config.rank, config.label_dim
+        mlp_dim, bilstm_dim = config.mlp_dim, config.bilstm_dim
         self.store = store
-        self.prefix = prefix
-        self.rank = rank
-        self.frame_ix = {f: i for i, f in enumerate(frames)}
-        self.lu_ix = {l: i for i, l in enumerate(lus)}
-        self.role_ix = {r: i for i, r in enumerate(roles)}
-        self.label_ix = {l: i for i, l in enumerate(dep_labels)}
-
-        def table(name, n, dim):
-            store.add(f"{prefix}.emb.{name}", (max(n, 1), dim), rng=rng,
-                      init="normal")
-
-        table("frame", len(frames), label_dim)
-        table("lu", len(lus), label_dim)
-        table("role", len(roles), label_dim)
-        table("label", len(dep_labels), label_dim)
+        names = {"frame": ontology.frames, "lu": tuple(ontology.lu_to_frames),
+                 "role": ontology.roles, "label": tuple(dep_labels)}
+        self.frame_ix, self.lu_ix, self.role_ix, self.label_ix = (
+            {k: i for i, k in enumerate(ns)} for ns in names.values())
+        for table, ns in names.items():
+            store.add(f"sc.emb.{table}", (max(len(ns), 1), label_dim),
+                      rng=rng, init="normal")
 
         for name, dim in (("w1", label_dim), ("w2", mlp_dim), ("w3", label_dim),
                           ("u1", mlp_dim), ("u2", label_dim),
                           ("v1", mlp_dim), ("v2", mlp_dim)):
-            store.add(f"{prefix}.{name}", (rank, dim), rng=rng)
+            store.add(f"sc.{name}", (rank, dim), rng=rng)
 
         for tag, mult in _DEP_IN.items():
             in_dim = mult * bilstm_dim + (label_dim if tag == "lab" else 0)
-            store.add(f"{prefix}.{tag}.w1", (in_dim, mlp_dim), rng=rng)
-            store.add(f"{prefix}.{tag}.b1", (mlp_dim,))
-            store.add(f"{prefix}.{tag}.w2", (mlp_dim, mlp_dim), rng=rng)
-            store.add(f"{prefix}.{tag}.b2", (mlp_dim,))
-            store.add(f"{prefix}.{tag}.w", (mlp_dim,), rng=rng,
+            store.add(f"sc.{tag}.w1", (in_dim, mlp_dim), rng=rng)
+            store.add(f"sc.{tag}.b1", (mlp_dim,))
+            store.add(f"sc.{tag}.w2", (mlp_dim, mlp_dim), rng=rng)
+            store.add(f"sc.{tag}.b2", (mlp_dim,))
+            store.add(f"sc.{tag}.w", (mlp_dim,), rng=rng,
                       init="normal")
 
     # --- parameter access -----------------------------------------------
 
     def _p(self, g: Graph, name: str) -> Node:
-        return g.param(self.store, f"{self.prefix}.{name}")
+        return g.param(self.store, f"sc.{name}")
 
     def _vec(self, g: Graph, table: str, index: dict, key: str) -> Node:
         if key not in index:

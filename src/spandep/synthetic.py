@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .inference.exhaustive import MAX_BRUTE_VARS
 from .parts import (
     CandidateSpace,
     DependencyGraph,
@@ -30,16 +31,17 @@ from .parts import (
 
 _ROLE_POOL = ("R0", "R1", "R2")
 _LABEL_POOL = ("a1", "a2")
+_SCORE_SCALE = 1.5
 
 
-def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
-                          score_scale: float = 1.5) -> CandidateSpace:
+def random_joint_instance(rng: np.random.Generator) -> CandidateSpace:
     """A random scored joint instance small enough for exhaustive search.
 
     Sentence length, frame/role counts, span and arc candidates are
     sampled, then resampled until the constrained variables fit under
-    ``max_vars``: in the space's factor graph, those are its structural
-    parts less the head parts that no arc leaves.
+    ``MAX_BRUTE_VARS``: in the space's factor graph, those are its structural
+    parts less the head parts that no arc leaves.  Scores are normal with
+    standard deviation ``_SCORE_SCALE``.
     """
     for _ in range(200):
         n = int(rng.integers(2, 5))
@@ -76,14 +78,14 @@ def random_joint_instance(rng: np.random.Generator, max_vars: int = 24,
                              allowed_spans=spans,
                              allowed_arcs=frozenset(chosen))
         space = build_candidate_space(sent, target, ontology, limits)
-        space = space.with_scores(rng.normal(0.0, score_scale,
+        space = space.with_scores(rng.normal(0.0, _SCORE_SCALE,
                                              size=len(space)))
         # an unused draw: it keeps each seed's sequence of spaces, which
         # the tests and oracle-check are written against
         rng.random()
         idle_heads = len(space.head_ids) - len(
             np.unique(space.arc_head[:len(space.arc_ids)]))
-        if space.cross_ids.start - idle_heads <= max_vars:
+        if space.cross_ids.start - idle_heads <= MAX_BRUTE_VARS:
             return space
     raise RuntimeError("failed to sample an instance under the size cap")
 

@@ -4,9 +4,11 @@ Frame-annotated sentences carry no dependency supervision, so their loss
 maximizes over the dependency side: L = max_{y,z}(S(y,z) + d(y, y*)) -
 max_z S(y*, z), where d is the weighted Hamming cost over frame parts.
 Dependency sentences use the ordinary structured hinge.  Both maxima are
-computed by the exact decoder, so a single subgradient rule covers all
-instances: +1 on the parts of the cost-augmented argmax, -1 on the parts
-of the gold completion.
+computed by ``decode``, so a single subgradient rule covers all instances:
++1 on the parts of the cost-augmented argmax, -1 on the parts of the gold
+completion.  The decoder can return a ``rounded`` structure, one not
+certified exact; the step still takes it, and such decodes are counted in
+``EpochStats.uncertified``.
 
 An epoch trains on the union of the full frame corpus, a fresh random
 sample of the exemplar pool, and the dependency corpus, shuffled
@@ -358,8 +360,6 @@ def train(model: ParserModel,
     there is nothing to select on, so the final parameters are kept as-is.
     """
     rng = np.random.default_rng(config.seed)
-    model.store.l2 = config.l2
-    model.store.clip = config.clip
 
     fn_lim = model.config.fn_limits(model.dep_labels)
     dm_lim = model.config.dm_limits(model.dep_labels)
@@ -423,7 +423,7 @@ def train(model: ParserModel,
                 t_backward = time.perf_counter()
                 g.backward(node)
                 t_step = time.perf_counter()
-                clip_and_step(model.store, lr)
+                clip_and_step(model.store, lr, config.clip, config.l2)
                 backward_s += t_step - t_backward
                 step_s += time.perf_counter() - t_step
 

@@ -83,13 +83,12 @@ def score_cross_task(sc, g, g_fr, g_tgt, g_lu, g_span, g_role, g_arc):
 
 def arc_representation(sc, g, hs, head, dep):
     """g^ua for one ordered (head, dep) token pair."""
-    return _concat_mlp(g, sc.store, f"{sc.prefix}.ua",
+    return _concat_mlp(g, sc.store, "sc.ua",
                        g.concat(g.rows(hs, head), g.rows(hs, dep)))
 
 
 def score_head(sc, g, hs, token):
-    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.head",
-                               g.rows(hs, token)),
+    return g.inner(_concat_mlp(g, sc.store, "sc.head", g.rows(hs, token)),
                    sc._p(g, "head.w"))
 
 
@@ -101,13 +100,12 @@ def score_unlabeled(sc, g, hs, head, dep):
 def score_labeled(sc, g, hs, head, dep, label):
     x = g.concat(g.rows(hs, head), g.rows(hs, dep),
                  label_vec(sc, g, label))
-    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.lab", x),
+    return g.inner(_concat_mlp(g, sc.store, "sc.lab", x),
                    sc._p(g, "lab.w"))
 
 
 def score_top(sc, g, hs, dep):
-    return g.inner(_concat_mlp(g, sc.store, f"{sc.prefix}.top",
-                               g.rows(hs, dep)),
+    return g.inner(_concat_mlp(g, sc.store, "sc.top", g.rows(hs, dep)),
                    sc._p(g, "top.w"))
 
 

@@ -170,7 +170,9 @@ class TestCostAugment:
     def test_empty_gold_shifts_everything(self):
         space = random_joint_instance(np.random.default_rng(10))
         zeros = space.with_scores(np.zeros(len(space.parts)))
-        aug = cost_augment(zeros, mask_of(zeros, ()), scope="all")
+        empty = mask_of(zeros, ())
+        aug = cost_augment(cost_augment(zeros, empty, scope="frames"), empty,
+                           scope="dependencies")
         for i, part in enumerate(zeros.parts):
             want = 0.0 if isinstance(part, CrossTask) else 0.4
             assert aug.scores[i] == pytest.approx(want)
@@ -184,7 +186,9 @@ class TestCostAugment:
         pred = space.parts[space.predicate_ids[0]]
         with pytest.raises(SpandepError, match=re.escape(str(pred))):
             cost_augment(space, gold, scope="dependencies")
-        cost_augment(space, gold, scope="all")
+        frames = np.arange(len(space)) < space.head_ids.start
+        cost_augment(space, gold & frames, scope="frames")
+        cost_augment(space, gold & ~frames, scope="dependencies")
 
     def test_augmented_decode_maximizes_score_plus_cost(self):
         rng = np.random.default_rng(12)

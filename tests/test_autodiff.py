@@ -485,16 +485,16 @@ def test_duplicate_name_rejected():
 
 
 def test_clip_halves_gradients():
-    store = ParameterStore(l2=0.0, clip=1.0)
+    store = ParameterStore()
     store.add("a", (2,), init="zeros")
     store.grads["a"][:] = [2.0, 0.0]  # norm 2, clip 1 -> halved
-    clip_and_step(store, learning_rate=1.0)
+    clip_and_step(store, learning_rate=1.0, clip=1.0, l2=0.0)
     np.testing.assert_allclose(store.values["a"], [-1.0, 0.0])
     np.testing.assert_array_equal(store.grads["a"], np.zeros(2))
 
 
 def test_clip_norm_invariant():
-    store = ParameterStore(l2=0.0, clip=1.0)
+    store = ParameterStore()
     rng = np.random.default_rng(9)
     store.add("a", (5,), init="zeros")
     store.add("b", (3, 3), init="zeros")
@@ -503,23 +503,23 @@ def test_clip_norm_invariant():
     norm_before = store.grad_norm()
     assert norm_before > 1.0
     # step with lr 1: |delta w| equals the clipped gradient norm
-    clip_and_step(store, 1.0)
+    clip_and_step(store, 1.0, 1.0, 0.0)
     moved = math.sqrt(sum(float((v * v).sum()) for v in store.values.values()))
     assert moved <= 1.0 + 1e-12
 
 
 def test_zero_grad_zero_l2_keeps_parameters():
-    store = ParameterStore(l2=0.0)
+    store = ParameterStore()
     store.add("w", (3,), init="zeros")[...] = np.array([1.0, -1.0, 2.0])
-    clip_and_step(store, 0.33)
+    clip_and_step(store, 0.33, 1.0, 0.0)
     np.testing.assert_array_equal(store.values["w"], [1.0, -1.0, 2.0])
 
 
 def test_l2_step_closed_form():
     # w=1, grad 0, l2=1e-6, lr=0.33: w <- 1 - 0.33 * (2 * 1e-6 * 1)
-    store = ParameterStore(l2=1e-6)
+    store = ParameterStore()
     store.add("w", (1,), init="zeros")[...] = np.array([1.0])
-    clip_and_step(store, 0.33)
+    clip_and_step(store, 0.33, 1.0, 1e-6)
     assert store.values["w"][0] == pytest.approx(1.0 - 0.33 * 2e-6, abs=1e-15)
 
 
@@ -528,30 +528,30 @@ def test_non_finite_gradient_names_parameter():
     store.add("bad", (2,))
     store.grads["bad"][0] = np.nan
     with pytest.raises(NonFiniteGradient, match="bad"):
-        clip_and_step(store, 0.1)
+        clip_and_step(store, 0.1, 1.0, 1e-6)
 
 
-def _reference_step(store, lr):
+def _reference_step(store, lr, clip, l2):
     """w - lr * (clip(g) + 2λw), written out from the definition."""
     norm = math.sqrt(sum(float((g * g).sum()) for g in store.grads.values()))
-    scale = store.clip / norm if norm > store.clip > 0 else 1.0
-    return {k: w - lr * (scale * store.grads[k] + 2.0 * store.l2 * w)
+    scale = clip / norm if norm > clip > 0 else 1.0
+    return {k: w - lr * (scale * store.grads[k] + 2.0 * l2 * w)
             for k, w in store.values.items()}
 
 
 @pytest.mark.parametrize("grad_scale", [0.05, 20.0])
 def test_clip_and_step_matches_reference(grad_scale):
     rng = np.random.default_rng(31)
-    store = ParameterStore(l2=1e-3, clip=1.0)
+    store = ParameterStore()
     store.add("a", (4, 3), rng=rng)
     store.add("b", (5,), init="zeros")[...] = rng.normal(size=5)
     store.add("c", (2, 2, 2), init="zeros")[...] = rng.normal(size=(2, 2, 2))
     for g in store.grads.values():
         g[...] = grad_scale * rng.normal(size=g.shape)
-    clipped = store.grad_norm() > store.clip
+    clipped = store.grad_norm() > 1.0
     assert clipped == (grad_scale > 1.0)
-    want = _reference_step(store, 0.3)
-    clip_and_step(store, 0.3)
+    want = _reference_step(store, 0.3, 1.0, 1e-3)
+    clip_and_step(store, 0.3, 1.0, 1e-3)
     for k, w in want.items():
         np.testing.assert_allclose(store.values[k], w, rtol=0, atol=1e-14,
                                    err_msg=k)
@@ -568,7 +568,7 @@ def test_non_finite_gradient_names_parameter_among_finite(bad):
     store.grads["broken"][1, 0] = bad
     before = {k: v.copy() for k, v in store.values.items()}
     with pytest.raises(NonFiniteGradient, match="'broken'"):
-        clip_and_step(store, 0.1)
+        clip_and_step(store, 0.1, 1.0, 1e-6)
     for k, v in before.items():
         np.testing.assert_array_equal(store.values[k], v)
 
@@ -739,4 +739,4 @@ def test_pair_dots_non_finite_gradient_is_caught():
     assert np.isfinite(store.grads["q"][1]).all()
     assert not np.isfinite(store.grads["p"][1]).all()
     with pytest.raises(NonFiniteGradient):
-        clip_and_step(store, 0.1)
+        clip_and_step(store, 0.1, 1.0, 1e-6)

@@ -1,14 +1,19 @@
 import inspect
 import json
+import operator
 import re
 from dataclasses import replace
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spandep.cli import cli
 from spandep.formats import (
+    FormatError,
     load_checkpoint,
     load_model,
     model_manifest,
@@ -35,7 +40,13 @@ from spandep.synthetic import synthetic_corpus
 from spandep.training import TrainConfig
 from spandep.formats import write_frames, write_sdp
 
-from .test_formats import corrupt
+from .test_formats import (
+    GOOD_RECORD,
+    MISTYPED_RECORDS,
+    ONT,
+    corrupt,
+    mistyped_record,
+)
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
@@ -225,12 +236,93 @@ class TestEvaluate:
         assert rc == 1, err
         assert f"{bad}:1:" in err and "annotated twice" in err
 
+    @pytest.mark.parametrize("case", MISTYPED_RECORDS)
+    def test_mistyped_frame_record_exits_one(self, tmp_path, capsys, case):
+        ontology = tmp_path / "ontology.json"
+        ontology.write_text(json.dumps(ontology_to_dict(ONT)),
+                            encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(mistyped_record(case), encoding="utf-8")
+        rc = cli(["evaluate", "--task", "fn", "--gold", str(bad),
+                  "--pred", str(bad), "--ontology", str(ontology)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"{bad}:1: {MISTYPED_RECORDS[case][1]}" in err
+
     def test_fn_requires_ontology(self, paths, capsys):
         rc = cli(["evaluate", "--task", "fn",
                   "--gold", str(paths["fn_train"]),
                   "--pred", str(paths["fn_train"])])
         assert rc == 1
         assert "--ontology" in capsys.readouterr().err
+
+
+# JSON values to put anywhere in a frame record: wrong types, negative and
+# out-of-range ints, empty strings, nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+# key paths into GOOD_RECORD; () is the record itself
+RECORD_PATHS = [(), ("id",), ("tokens",), ("tokens", 0), ("lemmas",),
+                ("pos", 2), ("annotations",), ("annotations", 0)] + [
+    ("annotations", 0) + p for p in (
+        ("target",), ("target", 1), ("lu",), ("frame",), ("arguments",),
+        ("arguments", 0), ("arguments", 0, "start"),
+        ("arguments", 0, "end"), ("arguments", 0, "role"))]
+
+RECORD_EDITS = st.tuples(st.sampled_from(RECORD_PATHS),
+                         st.sampled_from(("replace", "delete", "add")),
+                         JSON_VALUES)
+
+
+def edited_record(edits) -> dict:
+    """GOOD_RECORD after ``edits``: each replaces or deletes the value at
+    its path, or adds its value to it (a key ``extra`` of an object, an
+    item of a list).  An edit whose path no longer resolves does nothing."""
+    box = {"rec": json.loads(json.dumps(GOOD_RECORD))}
+    for path, action, value in edits:
+        *where, key = ("rec",) + path
+        try:
+            parent = reduce(operator.getitem, where, box)
+            if action == "replace":
+                parent[key] = value
+            elif action == "delete":
+                del parent[key]
+            elif isinstance(parent[key], dict):
+                parent[key]["extra"] = value
+            elif isinstance(parent[key], list):
+                parent[key].append(value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return box.get("rec", {})
+
+
+class TestMutatedFrameRecords:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(RECORD_EDITS, min_size=1, max_size=3),
+           cut=st.none() | st.integers(0, 200))
+    def test_read_or_located_error(self, tmp_path, edits, cut):
+        # a mutated record, perhaps truncated, after a good one: the reader
+        # returns or raises FormatError, and evaluate exits 0 or 1
+        ontology = tmp_path / "ontology.json"
+        ontology.write_text(json.dumps(ontology_to_dict(ONT)),
+                            encoding="utf-8")
+        good = json.dumps(GOOD_RECORD) + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good + json.dumps(edited_record(edits))[:cut] + "\n",
+                       encoding="utf-8")
+        try:
+            read_frames(bad, ONT)
+        except FormatError as err:
+            assert str(err).startswith(f"{bad}:")
+        rc = cli(["evaluate", "--task", "fn", "--gold", str(bad),
+                  "--pred", str(bad), "--ontology", str(ontology)])
+        assert rc in (0, 1)
 
 
 class TestOracleCheck:

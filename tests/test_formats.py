@@ -1,4 +1,6 @@
 import io
+import json
+import re
 import struct
 import warnings
 import zipfile
@@ -220,6 +222,62 @@ class TestFrames:
                '"pos": ["X", "X"], "annotations": []}\n')
         with pytest.raises(FormatError, match="length mismatch"):
             read_frames(_write(tmp_path, "f.jsonl", rec), ONT)
+
+
+# a valid frame record: one target with one argument, read against ONT
+GOOD_RECORD = {"id": "x", "tokens": ["a", "b", "c"],
+               "lemmas": ["a", "b", "sit"], "pos": ["X", "X", "VB"],
+               "annotations": [{"target": [2, 2], "lu": "sit.v",
+                                "frame": "Meet", "arguments": [
+                                    {"start": 0, "end": 1, "role": "Agent"}]}]}
+
+
+def _annotation(**fields):
+    return lambda rec: rec["annotations"][0].update(fields)
+
+
+def _argument(**fields):
+    return lambda rec: rec["annotations"][0]["arguments"][0].update(fields)
+
+
+# each edit of GOOD_RECORD, and the field its error must name
+MISTYPED_RECORDS = {
+    "target-triple": (_annotation(target=[0, 0, 1]),
+                      "'target' must be a pair of ints"),
+    "target-bools": (_annotation(target=[False, True]),
+                     "'target' must be a pair of ints"),
+    "string-start": (_argument(start="1"), "'start' must be an int"),
+    "bool-start": (_argument(start=True), "'start' must be an int"),
+    "float-end": (_argument(end=1.0), "'end' must be an int"),
+    "list-lu": (_annotation(lu=["sit.v"]), "'lu' must be a string"),
+    "list-frame": (_annotation(frame=["Meet"]), "'frame' must be a string"),
+    "list-role": (_argument(role=["Agent"]), "'role' must be a string"),
+    "string-tokens": (lambda rec: rec.update(tokens="abc", lemmas="abs",
+                                             pos="XXV"),
+                      "'tokens' must be a list of strings"),
+    "number-lemma": (lambda rec: rec["lemmas"].__setitem__(0, 1),
+                     "'lemmas' must be a list of strings"),
+    "object-annotations": (lambda rec: rec.update(annotations={}),
+                           "'annotations' must be a list"),
+    "string-arguments": (_annotation(arguments="Agent"),
+                         "'arguments' must be a list"),
+}
+
+
+def mistyped_record(case) -> str:
+    """GOOD_RECORD with ``MISTYPED_RECORDS[case]``'s edit, as a JSON line."""
+    rec = json.loads(json.dumps(GOOD_RECORD))
+    MISTYPED_RECORDS[case][0](rec)
+    return json.dumps(rec) + "\n"
+
+
+class TestMistypedFrameRecords:
+    @pytest.mark.parametrize("case", MISTYPED_RECORDS)
+    def test_located_error_names_the_field(self, tmp_path, case):
+        path = _write(tmp_path, "f.jsonl", mistyped_record(case))
+        want = MISTYPED_RECORDS[case][1]
+        with pytest.raises(FormatError, match=rf":1: {re.escape(want)}"):
+            read_frames(path, ONT)
 
 
 class TestOntologyFile:

@@ -97,12 +97,6 @@ class TestGatingRules:
         kept = retain_arcs(pairs, post, PruneConfig(arc_top_k=4))
         assert sorted(kept) == sorted(pairs)
 
-    def test_arc_floor_boundary_retained(self):
-        pairs = [(0, 1), (2, 1)]
-        post = np.array([0.5, 0.5 - 1e-9])
-        cfg = PruneConfig(arc_top_k=5, arc_posterior_floor=0.5)
-        assert retain_arcs(pairs, post, cfg) == [(0, 1)]
-
     def test_arc_tie_breaks_to_lower_head(self):
         pairs = [(2, 0), (1, 0)]
         post = np.array([0.7, 0.7])
@@ -112,8 +106,6 @@ class TestGatingRules:
     def test_config_validation(self):
         with pytest.raises(SpandepError):
             PruneConfig(arc_top_k=0)
-        with pytest.raises(SpandepError):
-            PruneConfig(arc_posterior_floor=1.5)
         # the span cap is the pruner's ModelConfig.max_span_len
         with pytest.raises(TypeError):
             PruneConfig(max_span_len=3)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spandep.autodiff import Graph, ParameterStore, grad_check
-from spandep.parts import SpandepError
+from spandep.model import ModelConfig
+from spandep.parts import Ontology, SpandepError
 from spandep.scorers import Scorers
 
 from .oracles import (
@@ -24,10 +25,12 @@ from .oracles import (
 def small_scorers(seed=0, rank=3, label_dim=3, mlp_dim=4, bilstm_dim=6):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
-    sc = Scorers(store, frames=("F0", "F1"), lus=("run.v", "play.v"),
-                 roles=("R0", "R1", "R2"), dep_labels=("a1", "a2"), rng=rng,
-                 rank=rank, label_dim=label_dim, mlp_dim=mlp_dim,
-                 bilstm_dim=bilstm_dim)
+    config = ModelConfig(rank=rank, label_dim=label_dim, mlp_dim=mlp_dim,
+                         bilstm_dim=bilstm_dim)
+    roles = ("R0", "R1", "R2")
+    ontology = Ontology({"run.v": ("F0", "F1"), "play.v": ("F0", "F1")},
+                        {"F0": roles, "F1": roles})
+    sc = Scorers(store, config, ontology, ("a1", "a2"), rng)
     return sc, store
 
 

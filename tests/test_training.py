@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spandep.autodiff import Graph, ParameterStore, collect_grads, grad_check
+from spandep.autodiff import (
+    Graph,
+    ParameterStore,
+    clip_and_step,
+    collect_grads,
+    grad_check,
+)
 from spandep.inference.decode import cost_augment
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
 from spandep.inference.factor_graph import build_factor_graph
@@ -166,7 +172,7 @@ class TestLatentHinge:
                 reached = True
                 break
             g.backward(res.node)
-            clip_and_step(model.store, 0.5)
+            clip_and_step(model.store, 0.5, 1.0, 1e-6)
         assert reached
 
     def test_matches_enumeration_with_cross_scores(self):
@@ -293,7 +299,7 @@ class TestSdpHinge:
                 reached = True
                 break
             g.backward(res.node)
-            clip_and_step(model.store, 0.5)
+            clip_and_step(model.store, 0.5, 1.0, 1e-6)
         assert reached
 
 
@@ -574,6 +580,27 @@ class TestTrainLoop:
         for name in m1.store.values:
             np.testing.assert_array_equal(m1.store.values[name],
                                           m2.store.values[name])
+
+    def test_step_uses_config_clip_and_l2(self):
+        # one dependency instance, one step, against the same step taken by
+        # hand with the config's clip and l2 (neither is the default)
+        c = small_corpus(n_fn=0, n_dm=1, n_fn_dev=0, n_dm_dev=0)
+        cfg = TrainConfig(max_epochs=1, clip=0.05, l2=0.01)
+        trained, _ = self.run(c, cfg)
+        manual = build_model(c)
+        (inst,) = dm_instances(c["dm_train"],
+                               manual.config.dm_limits(manual.dep_labels))
+        rng = np.random.default_rng(cfg.seed)
+        rng.permutation(1)  # train() shuffles its one instance
+        g = Graph()
+        res = sdp_hinge_loss(manual, inst.space, inst.graph, g=g, rng=rng,
+                             training=True)
+        g.backward(res.node)
+        assert manual.store.grad_norm() > 0.05  # the clip binds
+        clip_and_step(manual.store, cfg.lr0, 0.05, 0.01)
+        for name, value in manual.store.values.items():
+            np.testing.assert_array_equal(trained.store.values[name], value,
+                                          err_msg=name)
 
     def test_best_epoch_parameters_restored(self):
         # The returned parameters must equal the state right after the best
