@@ -663,6 +663,29 @@ def gathered_affine(g: Graph,
     return g.gather_sum(projected)
 
 
+def add_mlp(store: ParameterStore, name: str, in_dim: int, width: int,
+            rng: np.random.Generator, out: bool = True) -> None:
+    """Register the two tanh layers ``mlp`` reads, ``name.w1``/``b1`` from
+    ``in_dim`` to ``width`` and ``name.w2``/``b2``, then, with ``out``, the
+    final score vector ``name.w``."""
+    store.add(f"{name}.w1", (in_dim, width), rng=rng)
+    store.add(f"{name}.b1", (width,))
+    store.add(f"{name}.w2", (width, width), rng=rng)
+    store.add(f"{name}.b2", (width,))
+    if out:
+        store.add(f"{name}.w", (width,), rng=rng, init="normal")
+
+
+def mlp(g: Graph, store: ParameterStore, name: str, blocks) -> Node:
+    """Two tanh layers of the ``add_mlp`` parameters ``name``.  The first
+    is ``gathered_affine`` over the ``blocks``, one output row per row they
+    gather; a single node for ``blocks`` goes through a plain ``affine``."""
+    p = lambda s: g.param(store, f"{name}.{s}")
+    first = (g.affine(blocks, p("w1"), p("b1")) if isinstance(blocks, Node)
+             else gathered_affine(g, blocks, p("w1"), p("b1")))
+    return g.tanh(g.affine(g.tanh(first), p("w2"), p("b2")))
+
+
 class ParameterStore:
     """Named dense parameters with gradient accumulators.
 
@@ -711,9 +734,6 @@ class ParameterStore:
             value = rng.uniform(-bound, bound, size=shape)
         self.values[name] = value
         return value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
 
     def zero_grads(self) -> None:
         for g in self.grads.values():

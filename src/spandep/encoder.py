@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Graph, Node, ParameterStore, ShapeError,
-                       gathered_affine)
+from .autodiff import Graph, Node, ParameterStore, ShapeError, add_mlp, mlp
 from .parts import Sentence, Target
 
 if TYPE_CHECKING:
@@ -43,9 +42,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
 
 def build_vocabularies(sentences: Sequence[Sentence]):
@@ -123,10 +119,8 @@ class Encoder:
             in_dim = bilstm_dim
 
         for tag, feat in (("span", 3), ("tgt", 1)):
-            store.add(f"{prefix}.{tag}.w1", (2 * bilstm_dim + feat, mlp_dim), rng=rng)
-            store.add(f"{prefix}.{tag}.b1", (mlp_dim,))
-            store.add(f"{prefix}.{tag}.w2", (mlp_dim, mlp_dim), rng=rng)
-            store.add(f"{prefix}.{tag}.b2", (mlp_dim,))
+            add_mlp(store, f"{prefix}.{tag}", 2 * bilstm_dim + feat, mlp_dim,
+                    rng, out=False)
 
     # --- embedding ----------------------------------------------------------
 
@@ -181,15 +175,6 @@ class Encoder:
 
     # --- representations ----------------------------------------------------
 
-    def _mlp(self, g: Graph, first: Node, tag: str) -> Node:
-        """Two tanh layers, given the first layer's pre-activation."""
-        p = lambda s: g.param(self.store, f"{self.prefix}.{tag}.{s}")
-        return g.tanh(g.affine(g.tanh(first), p("w2"), p("b2")))
-
-    def _w1(self, g: Graph, tag: str) -> tuple[Node, Node]:
-        return (g.param(self.store, f"{self.prefix}.{tag}.w1"),
-                g.param(self.store, f"{self.prefix}.{tag}.b1"))
-
     def span_representations(self, g: Graph, hs: Node,
                              spans: Sequence[tuple[int, int]],
                              target_start: int) -> Node:
@@ -197,15 +182,13 @@ class Encoder:
         first layer over [h_i; h_j; features] adds the boundary tokens'
         projections, each computed once per token, to the features'."""
         feats = [discrete_features(span, target_start) for span in spans]
-        first = gathered_affine(
-            g, [(hs, [i for i, _ in spans]), (hs, [j for _, j in spans]),
-                (g.input(np.reshape(feats, (len(spans), 3))), None)],
-            *self._w1(g, "span"))
-        return self._mlp(g, first, "span")
+        return mlp(g, self.store, f"{self.prefix}.span",
+                   [(hs, [i for i, _ in spans]), (hs, [j for _, j in spans]),
+                    (g.input(np.reshape(feats, (len(spans), 3))), None)])
 
     def target_representation(self, g: Graph, hs: Node,
                               target: Target) -> Node:
         length = np.array([math.log2(target.end - target.start + 2)])
         x = g.concat(g.rows(hs, target.start), g.rows(hs, target.end),
                      g.input(length))
-        return self._mlp(g, g.affine(x, *self._w1(g, "tgt")), "tgt")
+        return mlp(g, self.store, f"{self.prefix}.tgt", x)

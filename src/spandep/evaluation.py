@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .parts import (
     DependencyGraph,
@@ -26,6 +26,7 @@ from .parts import (
     Ontology,
     Sentence,
     SpandepError,
+    supervision,
 )
 
 
@@ -105,14 +106,6 @@ class LengthBin:
     count: int
 
 
-def _frame_annotations(sentence: Sentence, side: str) -> FrameAnnotations:
-    sup = sentence.supervision
-    if not isinstance(sup, FrameAnnotations):
-        raise SpandepError(
-            f"{side} sentence {sentence.id!r} carries no frame annotations")
-    return sup
-
-
 def _aligned(
     gold: Sequence[Sentence], predicted: Sequence[Sentence],
 ) -> Iterator[Tuple[int, Sentence, Sentence]]:
@@ -134,8 +127,8 @@ def _aligned_parses(
     gold: Sequence[Sentence], predicted: Sequence[Sentence],
 ) -> Iterator[Tuple[int, FrameParse, FrameParse]]:
     for i, g, p in _aligned(gold, predicted):
-        ga = _frame_annotations(g, "gold")
-        pa = _frame_annotations(p, "predicted")
+        ga = supervision(g, FrameAnnotations)
+        pa = supervision(p, FrameAnnotations)
         gkeys = {(fp.target.start, fp.target.end, fp.target.lu): fp
                  for fp in ga.parses}
         pkeys = {(fp.target.start, fp.target.end, fp.target.lu): fp
@@ -183,14 +176,6 @@ def eval_frames(
         n_targets=n_targets, n_ambiguous_targets=n_amb)
 
 
-def _graph(sentence: Sentence, side: str) -> DependencyGraph:
-    sup = sentence.supervision
-    if not isinstance(sup, DependencyGraph):
-        raise SpandepError(
-            f"{side} sentence {sentence.id!r} carries no dependency graph")
-    return sup
-
-
 def eval_sdp(
     gold: Sequence[Sentence],
     predicted: Sequence[Sentence],
@@ -200,8 +185,8 @@ def eval_sdp(
     gold_parts = set()
     pred_parts = set()
     for i, g, p in _aligned(gold, predicted):
-        gg = _graph(g, "gold")
-        pg = _graph(p, "predicted")
+        gg = supervision(g, DependencyGraph)
+        pg = supervision(p, DependencyGraph)
         gold_parts.update((i, *arc) for arc in gg.arcs)
         pred_parts.update((i, *arc) for arc in pg.arcs)
         if include_top:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import zipfile
 import zlib
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ from .parts import (
     SpandepError,
     Target,
     Token,
+    supervision,
 )
 
 CHECKPOINT_VERSION = 1
@@ -43,6 +46,29 @@ class FormatError(SpandepError):
         self.path = str(path)
         self.where = where
         super().__init__(f"{path}:{where}: {message}")
+
+
+# Undecodable bytes as ``errors="surrogateescape"`` reads them.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+@contextmanager
+def _utf8(path):
+    """The file opened as UTF-8 text.  A byte that is not UTF-8 fails the
+    read with a ``FormatError`` at its line: only then is the file read
+    again, undecodable bytes kept as escapes, to find that line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                bad = _ESCAPED.search(line)
+                if bad:
+                    raise FormatError(
+                        path, lineno,
+                        f"not UTF-8 at column {bad.start() + 1}") from None
+        raise FormatError(path, 0, "not UTF-8") from None
 
 
 # --- SDP column format -------------------------------------------------------
@@ -89,7 +115,7 @@ def read_sdp(path) -> list[Sentence]:
     sentences = []
     rows: list[tuple[int, list[str]]] = []
     sent_id = ""
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.startswith("#"):
@@ -110,10 +136,7 @@ def read_sdp(path) -> list[Sentence]:
 def write_sdp(sentences: Sequence[Sentence], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in sentences:
-            graph = s.supervision
-            if not isinstance(graph, DependencyGraph):
-                raise SpandepError(
-                    f"sentence {s.id!r} carries no dependency graph")
+            graph = supervision(s, DependencyGraph)
             preds = sorted({h for h, _, _ in graph.arcs})
             cells: dict[tuple[int, int], str] = {}
             for h, d, lab in graph.arcs:
@@ -158,11 +181,11 @@ def _mistyped(path, where, key, want) -> FormatError:
 
 def read_frames(path, ontology: Ontology) -> list[Sentence]:
     """One sentence per JSON record.  Targets and argument bounds are ints,
-    ``lu``, ``frame`` and ``role`` strings, ``tokens``, ``lemmas`` and
-    ``pos`` lists of strings; anything else is a ``FormatError`` that names
-    the line and the field."""
+    ``id``, ``lu``, ``frame`` and ``role`` strings, ``tokens``, ``lemmas``
+    and ``pos`` lists of strings; anything else is a ``FormatError`` that
+    names the line and the field."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -175,6 +198,8 @@ def read_frames(path, ontology: Ontology) -> list[Sentence]:
                 raise FormatError(path, lineno, "a record must be an object")
             _require_keys(path, lineno, rec,
                           ("id", "tokens", "lemmas", "pos", "annotations"))
+            if type(rec["id"]) is not str:
+                raise _mistyped(path, lineno, "id", "a string")
             for key in ("tokens", "lemmas", "pos"):
                 if not _strings(rec[key]):
                     raise _mistyped(path, lineno, key, "a list of strings")
@@ -243,19 +268,15 @@ def read_frames(path, ontology: Ontology) -> list[Sentence]:
             except ValueError as e:
                 raise FormatError(path, lineno, str(e)) from None
             tokens = tuple(Token(f, l, p) for f, l, p in zip(toks, lems, tags))
-            sentences.append(Sentence(tokens, id=str(rec["id"]),
-                                      supervision=sup))
+            sentences.append(Sentence(tokens, id=rec["id"], supervision=sup))
     return sentences
 
 
 def write_frames(sentences: Sequence[Sentence], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in sentences:
-            sup = s.supervision
-            if not isinstance(sup, FrameAnnotations):
-                raise SpandepError(f"sentence {s.id!r} carries no frame annotations")
             anns = []
-            for p in sup.parses:
+            for p in supervision(s, FrameAnnotations).parses:
                 anns.append({
                     "target": [p.target.start, p.target.end],
                     "lu": p.target.lu,
@@ -273,7 +294,7 @@ def write_frames(sentences: Sequence[Sentence], path) -> None:
 # --- ontology ---------------------------------------------------------------
 
 def read_ontology(path) -> Ontology:
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:
@@ -340,7 +361,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     must agree.  Repeated tokens keep the last occurrence."""
     out: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.split()
             if not fields:
@@ -403,8 +424,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     except (zipfile.BadZipFile, KeyError, EOFError, OSError, ValueError,
             zlib.error, NotImplementedError, RuntimeError) as e:
         raise FormatError(path, member, f"unreadable checkpoint: {e}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(path, "manifest", "the manifest must be an object")
     version = manifest.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    # JSON's true and 1.0 equal 1 in Python
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise FormatError(path, 0,
                           f"format version {version}, expected {CHECKPOINT_VERSION}")
     return params, manifest
@@ -413,7 +437,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 def model_manifest(model: ParserModel, kind: str = "model") -> dict:
     return {
         "kind": kind,
-        "hyperparameters": model.config.to_dict(),
+        "hyperparameters": asdict(model.config),
         "vocabularies": {
             "words": list(model.encoder.words.tokens),
             "lemmas": list(model.encoder.lemmas.tokens),
@@ -470,24 +494,37 @@ def _load_from_manifest(cls, path, expected_kind: str,
         raise FormatError(path, 0, "ontology hash differs from the checkpoint's"
                           " (load without an ontology to use the checkpoint's)")
     ont = _ontology(path, "ontology", manifest["ontology"], optional=None)
-    if not _strings(manifest["dep_labels"]):
+    labels = manifest["dep_labels"]
+    if not _strings(labels):
         raise FormatError(path, "manifest",
                           "'dep_labels' must be a list of strings")
-    vocab = manifest["vocabularies"]
+    if len(set(labels)) != len(labels):
+        raise FormatError(path, "manifest", "'dep_labels' repeats a label")
+    vocab, hyper = manifest["vocabularies"], manifest["hyperparameters"]
+    for key, value in (("vocabularies", vocab), ("hyperparameters", hyper)):
+        if not isinstance(value, dict):
+            raise _mistyped(path, "manifest", key, "an object")
     _require_keys(path, "vocabularies", vocab,
                   ("words", "lemmas", "pos", "word_counts"), optional=None)
-    hyper = manifest["hyperparameters"]
+    for key in ("words", "lemmas", "pos"):
+        if not _strings(vocab[key]):
+            raise _mistyped(path, "vocabularies", key, "a list of strings")
+    counts = vocab["word_counts"]
+    if not (isinstance(counts, dict)
+            and all(type(c) is int and c >= 0 for c in counts.values())):
+        raise _mistyped(path, "vocabularies", "word_counts",
+                        "an object of nonnegative ints")
     # every field has a default, so older checkpoints may omit some
     _require_keys(path, "hyperparameters", hyper, (),
                   tuple(f.name for f in fields(ModelConfig)))
     try:
-        config = ModelConfig.from_dict(hyper)
+        config = ModelConfig(**hyper)
     except SpandepError as e:
         raise FormatError(path, "hyperparameters", str(e)) from None
     model = cls(
-        config, ont, tuple(manifest["dep_labels"]), Vocabulary(vocab["words"]),
+        config, ont, tuple(labels), Vocabulary(vocab["words"]),
         Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
-        dict(vocab["word_counts"]), rng=np.random.default_rng(0),
+        counts, rng=np.random.default_rng(0),
         store=ParameterStore(saved=params))
     _check_restored(model.store, params, path)
     return model

@@ -9,7 +9,7 @@ of it, while ``scored_space`` detaches the values for pure inference.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Mapping, Optional, Sequence
 
@@ -68,13 +68,6 @@ class ModelConfig:
     def pruner_sized(cls) -> "ModelConfig":
         return cls(word_dim=32, lemma_dim=16, pos_dim=16, mlp_dim=32,
                    rank=32, label_dim=32, bilstm_layers=1, bilstm_dim=64)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        return cls(**dict(d))
 
     def fn_limits(self, dep_labels: Sequence[str]) -> SpaceLimits:
         return SpaceLimits(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -100,6 +100,9 @@ class FrameAnnotations:
 
 
 Supervision = Union[FrameAnnotations, DependencyGraph, None]
+_SUPERVISION_NAMES = {FrameAnnotations: "frame annotations",
+                      DependencyGraph: "dependency graph"}
+_Kind = TypeVar("_Kind", FrameAnnotations, DependencyGraph)
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,16 @@ class Sentence:
     @property
     def pos_tags(self) -> tuple[str, ...]:
         return tuple(t.pos for t in self.tokens)
+
+
+def supervision(sentence: Sentence, kind: type[_Kind]) -> _Kind:
+    """The sentence's supervision, which must be a ``kind``
+    (``FrameAnnotations`` or ``DependencyGraph``)."""
+    sup = sentence.supervision
+    if not isinstance(sup, kind):
+        raise SpandepError(f"sentence {sentence.id!r} carries no "
+                           f"{_SUPERVISION_NAMES[kind]}")
+    return sup
 
 
 def make_sentence(forms: Sequence[str], lemmas: Sequence[str] | None = None,
@@ -194,10 +207,6 @@ class Argument:
     end: int
     role: str
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass(frozen=True)
 class Head:
@@ -208,10 +217,6 @@ class Head:
 class UnlabeledArc:
     head: int
     dep: int
-
-    @property
-    def is_root(self) -> bool:
-        return self.head == VIRTUAL_ROOT
 
 
 @dataclass(frozen=True)

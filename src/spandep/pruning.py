@@ -20,8 +20,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import (Graph, Node, ParameterStore, clip_and_step,
-                       gathered_affine)
+from .autodiff import Graph, Node, ParameterStore, add_mlp, clip_and_step, mlp
 from .encoder import Encoder, Vocabulary, build_vocabularies
 from .formats import _load_from_manifest, model_manifest, save_checkpoint
 from .inference.semimarkov import nll_node, semi_markov_marginals
@@ -36,6 +35,7 @@ from .parts import (
     Target,
     enumerate_arcs,
     enumerate_spans,
+    supervision,
 )
 from .training import TrainConfig
 
@@ -133,14 +133,10 @@ class PrunerModel:
         self.store = store if store is not None else ParameterStore()
         self.encoder = Encoder(self.store, config, words, lemmas, pos_tags,
                                word_counts, rng, prefix="pr.enc")
-        mlp = config.mlp_dim
-        self.store.add("pr.span.w", (mlp,), rng=rng, init="normal")
-        arc_in = 2 * config.bilstm_dim
-        self.store.add("pr.arc.w1", (arc_in, mlp), rng=rng)
-        self.store.add("pr.arc.b1", (mlp,))
-        self.store.add("pr.arc.w2", (mlp, mlp), rng=rng)
-        self.store.add("pr.arc.b2", (mlp,))
-        self.store.add("pr.arc.w", (mlp,), rng=rng, init="normal")
+        self.store.add("pr.span.w", (config.mlp_dim,), rng=rng,
+                       init="normal")
+        add_mlp(self.store, "pr.arc", 2 * config.bilstm_dim, config.mlp_dim,
+                rng)
 
     @classmethod
     def build(cls, train_sentences: Sequence[Sentence],
@@ -179,15 +175,9 @@ class PrunerModel:
                    rng: Optional[np.random.Generator] = None,
                    training: bool = False) -> Node:
         hs = self.encoder.encode(g, sentence, rng=rng, training=training)
-
-        def p(name: str) -> Node:
-            return g.param(self.store, name)
-
-        z = g.tanh(gathered_affine(g, [(hs, [h for h, _ in pairs]),
-                                       (hs, [d for _, d in pairs])],
-                                   p("pr.arc.w1"), p("pr.arc.b1")))
-        z = g.tanh(g.affine(z, p("pr.arc.w2"), p("pr.arc.b2")))
-        return g.matvec(z, p("pr.arc.w"))
+        z = mlp(g, self.store, "pr.arc", [(hs, [h for h, _ in pairs]),
+                                          (hs, [d for _, d in pairs])])
+        return g.matvec(z, g.param(self.store, "pr.arc.w"))
 
     def arc_posteriors(self, sentence: Sentence
                        ) -> Tuple[List[Arc], np.ndarray]:
@@ -269,12 +259,8 @@ def pretrain_span_pruner(corpus: Sequence[Sentence], *, epochs: int = 5,
                          model_config: Optional[ModelConfig] = None,
                          ontology: Optional[Ontology] = None) -> PrunerModel:
     """Fit the span head by semi-Markov likelihood under its span cap."""
-    instances = []
-    for s in corpus:
-        if not isinstance(s.supervision, FrameAnnotations):
-            raise SpandepError(
-                f"sentence {s.id!r} carries no frame annotations")
-        instances.extend((s, parse) for parse in s.supervision.parses)
+    instances = [(s, parse) for s in corpus
+                 for parse in supervision(s, FrameAnnotations).parses]
     if not instances:
         raise SpandepError("cannot pretrain a span pruner on an empty corpus")
     return _pretrain(corpus, instances, span_nll, epochs, lr, seed,
@@ -287,9 +273,7 @@ def pretrain_arc_pruner(corpus: Sequence[Sentence], *, epochs: int = 5,
                         ) -> PrunerModel:
     """Fit the arc head with an independent per-arc logistic loss."""
     for s in corpus:
-        if not isinstance(s.supervision, DependencyGraph):
-            raise SpandepError(
-                f"sentence {s.id!r} carries no dependency graph")
+        supervision(s, DependencyGraph)
     usable = [(s,) for s in corpus if len(s) > 1]
     if not usable:
         raise SpandepError("cannot pretrain an arc pruner on an empty corpus")

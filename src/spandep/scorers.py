@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Node, ParameterStore, gathered_affine
+from .autodiff import Graph, Node, ParameterStore, add_mlp, mlp
 from .parts import Ontology, SpandepError
 
 if TYPE_CHECKING:
@@ -80,12 +80,7 @@ class Scorers:
 
         for tag, mult in _DEP_IN.items():
             in_dim = mult * bilstm_dim + (label_dim if tag == "lab" else 0)
-            store.add(f"sc.{tag}.w1", (in_dim, mlp_dim), rng=rng)
-            store.add(f"sc.{tag}.b1", (mlp_dim,))
-            store.add(f"sc.{tag}.w2", (mlp_dim, mlp_dim), rng=rng)
-            store.add(f"sc.{tag}.b2", (mlp_dim,))
-            store.add(f"sc.{tag}.w", (mlp_dim,), rng=rng,
-                      init="normal")
+            add_mlp(store, f"sc.{tag}", in_dim, mlp_dim, rng)
 
     # --- parameter access -----------------------------------------------
 
@@ -109,14 +104,6 @@ class Scorers:
             return np.array([index[k] for k in names], dtype=int)
         except KeyError as err:
             raise SpandepError(f"unknown {table}: {err.args[0]!r}") from None
-
-    def _mlp(self, g: Graph, blocks, tag: str) -> Node:
-        """Two tanh layers over the row-wise concatenation of the gathered
-        ``blocks`` (see ``gathered_affine``), one output row per part."""
-        h1 = g.tanh(gathered_affine(g, blocks, self._p(g, f"{tag}.w1"),
-                                    self._p(g, f"{tag}.b1")))
-        return g.tanh(g.affine(h1, self._p(g, f"{tag}.w2"),
-                               self._p(g, f"{tag}.b2")))
 
     # --- scoring ------------------------------------------------------------
 
@@ -175,7 +162,7 @@ class Scorers:
 
     def head_scores(self, g: Graph, hs: Node,
                     tokens: Sequence[int]) -> Node:
-        return g.matvec(self._mlp(g, [(hs, tokens)], "head"),
+        return g.matvec(mlp(g, self.store, "sc.head", [(hs, tokens)]),
                         self._p(g, "head.w"))
 
     def arc_representations(self, g: Graph, hs: Node, heads: Sequence[int],
@@ -183,7 +170,7 @@ class Scorers:
         """g^ua for each (head, dep) pair: the first layer is the head
         token's and the dependent's projections, each computed once per
         token, added per pair."""
-        return self._mlp(g, [(hs, heads), (hs, deps)], "ua")
+        return mlp(g, self.store, "sc.ua", [(hs, heads), (hs, deps)])
 
     def unlabeled_scores(self, g: Graph, arc_rows: Node) -> Node:
         """Takes the matrix from ``arc_representations`` so cross-task scoring
@@ -193,9 +180,10 @@ class Scorers:
     def labeled_scores(self, g: Graph, hs: Node, heads: Sequence[int],
                        deps: Sequence[int], labels: Sequence[int]) -> Node:
         blocks = [(hs, heads), (hs, deps), (self._p(g, "emb.label"), labels)]
-        return g.matvec(self._mlp(g, blocks, "lab"), self._p(g, "lab.w"))
+        return g.matvec(mlp(g, self.store, "sc.lab", blocks),
+                        self._p(g, "lab.w"))
 
     def top_scores(self, g: Graph, hs: Node,
                    tokens: Sequence[int]) -> Node:
-        return g.matvec(self._mlp(g, [(hs, tokens)], "top"),
+        return g.matvec(mlp(g, self.store, "sc.top", [(hs, tokens)]),
                         self._p(g, "top.w"))

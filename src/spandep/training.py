@@ -41,6 +41,7 @@ from .parts import (
     SpaceLimits,
     SpandepError,
     build_candidate_space,
+    supervision,
     weighted_hamming,
 )
 
@@ -95,9 +96,7 @@ def _fn_instances(sentences: Iterable[Sentence], ontology: Ontology,
     """``fn_instances`` one at a time, each space built when it is
     reached."""
     for s in sentences:
-        if not isinstance(s.supervision, FrameAnnotations):
-            raise SpandepError(f"sentence {s.id!r} carries no frame annotations")
-        for parse in s.supervision.parses:
+        for parse in supervision(s, FrameAnnotations).parses:
             t = parse.target
             yield FnInstance(
                 id=f"{s.id}#{t.start}-{t.end}", sentence=s, parse=parse,
@@ -113,10 +112,8 @@ def dm_instances(sentences: Sequence[Sentence],
                  limits: SpaceLimits) -> List[DmInstance]:
     out = []
     for s in sentences:
-        if not isinstance(s.supervision, DependencyGraph):
-            raise SpandepError(f"sentence {s.id!r} carries no dependency graph")
         out.append(DmInstance(
-            id=s.id, sentence=s, graph=s.supervision,
+            id=s.id, sentence=s, graph=supervision(s, DependencyGraph),
             space=build_candidate_space(s, None, Ontology({}, {}), limits)))
     return out
 

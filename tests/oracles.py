@@ -405,8 +405,8 @@ def mask_objective(space, active):
 def assert_joint_feasible(space, active):
     """Raise AssertionError if the structural parts of a part mask violate
     the joint decoding constraints (checked directly from part semantics)."""
-    from spandep.parts import (Argument, Head, LabeledArc, Predicate,
-                               UnlabeledArc)
+    from spandep.parts import (VIRTUAL_ROOT, Argument, Head, LabeledArc,
+                               Predicate, UnlabeledArc)
 
     parts = {space.parts[i] for i in range(len(space.parts)) if active[i]}
     preds = [p for p in parts if isinstance(p, Predicate)]
@@ -422,8 +422,10 @@ def assert_joint_feasible(space, active):
     else:
         assert not preds and not args
 
-    arcs = {p for p in parts if isinstance(p, UnlabeledArc) and not p.is_root}
-    roots = [p for p in parts if isinstance(p, UnlabeledArc) and p.is_root]
+    arcs = {p for p in parts
+            if isinstance(p, UnlabeledArc) and p.head != VIRTUAL_ROOT}
+    roots = [p for p in parts
+             if isinstance(p, UnlabeledArc) and p.head == VIRTUAL_ROOT]
     labeled = [p for p in parts if isinstance(p, LabeledArc)]
     heads = {p.token for p in parts if isinstance(p, Head)}
     if space.root_arc_ids:

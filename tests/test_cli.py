@@ -2,6 +2,7 @@ import inspect
 import json
 import operator
 import re
+import zipfile
 from dataclasses import replace
 from functools import reduce
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from spandep.formats import (
     model_manifest,
     ontology_to_dict,
     read_frames,
+    read_ontology,
     read_sdp,
     save_checkpoint,
     save_model,
@@ -44,6 +46,7 @@ from .test_formats import (
     GOOD_RECORD,
     MISTYPED_RECORDS,
     ONT,
+    SDP_FIXTURE,
     corrupt,
     mistyped_record,
 )
@@ -274,16 +277,40 @@ RECORD_PATHS = [(), ("id",), ("tokens",), ("tokens", 0), ("lemmas",),
         ("arguments", 0), ("arguments", 0, "start"),
         ("arguments", 0, "end"), ("arguments", 0, "role"))]
 
-RECORD_EDITS = st.tuples(st.sampled_from(RECORD_PATHS),
-                         st.sampled_from(("replace", "delete", "add")),
-                         JSON_VALUES)
+
+def json_edits(paths):
+    """Edits of a JSON value at one of ``paths``: see ``edited``."""
+    return st.tuples(st.sampled_from(paths),
+                     st.sampled_from(("replace", "delete", "add")),
+                     JSON_VALUES)
 
 
-def edited_record(edits) -> dict:
-    """GOOD_RECORD after ``edits``: each replaces or deletes the value at
-    its path, or adds its value to it (a key ``extra`` of an object, an
-    item of a list).  An edit whose path no longer resolves does nothing."""
-    box = {"rec": json.loads(json.dumps(GOOD_RECORD))}
+RECORD_EDITS = json_edits(RECORD_PATHS)
+
+# bytes that are not UTF-8: stray continuation and lead bytes, an encoded
+# surrogate, a code point past U+10FFFF
+BAD_BYTES = st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
+                             b"\xf4\x90\x80\x80"))
+# where to put them, if anywhere
+JUNK = st.none() | st.tuples(st.integers(0, 2000), BAD_BYTES)
+
+
+def spoiled(text: str, cut, junk) -> bytes:
+    """``text`` as UTF-8, truncated at ``cut`` characters, with ``junk``'s
+    bytes inserted at its offset (clamped to the end)."""
+    data = text[:cut].encode("utf-8")
+    if junk is None:
+        return data
+    at, bad = junk
+    return data[:at] + bad + data[at:]
+
+
+def edited(base, edits) -> dict:
+    """A copy of the JSON value ``base`` after ``edits``: each replaces or
+    deletes the value at its path, or adds its value to it (a key ``extra``
+    of an object, an item of a list).  An edit whose path no longer
+    resolves does nothing."""
+    box = {"rec": json.loads(json.dumps(base))}
     for path, action, value in edits:
         *where, key = ("rec",) + path
         try:
@@ -301,27 +328,150 @@ def edited_record(edits) -> dict:
     return box.get("rec", {})
 
 
+def located_or_read(reader, path, *args):
+    """Run ``reader``: it returns, or raises a FormatError that names
+    ``path``."""
+    try:
+        reader(path, *args)
+    except FormatError as err:
+        assert str(err).startswith(f"{path}:"), err
+
+
+MUTATION_SETTINGS = settings(
+    max_examples=60, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestMutatedFrameRecords:
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edits=st.lists(RECORD_EDITS, min_size=1, max_size=3),
-           cut=st.none() | st.integers(0, 200))
-    def test_read_or_located_error(self, tmp_path, edits, cut):
-        # a mutated record, perhaps truncated, after a good one: the reader
-        # returns or raises FormatError, and evaluate exits 0 or 1
+           cut=st.none() | st.integers(0, 200), junk=JUNK)
+    def test_read_or_located_error(self, tmp_path, edits, cut, junk):
+        # a mutated record, perhaps truncated or not UTF-8, after a good
+        # one: the reader returns or raises FormatError, and evaluate exits
+        # 0 or 1
         ontology = tmp_path / "ontology.json"
         ontology.write_text(json.dumps(ontology_to_dict(ONT)),
                             encoding="utf-8")
         good = json.dumps(GOOD_RECORD) + "\n"
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(good + json.dumps(edited_record(edits))[:cut] + "\n",
-                       encoding="utf-8")
-        try:
-            read_frames(bad, ONT)
-        except FormatError as err:
-            assert str(err).startswith(f"{bad}:")
+        bad.write_bytes(spoiled(
+            good + json.dumps(edited(GOOD_RECORD, edits))[:cut] + "\n",
+            None, junk))
+        located_or_read(read_frames, bad, ONT)
         rc = cli(["evaluate", "--task", "fn", "--gold", str(bad),
                   "--pred", str(bad), "--ontology", str(ontology)])
+        assert rc in (0, 1)
+
+
+# cell values for SDP tables: flags, ids, labels, separators, blanks
+SDP_CELLS = st.sampled_from(("", "+", "-", "_", "0", "1", "2", "4", "#s",
+                             "arg1", " ", "\t", "\r")) | st.text(max_size=3)
+SDP_EDITS = st.tuples(
+    st.integers(0, 12),
+    st.sampled_from(("replace", "delete", "add", "drop-line", "copy-line")),
+    st.integers(0, 8), SDP_CELLS)
+
+
+def edited_sdp(edits) -> str:
+    """SDP_FIXTURE after ``edits``, each on one line (by index): insert,
+    replace or delete a tab-separated cell (by index, clamped), or drop or
+    duplicate the line.  An edit of a line or cell that is not there does
+    nothing."""
+    lines = [line.split("\t") for line in SDP_FIXTURE.split("\n")]
+    for row, action, col, value in edits:
+        if row >= len(lines):
+            continue
+        cells = lines[row]
+        col = min(col, len(cells) - 1)
+        if action == "drop-line":
+            del lines[row]
+        elif action == "copy-line":
+            lines.insert(row, list(cells))
+        elif action == "add":
+            cells.insert(col, value)
+        elif not cells:
+            continue
+        elif action == "replace":
+            cells[col] = value
+        else:
+            del cells[col]
+    return "\n".join("\t".join(cells) for cells in lines)
+
+
+class TestMutatedSdpTables:
+    @MUTATION_SETTINGS
+    @given(edits=st.lists(SDP_EDITS, min_size=1, max_size=3),
+           cut=st.none() | st.integers(0, 200), junk=JUNK)
+    def test_read_or_located_error(self, tmp_path, edits, cut, junk):
+        bad = tmp_path / "bad.sdp"
+        bad.write_bytes(spoiled(edited_sdp(edits), cut, junk))
+        located_or_read(read_sdp, bad)
+        rc = cli(["evaluate", "--task", "sdp", "--gold", str(bad),
+                  "--pred", str(bad)])
+        assert rc in (0, 1)
+
+
+ONTOLOGY_PATHS = [(), ("frames",), ("frames", "Meet"),
+                  ("frames", "Meet", "roles"), ("frames", "Meet", "roles", 1),
+                  ("lus",), ("lus", "sit.v"), ("lus", "sit.v", 0),
+                  ("lus", "run.v")]
+
+
+class TestMutatedOntologies:
+    @MUTATION_SETTINGS
+    @given(edits=st.lists(json_edits(ONTOLOGY_PATHS), min_size=1,
+                          max_size=3),
+           cut=st.none() | st.integers(0, 200), junk=JUNK)
+    def test_read_or_located_error(self, tmp_path, edits, cut, junk):
+        bad = tmp_path / "ontology.json"
+        text = json.dumps(edited(ontology_to_dict(ONT), edits), indent=1)
+        bad.write_bytes(spoiled(text, cut, junk))
+        located_or_read(read_ontology, bad)
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+        rc = cli(["evaluate", "--task", "fn", "--gold", str(frames),
+                  "--pred", str(frames), "--ontology", str(bad)])
+        assert rc in (0, 1)
+
+
+MANIFEST_PATHS = [
+    (), ("format_version",), ("kind",), ("hyperparameters",),
+    ("hyperparameters", "word_dim"), ("hyperparameters", "bilstm_layers"),
+    ("hyperparameters", "joint"), ("hyperparameters", "word_dropout"),
+    ("vocabularies",), ("vocabularies", "words"),
+    ("vocabularies", "words", 1), ("vocabularies", "lemmas"),
+    ("vocabularies", "pos", 0), ("vocabularies", "word_counts"),
+    ("vocabularies", "word_counts", "b"), ("dep_labels",), ("dep_labels", 0),
+    ("ontology",), ("ontology", "frames", "Rest"), ("ontology", "lus"),
+    ("ontology_hash",), ("notes",)]
+
+
+class TestMutatedManifests:
+    @MUTATION_SETTINGS
+    @given(edits=st.lists(json_edits(MANIFEST_PATHS), min_size=1,
+                          max_size=3),
+           cut=st.none() | st.integers(0, 2000), junk=JUNK)
+    def test_load_or_located_error(self, tmp_path, edits, cut, junk):
+        model = ParserModel.build(
+            TINY, ONT, ("arg1", "arg2"),
+            [make_sentence(["a", "b", "c"], ["a", "b", "sit"])],
+            np.random.default_rng(0))
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_model(model, good)
+        manifest = edited(load_checkpoint(good)[1], edits)
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for info in src.infolist():
+                data = src.read(info)
+                if info.filename == "manifest.json":
+                    data = spoiled(json.dumps(manifest, indent=1), cut, junk)
+                dst.writestr(info, data)
+        located_or_read(load_model, bad)
+        requests = tmp_path / "requests.sdp"
+        requests.write_text(SDP_FIXTURE, encoding="utf-8")
+        rc = cli(["predict", "--model", str(bad), "--input", str(requests),
+                  "--format", "sdp", "--output", str(tmp_path / "out.sdp")])
         assert rc in (0, 1)
 
 

@@ -46,7 +46,7 @@ class TestVocabulary:
     def test_build_from_sentences(self):
         words, lemmas, tags, counts = build_vocabularies([SENT, SENT])
         assert counts["the"] == 2 and counts["cat"] == 2
-        assert "sit" in lemmas and "DT" in tags
+        assert "sit" in lemmas.tokens and "DT" in tags.tokens
         assert words.index(UNK) == 0
 
 

@@ -126,6 +126,12 @@ class TestSdpRead:
         with pytest.raises(FormatError, match="comment inside"):
             read_sdp(_write(tmp_path, "m.sdp", text))
 
+    def test_invalid_utf8_located(self, tmp_path):
+        p = tmp_path / "bad.sdp"
+        p.write_bytes(SDP_FIXTURE.encode().replace(b"bark", b"b\xffrk"))
+        with pytest.raises(FormatError, match=r"bad\.sdp:12: not UTF-8"):
+            read_sdp(p)
+
     def test_missing_final_blank_line_tolerated(self, tmp_path):
         text = "#x\n1\ta\ta\tX\t-\t-\n"
         (s,) = read_sdp(_write(tmp_path, "nb.sdp", text))
@@ -156,6 +162,12 @@ class TestSdpWrite:
 
 
 class TestFrames:
+    def test_write_requires_frame_annotations(self, tmp_path):
+        s = make_sentence(["a"], id="q", supervision=DependencyGraph())
+        with pytest.raises(SpandepError,
+                           match="sentence 'q' carries no frame annotations"):
+            write_frames([s], tmp_path / "x.jsonl")
+
     def test_round_trip(self, tmp_path):
         parse = FrameParse(Target(2, 2, "sit.v"), "Meet",
                            frozenset({(0, 1, "Agent")}))
@@ -167,6 +179,13 @@ class TestFrames:
         (back,) = read_frames(p, ONT)
         assert back.supervision == s.supervision
         assert back.forms == s.forms and back.id == "fr1"
+
+    def test_invalid_utf8_located(self, tmp_path):
+        good = json.dumps(GOOD_RECORD).encode() + b"\n"
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(good + good.replace(b'"x"', b'"\xc3"'))
+        with pytest.raises(FormatError, match=r"bad\.jsonl:2: not UTF-8"):
+            read_frames(p, ONT)
 
     def test_bad_role_names_frame_and_role(self, tmp_path):
         rec = ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], '
@@ -261,6 +280,9 @@ MISTYPED_RECORDS = {
                            "'annotations' must be a list"),
     "string-arguments": (_annotation(arguments="Agent"),
                          "'arguments' must be a list"),
+    "null-id": (lambda rec: rec.update(id=None), "'id' must be a string"),
+    "list-id": (lambda rec: rec.update(id=[2]), "'id' must be a string"),
+    "int-id": (lambda rec: rec.update(id=1), "'id' must be a string"),
 }
 
 
@@ -299,6 +321,15 @@ class TestOntologyFile:
         with pytest.raises(FormatError, match="unknown field"):
             read_ontology(_write(tmp_path, "o.json", bad))
 
+    def test_invalid_utf8_located(self, tmp_path):
+        text = json.dumps(json.loads(self.GOOD), indent=1)
+        p = tmp_path / "bad.json"
+        p.write_bytes(text.encode().replace(b"Agent", b"Ag\x80nt"))
+        line = next(k for k, row in enumerate(text.splitlines(), start=1)
+                    if "Agent" in row)
+        with pytest.raises(FormatError, match=rf"bad\.json:{line}: not UTF-8"):
+            read_ontology(p)
+
     def test_unknown_frame_key(self, tmp_path):
         bad = ('{"frames": {"Rest": {"roles": [], "color": 1}}, "lus": {}}')
         with pytest.raises(FormatError, match="unknown field 'color'"):
@@ -329,6 +360,15 @@ class TestEmbeddings:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="empty"):
             load_embeddings(_write(tmp_path, "e.txt", ""))
+
+    def test_invalid_utf8_located(self, tmp_path):
+        # the bad byte lies past the first chunk the text reader decodes
+        lines = [f"w{k} 1 2\n".encode() for k in range(3000)]
+        lines[2499] = b"w\xed\xa0\x80 1 2\n"  # an encoded surrogate
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError, match=r"bad\.txt:2500: not UTF-8"):
+            load_embeddings(p)
 
 
 TINY_CONFIG = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3,
@@ -378,6 +418,29 @@ BAD_MANIFESTS = {
                               "ontology", "'lus' must be an object"),
     "number-of-labels": (lambda m: m.update(dep_labels=5), "manifest",
                          "'dep_labels' must be a list of strings"),
+    "repeated-label": (lambda m: m.update(dep_labels=["a1", "a1"]),
+                       "manifest", "'dep_labels' repeats a label"),
+    "list-of-hyperparameters": (lambda m: m.update(hyperparameters=[]),
+                                "manifest",
+                                "'hyperparameters' must be an object"),
+    "list-of-vocabularies": (lambda m: m.update(vocabularies=["words"]),
+                             "manifest", "'vocabularies' must be an object"),
+    "number-of-words": (lambda m: m["vocabularies"].update(words=5),
+                        "vocabularies", "'words' must be a list of strings"),
+    "number-of-tags": (lambda m: m["vocabularies"]["pos"].append(1),
+                       "vocabularies", "'pos' must be a list of strings"),
+    "list-of-word-counts": (
+        lambda m: m["vocabularies"].update(word_counts=[1, 2]),
+        "vocabularies", "'word_counts' must be an object of nonnegative ints"),
+    "string-word-count": (
+        lambda m: m["vocabularies"].update(word_counts={"a": "x"}),
+        "vocabularies", "'word_counts' must be an object of nonnegative ints"),
+    "bool-word-count": (
+        lambda m: m["vocabularies"].update(word_counts={"a": True}),
+        "vocabularies", "'word_counts' must be an object of nonnegative ints"),
+    "negative-word-count": (
+        lambda m: m["vocabularies"].update(word_counts={"a": -1}),
+        "vocabularies", "'word_counts' must be an object of nonnegative ints"),
 }
 
 
@@ -432,7 +495,16 @@ class TestCheckpoints:
         p = tmp_path / "m.ckpt"
         with zipfile.ZipFile(p, "w") as zf:
             zf.writestr("manifest.json", '{"format_version": 99}')
-        with pytest.raises(FormatError, match="format version 99"):
+        with pytest.raises(FormatError, match="format version 99,"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_must_be_the_int(self, tmp_path, version):
+        p = tmp_path / "m.ckpt"
+        with zipfile.ZipFile(p, "w") as zf:
+            zf.writestr("manifest.json", f'{{"format_version": {version}}}')
+        want = {"true": "True"}.get(version, version)
+        with pytest.raises(FormatError, match=f"format version {want},"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("members", [
@@ -446,6 +518,16 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="unreadable checkpoint") as err:
             load_checkpoint(p)
         assert err.value.where == "manifest.json"
+
+    @pytest.mark.parametrize("manifest", ["[1]", '"model"', "null"])
+    def test_manifest_must_be_an_object(self, tmp_path, manifest):
+        p = tmp_path / "m.ckpt"
+        with zipfile.ZipFile(p, "w") as zf:
+            zf.writestr("manifest.json", manifest)
+        with pytest.raises(FormatError) as err:
+            load_model(p)
+        assert str(err.value) == (
+            f"{p}:manifest: the manifest must be an object")
 
     def test_model_round_trip_scores(self, tmp_path):
         from spandep.parts import SpaceLimits, build_candidate_space

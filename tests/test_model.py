@@ -1,11 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-import spandep.encoder
-import spandep.scorers
+import spandep.autodiff
 from spandep.autodiff import Graph, collect_grads, grad_check
 from spandep.model import ModelConfig, ParserModel
 from spandep.parts import (
+    VIRTUAL_ROOT,
     Argument,
     CrossTask,
     Head,
@@ -161,14 +163,15 @@ class TestPerPartCrossCheck:
                 return score_predicate(sc, g, frame_vec(sc, g, part.frame),
                                        g_tgt, g_lu)
             if isinstance(part, Argument):
-                rep = span_representation(enc, g, hs, part.span, tgt.start)
+                rep = span_representation(enc, g, hs, (part.start, part.end),
+                                          tgt.start)
                 return score_argument(sc, g, frame_vec(sc, g, part.frame),
                                       g_tgt, g_lu, rep,
                                       role_vec(sc, g, part.role))
             if isinstance(part, Head):
                 return score_head(sc, g, hs, part.token)
             if isinstance(part, UnlabeledArc):
-                if part.is_root:
+                if part.head == VIRTUAL_ROOT:
                     return score_top(sc, g, hs, part.dep)
                 return score_unlabeled(sc, g, hs, part.head, part.dep)
             if isinstance(part, LabeledArc):
@@ -176,7 +179,8 @@ class TestPerPartCrossCheck:
             assert isinstance(part, CrossTask)
             arg = space.parts[part.arg_id]
             arc = space.parts[part.arc_id]
-            rep = span_representation(enc, g, hs, arg.span, tgt.start)
+            rep = span_representation(enc, g, hs, (arg.start, arg.end),
+                                      tgt.start)
             arc_rep = arc_representation(sc, g, hs, arc.head, arc.dep)
             return score_cross_task(sc, g, frame_vec(sc, g, arg.frame), g_tgt,
                                     g_lu, rep, role_vec(sc, g, arg.role),
@@ -216,7 +220,7 @@ def test_pruner_sized_preset():
 
 def test_config_round_trip():
     cfg = ModelConfig(rank=7)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 class TestModelConfig:
@@ -229,7 +233,7 @@ class TestModelConfig:
     def test_space_fields_round_trip(self):
         cfg = ModelConfig(max_span_len=3, joint=False,
                           include_cross_task=False, word_dropout=0.5)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("kwargs", [
         {"word_dropout": -1.0},
@@ -312,8 +316,7 @@ def test_factorized_first_layers_match_concatenation(n, labels, arcs,
     # the first layers never materialise a row per part
     assert all(node.value.shape[0] == n for node in g.nodes
                if node.op == "concat" and node.value.ndim == 2)
-    for module in (spandep.scorers, spandep.encoder):
-        monkeypatch.setattr(module, "gathered_affine", concat_affine)
+    monkeypatch.setattr(spandep.autodiff, "gathered_affine", concat_affine)
     _, want, want_grads = scores_and_grads(model, space)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for name, w in want_grads.items():

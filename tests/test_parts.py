@@ -331,8 +331,8 @@ def test_groups_are_contiguous_id_ranges():
              LabeledArc, CrossTask]
     for ids, kind in zip(groups, kinds):
         assert all(type(space.parts[i]) is kind for i in ids)
-    assert all(space.parts[i].is_root for i in space.root_arc_ids)
-    assert not any(space.parts[i].is_root for i in space.arc_ids)
+    assert all(space.parts[i].head == VIRTUAL_ROOT for i in space.root_arc_ids)
+    assert not any(space.parts[i].head == VIRTUAL_ROOT for i in space.arc_ids)
     cross = [space.parts[i] for i in space.cross_ids]
     assert space.cross_arg.tolist() == [c.arg_id for c in cross]
     assert space.cross_arc.tolist() == [c.arc_id for c in cross]

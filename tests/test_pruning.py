@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import spandep.encoder
-import spandep.pruning
+import spandep.autodiff
 from spandep.autodiff import Graph, collect_grads
 from spandep.formats import FormatError, load_model
 from spandep.model import ModelConfig
@@ -176,6 +175,11 @@ class TestSpanPruner:
         with pytest.raises(SpandepError, match="empty corpus"):
             pretrain_span_pruner([bare], model_config=TINY)
 
+    def test_wrong_supervision_rejected(self, toy_dm_corpus):
+        with pytest.raises(SpandepError,
+                           match="sentence 'a' carries no frame annotations"):
+            pretrain_span_pruner(toy_dm_corpus, model_config=TINY)
+
     def test_prune_spans_report(self, toy_fn_corpus):
         pruner = PrunerModel.build(toy_fn_corpus, np.random.default_rng(0),
                                    config=TINY)
@@ -301,8 +305,8 @@ class TestArcPruner:
             return arcs.value, span.value, grads
 
         got = run()
-        for module in (spandep.pruning, spandep.encoder):
-            monkeypatch.setattr(module, "gathered_affine", concat_affine)
+        monkeypatch.setattr(spandep.autodiff, "gathered_affine",
+                            concat_affine)
         want = run()
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)

@@ -263,7 +263,7 @@ class TestSdpHinge:
         # virtual-root arc, so adding a constant to all root-arc scores
         # cancels between the two maxima.
         from spandep.model import SpaceScores
-        from spandep.parts import UnlabeledArc
+        from spandep.parts import VIRTUAL_ROOT, UnlabeledArc
 
         class ShiftRoots:
             def __init__(self, base, constant):
@@ -275,7 +275,7 @@ class TestSdpHinge:
                                             training=training)
                 shift = np.zeros(len(space.parts))
                 for i, p in enumerate(space.parts):
-                    if isinstance(p, UnlabeledArc) and p.is_root:
+                    if isinstance(p, UnlabeledArc) and p.head == VIRTUAL_ROOT:
                         shift[i] = self.constant
                 return SpaceScores(g.add(res.node, g.input(shift)), res.cross)
 
