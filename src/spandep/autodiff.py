@@ -692,8 +692,9 @@ class ParameterStore:
     Single writer during training; inference readers never mutate.
 
     ``saved`` maps names to arrays read from a checkpoint: ``add`` takes
-    such an array as the parameter's value, uncopied, when its shape is the
-    one asked for, and then draws no initial value.
+    such an array as the parameter's value, uncopied, and draws no initial
+    value; a saved array of another shape than the one asked for raises
+    ``ShapeError``.
     """
 
     def __init__(self, saved: Optional[Mapping[str, np.ndarray]] = None):
@@ -721,7 +722,10 @@ class ParameterStore:
         if name in self.values:
             raise ValueError(f"duplicate parameter {name!r}")
         saved = self._saved.pop(name, None)
-        if saved is not None and saved.shape == tuple(shape):
+        if saved is not None:
+            if saved.shape != tuple(shape):
+                raise ShapeError(f"parameter {name!r} has shape "
+                                 f"{saved.shape}, expected {tuple(shape)}")
             value = np.asarray(saved, dtype=float)
         elif init == "zeros" or (init == "auto" and len(shape) == 1):
             value = np.zeros(shape)

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import ParameterStore
+from .autodiff import ParameterStore, ShapeError
 from .encoder import Vocabulary
 from .model import ModelConfig, ParserModel
 from .parts import (
@@ -370,6 +370,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 vec = np.array([float(x) for x in fields[1:]])
             except ValueError:
                 raise FormatError(path, lineno, "non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise FormatError(path, lineno, "non-finite value")
             if dim is None:
                 dim = len(vec)
                 if dim == 0:
@@ -457,18 +459,14 @@ def save_model(model: ParserModel, path) -> None:
 
 def _check_restored(store: ParameterStore, params: Mapping[str, np.ndarray],
                     path) -> None:
-    """Fail unless the store took every checkpoint array as its value: the
-    names must be the same, and each shape the one the model asked for."""
+    """Fail unless the store took every checkpoint array as its value (the
+    store has already refused any array of another shape than the model
+    asked for)."""
     missing = set(store.values) - set(params)
     extra = set(params) - set(store.values)
     if missing or extra:
         name = sorted(missing or extra)[0]
         raise FormatError(path, 0, f"parameter set mismatch near {name!r}")
-    for name, value in params.items():
-        if store.values[name].shape != value.shape:
-            raise FormatError(
-                path, 0, f"parameter {name!r} has shape {value.shape}, "
-                f"expected {store.values[name].shape}")
 
 
 def load_model(path, ontology: Optional[Ontology] = None) -> ParserModel:
@@ -521,10 +519,13 @@ def _load_from_manifest(cls, path, expected_kind: str,
         config = ModelConfig(**hyper)
     except SpandepError as e:
         raise FormatError(path, "hyperparameters", str(e)) from None
-    model = cls(
-        config, ont, tuple(labels), Vocabulary(vocab["words"]),
-        Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
-        counts, rng=np.random.default_rng(0),
-        store=ParameterStore(saved=params))
+    try:
+        model = cls(
+            config, ont, tuple(labels), Vocabulary(vocab["words"]),
+            Vocabulary(vocab["lemmas"]), Vocabulary(vocab["pos"]),
+            counts, rng=np.random.default_rng(0),
+            store=ParameterStore(saved=params))
+    except ShapeError as e:
+        raise FormatError(path, 0, str(e)) from None
     _check_restored(model.store, params, path)
     return model

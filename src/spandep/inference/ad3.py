@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Infeasible, Rows, clamp_graph
+from .factor_graph import FactorGraph, Infeasible, clamp_graph
 from .peel import peel
 from .projections import (
     SemiMarkovProjector,
@@ -55,127 +55,15 @@ class SolveResult:
     iterations: int
 
 
-class _PaddedGroup:
-    """XOR factors padded into (F, K) matrices."""
-
-    def __init__(self, rows: Rows):
-        sizes = rows.sizes
-        nf, k = rows.count, int(sizes.max())
-        row = rows.row
-        col = np.arange(len(rows.var)) - rows.ptr[row]
-        self.idx = np.zeros((nf, k), dtype=int)
-        self.mask = np.zeros((nf, k), dtype=bool)
-        self.neg = np.zeros((nf, k), dtype=bool)
-        self.idx[row, col] = rows.var
-        self.mask[row, col] = True
-        self.neg[row, col] = rows.neg
-        self.lam = np.zeros((nf, k))
-        self.u = np.zeros((nf, k))
-
-    def solve(self, p, omega, rho):
-        z = p[self.idx] + (omega[self.idx] + self.lam) / rho
-        self.u = project_xor_rows(z, self.neg, self.mask)
-
-    def eta(self, omega):
-        return omega[self.idx] + self.lam
-
-    def scatter(self, acc):
-        np.add.at(acc, self.idx[self.mask], self.u[self.mask])
-
-    def lam_step(self, p, rho):
-        d = self.u - p[self.idx]
-        d[~self.mask] = 0.0
-        self.lam -= rho * d
-        return float((d * d).sum())
-
-    def dual_contrib(self, omega):
-        eta = self.eta(omega)
-        lit = np.where(self.neg, -eta, eta)
-        base = (eta * self.neg).sum(axis=1)
-        lit = np.where(self.mask, lit, -np.inf)
-        return float((base + lit.max(axis=1)).sum())
-
-
-class _EdgeGroup:
-    """Implication or Pair factors as parallel index arrays."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray,
-                 score: Optional[np.ndarray] = None):
-        self.a, self.b, self.c = a, b, score
-        self.lam_a = np.zeros(len(a))
-        self.lam_b = np.zeros(len(a))
-        self.ua = np.zeros(len(a))
-        self.ub = np.zeros(len(a))
-        self.pair = score is not None
-
-    def solve(self, p, omega, rho):
-        za = p[self.a] + (omega[self.a] + self.lam_a) / rho
-        zb = p[self.b] + (omega[self.b] + self.lam_b) / rho
-        if self.pair:
-            self.ua, self.ub = project_pair(za, zb, self.c / rho)
-        else:
-            self.ua, self.ub = project_implication(za, zb)
-
-    def scatter(self, acc):
-        np.add.at(acc, self.a, self.ua)
-        np.add.at(acc, self.b, self.ub)
-
-    def lam_step(self, p, rho):
-        da = self.ua - p[self.a]
-        db = self.ub - p[self.b]
-        self.lam_a -= rho * da
-        self.lam_b -= rho * db
-        return float((da * da).sum() + (db * db).sum())
-
-    def dual_contrib(self, omega):
-        ea = omega[self.a] + self.lam_a
-        eb = omega[self.b] + self.lam_b
-        if self.pair:
-            both = ea + eb + self.c
-        else:
-            both = ea + eb
-        best = np.maximum(np.maximum(0.0, eb), both)
-        if self.pair:
-            best = np.maximum(best, ea)
-        return float(best.sum())
-
-
-class _SemiGroup:
-    def __init__(self, factors):
-        self.factors = factors
-        self.vars = [np.array(f.vars, dtype=int) for f in factors]
-        self.proj = [SemiMarkovProjector(f.spans, f.n) for f in factors]
-        self.lam = [np.zeros(len(f.vars)) for f in factors]
-        self.u = [np.zeros(len(f.vars)) for f in factors]
-
-    def solve(self, p, omega, rho):
-        for i, f in enumerate(self.factors):
-            z = p[self.vars[i]] + (omega[self.vars[i]] + self.lam[i]) / rho
-            self.u[i] = self.proj[i].project(z)
-
-    def scatter(self, acc):
-        for i in range(len(self.factors)):
-            np.add.at(acc, self.vars[i], self.u[i])
-
-    def lam_step(self, p, rho):
-        total = 0.0
-        for i in range(len(self.factors)):
-            d = self.u[i] - p[self.vars[i]]
-            self.lam[i] -= rho * d
-            total += float(d @ d)
-        return total
-
-    def dual_contrib(self, omega):
-        total = 0.0
-        for i, f in enumerate(self.factors):
-            eta = omega[self.vars[i]] + self.lam[i]
-            _, val = semi_markov_map(f.spans, eta, f.n,
-                                     table=self.proj[i].table)
-            total += val
-        return total
-
-
 class _LoopState:
+    """The ADMM loop over one graph.  Every factor keeps its own copy of
+    the variables it touches; the copies sit in one slot array, in factor
+    order: the XOR literals row by row, the implications' ``a`` then ``b``
+    ends, the pairs' ``a`` then ``b`` ends, then each segmentation's
+    variables.  ``slots`` holds the variable of each copy and ``lam`` its
+    dual, so one gather gives every factor its target and one ``bincount``
+    sums the copies of each variable, in slot order."""
+
     def __init__(self, graph: FactorGraph, options: SolverOptions):
         self.graph = graph
         self.options = options
@@ -183,44 +71,96 @@ class _LoopState:
         self.deg = deg
         self.constrained = deg > 0
         self.free = ~self.constrained
-        self.groups = []
-        if graph.xor.count:
-            self.groups.append(_PaddedGroup(graph.xor))
-        if len(graph.imp_a):
-            self.groups.append(_EdgeGroup(graph.imp_a, graph.imp_b))
-        if len(graph.pair_a):
-            self.groups.append(_EdgeGroup(graph.pair_a, graph.pair_b,
-                                          graph.pair_score))
-        if graph.semis:
-            self.groups.append(_SemiGroup(graph.semis))
         self.nslots = int(deg.sum())
-        safe_deg = np.maximum(deg, 1)
-        self.omega = graph.theta / safe_deg
+        self.safe_deg = np.maximum(deg, 1)
+        self.omega = graph.theta / self.safe_deg
+        # free variables stay at 0 or 1, so ``p > 0.5`` sets each by the
+        # sign of its score
         self.p = np.full(graph.nvars, 0.5)
         self.p[self.free] = (graph.theta[self.free] > 0).astype(float)
         self.dual_history: list[float] = []
+        if self.nslots:
+            self._lay_out_slots()
 
-    def free_value(self) -> float:
-        th = self.graph.theta[self.free]
-        return float(th[th > 0].sum())
+    def _lay_out_slots(self) -> None:
+        g = self.graph
+        th = g.theta[self.free]
+        self.free_value = float(th[th > 0].sum())
+        blocks = [g.xor.var, g.imp_a, g.imp_b, g.pair_a, g.pair_b,
+                  *(np.array(f.vars, dtype=int) for f in g.semis)]
+        ends = np.cumsum([len(b) for b in blocks]).tolist()
+        self.slots = np.concatenate(blocks)
+        self.n_xor = ends[0]
+        self.imp_a, self.imp_b, self.pair_a, self.pair_b = (
+            slice(lo, hi) for lo, hi in zip(ends[:4], ends[1:5]))
+        self.semis = [(slice(lo, hi), f, SemiMarkovProjector(f.spans, f.n))
+                      for lo, hi, f in zip(ends[4:], ends[5:], g.semis)]
+        self.omega_s = self.omega[self.slots]
+        self.lam = np.zeros(len(self.slots))
+        self.u = np.zeros(len(self.slots))
+        if self.n_xor:
+            # the XOR slots' cells in a (factor, literal) matrix padded to
+            # the longest factor, for the row-wise projection
+            xor = g.xor
+            k = int(xor.sizes.max())
+            self.x_shape = (xor.count, k)
+            row = xor.row
+            self.x_cell = row * k + np.arange(len(row)) - xor.ptr[row]
+            self.x_mask = self._padded(np.ones(len(row), dtype=bool))
+            self.x_neg = self._padded(xor.neg)
+
+    def _padded(self, values: np.ndarray) -> np.ndarray:
+        """The XOR slots of ``values`` as the padded matrix, zero in the pad
+        cells."""
+        out = np.zeros(self.x_shape, dtype=values.dtype)
+        out.reshape(-1)[self.x_cell] = values[:self.n_xor]
+        return out
+
+    def _project(self, z: np.ndarray, rho: float) -> np.ndarray:
+        """Every factor's subproblem at its copies' targets ``z``."""
+        u = self.u
+        if self.n_xor:
+            u[:self.n_xor] = project_xor_rows(
+                self._padded(z), self.x_neg, self.x_mask)[self.x_mask]
+        ia, ib, pa, pb = self.imp_a, self.imp_b, self.pair_a, self.pair_b
+        if ia.stop > ia.start:
+            u[ia], u[ib] = project_implication(z[ia], z[ib])
+        if pa.stop > pa.start:
+            u[pa], u[pb] = project_pair(z[pa], z[pb],
+                                        self.graph.pair_score / rho)
+        for sl, _f, proj in self.semis:
+            u[sl] = proj.project(z[sl])
+        return u
 
     def dual_bound(self) -> float:
-        total = self.graph.offset + self.free_value()
-        for g in self.groups:
-            total += g.dual_contrib(self.omega)
+        total = self.graph.offset + self.free_value
+        eta = self.omega_s + self.lam
+        if self.n_xor:
+            e = self._padded(eta)
+            lit = np.where(self.x_neg, -e, e)
+            base = (e * self.x_neg).sum(axis=1)
+            lit = np.where(self.x_mask, lit, -np.inf)
+            total += float((base + lit.max(axis=1)).sum())
+        ia, ib, pa, pb = self.imp_a, self.imp_b, self.pair_a, self.pair_b
+        if ia.stop > ia.start:
+            ea, eb = eta[ia], eta[ib]
+            total += float(np.maximum(np.maximum(0.0, eb), ea + eb).sum())
+        if pa.stop > pa.start:
+            ea, eb = eta[pa], eta[pb]
+            best = np.maximum(np.maximum(0.0, eb),
+                              ea + eb + self.graph.pair_score)
+            total += float(np.maximum(best, ea).sum())
+        for sl, f, proj in self.semis:
+            _, val = semi_markov_map(f.spans, eta[sl], f.n, table=proj.table)
+            total += val
         return total
-
-    def threshold_assignment(self) -> np.ndarray:
-        active = self.p > 0.5
-        active[self.free] = self.graph.theta[self.free] > 0
-        return active
 
     def run(self):
         """Returns (best feasible assignment or None, its objective, dual
         bound, iterations, certified_exact)."""
         graph, opt = self.graph, self.options
         if self.nslots == 0:
-            active = self.threshold_assignment()
+            active = self.p > 0.5
             return active, graph.objective(active), graph.objective(active), 0, True
 
         rho = opt.rho
@@ -228,27 +168,30 @@ class _LoopState:
         best_active: Optional[np.ndarray] = None
         best_dual = np.inf
         scale = np.sqrt(max(self.nslots, 1))
+        slots, lam, free = self.slots, self.lam, self.free
+        seen = b""
         it = 0
         for it in range(1, opt.max_iter + 1):
-            for g in self.groups:
-                g.solve(self.p, self.omega, rho)
-            acc = np.zeros(graph.nvars)
-            for g in self.groups:
-                g.scatter(acc)
+            u = self._project(self.p[slots] + (self.omega_s + lam) / rho, rho)
+            acc = np.bincount(slots, weights=u, minlength=graph.nvars)
             p_old = self.p
-            p_new = acc / np.maximum(self.deg, 1)
-            p_new[self.free] = p_old[self.free]
+            p_new = acc / self.safe_deg
+            p_new[free] = p_old[free]
             self.p = p_new
-            r_sq = 0.0
-            for g in self.groups:
-                r_sq += g.lam_step(p_new, rho)
+            d = u - p_new[slots]
+            lam -= rho * d
+            r_sq = float(d @ d)
             s_sq = float((self.deg * (p_new - p_old) ** 2).sum()) * rho * rho
 
-            active = self.threshold_assignment()
-            if graph.check_assignment(active):
-                val = graph.objective(active)
-                if val > best_primal:
-                    best_primal, best_active = val, active
+            # an assignment seen last iteration has been scored already
+            active = self.p > 0.5
+            key = active.tobytes()
+            if key != seen:
+                seen = key
+                if graph.check_assignment(active):
+                    val = graph.objective(active)
+                    if val > best_primal:
+                        best_primal, best_active = val, active
             dual = self.dual_bound()
             self.dual_history.append(dual)
             best_dual = min(best_dual, dual)

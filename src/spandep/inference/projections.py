@@ -43,12 +43,16 @@ def project_xor_rows(z: np.ndarray, neg: np.ndarray, mask: np.ndarray) -> np.nda
     return np.where(mask, u, 0.0)
 
 
+def _clip01(x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 def project_implication(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a => b, i.e. the triangle conv{(0,0),(0,1),(1,1)}."""
-    ca = np.clip(za, 0.0, 1.0)
-    cb = np.clip(zb, 0.0, 1.0)
+    ca = _clip01(za)
+    cb = _clip01(zb)
     ok = ca <= cb
-    t = np.clip(0.5 * (za + zb), 0.0, 1.0)
+    t = _clip01(0.5 * (za + zb))
     return np.where(ok, ca, t), np.where(ok, cb, t)
 
 
@@ -56,40 +60,40 @@ def project_pair(za: np.ndarray, zb: np.ndarray, gamma: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Pair factor subproblem: min .5||u-z||^2 - gamma*v(u) over the local
     polytope, where v is the both-on marginal (min(u) for gamma >= 0, else
-    max(0, ua+ub-1)).  The optimum is one of three closed-form candidates
-    per sign case; the objective is strictly convex, so evaluating the
-    candidates and keeping the best is exact.
+    max(0, ua+ub-1)).
+
+    For gamma >= 0 the bonus goes to the lower side when that side stays
+    at most the other, else both meet at clip((za+zb+gamma)/2).  For
+    gamma < 0 the clipped box point stands when it sums to at most 1, else
+    the box point shifted by gamma when that sums to at least 1, else the
+    projection onto the segment ua+ub = 1.
     """
-    za, zb, gamma = np.asarray(za, float), np.asarray(zb, float), np.asarray(gamma, float)
+    ca, cb = _clip01(za), _clip01(zb)
+    sa, sb = _clip01(za + gamma), _clip01(zb + gamma)
+    # gamma >= 0
+    lower_a = sa <= cb
+    lower_b = ~lower_a & (sb <= ca)
+    t = _clip01(0.5 * (za + zb + gamma))
+    pos_a = np.where(lower_a, sa, np.where(lower_b, ca, t))
+    pos_b = np.where(lower_a, cb, np.where(lower_b, sb, t))
+    # gamma < 0
+    box = ca + cb <= 1.0
+    shifted = ~box & (sa + sb >= 1.0)
+    seg = _clip01(0.5 * (za - zb + 1.0))
+    neg_a = np.where(box, ca, np.where(shifted, sa, seg))
+    neg_b = np.where(box, cb, np.where(shifted, sb, 1.0 - seg))
     pos = gamma >= 0
-
-    # gamma >= 0 candidates: bonus on one side, or tie
-    a1, b1 = np.clip(za + gamma, 0, 1), np.clip(zb, 0, 1)
-    a2, b2 = np.clip(za, 0, 1), np.clip(zb + gamma, 0, 1)
-    t = np.clip(0.5 * (za + zb + gamma), 0, 1)
-    # gamma < 0 candidates: plain box, penalized interior, boundary segment
-    a4, b4 = np.clip(za, 0, 1), np.clip(zb, 0, 1)
-    a5, b5 = np.clip(za + gamma, 0, 1), np.clip(zb + gamma, 0, 1)
-    a6 = np.clip(0.5 * (za - zb + 1.0), 0, 1)
-    b6 = 1.0 - a6
-
-    ua = np.where(pos[None, :], np.stack([a1, a2, t]), np.stack([a4, a5, a6]))
-    ub = np.where(pos[None, :], np.stack([b1, b2, t]), np.stack([b4, b5, b6]))
-
-    v = np.where(pos[None, :], np.minimum(ua, ub),
-                 np.maximum(0.0, ua + ub - 1.0))
-    obj = 0.5 * (ua - za) ** 2 + 0.5 * (ub - zb) ** 2 - gamma * v
-    best = np.argmin(obj, axis=0)
-    cols = np.arange(za.shape[0])
-    return ua[best, cols], ub[best, cols]
+    return np.where(pos, pos_a, neg_a), np.where(pos, pos_b, neg_b)
 
 
 class SemiMarkovProjector:
     """Min-norm-point projection onto the convex hull of segmentation
     indicator vectors, warm-started across solver iterations.
 
-    The linear oracle is the semi-Markov MAP; vertices are kept as index
-    tuples with their indicator columns cached in ``self.basis``.
+    The linear oracle is the semi-Markov MAP.  Vertices are kept as index
+    tuples, with their indicator columns in ``basis`` and the KKT matrix of
+    the affine minimization over them (their Gram matrix, which holds
+    integer overlap counts, bordered by ones) in ``kkt``.
     """
 
     def __init__(self, spans, n: int):
@@ -99,14 +103,19 @@ class SemiMarkovProjector:
         self.table = SpanTable(self.spans, n)
         self.vertices: list[tuple[int, ...]] = []
         self.basis = np.zeros((self.m, 0))
+        self.kkt = np.zeros((1, 1))
         self.mu = np.zeros(0)
 
-    def _vertex(self, chosen) -> np.ndarray:
-        v = np.zeros(self.m)
-        v[list(chosen)] = 1.0
-        return v
-
-    def _add_vertex(self, chosen, col) -> None:
+    def _add_vertex(self, chosen: list, col: np.ndarray) -> None:
+        k = len(self.vertices)
+        kkt = np.ones((k + 2, k + 2))
+        kkt[:k, :k] = self.kkt[:k, :k]
+        overlap = self.basis[chosen].sum(axis=0)
+        kkt[k, :k] = overlap
+        kkt[:k, k] = overlap
+        kkt[k, k] = len(chosen)
+        kkt[k + 1, k + 1] = 0.0
+        self.kkt = kkt
         self.vertices.append(tuple(chosen))
         self.basis = np.hstack([self.basis, col[:, None]])
         self.mu = np.append(self.mu, 0.0)
@@ -114,42 +123,50 @@ class SemiMarkovProjector:
     def _drop(self, keep: np.ndarray) -> None:
         self.vertices = [v for v, k in zip(self.vertices, keep) if k]
         self.basis = self.basis[:, keep]
+        rows = np.append(np.flatnonzero(keep), len(keep))
+        self.kkt = self.kkt[np.ix_(rows, rows)]
         self.mu = self.mu[keep]
 
     def _affine_min(self, z: np.ndarray) -> np.ndarray:
         """beta minimizing ||basis @ beta - z||^2 subject to sum(beta) = 1."""
-        k = self.basis.shape[1]
-        ata = self.basis.T @ self.basis
-        rhs = np.concatenate([self.basis.T @ z, [1.0]])
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = ata
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
+        k = len(self.vertices)
+        rhs = np.empty(k + 1)
+        rhs[:k] = self.basis.T @ z
+        rhs[k] = 1.0
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            sol = np.linalg.solve(self.kkt, rhs)
         except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            sol = np.linalg.lstsq(self.kkt, rhs, rcond=None)[0]
         return sol[:k]
 
     def _minor_cycle(self, z: np.ndarray) -> None:
         """Optimize the convex weights over the current vertex set."""
         for _ in range(3 * len(self.vertices) + 10):
+            if len(self.vertices) == 1:
+                self.mu = np.ones(1)
+                return
             beta = self._affine_min(z)
-            if np.all(beta >= -1e-12):
+            if (beta >= -1e-12).all():
                 self.mu = np.maximum(beta, 0.0)
                 s = self.mu.sum()
                 if s > 0:
                     self.mu /= s
                 return
             neg = beta < self.mu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(neg, self.mu / (self.mu - beta), np.inf)
-            theta = min(1.0, float(np.min(steps)))
+            mu_neg = self.mu[neg]
+            theta = min(1.0, float((mu_neg / (mu_neg - beta[neg])).min()))
             self.mu = (1.0 - theta) * self.mu + theta * beta
             self.mu[self.mu < 1e-12] = 0.0
             keep = self.mu > 0
-            if not np.all(keep):
+            if not keep.all():
                 self._drop(keep)
+
+    def _vertex(self, z: np.ndarray) -> tuple[list, np.ndarray]:
+        """The MAP segmentation under scores ``z`` and its indicator."""
+        chosen, _ = semi_markov_map(self.spans, z, self.n, table=self.table)
+        v = np.zeros(self.m)
+        v[chosen] = 1.0
+        return chosen, v
 
     def project(self, z: np.ndarray, tol: float = 1e-9, max_iter: int = 60
                 ) -> np.ndarray:
@@ -157,23 +174,18 @@ class SemiMarkovProjector:
         if self.m == 0:
             return np.zeros(0)
         if not self.vertices:
-            chosen, _ = semi_markov_map(self.spans, z, self.n,
-                                        table=self.table)
-            self._add_vertex(chosen, self._vertex(chosen))
-            self.mu[:] = 1.0
+            self._add_vertex(*self._vertex(z))
         # warm starts carry stale weights for the new target
         self._minor_cycle(z)
 
         for _ in range(max_iter):
             x = self.basis @ self.mu
             grad = x - z
-            chosen, _ = semi_markov_map(self.spans, -grad, self.n,
-                                        table=self.table)
-            v = self._vertex(chosen)
-            if grad @ x - grad @ v <= tol * (1.0 + abs(grad @ x)):
+            chosen, v = self._vertex(-grad)
+            gx = grad @ x
+            if gx - grad @ v <= tol * (1.0 + abs(gx)):
                 break
-            key = tuple(chosen)
-            if key in self.vertices:
+            if tuple(chosen) in self.vertices:
                 break  # numerical stall; weights are already optimal over S
             self._add_vertex(chosen, v)
             self._minor_cycle(z)

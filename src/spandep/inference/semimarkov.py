@@ -46,18 +46,23 @@ class SpanTable:
         self.cell_end = [order[p][0] for p in self.cell_first]
         # the cells ending at token j are cell_start[ends[j]:ends[j + 1]]
         self.ends = np.searchsorted(self.cell_end, np.arange(n + 1)).tolist()
+        # the items of each cell in index order, padded with the index
+        # len(spans), which ``best_items`` scores -inf
+        pos = np.arange(len(order)) - self.cell_first[self.cell_of]
+        width = int(pos.max()) + 1 if len(order) else 0
+        self.cell_items = np.full((len(self.cell_first), width), len(spans))
+        self.cell_items[self.cell_of, pos] = self.order
+        self.cells = np.arange(len(self.cell_first))
 
     def best_items(self, scores: np.ndarray) -> tuple[list[int], list[float]]:
         """Per cell, the best-scoring item (earliest index on ties) and its
         score."""
         if not len(self.order):
             return [], []
-        s = scores[self.order]
-        best = np.maximum.reduceat(s, self.cell_first)
-        hit = np.flatnonzero(s == best[self.cell_of])
-        cells = self.cell_of[hit]
-        first = hit[np.concatenate(([True], cells[1:] != cells[:-1]))]
-        return self.order[first].tolist(), best.tolist()
+        s = np.append(scores, -np.inf)[self.cell_items]
+        k = s.argmax(axis=1)
+        return (self.cell_items[self.cells, k].tolist(),
+                s[self.cells, k].tolist())
 
 
 def semi_markov_map(spans: Sequence[Span], scores: np.ndarray, n: int,

@@ -175,6 +175,32 @@ def lstm_by_cells(g, rows, w, b, reverse=False):
     return [out[t] for t in range(len(rows))]
 
 
+def project_pair_by_candidates(za, zb, gamma):
+    """The pair factor's subproblem (see ``projections.project_pair``) by
+    evaluating three candidates per sign of gamma and keeping the one of
+    least objective, the first on ties.  For gamma >= 0: the bonus on
+    either side, or the tie; for gamma < 0: the clipped box point, the box
+    point shifted by gamma, or the projection onto ua+ub = 1."""
+    za, zb = np.asarray(za, float), np.asarray(zb, float)
+    gamma = np.asarray(gamma, float)
+    pos = gamma >= 0
+    a1, b1 = np.clip(za + gamma, 0, 1), np.clip(zb, 0, 1)
+    a2, b2 = np.clip(za, 0, 1), np.clip(zb + gamma, 0, 1)
+    t = np.clip(0.5 * (za + zb + gamma), 0, 1)
+    a4, b4 = np.clip(za, 0, 1), np.clip(zb, 0, 1)
+    a5, b5 = np.clip(za + gamma, 0, 1), np.clip(zb + gamma, 0, 1)
+    a6 = np.clip(0.5 * (za - zb + 1.0), 0, 1)
+    b6 = 1.0 - a6
+    ua = np.where(pos[None, :], np.stack([a1, a2, t]), np.stack([a4, a5, a6]))
+    ub = np.where(pos[None, :], np.stack([b1, b2, t]), np.stack([b4, b5, b6]))
+    v = np.where(pos[None, :], np.minimum(ua, ub),
+                 np.maximum(0.0, ua + ub - 1.0))
+    obj = 0.5 * (ua - za) ** 2 + 0.5 * (ub - zb) ** 2 - gamma * v
+    best = np.argmin(obj, axis=0)
+    cols = np.arange(za.shape[0])
+    return ua[best, cols], ub[best, cols]
+
+
 def enumerate_segmentations(spans, n):
     """Yield every feasible index subset (as a tuple) of non-overlapping
     spans, including the empty tuple."""

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spandep.cli import cli
 from spandep.formats import (
     FormatError,
     load_checkpoint,
+    load_embeddings,
     load_model,
     model_manifest,
     ontology_to_dict,
@@ -374,12 +375,12 @@ SDP_EDITS = st.tuples(
     st.integers(0, 8), SDP_CELLS)
 
 
-def edited_sdp(edits) -> str:
-    """SDP_FIXTURE after ``edits``, each on one line (by index): insert,
-    replace or delete a tab-separated cell (by index, clamped), or drop or
-    duplicate the line.  An edit of a line or cell that is not there does
-    nothing."""
-    lines = [line.split("\t") for line in SDP_FIXTURE.split("\n")]
+def edited_table(text: str, sep: str, edits) -> str:
+    """``text`` after ``edits``, each on one line (by index): insert,
+    replace or delete a ``sep``-separated cell (by index, clamped), or drop
+    or duplicate the line.  An edit of a line or cell that is not there
+    does nothing."""
+    lines = [line.split(sep) for line in text.split("\n")]
     for row, action, col, value in edits:
         if row >= len(lines):
             continue
@@ -397,7 +398,7 @@ def edited_sdp(edits) -> str:
             cells[col] = value
         else:
             del cells[col]
-    return "\n".join("\t".join(cells) for cells in lines)
+    return "\n".join(sep.join(cells) for cells in lines)
 
 
 class TestMutatedSdpTables:
@@ -406,10 +407,50 @@ class TestMutatedSdpTables:
            cut=st.none() | st.integers(0, 200), junk=JUNK)
     def test_read_or_located_error(self, tmp_path, edits, cut, junk):
         bad = tmp_path / "bad.sdp"
-        bad.write_bytes(spoiled(edited_sdp(edits), cut, junk))
+        bad.write_bytes(spoiled(edited_table(SDP_FIXTURE, "\t", edits),
+                                cut, junk))
         located_or_read(read_sdp, bad)
         rc = cli(["evaluate", "--task", "sdp", "--gold", str(bad),
                   "--pred", str(bad)])
+        assert rc in (0, 1)
+
+
+# cells of an embeddings line: words, numbers, spellings of non-finite
+# values, separators, blanks
+EMBEDDING_CELLS = st.sampled_from(
+    ("", " ", "\t", "\r", "a", "sit", "x", "0", "-0.5", "2", "1e400", "nan",
+     "inf", "-inf", "0x1", "1_0")) | st.text(max_size=3)
+EMBEDDING_EDITS = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(("replace", "delete", "add", "drop-line", "copy-line")),
+    st.integers(0, 110), EMBEDDING_CELLS)
+
+
+class TestMutatedEmbeddings:
+    @MUTATION_SETTINGS
+    @given(edits=st.lists(EMBEDDING_EDITS, min_size=1, max_size=3),
+           cut=st.none() | st.integers(0, 2000), junk=JUNK)
+    @example(edits=[(1, "replace", 7, "nan")], cut=None, junk=None)
+    @example(edits=[(0, "replace", 100, "1e400")], cut=None, junk=None)
+    def test_read_or_located_error(self, paths, edits, cut, junk):
+        # vectors of the encoder's width for a corpus word and an unknown
+        # one; a training run of zero epochs reads them, builds the model
+        # and saves it
+        width = ModelConfig().word_dim
+        text = "\n".join(f"{w} " + " ".join(["0.25"] * width)
+                         for w in ("a", "zzz")) + "\n"
+        bad = paths["dir"] / "vectors.txt"
+        bad.write_bytes(spoiled(edited_table(text, " ", edits), cut, junk))
+        try:
+            vectors = load_embeddings(bad)
+        except FormatError as err:
+            assert str(err).startswith(f"{bad}:"), err
+        else:
+            assert all(np.isfinite(v).all() for v in vectors.values())
+        rc = cli(["train", "--fn-train", str(paths["fn_train"]),
+                  "--ontology", str(paths["ontology"]),
+                  "--out", str(paths["dir"] / "emb.zip"),
+                  "--epochs", "0", "--embeddings", str(bad)])
         assert rc in (0, 1)
 
 

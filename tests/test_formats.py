@@ -2,6 +2,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 import zipfile
 from dataclasses import replace
@@ -361,6 +362,12 @@ class TestEmbeddings:
         with pytest.raises(FormatError, match="empty"):
             load_embeddings(_write(tmp_path, "e.txt", ""))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_located(self, tmp_path, value):
+        p = _write(tmp_path, "e.txt", f"cat 1 2\ndog {value} 1\n")
+        with pytest.raises(FormatError, match=r"e\.txt:2: non-finite"):
+            load_embeddings(p)
+
     def test_invalid_utf8_located(self, tmp_path):
         # the bad byte lies past the first chunk the text reader decodes
         lines = [f"w{k} 1 2\n".encode() for k in range(3000)]
@@ -380,6 +387,13 @@ def tiny_model(seed=0):
                          ["DT", "NN", "VB"])
     return ParserModel.build(TINY_CONFIG, ONT, ("a1", "a2"), [sent],
                              np.random.default_rng(seed))
+
+
+def _store_of(params):
+    store = ParameterStore()
+    for k, v in params.items():
+        store.add(k, v.shape, init="zeros")[...] = v
+    return store
 
 
 def _add_frame(m, roles, lu=None):
@@ -629,12 +643,9 @@ class TestCheckpoints:
         else:
             name = "sc.zz"
             params[name] = np.zeros(2)
-        store = ParameterStore()
-        for k, v in params.items():
-            store.add(k, v.shape, init="zeros")[...] = v
         from spandep.formats import model_manifest
         p = tmp_path / "m.ckpt"
-        save_checkpoint(store, model_manifest(model), p)
+        save_checkpoint(_store_of(params), model_manifest(model), p)
         with pytest.raises(FormatError,
                            match=f"parameter set mismatch near '{name}'"):
             load_model(p)
@@ -661,6 +672,26 @@ class TestCheckpoints:
         back = load_model(p)
         assert calls == []
         assert_same_params(model, back)
+
+    def test_width_mismatch_allocates_nothing_new(self, tmp_path):
+        # a manifest width that disagrees with the saved arrays is refused
+        # when the model asks for the parameter, before any array of the
+        # manifest's width is drawn (one would take 8 MB per vocabulary
+        # row here)
+        model = tiny_model()
+        p = tmp_path / "m.ckpt"
+        save_model(model, p)
+        params, manifest = load_checkpoint(p)
+        manifest["hyperparameters"]["word_dim"] = 1_000_000
+        save_checkpoint(_store_of(params), manifest, p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"has shape .*, expected"):
+                load_model(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_reloaded_model_trains_like_the_original(self, tmp_path):
         from spandep.parts import build_candidate_space

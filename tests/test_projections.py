@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spandep.inference.projections import (
     project_xor_rows,
 )
 
-from .oracles import enumerate_segmentations
+from .oracles import enumerate_segmentations, project_pair_by_candidates
 
 RNG = np.random.default_rng(17)
 
@@ -97,6 +98,61 @@ def test_pair_vs_qp_both_signs():
         got_obj = 0.5 * (ua[0] - za) ** 2 + 0.5 * (ub[0] - zb) ** 2 - gamma * v
         assert got_obj == pytest.approx(wobj, abs=1e-6)
         np.testing.assert_allclose([ua[0], ub[0]], want[:2], atol=1e-4)
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_pair_closed_form_equals_candidate_argmin():
+    # random targets inside and well outside [0, 1], both signs of gamma
+    rng = np.random.default_rng(29)
+    for scale in (0.5, 1.5, 4.0):
+        za, zb = rng.normal(0.5, scale, size=(2, 20000))
+        gamma = rng.normal(scale=scale, size=20000)
+        assert _same_bits(project_pair(za, zb, gamma),
+                          project_pair_by_candidates(za, zb, gamma))
+
+
+def test_pair_closed_form_on_boundaries():
+    # gamma = 0, targets outside the box, and exact ties between the
+    # closed form's cases: za + gamma == zb (bonus side against the tie)
+    # and ca + cb == 1 (box point against the segment), in dyadic values
+    # so that every sum is exact
+    vals = np.array([-1.5, -0.25, 0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
+                     1.0, 1.25, 2.0])
+    za, zb, gamma = (x.ravel() for x in np.meshgrid(
+        vals, vals, np.concatenate((-vals, [0.0, 0.125, -0.125])),
+        indexing="ij"))
+    assert ((za + gamma == zb) & (gamma > 0)).sum() > 10
+    ca, cb = np.clip(za, 0, 1), np.clip(zb, 0, 1)
+    assert ((ca + cb == 1) & (gamma < 0)).sum() > 20
+    assert _same_bits(project_pair(za, zb, gamma),
+                      project_pair_by_candidates(za, zb, gamma))
+
+
+def _pair_objective_exact(ua, ub, za, zb, gamma):
+    ua, ub, za, zb, gamma = map(Fraction, (ua, ub, za, zb, gamma))
+    v = min(ua, ub) if gamma >= 0 else max(Fraction(0), ua + ub - 1)
+    return (ua - za) ** 2 / 2 + (ub - zb) ** 2 / 2 - gamma * v
+
+
+def test_pair_closed_form_is_the_exact_minimizer_on_rounding_ties():
+    # with |gamma| far below the objective's magnitude the candidates'
+    # objectives tie after rounding and the argmin may keep a worse one;
+    # in exact arithmetic the closed form's point is never worse
+    rng = np.random.default_rng(31)
+    za = rng.uniform(-9, 9, size=5000)
+    zb = rng.uniform(-9, 9, size=5000)
+    gamma = rng.choice([-1, 1], size=5000) * 10.0 ** rng.uniform(-9, -7, 5000)
+    got = project_pair(za, zb, gamma)
+    want = project_pair_by_candidates(za, zb, gamma)
+    differ = np.flatnonzero((got[0] != want[0]) | (got[1] != want[1]))
+    assert len(differ) > 0
+    for k in differ:
+        args = (za[k], zb[k], gamma[k])
+        assert _pair_objective_exact(got[0][k], got[1][k], *args) < \
+            _pair_objective_exact(want[0][k], want[1][k], *args)
 
 
 def test_pair_zero_score_is_box_projection():
