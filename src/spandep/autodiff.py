@@ -60,16 +60,38 @@ _BACKWARD: dict[str, Callable] = {}
 
 
 def register_op(name: str, forward: Callable, backward: Callable) -> None:
-    """Register a custom op: forward(node) -> ndarray, backward(node) -> None
-    (accumulate into parents via ``accumulate``)."""
+    """Register a custom op: forward(node) -> ndarray, backward(node) -> None.
+
+    The backward rule adds into its parents' gradients only through
+    ``accumulate`` (or ``_grad_buffer``, to add into some rows), and never
+    sets a parent's ``grad`` itself: a parameter node starts without a
+    gradient, and its first contribution binds its store's accumulator."""
     _FORWARD[name] = forward
     _BACKWARD[name] = backward
 
 
-def accumulate(node: Node, g: np.ndarray) -> None:
+def _grad_buffer(node: Node) -> np.ndarray:
+    """``node``'s gradient, for a backward rule to add into, made zero on
+    first use: a new array for an op node, and for a parameter node its
+    store's accumulator, which marks the parameter as touched."""
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = (node.ctx[0]._bind(node.ctx[1]) if node.op == "param"
+                     else np.zeros_like(node.value))
+    return node.grad
+
+
+def accumulate(node: Node, g: np.ndarray) -> None:
+    """Add ``g`` into ``node``'s gradient.  A gradient that starts here is
+    a copy of ``g`` rather than zeros plus ``g``: the same values, except
+    that a -0.0 in ``g`` stays -0.0."""
+    if node.grad is not None:
+        node.grad += g
+    elif node.op == "param":
+        store, name = node.ctx
+        node.grad = store._bind(name, g)
+    else:
+        node.grad = np.empty_like(node.value)
+        node.grad[...] = g
 
 
 def _op(name):
@@ -280,15 +302,14 @@ def _scatter_rows(table: Node, ids: np.ndarray, grad: np.ndarray) -> None:
     The rows bound for one table row are summed first, with one
     ``bincount`` over (row, column) cells, and each sum is added into its
     table row once.  A row's sum keeps the order of the gathers."""
-    if table.grad is None:
-        table.grad = np.zeros_like(table.value)
+    buf = _grad_buffer(table)
     n_rows, width = table.value.shape
     # a negative index counts from the end, as in the forward gather
     rows, inv = np.unique(ids % n_rows, return_inverse=True)
     cells = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
     sums = np.bincount(cells, weights=grad.ravel(),
                        minlength=rows.size * width)
-    table.grad[rows] += sums.reshape(rows.size, width)
+    buf[rows] += sums.reshape(rows.size, width)
 
 
 @_bk("gather_sum")
@@ -320,17 +341,19 @@ def _b_pair_dots(node):
 @_bk("rows")
 def _b_rows(node):
     (x,) = node.parents
-    if x.grad is None:
-        x.grad = np.zeros_like(x.value)
-    x.grad[node.ctx] += node.grad
+    _grad_buffer(x)[node.ctx] += node.grad
 
 
 @_bk("concat")
 def _b_concat(node):
+    """A parent whose slice is all zero gets no gradient from here, so the
+    backward pass skips its subtree unless another consumer reaches it."""
     off = 0
     for p in node.parents:
         k = p.value.shape[-1]
-        accumulate(p, node.grad[..., off:off + k])
+        g = node.grad[..., off:off + k]
+        if g.any():
+            accumulate(p, g)
         off += k
 
 
@@ -625,14 +648,13 @@ class Graph:
         """Accumulate d(loss)/d(param) into each parameter store touched by
         the graph.  ``loss`` must be scalar.
 
-        A parameter node's ``grad`` is its store's accumulator itself, so
-        the backward rules add straight into ``ParameterStore.grads``."""
+        A parameter node's ``grad`` is its store's accumulator itself, bound
+        when the first gradient reaches it, so the backward rules add
+        straight into the store; a parameter no gradient reaches is left
+        untouched."""
         if loss.value.shape != ():
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         self.zero_grad()
-        for node in self._param_cache.values():
-            store, pname = node.ctx
-            node.grad = store.grads[pname]
         accumulate(loss, np.asarray(1.0))
         for node in reversed(self.nodes):
             if node.grad is not None:
@@ -695,23 +717,52 @@ class ParameterStore:
     such an array as the parameter's value, uncopied, and draws no initial
     value; a saved array of another shape than the one asked for raises
     ``ShapeError``.
+
+    A parameter's accumulator is made when a backward pass first reaches
+    it, and that marks it as touched until the next ``clip_and_step``.
+    The step leaves the accumulators it applied stale rather than refilling
+    them with zeros; a stale accumulator is zeroed when it is next bound,
+    or overwritten by the first gradient added into it.
     """
 
     def __init__(self, saved: Optional[Mapping[str, np.ndarray]] = None):
         self.values: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
+        self._touched: set[str] = set()
         self._saved = dict(saved or {})
+
+    def _bind(self, name: str,
+              first: Optional[np.ndarray] = None) -> np.ndarray:
+        """Parameter ``name``'s accumulator with ``first`` (if given) added,
+        marked as touched.  An untouched one is new or stale, so it starts
+        from zero: ``first`` is copied into it rather than added."""
+        g = self._grads.get(name)
+        if name in self._touched:
+            if first is not None:
+                g += first
+            return g
+        if g is None:
+            g = self._grads[name] = np.empty_like(self.values[name])
+        self._touched.add(name)
+        if first is None:
+            g.fill(0.0)
+        else:
+            g[...] = first
+        return g
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        """One gradient accumulator per parameter, each made (zero) when
-        the accumulators are first asked for after the parameter was added.
-        A store used only for inference never holds them."""
-        if len(self._grads) != len(self.values):
-            for name, value in self.values.items():
-                if name not in self._grads:
-                    self._grads[name] = np.zeros_like(value)
-        return self._grads
+        """Every parameter's accumulator, in store order, holding the
+        gradient added since the last step (zero after a step).  Reading
+        them marks every parameter as touched, since the caller may write
+        to them.  A store used only for inference never holds them."""
+        return {name: self._bind(name) for name in self.values}
+
+    def _touched_grads(self) -> list[tuple[str, np.ndarray]]:
+        """The touched accumulators, in store order; every other one reads
+        zero."""
+        return [(name, self._grads[name]) for name in self.values
+                if name in self._touched]
 
     def add(self, name: str, shape: tuple[int, ...],
             rng: Optional[np.random.Generator] = None,
@@ -740,11 +791,12 @@ class ParameterStore:
         return value
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        """Leave every accumulator stale: each reads zero once bound."""
+        self._touched.clear()
 
     def grad_norm(self) -> float:
-        return math.sqrt(sum(float(np.vdot(g, g)) for g in self.grads.values()))
+        return math.sqrt(sum(float(np.vdot(g, g))
+                             for _, g in self._touched_grads()))
 
 
 def clip_and_step(store: ParameterStore, learning_rate: float, clip: float,
@@ -754,22 +806,26 @@ def clip_and_step(store: ParameterStore, learning_rate: float, clip: float,
 
     The ℓ2 penalty is λ‖w‖² with gradient 2λw (note the factor 2), λ being
     ``l2``.  Same update as ``w -= lr * (clip(g) + 2λw)``, done in place.
+    Every parameter decays, but only the touched ones are scaled and
+    applied: an untouched accumulator is zero, so the norm, taken over the
+    touched ones in store order, and the update are the same as over all.
     A NaN or inf entry makes the norm non-finite, so only then are the
-    parameters scanned to name the offending one."""
+    accumulators scanned to name the offending parameter."""
+    touched = store._touched_grads()
     norm = store.grad_norm()
     if not math.isfinite(norm):
-        for name, g in store.grads.items():
+        for name, g in touched:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(
                     f"non-finite gradient for parameter {name!r}")
     scale = clip / norm if norm > clip > 0 else 1.0
     decay = 1.0 - 2.0 * learning_rate * l2
-    for name, w in store.values.items():
-        g = store.grads[name]
-        g *= learning_rate * scale
+    for w in store.values.values():
         w *= decay
-        w -= g
-        g.fill(0.0)
+    for name, g in touched:
+        g *= learning_rate * scale
+        store.values[name] -= g
+    store.zero_grads()
 
 
 def collect_grads(store: ParameterStore) -> dict[str, np.ndarray]:

@@ -18,21 +18,86 @@ def concat_affine(g, blocks, w, b):
     return g.affine(x, w, b)
 
 
+def _concat_every_slice(node):
+    """``concat``'s backward rule passing every parent its slice, all zero
+    or not."""
+    from spandep.autodiff import accumulate
+
+    off = 0
+    for p in node.parents:
+        k = p.value.shape[-1]
+        accumulate(p, node.grad[..., off:off + k])
+        off += k
+
+
 def backward_with_copies(graph, loss):
-    """Backward pass with a zeroed gradient per parameter node, added into
-    the store at the end: the reference for ``Graph.backward``."""
+    """Dense backward pass with its own zeroed gradient per parameter node,
+    added into the store at the end: the reference for ``Graph.backward``.
+    Every ``concat`` passes back all its slices, so every node the loss
+    reaches runs its rule, zero gradient or not."""
     from spandep.autodiff import _BACKWARD
 
     for node in graph.nodes:
-        node.grad = None
+        node.grad = np.zeros_like(node.value) if node.op == "param" else None
     loss.grad = np.asarray(1.0)
     for node in reversed(graph.nodes):
         if node.grad is None:
             continue
-        _BACKWARD[node.op](node)
+        if node.op == "concat":
+            _concat_every_slice(node)
+        else:
+            _BACKWARD[node.op](node)
         if node.op == "param":
             store, name = node.ctx
             store.grads[name] += node.grad
+
+
+def dense_step(store, learning_rate, clip, l2):
+    """``clip_and_step`` over every accumulator, in the op order
+    ``g *= lr·scale; w *= decay; w -= g; g.fill(0)``."""
+    grads = store.grads
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    scale = clip / norm if norm > clip > 0 else 1.0
+    decay = 1.0 - 2.0 * learning_rate * l2
+    for name, w in store.values.items():
+        g = grads[name]
+        g *= learning_rate * scale
+        w *= decay
+        w -= g
+        g.fill(0.0)
+
+
+def dense_train_epoch(model, fn_train, dm_train, config):
+    """One epoch of ``train`` without exemplars or dev sets, stepping with
+    ``backward_with_copies`` and ``dense_step``: the reference for the
+    backward pass and step that skip zero gradients."""
+    from spandep.autodiff import Graph
+    from spandep.training import (FnInstance, dm_instances, fn_instances,
+                                  l1_penalty, latent_hinge_loss,
+                                  sdp_hinge_loss)
+
+    rng = np.random.default_rng(config.seed)
+    cfg = model.config
+    pool = fn_instances(fn_train, model.ontology,
+                        cfg.fn_limits(model.dep_labels)) \
+        + dm_instances(dm_train, cfg.dm_limits(model.dep_labels))
+    lr = config.lr_at(0)
+    for idx in rng.permutation(len(pool)):
+        inst = pool[int(idx)]
+        g = Graph()
+        if isinstance(inst, FnInstance):
+            res = latent_hinge_loss(model, inst.space, inst.parse, g=g,
+                                    rng=rng, training=True)
+        else:
+            res = sdp_hinge_loss(model, inst.space, inst.graph, g=g,
+                                 rng=rng, training=True)
+        pen = l1_penalty(g, res.cross, config.l1_weight)
+        node = res.node
+        if pen is not None:
+            node = pen if node is None else g.add(node, pen)
+        if node is not None:
+            backward_with_copies(g, node)
+            dense_step(model.store, lr, config.clip, config.l2)
 
 
 def _concat_mlp(g, store, prefix, x):

@@ -11,12 +11,18 @@ from spandep.autodiff import (
     ParameterStore,
     ShapeError,
     clip_and_step,
+    collect_grads,
     grad_check,
 )
 
 from spandep.inference.semimarkov import nll_node
 
-from .oracles import lstm_by_cells, lstm_cell, lstm_sweep
+from .oracles import (
+    backward_with_copies,
+    lstm_by_cells,
+    lstm_cell,
+    lstm_sweep,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -139,65 +145,47 @@ def test_grad_check_detects_corrupted_backward():
     assert not report["pass"]
 
 
-def test_grad_check_every_op():
-    rng = np.random.default_rng(11)
-    store = ParameterStore()
-    store.add("table", (5, 3), rng=rng)
-    store.add("w", (3, 4), rng=rng)
-    store.add("b", (4,), init="zeros")[...] = rng.normal(size=4) * 0.1
-    store.add("m", (4, 4), rng=rng)
-    store.add("v", (4,), init="zeros")[...] = rng.normal(size=4)
-    g = Graph()
-    rows = g.gather_sum([(g.param(store, "table"), [0, 2, 4, 2])])
-    h = g.tanh(g.affine(rows, g.param(store, "w"), g.param(store, "b")))
-    h = g.matmul(h, g.param(store, "m"))
-    r0 = g.rows(h, 1)
-    sl = g.rows(h, 1, 3)
-    parts = [
-        g.sum(g.mul(h, h)),
-        g.sum(g.sigmoid(h)),
-        g.sum(g.abs(sl)),
-        g.inner(r0, g.param(store, "v")),
-        g.sum(g.sub(h, g.scale(h, 0.25))),
-        g.sum(g.tanh(g.gather_sum([(h, [3, 0, 3])]))),
-        g.sum(g.concat(r0, g.param(store, "v"))),
-        g.sum(g.concat(h, g.scale(h, 2.0))),
-        g.sum(g.matvec(g.param(store, "m"), r0)),
-    ]
-    loss = reduce(g.add, parts)
-    report = grad_check(g, loss, store, tolerance=1e-4, max_entries=25)
-    assert report["pass"], report
-
-
 # Per registered op, small graphs whose output the op makes.  Each builder
-# takes the graph and ``p``, which adds a random parameter of a shape.
+# takes the graph and ``p``, which adds a random parameter of a shape.  Some
+# feed one node to the op twice, or an op's output rather than a parameter.
 OP_GRAPHS = {
     "gather_sum": [
         lambda g, p: g.gather_sum([(p(4, 3), [3, 0, 3]), (p(2, 3), [1, 1, 0]),
                                    (p(3, 3), None)]),
         lambda g, p: g.gather_sum([(p(4, 3), [2, -1, 2, 0])]),
+        lambda g, p: g.gather_sum([(g.transpose(p(3, 4)), [1, 3, 1]),
+                                   (g.tanh(p(5, 3)), [0, 2, 2])]),
     ],
     "pair_dots": [lambda g, p: g.pair_dots(p(3, 2), p(4, 2), p(2),
                                            [2, 0, 2, 1], [3, 3, 0, 1])],
     "rows": [lambda g, p: g.rows(p(4, 3), 2),
              lambda g, p: g.rows(p(4, 3), -1),
-             lambda g, p: g.rows(p(4, 3), 1, 3)],
+             lambda g, p: g.rows(p(4, 3), 1, 3),
+             lambda g, p: g.rows(g.tanh(p(4, 3)), 1)],
     "concat": [lambda g, p: g.concat(p(2), p(3), p(1)),
-               lambda g, p: g.concat(p(3, 2), p(3, 1))],
-    "add": [lambda g, p: g.add(p(2, 3), p(2, 3))],
-    "sub": [lambda g, p: g.sub(p(2, 3), p(2, 3))],
-    "mul": [lambda g, p: g.mul(p(2, 3), p(2, 3))],
-    "scale": [lambda g, p: g.scale(p(3), -1.5)],
+               lambda g, p: g.concat(p(3, 2), p(3, 1)),
+               lambda g, p: g.concat(h := g.tanh(p(3, 2)), g.scale(h, 2.0))],
+    "add": [lambda g, p: g.add(p(2, 3), p(2, 3)),
+            lambda g, p: g.add(m := p(2, 3), m)],
+    "sub": [lambda g, p: g.sub(p(2, 3), p(2, 3)),
+            lambda g, p: g.sub(m := p(2, 3), g.scale(m, 0.25))],
+    "mul": [lambda g, p: g.mul(p(2, 3), p(2, 3)),
+            lambda g, p: g.mul(m := p(2, 3), m)],
+    "scale": [lambda g, p: g.scale(p(3), -1.5),
+              lambda g, p: g.scale(p(2, 3), 0.25)],
     "tanh": [lambda g, p: g.tanh(p(2, 3))],
     "sigmoid": [lambda g, p: g.sigmoid(p(2, 3))],
-    "abs": [lambda g, p: g.abs(p(2, 3))],
+    "abs": [lambda g, p: g.abs(p(2, 3)),
+            lambda g, p: g.abs(g.rows(p(4, 3), 1, 3))],
     "sum": [lambda g, p: g.sum(p(2, 3))],
     "inner": [lambda g, p: g.inner(p(3), p(3))],
     "matvec": [lambda g, p: g.matvec(p(2, 3), p(3))],
-    "matmul": [lambda g, p: g.matmul(p(2, 3), p(3, 2))],
+    "matmul": [lambda g, p: g.matmul(p(2, 3), p(3, 2)),
+               lambda g, p: g.matmul(g.transpose(m := p(3, 4)), m)],
     "affine": [lambda g, p: g.affine(p(3), p(3, 2), p(2)),
                lambda g, p: g.affine(p(4, 3), p(3, 2), p(2))],
-    "transpose": [lambda g, p: g.transpose(p(2, 3))],
+    "transpose": [lambda g, p: g.transpose(p(2, 3)),
+                  lambda g, p: g.transpose(g.mul(m := p(3, 4), m))],
     "softplus": [lambda g, p: g.softplus(p(2, 3))],
     "lstm": [lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8)),
              lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8), reverse=True)],
@@ -209,7 +197,14 @@ OP_GRAPHS = {
 @pytest.mark.parametrize("op", sorted(set(autodiff._FORWARD)
                                       - {"input", "param"}))
 def test_every_registered_op_passes_grad_check(op):
-    """An op without a graph here fails, so none lands unchecked."""
+    """An op without a graph here fails, so none lands unchecked.
+
+    The graphs' leaves are store parameters, so the check reads their
+    gradients from the store: a backward rule that gives a parameter node
+    a gradient of its own, not the store's accumulator bound through
+    ``accumulate``, fails.  The check leaves every accumulator stale, and a
+    second backward pass must then give the dense reference's gradients bit
+    for bit, so each accumulator is zeroed when it is bound."""
     assert set(autodiff._FORWARD) == set(autodiff._BACKWARD)
     assert op in OP_GRAPHS, f"no gradient check for op {op!r}"
     for k, build in enumerate(OP_GRAPHS[op]):
@@ -227,6 +222,13 @@ def test_every_registered_op_passes_grad_check(op):
         loss = g.sum(g.mul(out, g.input(rng.normal(size=out.shape))))
         report = grad_check(g, loss, store, tolerance=1e-6)
         assert report["pass"], (k, report)
+        assert not store._touched and set(store._grads) == set(store.values)
+        g.backward(loss)
+        got = collect_grads(store)
+        store.zero_grads()
+        backward_with_copies(g, loss)
+        for name, want in collect_grads(store).items():
+            assert np.array_equal(got[name], want), (k, name)
 
 
 def test_rows_and_concat_check_shapes():
@@ -245,25 +247,6 @@ def test_rows_and_concat_check_shapes():
     for xs in ((m, v), (m, g.input(np.ones((2, 2)))), (cube, cube), ()):
         with pytest.raises(ShapeError):
             g.concat(*xs)
-
-
-def test_grad_check_reshaping_ops():
-    rng = np.random.default_rng(17)
-    store = ParameterStore()
-    store.add("m", (3, 4), rng=rng)
-    g = Graph()
-    m = g.param(store, "m")
-    parts = [
-        g.sum(g.tanh(g.transpose(m))),
-        g.sum(g.transpose(g.mul(m, m))),
-        g.sum(g.mul(g.gather_sum([(g.transpose(m), [1, 3, 1])]),
-                    g.gather_sum([(g.transpose(m), [0, 2, 2])]))),
-        g.sum(g.matmul(g.transpose(m), m)),
-        g.sum(g.softplus(m)),
-    ]
-    loss = reduce(g.add, parts)
-    report = grad_check(g, loss, store, tolerance=1e-4, max_entries=12)
-    assert report["pass"], report
 
 
 def test_transpose_values():
@@ -571,6 +554,107 @@ def test_non_finite_gradient_names_parameter_among_finite(bad):
         clip_and_step(store, 0.1, 1.0, 1e-6)
     for k, v in before.items():
         np.testing.assert_array_equal(store.values[k], v)
+
+
+def test_untouched_parameter_is_only_decayed():
+    # "idle" feeds a concat slice whose gradient is all zero, so no
+    # gradient reaches it and the step only decays it
+    store = ParameterStore()
+    store.add("used", (3,), init="zeros")[...] = [1.0, -2.0, 0.5]
+    store.add("idle", (2,), init="zeros")[...] = [3.0, -0.25]
+    idle = store.values["idle"].copy()
+    g = Graph()
+    scores = g.concat(g.param(store, "used"), g.tanh(g.param(store, "idle")))
+    g.backward(g.inner(scores, g.input([1.0, 2.0, -1.0, 0.0, 0.0])))
+    assert store._touched == {"used"}
+    clip_and_step(store, 0.3, 1.0, 0.01)
+    np.testing.assert_array_equal(store.values["idle"],
+                                  idle * (1.0 - 2.0 * 0.3 * 0.01))
+    assert "idle" not in store._grads
+
+
+def test_grads_read_zero_after_a_step():
+    store = ParameterStore()
+    store.add("a", (2, 3), rng=np.random.default_rng(4))
+    store.add("b", (3,), init="zeros")[...] = [0.5, -1.0, 2.0]
+    g = Graph()
+    g.backward(g.sum(g.affine(g.input([1.0, -1.0]), g.param(store, "a"),
+                              g.param(store, "b"))))
+    clip_and_step(store, 0.1, 1.0, 1e-3)
+    # the step leaves the accumulators it applied stale, not refilled
+    assert not store._touched and store._grads["a"].any()
+    grads = store.grads
+    assert list(grads) == ["a", "b"]
+    assert not any(g.any() for g in grads.values())
+
+
+def test_backward_passes_before_a_step_add_up():
+    # the second graph's first gradient for "m", copied or bound by a row
+    # rule, must add to what the first graph left, not overwrite it
+    store = ParameterStore()
+    store.add("m", (3, 2), rng=np.random.default_rng(5))
+    upstream = np.arange(6.0).reshape(3, 2)
+    tanh, rows = (lambda g, m: g.tanh(m)), (lambda g, m: g.rows(m, 0, 3))
+    for pick in (tanh, rows, tanh):
+        g = Graph()
+        g.backward(g.sum(g.mul(pick(g, g.param(store, "m")),
+                               g.input(upstream))))
+    m = store.values["m"]
+    np.testing.assert_allclose(store.grads["m"],
+                               2 * upstream * (1.0 - np.tanh(m) ** 2)
+                               + upstream)
+
+
+@pytest.mark.parametrize("pick, n_rows", [
+    (lambda g, m: g.rows(m, 1, 3), 2),
+    (lambda g, m: g.gather_sum([(m, [2, 0, 2])]), 3),
+], ids=["rows", "gather_sum"])
+def test_stale_accumulator_bound_by_a_row_rule_starts_from_zero(pick, n_rows):
+    # ``rows`` and ``gather_sum`` write into rows of the accumulator they
+    # bind, so a stale one must be zeroed first
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(4, 3))
+    upstream = rng.normal(size=(n_rows, 3))
+
+    def backward(store):
+        g = Graph()
+        picked = pick(g, g.param(store, "m"))
+        g.backward(g.sum(g.mul(picked, g.input(upstream))))
+        return store.grads["m"].copy()
+
+    fresh = ParameterStore()
+    fresh.add("m", (4, 3), init="zeros")[...] = values
+    want = backward(fresh)
+    stepped = ParameterStore()
+    stepped.add("m", (4, 3), init="zeros")[...] = values
+    backward(stepped)
+    clip_and_step(stepped, 0.1, 1.0, 0.0)
+    assert stepped._grads["m"].any()
+    stepped.values["m"][...] = values
+    np.testing.assert_array_equal(backward(stepped), want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_inf_behind_a_zero_concat_slice_gives_no_gradient():
+    """An inf score whose coefficient is 0 makes the loss NaN (0 * inf), but
+    the backward pass skips the subtree behind its slice: the parameter
+    there is untouched and the step goes through, where the dense
+    reference backward gives it a NaN gradient."""
+    store = ParameterStore()
+    store.add("a", (2,), init="zeros")[...] = [1.0, 2.0]
+    store.add("b", (2,), init="zeros")[...] = [1.0, 1.0]
+    g = Graph()
+    scores = g.concat(g.param(store, "a"),
+                      g.mul(g.param(store, "b"), g.input([np.inf, 1.0])))
+    loss = g.inner(scores, g.input([1.0, -1.0, 0.0, 0.0]))
+    assert np.isnan(loss.value)
+    g.backward(loss)
+    assert store._touched == {"a"}
+    np.testing.assert_array_equal(store.grads["a"], [1.0, -1.0])
+    assert not store.grads["b"].any()
+    store.zero_grads()
+    backward_with_copies(g, loss)
+    assert np.isnan(store.grads["b"][0])
 
 
 # --- gather_sum and pair_dots ----------------------------------------------

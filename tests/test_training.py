@@ -41,6 +41,8 @@ from spandep.training import (
     train,
 )
 
+from .oracles import dense_train_epoch
+
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
                    word_dropout=0.0)
@@ -552,6 +554,23 @@ class TestTrainLoop:
             tr.train(model, c["fn_train"], [],
                      config=TrainConfig(max_epochs=1, seed=0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_top_score_stops_before_any_step(self):
+        # an inf in the top scorer's weight vector makes top scores
+        # infinite; a part whose hinge coefficient is 0 then makes the
+        # loss 0 * inf = NaN, so training stops at the first instance and
+        # no backward pass ever skips the inf's subtree unnoticed
+        import spandep.training as tr
+        c = small_corpus(n_fn=2, n_dm=0, n_dm_dev=0)
+        model = build_model(c)
+        model.store.values["sc.top.w"][0] = np.inf
+        before = {k: v.copy() for k, v in model.store.values.items()}
+        with pytest.raises(SpandepError, match="non-finite loss at instance"):
+            tr.train(model, c["fn_train"], [],
+                     config=TrainConfig(max_epochs=1, seed=0))
+        for k, v in before.items():
+            np.testing.assert_array_equal(model.store.values[k], v)
+
     def test_basic_configuration_trains(self):
         c = small_corpus(n_fn=3, n_dm=3)
         cfg = TrainConfig(max_epochs=1, seed=0)
@@ -601,6 +620,31 @@ class TestTrainLoop:
         for name, value in manual.store.values.items():
             np.testing.assert_array_equal(trained.store.values[name], value,
                                           err_msg=name)
+
+    def test_skipping_zero_gradients_is_bit_identical(self, monkeypatch):
+        """One epoch against the dense reference backward and the step in
+        its original op order: every parameter is equal bit for bit, though
+        steps leave parameters untouched."""
+        import spandep.training as tr
+        c = small_corpus(n_fn=5, n_dm=4, n_fn_dev=0, n_dm_dev=0)
+        cfg = TrainConfig(max_epochs=1, seed=11)
+        config = replace(TINY, word_dropout=0.25)
+        untouched = []
+
+        def counting_step(store, *args):
+            untouched.append(len(store.values) - len(store._touched))
+            clip_and_step(store, *args)
+
+        monkeypatch.setattr(tr, "clip_and_step", counting_step)
+        got, _ = self.run(c, cfg, seed=3, config=config)
+        want = build_model(c, seed=3, config=config)
+        start = {k: v.copy() for k, v in want.store.values.items()}
+        dense_train_epoch(want, c["fn_train"], c["dm_train"], cfg)
+        assert len(untouched) > 1 and max(untouched) > 0
+        assert any(not np.array_equal(w, start[k])
+                   for k, w in want.store.values.items())
+        for name, w in want.store.values.items():
+            assert np.array_equal(got.store.values[name], w), name
 
     def test_best_epoch_parameters_restored(self):
         # The returned parameters must equal the state right after the best
