@@ -9,16 +9,24 @@ which is what the finite-difference checker needs.
 
 Each job has one op.  ``rows`` takes one row or a contiguous run of rows
 by a basic index, and ``concat`` joins vectors end to end or matrices side
-by side.  Ops are coarse where it pays: ``lstm`` runs a whole recurrent
-sweep over the rows of a matrix as one node and keeps its gate activations
-in ``ctx`` for the backward pass, and batched consumers gather rows inside
-the op that uses them.  ``gather_sum`` gathers rows by index arrays, from one
-matrix or summed over several, and ``pair_dots`` takes one weighted dot
-product per (row, row) pair of two matrices; their backward passes scatter
-gradients straight into the source rows, summing the rows gathered from one
-source row before adding them.  ``gathered_affine`` gives the first layer
-of an MLP over concatenated rows from per-row products of row slices of its
-weight matrix, summed by one ``gather_sum``.
+by side.  Ops are coarse where it pays: ``bilstm`` runs both directions of
+a BiLSTM layer over the rows of a matrix as one node, in one time loop, and
+keeps its gate activations in ``ctx`` for the backward pass, and batched
+consumers gather rows inside the op that uses them.  ``gather_sum`` gathers
+rows by index arrays, from one matrix or summed over several, and
+``pair_dots`` takes one weighted dot product per (row, row) pair of two
+matrices; their backward passes scatter gradients straight into the source
+rows, summing the rows gathered from one source row before adding them.
+``gathered_affine`` gives the first layer of an MLP over concatenated rows
+from per-row products of row slices of its weight matrix, summed by one
+``gather_sum``.
+
+A gradient is written where it lands.  A parameter node's gradient is its
+store's accumulator, and the first contribution to a gradient is written
+into it rather than added to zeros: a copy (``accumulate``), or a matrix
+product computed straight into the accumulator or kept as the op node's
+gradient (``accumulate_product``).  A parameter no gradient reaches is
+left untouched, and ``clip_and_step`` only decays it.
 
 Supported shapes are scalars, vectors and matrices; no broadcasting beyond
 the bias row in ``affine`` and no GPU paths.
@@ -63,20 +71,33 @@ def register_op(name: str, forward: Callable, backward: Callable) -> None:
     """Register a custom op: forward(node) -> ndarray, backward(node) -> None.
 
     The backward rule adds into its parents' gradients only through
-    ``accumulate`` (or ``_grad_buffer``, to add into some rows), and never
-    sets a parent's ``grad`` itself: a parameter node starts without a
-    gradient, and its first contribution binds its store's accumulator."""
+    ``accumulate``, ``accumulate_product`` (to add a matrix product) or
+    ``_grad_buffer`` (to add into some rows), and never sets a parent's
+    ``grad`` itself: a parameter node starts without a gradient, and its
+    first contribution binds its store's accumulator."""
     _FORWARD[name] = forward
     _BACKWARD[name] = backward
+
+
+def _bind(node: Node) -> bool:
+    """Give a parameter node without a gradient its store's accumulator,
+    marking the parameter as touched.  True if the accumulator is live,
+    holding gradient added since the last step; otherwise it is new or
+    stale and the caller must overwrite it whole."""
+    store, name = node.ctx
+    node.grad, live = store._bind(name)
+    return live
 
 
 def _grad_buffer(node: Node) -> np.ndarray:
     """``node``'s gradient, for a backward rule to add into, made zero on
     first use: a new array for an op node, and for a parameter node its
-    store's accumulator, which marks the parameter as touched."""
+    store's accumulator."""
     if node.grad is None:
-        node.grad = (node.ctx[0]._bind(node.ctx[1]) if node.op == "param"
-                     else np.zeros_like(node.value))
+        if node.op != "param":
+            node.grad = np.zeros_like(node.value)
+        elif not _bind(node):
+            node.grad.fill(0.0)
     return node.grad
 
 
@@ -84,14 +105,25 @@ def accumulate(node: Node, g: np.ndarray) -> None:
     """Add ``g`` into ``node``'s gradient.  A gradient that starts here is
     a copy of ``g`` rather than zeros plus ``g``: the same values, except
     that a -0.0 in ``g`` stays -0.0."""
-    if node.grad is not None:
-        node.grad += g
-    elif node.op == "param":
-        store, name = node.ctx
-        node.grad = store._bind(name, g)
-    else:
+    if node.grad is None and node.op != "param":
         node.grad = np.empty_like(node.value)
         node.grad[...] = g
+    elif node.grad is None and not _bind(node):
+        node.grad[...] = g
+    else:
+        node.grad += g
+
+
+def accumulate_product(node: Node, a: np.ndarray, b: np.ndarray) -> None:
+    """``node.grad += a @ b``.  A gradient that starts here is the product
+    itself: for an op node the product array, uncopied, and for a parameter
+    whose accumulator is new or stale the product written into it."""
+    if node.grad is None and node.op != "param":
+        node.grad = a @ b
+    elif node.grad is None and not _bind(node):
+        np.matmul(a, b, out=node.grad)
+    else:
+        node.grad += a @ b
 
 
 def _op(name):
@@ -238,50 +270,53 @@ def _f_softplus(node):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _lstm_steps(n: int, reverse: bool) -> range:
-    return range(n - 1, -1, -1) if reverse else range(n)
-
-
-@_op("lstm")
-def _f_lstm(node):
-    """Scan the rows of x; the input projection is one GEMM up front.  The
-    sigmoid gates are computed as (1 + tanh(z/2)) / 2, so one tanh covers
-    all four gates.  Each step halves its gate pre-activation row in place:
-    scaling by 0.5 is exact and commutes with rounding, so the states are
-    those of halved weights and bias bit for bit.  Every step writes
-    straight into the outputs and the backward caches."""
-    x, w, b = (p.value for p in node.parents)
+@_op("bilstm")
+def _f_bilstm(node):
+    """Both directions in one time loop: step s runs the forward direction
+    at row s and the backward one at row n-1-s.  The per-step arrays are
+    step-major with the two directions stacked, so each element-wise call
+    covers both; only the recurrent products run per direction.  The input
+    projections are one GEMM per direction up front.  The sigmoid gates are
+    computed as (1 + tanh(z/2)) / 2, so one tanh covers all four gates.
+    Each step halves its gate pre-activations in place: scaling by 0.5 is
+    exact and commutes with rounding, so the states are those of halved
+    weights and bias bit for bit.  Every step writes straight into the
+    backward caches."""
+    x, w_fw, b_fw, w_bw, b_bw = (p.value for p in node.parents)
     n, dx = x.shape
-    dh = w.shape[1] // 4
+    dh = w_fw.shape[1] // 4
     half = np.ones(4 * dh)
     half[:3 * dh] = 0.5
-    zx = x @ w[:dx]
-    zx += b
-    w_h = w[dx:]
-    acts = np.empty((n, 4 * dh))  # input, forget, output, candidate
-    cells = np.empty((n, dh))
-    tanh_c = np.empty((n, dh))
-    out = np.empty((n, dh))
-    ic = np.empty(dh)
-    h = np.zeros(dh)
-    c = np.zeros(dh)
-    sweep = slice(None, None, -1 if node.ctx["reverse"] else 1)
-    for a, z, c_t, tc, h_t in zip(acts[sweep], zx[sweep], cells[sweep],
-                                  tanh_c[sweep], out[sweep]):
-        np.matmul(h, w_h, out=a)
+    zx = np.empty((n, 2, 4 * dh))
+    zx[:, 0] = x @ w_fw[:dx] + b_fw
+    zx[:, 1] = (x @ w_bw[:dx] + b_bw)[::-1]
+    w_h = (w_fw[dx:], w_bw[dx:])
+    acts = np.empty((n, 2, 4 * dh))  # input, forget, output, candidate
+    cells = np.empty((n, 2, dh))
+    tanh_c = np.empty((n, 2, dh))
+    hs = np.empty((n, 2, dh))
+    ic = np.empty((2, dh))
+    h = np.zeros((2, dh))
+    c = np.zeros((2, dh))
+    for a, z, c_t, tc, h_t in zip(acts, zx, cells, tanh_c, hs):
+        np.matmul(h[0], w_h[0], out=a[0])
+        np.matmul(h[1], w_h[1], out=a[1])
         a += z
         a *= half
         np.tanh(a, out=a)
-        sig = a[:3 * dh]
+        sig = a[:, :3 * dh]
         sig += 1.0
         sig *= 0.5
-        np.multiply(a[:dh], a[3 * dh:], out=ic)
-        np.multiply(a[dh:2 * dh], c, out=c_t)
+        np.multiply(a[:, :dh], a[:, 3 * dh:], out=ic)
+        np.multiply(a[:, dh:2 * dh], c, out=c_t)
         c_t += ic
         np.tanh(c_t, out=tc)
-        np.multiply(a[2 * dh:3 * dh], tc, out=h_t)
+        np.multiply(a[:, 2 * dh:3 * dh], tc, out=h_t)
         c, h = c_t, h_t
     node.ctx["cache"] = (acts, cells, tanh_c)
+    out = np.empty((n, 2 * dh))
+    out[:, :dh] = hs[:, 0]
+    out[:, dh:] = hs[::-1, 1]
     return out
 
 
@@ -421,21 +456,20 @@ def _b_matvec(node):
 @_bk("matmul")
 def _b_matmul(node):
     a, b = node.parents
-    accumulate(a, node.grad @ b.value.T)
-    accumulate(b, a.value.T @ node.grad)
+    accumulate_product(a, node.grad, b.value.T)
+    accumulate_product(b, a.value.T, node.grad)
 
 
 @_bk("affine")
 def _b_affine(node):
     x, w, b = node.parents
     g = node.grad
+    accumulate_product(x, g, w.value.T)
     if x.value.ndim == 1:
-        accumulate(x, g @ w.value.T)
         accumulate(w, np.outer(x.value, g))
         accumulate(b, g)
     else:
-        accumulate(x, g @ w.value.T)
-        accumulate(w, x.value.T @ g)
+        accumulate_product(w, x.value.T, g)
         accumulate(b, g.sum(axis=0))
 
 
@@ -449,39 +483,57 @@ def _b_softplus(node):
     accumulate(node.parents[0], node.grad * _sigmoid(node.parents[0].value))
 
 
-@_bk("lstm")
-def _b_lstm(node):
-    """Backpropagation through time.  Only the recurrence runs per step; the
-    gradients of x, w and b are one GEMM each over all steps."""
-    x, w, b = node.parents
+@_bk("bilstm")
+def _b_bilstm(node):
+    """Backpropagation through time: one loop over the forward's steps in
+    reverse, both directions stacked as there.  Only the recurrence runs
+    per step.  Each direction's gradients of w and b are one GEMM and one
+    sum over its steps in time order, and its gradient of x one GEMM; the
+    backward direction's is added first."""
+    x, w_fw, b_fw, w_bw, b_bw = node.parents
     acts, cells, tanh_c = node.ctx["cache"]
     n, dx = x.value.shape
-    dh = w.value.shape[1] // 4
-    steps = _lstm_steps(n, node.ctx["reverse"])
-    h_prev = np.zeros_like(node.value)
+    dh = cells.shape[2]
     c_prev = np.zeros_like(cells)
-    h_prev[steps[1:]] = node.value[steps[:-1]]
-    c_prev[steps[1:]] = cells[steps[:-1]]
-    i, f, o, cand = (acts[:, k * dh:(k + 1) * dh] for k in range(4))
-    sig = acts[:, :3 * dh]
+    c_prev[1:] = cells[:-1]
+    i, f, o, cand = (acts[..., k * dh:(k + 1) * dh] for k in range(4))
+    sig = acts[..., :3 * dh]
     # dz = coef * (dc, dc, dh, dc) row by row, dc and dh being the
     # gradients of the step's cell and hidden state
-    coef = np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=1)
-    coef *= np.concatenate((cand, c_prev, tanh_c, i), axis=1)
+    coef = np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=2)
+    coef *= np.concatenate((cand, c_prev, tanh_c, i), axis=2)
+    coef = coef.reshape(n, 2, 4, dh)
     h_to_c = o * (1.0 - tanh_c * tanh_c)
-    w_h = w.value[dx:]
-    dz = np.empty_like(acts)
-    dh_next = np.zeros(dh)
-    dc_next = np.zeros(dh)
-    for t in reversed(steps):
-        d_h = node.grad[t] + dh_next
-        d_c = dc_next + d_h * h_to_c[t]
-        dz[t] = coef[t] * np.concatenate((d_c, d_c, d_h, d_c))
-        dc_next = d_c * f[t]
-        dh_next = w_h @ dz[t]
-    accumulate(x, dz @ w.value[:dx].T)
-    accumulate(w, np.concatenate((x.value, h_prev), axis=1).T @ dz)
-    accumulate(b, dz.sum(axis=0))
+    grad = np.empty((n, 2, dh))
+    grad[:, 0] = node.grad[:, :dh]
+    grad[:, 1] = node.grad[::-1, dh:]
+    w_h = (w_fw.value[dx:], w_bw.value[dx:])
+    dz = np.empty((n, 2, 4, dh))
+    d_h = np.empty((2, dh))
+    d_c = np.empty((2, dh))
+    dh_next = np.zeros((2, dh))
+    dc_next = np.zeros((2, dh))
+    for s in range(n - 1, -1, -1):
+        np.add(grad[s], dh_next, out=d_h)
+        np.multiply(d_h, h_to_c[s], out=d_c)
+        d_c += dc_next
+        np.multiply(coef[s], d_c[:, None], out=dz[s])
+        np.multiply(coef[s, :, 2], d_h, out=dz[s, :, 2])
+        np.multiply(d_c, f[s], out=dc_next)
+        np.matmul(w_h[0], dz[s, 0].reshape(-1), out=dh_next[0])
+        np.matmul(w_h[1], dz[s, 1].reshape(-1), out=dh_next[1])
+    # each direction's previous states, time in order
+    h = node.value
+    prev_bw = np.zeros((n, dh))
+    prev_bw[:-1] = h[1:, dh:]
+    prev_fw = np.zeros((n, dh))
+    prev_fw[1:] = h[:-1, :dh]
+    for w, b, d, h_prev in ((w_bw, b_bw, dz[::-1, 1], prev_bw),
+                            (w_fw, b_fw, dz[:, 0], prev_fw)):
+        d = np.ascontiguousarray(d).reshape(n, 4 * dh)
+        accumulate_product(x, d, w.value[:dx].T)
+        accumulate_product(w, np.concatenate((x.value, h_prev), axis=1).T, d)
+        accumulate(b, d.sum(axis=0))
 
 
 class Graph:
@@ -618,16 +670,23 @@ class Graph:
     def softplus(self, x: Node) -> Node:
         return self._push("softplus", (x,))
 
-    def lstm(self, x: Node, w: Node, b: Node, reverse: bool = False) -> Node:
-        """One LSTM sweep over the rows of ``x`` (n, dim_x), last row first
-        when ``reverse``; the (n, dim_h) hidden states as one node.  ``w``
-        is (dim_x + dim_h, 4*dim_h), gate order input/forget/output/
-        candidate; the initial state is zero."""
-        if x.value.ndim != 2 or w.value.ndim != 2 or w.value.shape[1] % 4 \
-                or w.value.shape[0] != x.value.shape[1] + w.value.shape[1] // 4 \
-                or b.value.shape != (w.value.shape[1],):
-            raise ShapeError(f"lstm: x{x.shape} w{w.shape} b{b.shape}")
-        return self._push("lstm", (x, w, b), {"reverse": bool(reverse)})
+    def bilstm(self, x: Node, w_fw: Node, b_fw: Node, w_bw: Node,
+               b_bw: Node) -> Node:
+        """One BiLSTM layer over the rows of ``x`` (n, dim_x), as one node:
+        the (n, 2*dim_h) matrix whose row t is the forward direction's
+        hidden state t followed by the backward one's, which sweeps from
+        the last row.  Each ``w`` is (dim_x + dim_h, 4*dim_h), gate order
+        input/forget/output/candidate, and each ``b`` (4*dim_h,); the
+        initial states are zero."""
+        w = w_fw.value
+        if x.value.ndim != 2 or w.ndim != 2 or w.shape[1] % 4 \
+                or w.shape[0] != x.value.shape[1] + w.shape[1] // 4 \
+                or w_bw.value.shape != w.shape \
+                or {b_fw.value.shape, b_bw.value.shape} != {(w.shape[1],)}:
+            raise ShapeError(f"bilstm: x{x.shape} w_fw{w_fw.shape} "
+                             f"b_fw{b_fw.shape} w_bw{w_bw.shape} "
+                             f"b_bw{b_bw.shape}")
+        return self._push("bilstm", (x, w_fw, b_fw, w_bw, b_bw), {})
 
     def apply(self, op: str, parents: Sequence[Node], ctx=None) -> Node:
         """Entry point for ops installed with ``register_op``."""
@@ -731,24 +790,17 @@ class ParameterStore:
         self._touched: set[str] = set()
         self._saved = dict(saved or {})
 
-    def _bind(self, name: str,
-              first: Optional[np.ndarray] = None) -> np.ndarray:
-        """Parameter ``name``'s accumulator with ``first`` (if given) added,
-        marked as touched.  An untouched one is new or stale, so it starts
-        from zero: ``first`` is copied into it rather than added."""
-        g = self._grads.get(name)
+    def _bind(self, name: str) -> tuple[np.ndarray, bool]:
+        """Parameter ``name``'s accumulator, marked as touched, and whether
+        it was touched already.  One that was not is new or stale: the
+        caller must overwrite it whole."""
         if name in self._touched:
-            if first is not None:
-                g += first
-            return g
+            return self._grads[name], True
+        g = self._grads.get(name)
         if g is None:
             g = self._grads[name] = np.empty_like(self.values[name])
         self._touched.add(name)
-        if first is None:
-            g.fill(0.0)
-        else:
-            g[...] = first
-        return g
+        return g, False
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
@@ -756,7 +808,13 @@ class ParameterStore:
         gradient added since the last step (zero after a step).  Reading
         them marks every parameter as touched, since the caller may write
         to them.  A store used only for inference never holds them."""
-        return {name: self._bind(name) for name in self.values}
+        grads = {}
+        for name in self.values:
+            g, live = self._bind(name)
+            if not live:
+                g.fill(0.0)
+            grads[name] = g
+        return grads
 
     def _touched_grads(self) -> list[tuple[str, np.ndarray]]:
         """The touched accumulators, in store order; every other one reads
@@ -801,30 +859,31 @@ class ParameterStore:
 
 def clip_and_step(store: ParameterStore, learning_rate: float, clip: float,
                   l2: float) -> None:
-    """Clip the global gradient norm to ``clip``, take an SGD step with the
-    ℓ2 penalty folded in, and zero the accumulators.
+    """Clip the global gradient norm to ``clip`` and take an SGD step with
+    the ℓ2 penalty folded in, leaving the accumulators stale.
 
     The ℓ2 penalty is λ‖w‖² with gradient 2λw (note the factor 2), λ being
     ``l2``.  Same update as ``w -= lr * (clip(g) + 2λw)``, done in place.
-    Every parameter decays, but only the touched ones are scaled and
-    applied: an untouched accumulator is zero, so the norm, taken over the
-    touched ones in store order, and the update are the same as over all.
-    A NaN or inf entry makes the norm non-finite, so only then are the
-    accumulators scanned to name the offending parameter."""
-    touched = store._touched_grads()
+    An untouched accumulator is zero, so the norm is taken over the touched
+    ones, in store order.  A NaN or inf entry makes the norm non-finite, so
+    only then are they scanned to name the offending parameter, before any
+    parameter changes.  Then one pass over the parameters decays each and,
+    if touched, scales its gradient and applies it while the table is still
+    in cache."""
     norm = store.grad_norm()
     if not math.isfinite(norm):
-        for name, g in touched:
+        for name, g in store._touched_grads():
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(
                     f"non-finite gradient for parameter {name!r}")
     scale = clip / norm if norm > clip > 0 else 1.0
     decay = 1.0 - 2.0 * learning_rate * l2
-    for w in store.values.values():
+    for name, w in store.values.items():
         w *= decay
-    for name, g in touched:
-        g *= learning_rate * scale
-        store.values[name] -= g
+        if name in store._touched:
+            g = store._grads[name]
+            g *= learning_rate * scale
+            w -= g
     store.zero_grads()
 
 

@@ -152,17 +152,13 @@ class Encoder:
 
     # --- BiLSTM -------------------------------------------------------------
 
-    def _sweep(self, g: Graph, x: Node, layer: int, direction: str) -> Node:
-        name = f"{self.prefix}.lstm{layer}.{direction}"
-        return g.lstm(x, g.param(self.store, f"{name}.w"),
-                      g.param(self.store, f"{name}.b"),
-                      reverse=direction == "bw")
-
     def bilstm(self, g: Graph, x: Node) -> Node:
-        """Stacked bidirectional pass over the rows of an (n, d) matrix."""
+        """Stacked bidirectional pass over the rows of an (n, d) matrix,
+        one ``bilstm`` node per layer."""
         for layer in range(self.bilstm_layers):
-            x = g.concat(self._sweep(g, x, layer, "fw"),
-                         self._sweep(g, x, layer, "bw"))
+            name = f"{self.prefix}.lstm{layer}"
+            x = g.bilstm(x, *(g.param(self.store, f"{name}.{d}.{k}")
+                              for d in ("fw", "bw") for k in ("w", "b")))
         return x
 
     def encode(self, g: Graph, sentence: Sentence,

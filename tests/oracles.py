@@ -185,8 +185,8 @@ def span_representation(enc, g, hs, span, target_start):
 
 def lstm_cell(g, x, h_prev, c_prev, w, b):
     """One LSTM step built from elementary graph ops: the per-step reference
-    for the fused ``lstm`` op.  ``w`` has shape (dim_x + dim_h, 4*dim_h),
-    gate order input/forget/output/candidate."""
+    for one direction of the ``bilstm`` op.  ``w`` has shape
+    (dim_x + dim_h, 4*dim_h), gate order input/forget/output/candidate."""
     hdim = h_prev.value.shape[0]
     z = g.affine(g.concat(x, h_prev), w, b)
     i = g.sigmoid(g.rows(z, 0, hdim))
@@ -199,10 +199,11 @@ def lstm_cell(g, x, h_prev, c_prev, w, b):
 
 
 def lstm_sweep(x, w, b, reverse=False):
-    """The fused ``lstm`` op's forward sweep on arrays, with halved copies
-    of the weights and bias and a fresh temporary per step: the bit-exact
-    reference for the in-place sweep.  Returns the states and the op's
-    cache ``(acts, cells, tanh_c)``."""
+    """One direction of the ``bilstm`` op's forward sweep on arrays, with
+    halved copies of the weights and bias and a fresh temporary per step:
+    the bit-exact reference for the in-place, stacked sweep.  Returns the
+    states and the direction's cache ``(acts, cells, tanh_c)``, rows in
+    time order."""
     n, dx = x.shape
     dh = w.shape[1] // 4
     half = np.ones(4 * dh)
@@ -224,6 +225,38 @@ def lstm_sweep(x, w, b, reverse=False):
         h = a[2 * dh:3 * dh] * tanh_c[t]
         acts[t], cells[t], out[t] = a, c, h
     return out, (acts, cells, tanh_c)
+
+
+def lstm_sweep_backward(x, w, out, cache, grad, reverse=False):
+    """Backpropagation through one ``lstm_sweep`` direction by direction,
+    with a fresh temporary per step: the bit-exact reference for one
+    direction of the ``bilstm`` op's backward pass.  ``out`` and ``cache``
+    are what ``lstm_sweep`` returned and ``grad`` is the gradient of
+    ``out``.  Returns the gradients of x, w and b, each one product or sum
+    over the steps in time order."""
+    n, dx = x.shape
+    dh = w.shape[1] // 4
+    acts, cells, tanh_c = cache
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    h_prev = np.zeros((n, dh))
+    c_prev = np.zeros((n, dh))
+    for prev, t in zip(order, order[1:]):
+        h_prev[t], c_prev[t] = out[prev], cells[prev]
+    dz = np.empty((n, 4 * dh))
+    dh_next = np.zeros(dh)
+    dc_next = np.zeros(dh)
+    for t in reversed(order):
+        i, f, o, cand = np.split(acts[t], 4)
+        sig = acts[t, :3 * dh]
+        d_h = grad[t] + dh_next
+        d_c = dc_next + d_h * (o * (1.0 - tanh_c[t] * tanh_c[t]))
+        coef = np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand)) \
+            * np.concatenate((cand, c_prev[t], tanh_c[t], i))
+        dz[t] = coef * np.concatenate((d_c, d_c, d_h, d_c))
+        dc_next = d_c * f
+        dh_next = w[dx:] @ dz[t]
+    return (dz @ w[:dx].T, np.concatenate((x, h_prev), axis=1).T @ dz,
+            dz.sum(axis=0))
 
 
 def lstm_by_cells(g, rows, w, b, reverse=False):

@@ -22,6 +22,7 @@ from .oracles import (
     lstm_by_cells,
     lstm_cell,
     lstm_sweep,
+    lstm_sweep_backward,
 )
 
 RNG = np.random.default_rng(7)
@@ -187,8 +188,12 @@ OP_GRAPHS = {
     "transpose": [lambda g, p: g.transpose(p(2, 3)),
                   lambda g, p: g.transpose(g.mul(m := p(3, 4), m))],
     "softplus": [lambda g, p: g.softplus(p(2, 3))],
-    "lstm": [lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8)),
-             lambda g, p: g.lstm(p(3, 2), p(4, 8), p(8), reverse=True)],
+    # the second stacks two layers, so the outer one adds its x gradient
+    # into an op node, and shares one weight and bias between directions
+    "bilstm": [lambda g, p: g.bilstm(p(3, 2), p(4, 8), p(8), p(4, 8), p(8)),
+               lambda g, p: g.bilstm(
+                   g.bilstm(p(3, 2), p(4, 8), p(8), p(4, 8), p(8)),
+                   w := p(6, 8), b := p(8), w, b)],
     "semimarkov_nll": [lambda g, p: nll_node(
         g, p(5), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)], 3, [1, 4])],
 }
@@ -202,9 +207,10 @@ def test_every_registered_op_passes_grad_check(op):
     The graphs' leaves are store parameters, so the check reads their
     gradients from the store: a backward rule that gives a parameter node
     a gradient of its own, not the store's accumulator bound through
-    ``accumulate``, fails.  The check leaves every accumulator stale, and a
-    second backward pass must then give the dense reference's gradients bit
-    for bit, so each accumulator is zeroed when it is bound."""
+    ``accumulate`` or ``accumulate_product``, fails.  The check leaves
+    every accumulator stale, and a second backward pass must then give the
+    dense reference's gradients bit for bit, so each accumulator is zeroed
+    or overwritten when it is bound."""
     assert set(autodiff._FORWARD) == set(autodiff._BACKWARD)
     assert op in OP_GRAPHS, f"no gradient check for op {op!r}"
     for k, build in enumerate(OP_GRAPHS[op]):
@@ -356,42 +362,73 @@ def test_lstm_cell_grad_check():
     assert report["pass"], report
 
 
-def _lstm_problem(n, seed, dx=5, dh=4):
+BILSTM_ARGS = ("x", "w_fw", "b_fw", "w_bw", "b_bw")
+
+
+def _bilstm_problem(n, seed, dx=5, dh=4):
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     store.add("x", (n, dx), init="zeros")[...] = rng.normal(size=(n, dx))
-    # weights large enough that some gates saturate
-    store.add("w", (dx + dh, 4 * dh), init="zeros")[...] = \
-        2.0 * rng.normal(size=(dx + dh, 4 * dh))
-    store.add("b", (4 * dh,), init="zeros")[...] = rng.normal(size=4 * dh)
-    store.add("v", (n, dh), init="zeros")[...] = rng.normal(size=(n, dh))
+    for d in ("fw", "bw"):
+        # weights large enough that some gates saturate
+        store.add(f"w_{d}", (dx + dh, 4 * dh), init="zeros")[...] = \
+            2.0 * rng.normal(size=(dx + dh, 4 * dh))
+        store.add(f"b_{d}", (4 * dh,), init="zeros")[...] = \
+            rng.normal(size=4 * dh)
+    store.add("v", (n, 2 * dh), init="zeros")[...] = \
+        rng.normal(size=(n, 2 * dh))
     return store
+
+
+def _sweeps(store, dh):
+    """Both directions by ``lstm_sweep`` and ``lstm_sweep_backward``, the
+    states' gradient being ``v``:
+    {direction: (states, cache, (dx, dw, db))}."""
+    x, v = store.values["x"], store.values["v"]
+    got = {}
+    for k, d in enumerate(("fw", "bw")):
+        w, b = store.values[f"w_{d}"], store.values[f"b_{d}"]
+        out, cache = lstm_sweep(x, w, b, reverse=k == 1)
+        got[d] = out, cache, lstm_sweep_backward(
+            x, w, out, cache, v[:, k * dh:(k + 1) * dh], reverse=k == 1)
+    return got
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n", [1, 6])
 def test_fused_lstm_matches_cells(n, reverse):
+    """``bilstm`` against the directions built from ``lstm_cell`` steps,
+    the loss reading only the states of the backward direction when
+    ``reverse``, else the forward one.  The other direction's parameters
+    get a zero gradient from the op, and none from the cells."""
+    k, dh = int(reverse), 4
+    idle = {"w_fw", "b_fw"} if reverse else {"w_bw", "b_bw"}
     grads = []
     for fused in (True, False):
-        store = _lstm_problem(n, seed=n + 10 * reverse)
+        store = _bilstm_problem(n, seed=n + 10 * reverse)
+        store.values["v"][:, (1 - k) * dh:(2 - k) * dh] = 0.0
         g = Graph()
-        x, w, b, v = (g.param(store, k) for k in ("x", "w", "b", "v"))
+        x, w_fw, b_fw, w_bw, b_bw = (g.param(store, a) for a in BILSTM_ARGS)
+        v = g.param(store, "v")
         if fused:
-            hs = g.lstm(x, w, b, reverse=reverse)
-            assert [node.op for node in g.nodes].count("lstm") == 1
+            hs = g.bilstm(x, w_fw, b_fw, w_bw, b_bw)
+            assert [node.op for node in g.nodes].count("bilstm") == 1
             states = hs.value
-            loss = g.sum(g.mul(hs, v))
+            g.backward(g.sum(g.mul(hs, v)))
+            assert idle <= store._touched
         else:
-            cells = lstm_by_cells(g, [g.rows(x, t) for t in range(n)],
-                                  w, b, reverse=reverse)
+            rows = [g.rows(x, t) for t in range(n)]
+            cells = [g.concat(f, b) for f, b in zip(
+                lstm_by_cells(g, rows, w_fw, b_fw),
+                lstm_by_cells(g, rows, w_bw, b_bw, reverse=True))]
             np.testing.assert_allclose(states, [h.value for h in cells],
                                        rtol=0, atol=1e-12)
-            loss = reduce(g.add, [g.inner(h, g.rows(v, t))
-                                  for t, h in enumerate(cells)])
-        g.backward(loss)
+            g.backward(reduce(g.add, [g.inner(h, g.rows(v, t))
+                                      for t, h in enumerate(cells)]))
+            assert not idle & store._touched
         grads.append(store.grads)
-    for name in ("x", "w", "b", "v"):
-        assert np.any(grads[1][name])
+    for name in BILSTM_ARGS + ("v",):
+        assert np.any(grads[1][name]) != (name in idle), name
         np.testing.assert_allclose(grads[0][name], grads[1][name],
                                    rtol=0, atol=1e-12, err_msg=name)
 
@@ -400,26 +437,66 @@ def test_fused_lstm_matches_cells(n, reverse):
 @pytest.mark.parametrize("n", [1, 2, 6, 13])
 @pytest.mark.parametrize("dx, dh", [(5, 4), (200, 100)])
 def test_fused_lstm_bitwise_matches_sweep(n, reverse, dx, dh):
-    """The in-place sweep gives the states and backward caches of halved
-    weights bit for bit."""
-    store = _lstm_problem(n, seed=n + 10 * reverse, dx=dx, dh=dh)
+    """``bilstm``'s backward direction when ``reverse``, else its forward
+    one, against ``lstm_sweep`` and ``lstm_sweep_backward`` bit for bit:
+    the states, the backward caches and the gradients of w and b.  The x
+    gradient is the backward direction's plus the forward one's."""
+    store = _bilstm_problem(n, seed=n + 10 * reverse, dx=dx, dh=dh)
     g = Graph()
-    hs = g.lstm(*(g.param(store, k) for k in ("x", "w", "b")),
-                reverse=reverse)
-    out, cache = lstm_sweep(*(store.values[k] for k in ("x", "w", "b")),
-                            reverse=reverse)
-    np.testing.assert_array_equal(hs.value, out)
-    for got, want in zip(hs.ctx["cache"], cache, strict=True):
-        np.testing.assert_array_equal(got, want)
+    hs = g.bilstm(*(g.param(store, a) for a in BILSTM_ARGS))
+    g.backward(g.sum(g.mul(hs, g.param(store, "v"))))
+    want = _sweeps(store, dh)
+    k, d = (1, "bw") if reverse else (0, "fw")
+    out, cache, (_, dw, db) = want[d]
+    assert hs.value[:, k * dh:(k + 1) * dh].tobytes() == out.tobytes()
+    steps = slice(None, None, -1 if reverse else 1)
+    for got, ref in zip(hs.ctx["cache"], cache, strict=True):
+        assert got[steps, k].tobytes() == ref.tobytes()
+    assert store.grads[f"w_{d}"].tobytes() == dw.tobytes()
+    assert store.grads[f"b_{d}"].tobytes() == db.tobytes()
+    dx_sum = want["bw"][2][0] + want["fw"][2][0]
+    assert store.grads["x"].tobytes() == dx_sum.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("d", ["fw", "bw"])
+def test_bilstm_inf_recurrent_weight_matches_sweep(d):
+    """An inf in one direction's recurrent weights meets the zero initial
+    state (0 * inf is NaN): the states, caches and gradients have the NaN
+    and inf entries of ``lstm_sweep`` and its backward sweep, and the step
+    refuses the gradient."""
+    store = _bilstm_problem(6, seed=3)
+    store.values[f"w_{d}"][5 + 1, 2] = np.inf  # recurrent row 1
+    g = Graph()
+    hs = g.bilstm(*(g.param(store, a) for a in BILSTM_ARGS))
+    g.backward(g.sum(g.mul(hs, g.param(store, "v"))))
+    want = _sweeps(store, 4)
+    assert np.isnan(hs.value).any()
+    for k, d in enumerate(("fw", "bw")):
+        out, cache, (_, dw, db) = want[d]
+        np.testing.assert_array_equal(hs.value[:, 4 * k:4 * k + 4], out)
+        for got, ref in zip(hs.ctx["cache"], cache, strict=True):
+            np.testing.assert_array_equal(got[::1 - 2 * k, k], ref)
+        np.testing.assert_array_equal(store.grads[f"w_{d}"], dw)
+        np.testing.assert_array_equal(store.grads[f"b_{d}"], db)
+    np.testing.assert_array_equal(store.grads["x"],
+                                  want["bw"][2][0] + want["fw"][2][0])
+    with pytest.raises(NonFiniteGradient):
+        clip_and_step(store, 0.1, 1.0, 1e-6)
 
 
 def test_fused_lstm_shape_checked():
     g = Graph()
     x = g.input(np.zeros((3, 5)))
-    with pytest.raises(ShapeError, match="lstm"):
-        g.lstm(x, g.input(np.zeros((9, 12))), g.input(np.zeros(12)))
-    with pytest.raises(ShapeError, match="lstm"):
-        g.lstm(x, g.input(np.zeros((8, 12))), g.input(np.zeros(4)))
+    w, b = g.input(np.zeros((8, 12))), g.input(np.zeros(12))
+    assert g.bilstm(x, w, b, w, b).shape == (3, 6)
+    for args in ((g.input(np.zeros(5)), w, b, w, b),
+                 (x, g.input(np.zeros((9, 12))), b, w, b),
+                 (x, w, g.input(np.zeros(4)), w, b),
+                 (x, w, b, g.input(np.zeros((7, 8))), b),
+                 (x, w, b, w, g.input(np.zeros(4)))):
+        with pytest.raises(ShapeError, match="bilstm"):
+            g.bilstm(*args)
 
 
 def test_param_node_shared_within_graph():
@@ -632,6 +709,85 @@ def test_stale_accumulator_bound_by_a_row_rule_starts_from_zero(pick, n_rows):
     assert stepped._grads["m"].any()
     stepped.values["m"][...] = values
     np.testing.assert_array_equal(backward(stepped), want)
+
+
+# Graphs whose backward passes start parameter gradients with a product:
+# ``affine`` (``w``'s from ``x.T @ g``) and ``bilstm`` (each direction's
+# ``w`` from one GEMM over its steps).  The first uses ``w`` and ``b`` once,
+# the second twice.  ``x`` is an input: a bilstm adds two products into it.
+PRODUCT_GRAPHS = {
+    "affine": [
+        lambda g, p, x: g.affine(x, p("w"), p("b")),
+        lambda g, p, x: g.affine(g.tanh(g.affine(x, p("w"), p("b"))),
+                                 p("w"), p("b"))],
+    "bilstm": [
+        lambda g, p, x: g.bilstm(x, p("w"), p("b"), p("w2"), p("b2")),
+        lambda g, p, x: g.bilstm(x, p("w"), p("b"), p("w"), p("b"))],
+}
+
+
+def _product_store(op):
+    rng = np.random.default_rng(0)
+    store = ParameterStore()
+    # affine: a square w, so it can be used twice; bilstm: dim_x 3, dim_h 1
+    shapes = ({"w": (3, 3), "b": (3,)} if op == "affine" else
+              {"w": (4, 4), "b": (4,), "w2": (4, 4), "b2": (4,)})
+    for name, shape in shapes.items():
+        store.add(name, shape, init="zeros")[...] = rng.normal(size=shape)
+    return store
+
+
+def _product_loss(store, build, seed=0):
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    out = build(g, lambda name: g.param(store, name),
+                g.input(rng.normal(size=(4, 3))))
+    return g, g.sum(g.mul(out, g.input(rng.normal(size=out.shape))))
+
+
+@pytest.mark.parametrize("op", sorted(PRODUCT_GRAPHS))
+def test_first_product_overwrites_a_stale_accumulator(op):
+    """A step leaves last step's gradients in the accumulators; the first
+    product of the next backward pass is written over them, giving the
+    dense reference's gradients bit for bit."""
+    store = _product_store(op)
+    build = PRODUCT_GRAPHS[op][0]
+    values = {k: v.copy() for k, v in store.values.items()}
+    g, loss = _product_loss(store, build)
+    g.backward(loss)
+    clip_and_step(store, 0.1, 1.0, 0.0)
+    assert store._grads["w"].any() and not store._touched
+    for k, v in values.items():
+        store.values[k][...] = v
+    g, loss = _product_loss(store, build)
+    g.backward(loss)
+    got = collect_grads(store)
+    store.zero_grads()
+    backward_with_copies(g, loss)
+    for name, want in collect_grads(store).items():
+        assert np.array_equal(got[name], want), name
+
+
+@pytest.mark.parametrize("op", sorted(PRODUCT_GRAPHS))
+def test_products_add_up(op):
+    """A parameter used twice in one graph adds its second product to its
+    first, and so do two backward passes before one step: each bit for bit
+    the dense reference's gradients.  (The reference sums a graph's products
+    before adding them to the store, so each pass uses ``w`` once.)"""
+    once, twice = PRODUCT_GRAPHS[op]
+    for graphs in ([twice], [once, once]):
+        store = _product_store(op)
+        losses = [_product_loss(store, build, seed)
+                  for seed, build in enumerate(graphs)]
+        for g, loss in losses:
+            g.backward(loss)
+        got = collect_grads(store)
+        store.zero_grads()
+        for g, loss in losses:
+            backward_with_copies(g, loss)
+        assert got["w"].any()
+        for name, want in collect_grads(store).items():
+            assert np.array_equal(got[name], want), (len(graphs), name)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -263,7 +263,7 @@ def test_gradients_through_whole_encoder():
     enc, store = tiny_encoder(bilstm_layers=2)
     g = Graph()
     hs = enc.encode(g, SENT)
-    assert [n.op for n in g.nodes].count("lstm") == 4
+    assert [n.op for n in g.nodes].count("bilstm") == 2
     spans = [(0, 1), (1, 1), (0, 2)]
     loss = g.add(g.add(
         g.sum(enc.span_representations(g, hs, spans, 1)),
@@ -274,7 +274,7 @@ def test_gradients_through_whole_encoder():
 
 
 def test_encode_matches_per_step_cells():
-    """The fused two-layer BiLSTM against the same stack built from
+    """The two ``bilstm`` layers against the same stack built from
     ``lstm_cell`` steps, in states and in every parameter gradient."""
     enc, store = tiny_encoder(bilstm_layers=2)
     sent = make_sentence(["the", "cat", "sat", "the", "mat"],

@@ -623,12 +623,13 @@ class TestTrainLoop:
 
     def test_skipping_zero_gradients_is_bit_identical(self, monkeypatch):
         """One epoch against the dense reference backward and the step in
-        its original op order: every parameter is equal bit for bit, though
-        steps leave parameters untouched."""
+        its original op order: every parameter is equal bit for bit, signed
+        zeros included, though steps leave parameters untouched.  With two
+        BiLSTM layers the second adds its input's gradient into the first
+        layer's node."""
         import spandep.training as tr
         c = small_corpus(n_fn=5, n_dm=4, n_fn_dev=0, n_dm_dev=0)
         cfg = TrainConfig(max_epochs=1, seed=11)
-        config = replace(TINY, word_dropout=0.25)
         untouched = []
 
         def counting_step(store, *args):
@@ -636,15 +637,19 @@ class TestTrainLoop:
             clip_and_step(store, *args)
 
         monkeypatch.setattr(tr, "clip_and_step", counting_step)
-        got, _ = self.run(c, cfg, seed=3, config=config)
-        want = build_model(c, seed=3, config=config)
-        start = {k: v.copy() for k, v in want.store.values.items()}
-        dense_train_epoch(want, c["fn_train"], c["dm_train"], cfg)
-        assert len(untouched) > 1 and max(untouched) > 0
-        assert any(not np.array_equal(w, start[k])
-                   for k, w in want.store.values.items())
-        for name, w in want.store.values.items():
-            assert np.array_equal(got.store.values[name], w), name
+        for layers in (1, 2):
+            config = replace(TINY, word_dropout=0.25, bilstm_layers=layers)
+            untouched.clear()
+            got, _ = self.run(c, cfg, seed=3, config=config)
+            want = build_model(c, seed=3, config=config)
+            start = {k: v.copy() for k, v in want.store.values.items()}
+            dense_train_epoch(want, c["fn_train"], c["dm_train"], cfg)
+            assert len(untouched) > 1 and max(untouched) > 0
+            assert any(not np.array_equal(w, start[k])
+                       for k, w in want.store.values.items())
+            for name, w in want.store.values.items():
+                assert got.store.values[name].tobytes() == w.tobytes(), \
+                    (layers, name)
 
     def test_best_epoch_parameters_restored(self):
         # The returned parameters must equal the state right after the best
