@@ -287,9 +287,13 @@ class CandidateSpace:
         (its target is the space's);
       * ``arg_frame``, ``arg_start``, ``arg_end``, ``arg_role``: each
         argument's frame, inclusive span and role, an index into ``roles``;
-      * ``head_token``: each head part's token;
+      * ``head_token``: each head part's token (every token in a
+        dependency space, the target's first token alone in a frame
+        space);
       * ``arc_head``, ``arc_dep``: the tokens of the arcs in ``arc_ids``
-        then of the root arcs in ``root_arc_ids`` (head ``VIRTUAL_ROOT``);
+        then of the root arcs in ``root_arc_ids`` (head ``VIRTUAL_ROOT``;
+        a frame space's arcs all leave the target's first token, and it
+        has no root arcs);
       * ``lab_arc``, ``lab_label``: each labeled arc's arc, as a part id,
         and its label, an index into ``labels``;
       * ``cross_arg``, ``cross_arc``: each cross-task part's argument and
@@ -627,10 +631,16 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
 
     With a target present: one Predicate per candidate frame and one Argument
     per (frame, span, role) with span length <= the cap.  With dependencies
-    enabled: Head parts per token, UnlabeledArc/LabeledArc parts for all
-    ordered token pairs plus virtual-root arcs carrying the top designation.
-    Cross-task parts pair each argument with each arc from the target's first
-    token into the argument span.
+    enabled and no target, a dependency space: a Head part per token,
+    UnlabeledArc/LabeledArc parts for all ordered token pairs, plus
+    virtual-root arcs carrying the top designation.  With dependencies and
+    a target, a frame space: only the target's first token t1 gets a Head
+    part and arcs, with their labels, and there are no root arcs.
+    Cross-task parts pair each argument with each arc from t1 into the
+    argument span.  Only t1's arcs meet the frame side, so every other
+    head, arc, label and root arc would take the same value in a frame
+    instance's cost-augmented decode and in its latent completion, cancel
+    out of its loss, and never reach its frame parse.
     """
     n = len(sentence)
     if n == 0:
@@ -662,11 +672,17 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
                                             for rs in per_frame])
 
     if limits.include_dependencies:
-        first_arc = len(frames) + len(a["arg_frame"]) + n
         arcs = arc_array(n, limits.allowed_arcs)
-        a["head_token"] = np.arange(n)
-        a["arc_head"] = np.concatenate((arcs[:, 0], np.full(n, VIRTUAL_ROOT)))
-        a["arc_dep"] = np.concatenate((arcs[:, 1], np.arange(n)))
+        heads = roots = np.arange(n)
+        if target is not None:
+            # only t1's parts reach the frame side (see the docstring)
+            heads, roots = np.array([target.start]), _NO_IDS
+            arcs = arcs[arcs[:, 0] == target.start]
+        first_arc = len(frames) + len(a["arg_frame"]) + len(heads)
+        a["head_token"] = heads
+        a["arc_head"] = np.concatenate((arcs[:, 0],
+                                        np.full(len(roots), VIRTUAL_ROOT)))
+        a["arc_dep"] = np.concatenate((arcs[:, 1], roots))
         if len(arcs) and limits.dep_labels:
             labels = tuple(limits.dep_labels)
             if len(set(labels)) != len(labels):
@@ -676,11 +692,10 @@ def build_candidate_space(sentence: Sentence, target: Optional[Target],
             a["lab_label"] = np.arange(len(arcs) * len(labels)) % len(labels)
 
         if target is not None and limits.include_cross_task:
-            # arcs leave the first token of the target and land inside the
-            # span; pairs run argument-major, dependents ascending
-            from_t1 = np.flatnonzero(arcs[:, 0] == target.start)
+            # every arc leaves t1; a pair's arc lands inside its argument's
+            # span, and pairs run argument-major, dependents ascending
             arc_to = np.full(n, -1)
-            arc_to[arcs[from_t1, 1]] = first_arc + from_t1
+            arc_to[arcs[:, 1]] = first_arc + np.arange(len(arcs))
             width = a["arg_end"] - a["arg_start"] + 1
             owner = np.repeat(np.arange(len(width)), width)
             dep = np.arange(len(owner)) - np.repeat(np.cumsum(width) - width,

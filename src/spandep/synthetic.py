@@ -40,8 +40,10 @@ def random_joint_instance(rng: np.random.Generator) -> CandidateSpace:
     Sentence length, frame/role counts, span and arc candidates are
     sampled, then resampled until the constrained variables fit under
     ``MAX_BRUTE_VARS``: in the space's factor graph, those are its structural
-    parts less the head parts that no arc leaves.  Scores are normal with
-    standard deviation ``_SCORE_SCALE``.
+    parts less the head parts that no arc leaves.  The space is a frame
+    space, so its dependency side is the target's first token: its head
+    part, the sampled arcs out of it and their labels, and no root arcs.
+    Scores are normal with standard deviation ``_SCORE_SCALE``.
     """
     for _ in range(200):
         n = int(rng.integers(2, 5))

@@ -3,7 +3,11 @@
 Frame-annotated sentences carry no dependency supervision, so their loss
 maximizes over the dependency side: L = max_{y,z}(S(y,z) + d(y, y*)) -
 max_z S(y*, z), where d is the weighted Hamming cost over frame parts.
-Dependency sentences use the ordinary structured hinge.  Both maxima are
+Their spaces hold only the dependency parts of the target's first token t1
+(see ``build_candidate_space``): every other part of z would take the same
+value in both maxima, so L, its gradient and the decoded frames are those
+of the full dependency side.  Dependency sentences use the ordinary
+structured hinge.  Both maxima are
 computed by ``decode``, so a single subgradient rule covers all instances:
 +1 on the parts of the cost-augmented argmax, -1 on the parts of the gold
 completion.  The decoder can return a ``rounded`` structure, one not

@@ -498,6 +498,31 @@ def graph_parts(graph):
     return parts
 
 
+def full_frame_space(space, limits):
+    """The frame space with the whole dependency side: ``space``'s parts
+    plus a head part for every token, every arc ``limits.allowed_arcs``
+    lets through, a root arc into every token and every arc's labels, with
+    the same cross-task parts.  Built with the ``Part``-tuple constructor,
+    scores zero."""
+    from spandep.parts import (VIRTUAL_ROOT, CrossTask, Head, LabeledArc,
+                               UnlabeledArc, arc_array)
+
+    parts = space.parts
+    frame = parts[:space.head_ids.start]
+    arcs = [UnlabeledArc(h, d)
+            for h, d in arc_array(space.n, limits.allowed_arcs).tolist()]
+    labels = limits.dep_labels if arcs else ()
+    deps = (*map(Head, range(space.n)), *arcs,
+            *(UnlabeledArc(VIRTUAL_ROOT, d) for d in range(space.n)),
+            *(LabeledArc(a.head, a.dep, lab) for a in arcs for lab in labels))
+    arc_id = {p: len(frame) + k for k, p in enumerate(deps)}
+    cross = [CrossTask(parts[i].arg_id, arc_id[parts[parts[i].arc_id]])
+             for i in space.cross_ids]
+    full = (*frame, *deps, *cross)
+    return type(space)(space.sentence, space.target, space.frames, full,
+                       np.zeros(len(full)))
+
+
 def part_ids(space):
     """Each part's id, read off ``space.parts``: the reference the gold
     masks are checked against."""

@@ -113,7 +113,11 @@ class TestDecode:
                          if a.frame == res.parse.frame}
             for (_i, _j, role) in res.parse.arguments:
                 assert role in ont_roles
-            assert res.graph.top is not None
+            # a frame space's dependency side is the target's first token:
+            # its arcs, and no top
+            assert res.graph.top is None
+            assert {h for h, _d, _lab in res.graph.arcs} <= \
+                {space.target.start}
 
     def test_dependencies_only_ignores_frames(self):
         rng = np.random.default_rng(4)

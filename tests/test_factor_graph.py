@@ -37,7 +37,8 @@ from .oracles import (
 
 
 def joint_space(scores=None):
-    """n=3, target (0,0), two frames (1 and 2 roles), full arcs, two labels."""
+    """n=3, target (0,0), two frames (1 and 2 roles), two labels: the
+    target's head part, its two arcs and their labels, no root arcs."""
     sent = make_sentence(["w0", "w1", "w2"])
     onto = Ontology({"lu.v": ["F0", "F1"]}, {"F0": ["R0"], "F1": ["R0", "R1"]})
     limits = SpaceLimits(max_span_len=2, dep_labels=("a1", "a2"))
@@ -63,12 +64,12 @@ class TestConstruction:
     def test_factor_counts_on_joint_space(self):
         space = joint_space()
         fg = build_factor_graph(space)
-        # 2 preds + 15 args + 3 heads + 6 arcs + 3 roots + 12 labeled
-        assert fg.nvars == 41
-        # frame XOR + root XOR + one label XOR per token arc
-        assert len(fg.xors) == 1 + 1 + 6
+        # 2 preds + 15 args + 1 head + 2 arcs + 4 labeled
+        assert fg.nvars == 24
+        # frame XOR + one label XOR per token arc; no root XOR
+        assert len(fg.xors) == 1 + 2
         # arg => pred and arc => head
-        assert len(fg.imps) == 15 + 6
+        assert len(fg.imps) == 15 + 2
         assert len(fg.semis) == 1
         assert len(fg.semis[0].vars) == 15
         assert len(fg.pairs) == len(space.cross_ids) == 15
@@ -85,7 +86,7 @@ class TestConstruction:
         space = joint_space()
         fg = build_factor_graph(space)
         arc_xors = [f for f in fg.xors if any(f.neg)]
-        assert len(arc_xors) == 6
+        assert len(arc_xors) == 2
         for f in arc_xors:
             assert f.neg[0] is True and not any(f.neg[1:])
             assert isinstance(graph_parts(space)[f.vars[0]], UnlabeledArc)
@@ -100,6 +101,12 @@ class TestConstruction:
                        for p in graph_parts(space))
         assert fg.nvars == len(graph_parts(space))
         assert fg.semis == () and fg.pairs == ()
+        # 2 heads + 2 arcs + 2 roots + 2 labeled; the root XOR and one
+        # label XOR per arc; arc => head
+        assert fg.nvars == 8
+        assert len(fg.xors) == 1 + 2
+        assert sorted(map(len, (f.vars for f in fg.xors))) == [2, 2, 2]
+        assert len(fg.imps) == 2
 
     def test_include_frames_false_drops_frame_side(self):
         space = joint_space()
@@ -107,7 +114,7 @@ class TestConstruction:
         assert not any(isinstance(p, (Predicate, Argument))
                        for p in graph_parts(space, include_frames=False))
         assert fg.pairs == () and fg.semis == ()
-        assert fg.nvars == 3 + 6 + 3 + 12
+        assert fg.nvars == 1 + 2 + 4
 
 
 class TestClamp:

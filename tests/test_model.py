@@ -101,30 +101,35 @@ class TestScoreSpace:
         assert res.node.value.shape == (len(space.parts),)
 
     def test_cross_scoring_has_no_per_pair_products(self):
-        # cross parts outnumber the arguments, the arcs and the labeled
-        # parts here, and labeled parts outnumber the arcs and the tokens.
-        # No node may hold a row per cross part except the cross score
-        # vector itself, and the labeled-arc first layer is one gather_sum
-        # over per-token and per-label projections, with no other gather or
-        # add holding a row per labeled part
+        # on the frame space, cross parts outnumber the arguments, the arcs
+        # and the labeled parts, and on the dependency space labeled parts
+        # outnumber the arcs and the tokens.  No node may hold a row per
+        # cross part except the cross score vector itself, and the
+        # labeled-arc first layer is one gather_sum over per-token and
+        # per-label projections, with no other gather or add holding a row
+        # per labeled part
         words = ["sat", "the", "cat", "on", "a", "mat"]
         sent = make_sentence(words, words, ["VB"] + ["NN"] * 5)
         model = ParserModel.build(TINY, ONT, ("a1", "a2"), [sent],
                                   np.random.default_rng(0))
-        space = build_candidate_space(
-            sent, Target(0, 0, "sit.v"), ONT,
-            SpaceLimits(max_span_len=4, dep_labels=("a1", "a2")))
-        n_cross, n_lab = len(space.cross_ids), len(space.labeled_ids)
+        limits = SpaceLimits(max_span_len=4, dep_labels=("a1", "a2"))
+        space = build_candidate_space(sent, Target(0, 0, "sit.v"), ONT,
+                                      limits)
+        n_cross = len(space.cross_ids)
         assert n_cross > max(len(space.argument_ids), len(space.arc_ids),
-                             n_lab)
-        assert n_lab > max(len(space.arc_ids), len(space.argument_ids),
-                           len(words))
+                             len(space.labeled_ids))
         g = Graph()
         scores = model.score_space(g, space)
         per_pair = [node for node in g.nodes
                     if node.value.shape[:1] == (n_cross,)]
         assert per_pair == [scores.cross]
         assert scores.cross.op == "pair_dots"
+
+        space = build_candidate_space(sent, None, ONT, limits)
+        n_lab = len(space.labeled_ids)
+        assert n_lab > max(len(space.arc_ids), len(words))
+        g = Graph()
+        model.score_space(g, space)
         first = [node for node in g.nodes
                  if node.op in ("add", "gather_sum")
                  and node.value.shape[:1] == (n_lab,)]
@@ -147,16 +152,24 @@ class TestScoreSpace:
 
 class TestPerPartCrossCheck:
     def test_batch_scores_match_individual_scorers(self):
+        # a frame space, and a dependency space for the other tokens' heads
+        # and arcs and the root arcs
         model = tiny_model()
-        space = joint_space()
+        for space in (joint_space(), build_candidate_space(
+                SENT, None, ONT, SpaceLimits(dep_labels=("a1", "a2")))):
+            self.check_scores(model, space)
+
+    @staticmethod
+    def check_scores(model, space):
         got = model.score_space(Graph(), space).node.value
 
         g = Graph()
         enc, sc = model.encoder, model.scorers
         hs = enc.encode(g, space.sentence)
         tgt = space.target
-        g_tgt = enc.target_representation(g, hs, tgt)
-        g_lu = sc.lu_vec(g, tgt.lu)
+        if tgt is not None:
+            g_tgt = enc.target_representation(g, hs, tgt)
+            g_lu = sc.lu_vec(g, tgt.lu)
 
         def single(part):
             if isinstance(part, Predicate):
@@ -194,7 +207,7 @@ class TestPerPartCrossCheck:
         model = tiny_model()
         space = model.scored_space(joint_space())
         ids = [space.predicate_ids[0], space.argument_ids[1],
-               space.head_ids[0], space.arc_ids[2]]
+               space.head_ids[0], space.arc_ids[1]]
         chosen = [space.parts[i] for i in ids]
         total = float(space.scores[ids].sum())
         assert total == pytest.approx(
@@ -280,12 +293,13 @@ def test_shared_frame_terms_are_built_once():
 WORDS = [f"w{i}" for i in range(12)]
 
 
-def sized_space(n, labels=("a1", "a2"), **kw):
-    """A joint space over the first n words, target on the last token."""
+def sized_space(n, labels=("a1", "a2"), frame=True, **kw):
+    """A joint space over the first n words, target on the last token, or
+    without ``frame`` the dependency space over them."""
     sent = make_sentence(WORDS[:n], ["sit"] * n)
     limits = SpaceLimits(max_span_len=3, dep_labels=labels, **kw)
-    return build_candidate_space(sent, Target(n - 1, n - 1, "sit.v"), ONT,
-                                 limits)
+    target = Target(n - 1, n - 1, "sit.v") if frame else None
+    return build_candidate_space(sent, target, ONT, limits)
 
 
 def scores_and_grads(model, space):
@@ -311,19 +325,24 @@ def test_factorized_first_layers_match_concatenation(n, labels, arcs,
                                                      monkeypatch):
     model = ParserModel.build(TINY, ONT, labels, [make_sentence(WORDS)],
                               np.random.default_rng(3))
-    space = sized_space(n, labels, allowed_arcs=arcs)
-    g, got, got_grads = scores_and_grads(model, space)
-    # the first layers never materialise a row per part
-    assert all(node.value.shape[0] == n for node in g.nodes
-               if node.op == "concat" and node.value.ndim == 2)
+    spaces = [sized_space(n, labels, frame=frame, allowed_arcs=arcs)
+              for frame in (True, False)]
+    got = []
+    for space in spaces:
+        g, scores, grads = scores_and_grads(model, space)
+        got.append((scores, grads))
+        # the first layers never materialise a row per part
+        assert all(node.value.shape[0] == n for node in g.nodes
+                   if node.op == "concat" and node.value.ndim == 2)
     monkeypatch.setattr(spandep.autodiff, "gathered_affine", concat_affine)
-    _, want, want_grads = scores_and_grads(model, space)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-    for name, w in want_grads.items():
-        np.testing.assert_allclose(
-            got_grads[name], w, rtol=1e-12,
-            atol=1e-12 * max(np.abs(w).max(initial=0.0), 1e-300),
-            err_msg=name)
+    for space, (got_scores, got_grads) in zip(spaces, got):
+        _, want, want_grads = scores_and_grads(model, space)
+        np.testing.assert_allclose(got_scores, want, rtol=1e-12, atol=1e-15)
+        for name, w in want_grads.items():
+            np.testing.assert_allclose(
+                got_grads[name], w, rtol=1e-12,
+                atol=1e-12 * max(np.abs(w).max(initial=0.0), 1e-300),
+                err_msg=name)
 
 
 def test_backward_into_the_store_matches_per_graph_copies():

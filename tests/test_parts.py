@@ -145,16 +145,54 @@ def test_empty_sentence_error():
 
 def test_allowed_spans_and_arcs_prune():
     sent = make_sentence(["a", "b", "c"])
-    space = build_candidate_space(
-        sent, Target(0, 0, "eat.v"), ONT,
-        SpaceLimits(dep_labels=("A",),
-                    allowed_spans=frozenset({(1, 1), (1, 2)}),
-                    allowed_arcs=frozenset({(0, 1)})))
+    limits = SpaceLimits(dep_labels=("A",),
+                         allowed_spans=frozenset({(1, 1), (1, 2)}),
+                         allowed_arcs=frozenset({(0, 1), (2, 1)}))
+    space = build_candidate_space(sent, Target(0, 0, "eat.v"), ONT, limits)
     assert {(space.parts[i].start, space.parts[i].end)
             for i in space.argument_ids} == {(1, 1), (1, 2)}
+    # a frame space keeps only the allowed arcs out of the target's first
+    # token, and no root arcs
     assert [space.parts[i] for i in space.arc_ids] == [UnlabeledArc(0, 1)]
+    assert not space.root_arc_ids
+    deps = build_candidate_space(sent, None, ONT, limits)
+    assert [deps.parts[i] for i in deps.arc_ids] == [UnlabeledArc(0, 1),
+                                                     UnlabeledArc(2, 1)]
     # root arcs are exempt from arc pruning
-    assert len(space.root_arc_ids) == 3
+    assert len(deps.root_arc_ids) == 3
+
+
+@given(n=st.integers(1, 9), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_frame_space_keeps_the_target_neighbourhood(n, data):
+    """The candidate-space contract: a frame space has one head part, t1's,
+    only arcs out of t1 and no root arcs; a dependency space has a head
+    part and a root arc per token and every allowed arc."""
+    start = data.draw(st.integers(0, n - 1))
+    target = Target(start, data.draw(st.integers(start, n - 1)), "run.v")
+    token = st.integers(VIRTUAL_ROOT, n)
+    allowed = data.draw(st.none() | st.frozensets(st.tuples(token, token),
+                                                  max_size=3 * n))
+    limits = SpaceLimits(dep_labels=("A", "B"), allowed_arcs=allowed)
+    sent = make_sentence(["w"] * n)
+    arcs = arc_array(n, allowed)
+
+    frame = build_candidate_space(sent, target, ONT, limits)
+    assert frame.head_token.tolist() == [start]
+    n_arcs = len(frame.arc_ids)
+    assert (frame.arc_head[:n_arcs] == start).all()
+    assert frame.arc_dep[:n_arcs].tolist() == \
+        arcs[arcs[:, 0] == start, 1].tolist()
+    assert not frame.root_arc_ids
+    assert len(frame.labeled_ids) == 2 * n_arcs
+
+    deps = build_candidate_space(sent, None, ONT, limits)
+    assert deps.head_token.tolist() == list(range(n))
+    assert len(deps.arc_ids) == len(arcs)
+    if allowed is None:
+        assert len(arcs) == n * (n - 1)
+    assert deps.arc_dep[len(deps.arc_ids):].tolist() == list(range(n))
+    assert len(deps.root_arc_ids) == n
 
 
 @given(n=st.integers(1, 6))
@@ -175,7 +213,8 @@ def test_space_arcs_are_enumerate_arcs(n):
 P1 = Predicate((0, 0), "run.v", "Motion")
 P2 = Predicate((0, 0), "run.v", "Operate")
 A1 = Argument("Motion", 1, 2, "Theme")
-# a space holding every part the fixtures below name
+# a space holding every part the fixtures below name: a frame space, whose
+# dependency parts are those of the target's first token
 HAMMING_SPACE = build_candidate_space(
     make_sentence(["runs", "b", "c"]), Target(0, 0, "run.v"), ONT,
     SpaceLimits(dep_labels=("A",)))
@@ -204,8 +243,9 @@ def test_hamming_one_false_negative():
 
 
 parts_strategy = st.sets(
-    st.sampled_from([P1, P2, A1, Head(0), Head(1), UnlabeledArc(0, 1),
-                     UnlabeledArc(VIRTUAL_ROOT, 0), LabeledArc(0, 1, "A")]),
+    st.sampled_from([P1, P2, A1, Head(0), UnlabeledArc(0, 1),
+                     UnlabeledArc(0, 2), LabeledArc(0, 1, "A"),
+                     LabeledArc(0, 2, "A")]),
     max_size=8)
 
 
@@ -318,13 +358,20 @@ def test_labeled_arc_without_its_arc_is_named():
 # --- the type groups --------------------------------------------------------
 
 def test_groups_are_contiguous_id_ranges():
-    space = build_candidate_space(make_sentence(["a", "runs", "c"]),
-                                  Target(1, 1, "run.v"), ONT,
-                                  SpaceLimits(dep_labels=("A", "B")))
+    for target in (Target(1, 1, "run.v"), None):
+        check_groups(build_candidate_space(
+            make_sentence(["a", "runs", "c"]), target, ONT,
+            SpaceLimits(dep_labels=("A", "B"))))
+
+
+def check_groups(space):
     groups = [space.predicate_ids, space.argument_ids, space.head_ids,
               space.arc_ids, space.root_arc_ids, space.labeled_ids,
               space.cross_ids]
-    assert all(isinstance(r, range) and r for r in groups)
+    # a frame space has no root arcs, a dependency space no frame side
+    empty = {4} if space.target else {0, 1, 6}
+    assert all(isinstance(r, range) and bool(r) != (k in empty)
+               for k, r in enumerate(groups))
     assert groups[0].start == 0 and groups[-1].stop == len(space)
     assert all(a.stop == b.start for a, b in zip(groups, groups[1:]))
     kinds = [Predicate, Argument, Head, UnlabeledArc, UnlabeledArc,
@@ -347,14 +394,17 @@ def test_empty_groups_sit_at_their_place_in_the_order():
     assert space.labeled_ids.start == space.cross_ids.start == len(space)
 
 
+# the first swap is on a frame space, the others on a dependency space,
+# the only kind with root arcs
 @pytest.mark.parametrize("swap", [
-    (Predicate((1, 1), "run.v", "Motion"), Head(0)),
+    (Predicate((1, 1), "run.v", "Motion"), Head(1)),
     (UnlabeledArc(0, 1), UnlabeledArc(VIRTUAL_ROOT, 0)),
     (UnlabeledArc(VIRTUAL_ROOT, 2), LabeledArc(0, 1, "A")),
 ])
 def test_out_of_order_parts_raise_at_construction(swap):
+    target = Target(1, 1, "run.v") if type(swap[0]) is Predicate else None
     space = build_candidate_space(make_sentence(["a", "runs", "c"]),
-                                  Target(1, 1, "run.v"), ONT,
+                                  target, ONT,
                                   SpaceLimits(dep_labels=("A",),
                                               include_cross_task=False))
     parts = list(space.parts)
@@ -379,7 +429,7 @@ def test_cross_part_before_a_structural_part_raises():
 # seeds and draws per seed whose spaces ``test_random_joint_instance_draws``
 # pins, with the SHA-256 of their parts and scores
 DRAWS = [(s, 5) for s in range(200)] + [(20240825, 100), (33, 100), (35, 100)]
-DRAWS_SHA256 = "0c52e918ebdccaf6b41867b4c9a33927b96f794f330ce5621889348d4938dfbe"
+DRAWS_SHA256 = "da8f4a203430522b93349e29c2251b42b7327dc6c86dc61d3116442fa9d7ac7b"
 
 
 def test_random_joint_instance_draws():

@@ -11,7 +11,7 @@ from spandep.autodiff import (
     collect_grads,
     grad_check,
 )
-from spandep.inference.decode import cost_augment
+from spandep.inference.decode import cost_augment, decode
 from spandep.inference.exhaustive import brute_force_map, exhaustive_joint_map
 from spandep.inference.factor_graph import build_factor_graph
 from spandep.model import ModelConfig, ParserModel
@@ -41,7 +41,7 @@ from spandep.training import (
     train,
 )
 
-from .oracles import dense_train_epoch
+from .oracles import dense_train_epoch, full_frame_space
 
 TINY = ModelConfig(word_dim=4, lemma_dim=2, pos_dim=2, mlp_dim=3, rank=2,
                    label_dim=2, bilstm_layers=1, bilstm_dim=4,
@@ -405,6 +405,57 @@ class TestHingeGradients:
             model.store, self.pick_entries(model.store, rng))
 
 
+class TestFrameNeighbourhood:
+    """A frame space's dependency side is the target's first token t1: its
+    head part, its arcs and their labels.  In the full space every other
+    head, arc, label and root arc takes the same value in the cost-augmented
+    decode and in the latent completion, so it cancels out of the hinge and
+    carries no gradient, and it never reaches the frame parse."""
+
+    @staticmethod
+    def hinge(model, space, parse, seed):
+        """The training loss on ``space`` (hinge plus the ℓ1 penalty), its
+        parameter gradients, and the plain joint decode."""
+        g = Graph()
+        res = latent_hinge_loss(model, space, parse, g=g, training=True,
+                                rng=np.random.default_rng(seed))
+        pen = l1_penalty(g, res.cross, TrainConfig().l1_weight)
+        model.store.zero_grads()
+        g.backward(pen if res.node is None else g.add(res.node, pen))
+        grads = collect_grads(model.store)
+        model.store.zero_grads()
+        return res, grads, decode(model.scored_space(space), mode="joint")
+
+    def test_full_space_gives_the_same_loss_gradient_and_parse(self):
+        config = replace(TINY, word_dropout=1.0)
+        checked = 0
+        for seed in (3, 4, 5):
+            c = small_corpus(seed=seed, n_fn=10, n_dm=2)
+            model = build_model(c, seed=seed, config=config)
+            limits = config.fn_limits(model.dep_labels)
+            for k, inst in enumerate(fn_instances(c["fn_train"],
+                                                  c["ontology"], limits)):
+                full = full_frame_space(inst.space, limits)
+                assert len(full.head_ids) == inst.space.n
+                (res, grads, plain), (want, want_grads, want_plain) = (
+                    self.hinge(model, s, inst.parse, 100 * seed + k)
+                    for s in (inst.space, full))
+                if res.uncertified or want.uncertified or \
+                        "rounded" in (plain.status, want_plain.status):
+                    continue
+                checked += 1
+                assert abs(res.value - want.value) <= 1e-12, inst.id
+                assert res.augmented.parse == want.augmented.parse, inst.id
+                assert plain.parse == want_plain.parse, inst.id
+                assert grads.keys() == want_grads.keys()
+                for name, w in want_grads.items():
+                    np.testing.assert_allclose(
+                        grads[name], w, rtol=0,
+                        atol=1e-12 * np.abs(w).max(initial=0.0),
+                        err_msg=f"{inst.id}: {name}")
+        assert checked >= 25
+
+
 class TestL1Penalty:
     def test_disabled_cases(self):
         g = Graph()
@@ -559,14 +610,15 @@ class TestTrainLoop:
         # an inf in the top scorer's weight vector makes top scores
         # infinite; a part whose hinge coefficient is 0 then makes the
         # loss 0 * inf = NaN, so training stops at the first instance and
-        # no backward pass ever skips the inf's subtree unnoticed
+        # no backward pass ever skips the inf's subtree unnoticed.  Only
+        # dependency spaces have root arcs, so the instances are SDP ones
         import spandep.training as tr
-        c = small_corpus(n_fn=2, n_dm=0, n_dm_dev=0)
+        c = small_corpus(n_fn=0, n_dm=2, n_fn_dev=0, n_dm_dev=0)
         model = build_model(c)
         model.store.values["sc.top.w"][0] = np.inf
         before = {k: v.copy() for k, v in model.store.values.items()}
         with pytest.raises(SpandepError, match="non-finite loss at instance"):
-            tr.train(model, c["fn_train"], [],
+            tr.train(model, [], c["dm_train"],
                      config=TrainConfig(max_epochs=1, seed=0))
         for k, v in before.items():
             np.testing.assert_array_equal(model.store.values[k], v)
