@@ -7,10 +7,9 @@ Their spaces hold only the dependency parts of the target's first token t1
 (see ``build_candidate_space``): every other part of z would take the same
 value in both maxima, so L, its gradient and the decoded frames are those
 of the full dependency side.  Dependency sentences use the ordinary
-structured hinge.  Both maxima are
-computed by ``decode``, so a single subgradient rule covers all instances:
-+1 on the parts of the cost-augmented argmax, -1 on the parts of the gold
-completion.  The decoder can return a ``rounded`` structure, one not
+structured hinge.  Both maxima are computed by ``decode``, so a single
+subgradient rule covers all instances: +1 on the parts of the
+cost-augmented argmax, -1 on the parts of the gold completion.  The decoder can return a ``rounded`` structure, one not
 certified exact; the step still takes it, and such decodes are counted in
 ``EpochStats.uncertified``.
 

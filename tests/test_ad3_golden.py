@@ -4,12 +4,11 @@ count, objective (exact float) and active mask.
 
 Each graph is solved plainly, then with its frame side pinned as latent
 completion pins it: the lowest-scoring predicate on, every other frame part
-off.  The records in ``ad3_golden.json`` first came from the solver before
-its per-iteration work was restructured, and the restructuring moved none of
-them.  They were recorded again, with the solver unchanged, when frame spaces
-came to keep only the target's dependency neighbourhood, which changed the
-graphs drawn here.  ``python -m tests.test_ad3_golden`` prints the records of
-the current code as JSON.
+off.  A change to the solver must not move any record in
+``ad3_golden.json``; a change to the graphs drawn here (the spaces
+``random_joint_instance`` makes) records them again, with the solver
+unchanged.  ``python -m tests.test_ad3_golden`` prints the records of the
+current code as JSON.
 """
 
 import json
